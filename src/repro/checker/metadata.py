@@ -271,6 +271,9 @@ class LocalSpace:
         non-stale cell with at least one recorded access already existed --
         i.e. whether this is a *non-first* access by the current step.
         Stale cells (older step) are replaced by a fresh empty cell.
+
+        :meth:`repro.checker.optimized.OptAtomicityChecker.on_memory`
+        inlines this lookup on its per-access path; keep the two in step.
         """
         cell = self._cells.get(key)
         if cell is None or cell.step != step:

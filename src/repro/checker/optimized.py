@@ -42,14 +42,14 @@ documented in ``tests/test_opt_corner_cases.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.checker.access import EMPTY_LOCKSET, AccessEntry, TwoAccessPattern
 from repro.checker.annotations import AtomicAnnotations
 from repro.checker.metadata import GlobalSpace, LocalCell, LocalSpace
 from repro.checker.patterns import pattern_violated_by, triple_code
 from repro.errors import CheckerError
-from repro.report import AtomicityViolation, ViolationReport
+from repro.report import READ, AtomicityViolation, ViolationReport
 from repro.runtime.events import MemoryEvent
 from repro.runtime.observer import RuntimeObserver
 
@@ -72,6 +72,13 @@ class OptAtomicityChecker(RuntimeObserver):
         self._gs: Dict[Location, GlobalSpace] = {}
         self._ls: Dict[int, LocalSpace] = {}
         self._engine = None
+        #: ``self._engine.parallel``, bound once per run.
+        self._parallel = None
+        #: Event lockset tuple -> the frozenset stored in entries, so the
+        #: accesses made under one set of locks share a single frozenset.
+        #: Emptied by :meth:`compact`, which keeps it bounded when
+        #: streaming.
+        self._locksets: Dict[Tuple[str, ...], FrozenSet[str]] = {}
         self._annotations: Optional[AtomicAnnotations] = None
         self._annotations_trivial = True
         # Observability counters (plain ints on the hot path; surfaced
@@ -92,76 +99,97 @@ class OptAtomicityChecker(RuntimeObserver):
                 "(any repro.dpst.engines.ParallelismEngine)"
             )
         self._engine = engine
+        self._parallel = engine.parallel
         self._annotations = run.annotations or AtomicAnnotations()
         self._annotations_trivial = self._annotations.trivial
 
     def on_memory(self, event: MemoryEvent) -> None:
+        # The per-access hot path: local-cell lookup and Figure 7 are
+        # inlined, and the lockset is interned rather than rebuilt.
+        location = event.location
         if self._annotations_trivial:
-            key = event.location
+            key = location
         else:
             annotations = self._annotations
-            if not annotations.is_checked(event.location):
+            if not annotations.is_checked(location):
                 return
-            key = annotations.metadata_key(event.location)
+            key = annotations.metadata_key(location)
         self._accesses += 1
+        task = event.task
+        step = event.step
         raw_lockset = event.lockset
-        entry = AccessEntry(
-            event.step,
-            event.access_type,
-            event.task,
-            event.location,
-            frozenset(raw_lockset) if raw_lockset else EMPTY_LOCKSET,
-        )
-        local = self._ls.get(event.task)
+        if raw_lockset:
+            locks = self._locksets.get(raw_lockset)
+            if locks is None:
+                locks = self._locksets[raw_lockset] = frozenset(raw_lockset)
+        else:
+            locks = EMPTY_LOCKSET
+        entry = AccessEntry(step, event.access_type, task, location, locks)
+        # LocalSpace.cell_for, inlined.
+        local = self._ls.get(task)
         if local is None:
-            local = LocalSpace(event.task)
-            self._ls[event.task] = local
-        cell, had_prior = local.cell_for(key, event.step)
+            local = self._ls[task] = LocalSpace(task)
+        cells = local._cells
+        cell = cells.get(key)
+        if cell is None or cell.step != step:
+            cell = cells[key] = LocalCell(step)
+            had_prior = False
+        else:
+            had_prior = cell.read is not None or cell.write is not None
         space = self._gs.get(key)
         if space is None:
-            space = GlobalSpace()
-            self._gs[key] = space
-            self._handle_first_access(space, cell, entry)
+            # Figure 7 -- very first access to the location: seed the global
+            # and local spaces.  No LCA query is performed here, which is
+            # why ``blackscholes``-style programs (no repeated accesses per
+            # step) issue zero LCA queries in Table 1.
+            space = self._gs[key] = GlobalSpace()
+            if entry.access_type == READ:
+                space.R1 = entry
+                cell.read = entry
+            else:
+                space.W1 = entry
+                cell.write = entry
+            space.version += 1
         elif not had_prior:
             self._handle_first_access_current_task(key, space, cell, entry)
         else:
             self._handle_non_first_access(key, space, cell, entry)
-
-    # -- Figure 7 -----------------------------------------------------------------
-
-    def _handle_first_access(
-        self, space: GlobalSpace, cell: LocalCell, entry: AccessEntry
-    ) -> None:
-        """Very first access to the location: seed global and local spaces.
-
-        No LCA query is performed here, which is why ``blackscholes``-style
-        programs (no repeated accesses per step) issue zero LCA queries in
-        Table 1.
-        """
-        if entry.is_read:
-            space.R1 = entry
-            cell.read = entry
-        else:
-            space.W1 = entry
-            cell.write = entry
-        space.version += 1
 
     # -- Figure 8 -----------------------------------------------------------------
 
     def _handle_first_access_current_task(
         self, key: Location, space: GlobalSpace, cell: LocalCell, entry: AccessEntry
     ) -> None:
-        """First access by this step: it can only be an interleaver (A2)."""
-        parallel = self._engine.parallel
-        if entry.is_read:
+        """First access by this step: it can only be an interleaver (A2).
+
+        Paper mode reads the one pattern slot per kind directly; thorough
+        mode also walks the overflow lists.
+        """
+        parallel = self._parallel
+        if entry.access_type == READ:
             cell.read = entry
             # A read interleaver only breaks a write-write pair (W,R,W).
-            self._check_patterns_against(key, space, ("WW",), entry)
+            if self.thorough:
+                self._check_patterns_against(key, space, ("WW",), entry)
+            elif space.WW is not None:
+                self._check_pattern(key, space.WW, entry)
             space.update_single("R", entry, parallel)
         else:
             cell.write = entry
             # A write interleaver breaks every two-access pattern.
-            self._check_patterns_against(key, space, ("WW", "RW", "RR", "WR"), entry)
+            if self.thorough:
+                self._check_patterns_against(
+                    key, space, ("WW", "RW", "RR", "WR"), entry
+                )
+            else:
+                if space.WW is not None:
+                    self._check_pattern(key, space.WW, entry)
+                if space.RW is not None:
+                    self._check_pattern(key, space.RW, entry)
+                if space.RR is not None:
+                    self._check_pattern(key, space.RR, entry)
+                if space.WR is not None:
+                    self._check_pattern(key, space.WR, entry)
             space.update_single("W", entry, parallel)
 
     # -- Figure 9 -----------------------------------------------------------------
@@ -178,15 +206,15 @@ class OptAtomicityChecker(RuntimeObserver):
         contents), so this is a pure memoization (see
         :class:`repro.checker.metadata.GlobalSpace`).
         """
-        parallel = self._engine.parallel
-        if entry.is_read:
+        parallel = self._parallel
+        if entry.access_type == READ:
             if cell.read is not None:
                 if cell.ver_rr == space.version:
                     self._memo_hits += 1
                 elif cell.read.locks_disjoint(entry):
                     candidate = TwoAccessPattern(cell.read, entry)  # read-read
                     self._check_candidate_against_singles(
-                        key, space, candidate, writes=True, reads=False
+                        key, space, candidate, reads=False
                     )
                     self._note_promotion(
                         space.update_pattern("RR", candidate, parallel, self.thorough)
@@ -198,7 +226,7 @@ class OptAtomicityChecker(RuntimeObserver):
                 elif cell.write.locks_disjoint(entry):
                     candidate = TwoAccessPattern(cell.write, entry)  # write-read
                     self._check_candidate_against_singles(
-                        key, space, candidate, writes=True, reads=False
+                        key, space, candidate, reads=False
                     )
                     self._note_promotion(
                         space.update_pattern("WR", candidate, parallel, self.thorough)
@@ -220,7 +248,7 @@ class OptAtomicityChecker(RuntimeObserver):
                 elif cell.read.locks_disjoint(entry):
                     candidate = TwoAccessPattern(cell.read, entry)  # read-write
                     self._check_candidate_against_singles(
-                        key, space, candidate, writes=True, reads=False
+                        key, space, candidate, reads=False
                     )
                     self._note_promotion(
                         space.update_pattern("RW", candidate, parallel, self.thorough)
@@ -232,7 +260,7 @@ class OptAtomicityChecker(RuntimeObserver):
                 elif cell.write.locks_disjoint(entry):
                     candidate = TwoAccessPattern(cell.write, entry)  # write-write
                     self._check_candidate_against_singles(
-                        key, space, candidate, writes=True, reads=True
+                        key, space, candidate, reads=True
                     )
                     self._note_promotion(
                         space.update_pattern("WW", candidate, parallel, self.thorough)
@@ -263,24 +291,29 @@ class OptAtomicityChecker(RuntimeObserver):
     def _check_patterns_against(
         self, key: Location, space: GlobalSpace, kinds, interleaver: AccessEntry
     ) -> None:
-        """Stored pattern (A1, A3) + current access as interleaver (A2)."""
-        parallel = self._engine.parallel
+        """Every stored pattern of *kinds*, overflow included (thorough mode)."""
         for kind in kinds:
             for pattern in space.patterns(kind):
-                self._pattern_checks += 1
-                if pattern.step == interleaver.step:
-                    continue
-                if not parallel(pattern.step, interleaver.step):
-                    continue
-                if pattern_violated_by(pattern, interleaver):
-                    self._report(key, pattern, interleaver)
+                self._check_pattern(key, pattern, interleaver)
+
+    def _check_pattern(
+        self, key: Location, pattern: TwoAccessPattern, interleaver: AccessEntry
+    ) -> None:
+        """Stored pattern (A1, A3) + current access as interleaver (A2)."""
+        self._pattern_checks += 1
+        step = pattern.first.step
+        if step == interleaver.step:
+            return
+        if not self._parallel(step, interleaver.step):
+            return
+        if pattern_violated_by(pattern, interleaver):
+            self._report(key, pattern, interleaver)
 
     def _check_candidate_against_singles(
         self,
         key: Location,
         space: GlobalSpace,
         candidate: TwoAccessPattern,
-        writes: bool,
         reads: bool,
     ) -> None:
         """Candidate pattern (A1, A3) + stored single access as interleaver (A2).
@@ -289,23 +322,19 @@ class OptAtomicityChecker(RuntimeObserver):
         additionally breakable by read singles (W,R,W) -- the exact checks
         of Figure 9.
         """
-        parallel = self._engine.parallel
-        step = candidate.step
-
-        def try_single(single: Optional[AccessEntry]) -> None:
+        parallel = self._parallel
+        step = candidate.first.step
+        if reads:
+            singles = (space.W1, space.W2, space.R1, space.R2)
+        else:
+            singles = (space.W1, space.W2)
+        for single in singles:
             if single is None or single.step == step:
-                return
+                continue
             if not parallel(step, single.step):
-                return
+                continue
             if pattern_violated_by(candidate, single):
                 self._report(key, candidate, single)
-
-        if writes:
-            try_single(space.W1)
-            try_single(space.W2)
-        if reads:
-            try_single(space.R1)
-            try_single(space.R2)
 
     def _report(
         self, key: Location, pattern: TwoAccessPattern, interleaver: AccessEntry
@@ -344,6 +373,7 @@ class OptAtomicityChecker(RuntimeObserver):
         :class:`repro.checker.streaming.StreamingChecker` requires of its
         inner checker.
         """
+        self._locksets.clear()
         evicted = 0
         emptied = []
         for task_id, local in self._ls.items():

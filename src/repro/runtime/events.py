@@ -1,8 +1,8 @@
 """Trace event records.
 
 Every observable action of a task-parallel execution is represented by one
-of these frozen dataclasses.  The runtime dispatches them to observers as
-they happen; :class:`repro.runtime.observer.TraceRecorder` additionally
+of these dataclasses.  The runtime dispatches them to observers as they
+happen; :class:`repro.runtime.observer.TraceRecorder` additionally
 collects them into a :class:`repro.trace.trace.Trace` so that executions
 can be replayed offline through any checker or explored for alternative
 interleavings.
@@ -10,6 +10,14 @@ interleavings.
 ``seq`` is a runtime-global sequence number: the total order in which the
 events were observed.  For memory events this is the trace order that a
 trace-sensitive analysis such as Velodrome reasons about.
+
+Events are immutable.  The task-lifecycle and lock events are frozen
+dataclasses; :class:`MemoryEvent`, built once per instrumented access, is
+immutable *by convention* only (like
+:class:`repro.checker.access.AccessEntry`), because a frozen dataclass
+pays one ``object.__setattr__`` per field at construction.  Derive a
+changed event with :func:`dataclasses.replace`; never assign to a field of
+an event that an observer may already hold.
 """
 
 from __future__ import annotations
@@ -57,9 +65,13 @@ class SyncEvent:
     finish_node: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MemoryEvent:
     """A shared-memory access.
+
+    Not frozen, for construction speed on the per-access path, but treat
+    instances as immutable: ``unsafe_hash`` gives them value equality and a
+    value hash, which mutating a field would invalidate.
 
     Attributes
     ----------

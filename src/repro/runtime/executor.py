@@ -195,6 +195,12 @@ class Runtime:
         if not self.observer.observers and self.dpst is None:
             self.read = self._read_uninstrumented  # type: ignore[assignment]
             self.write = self._write_uninstrumented  # type: ignore[assignment]
+        # Per-access dispatch target, resolved once: a lone observer is
+        # called directly, skipping the chain's fan-out loop.
+        if len(self.observer.observers) == 1:
+            self._on_memory = self.observer.observers[0].on_memory
+        else:
+            self._on_memory = self.observer.on_memory
 
     def _read_uninstrumented(self, task: Task, location: Location) -> Any:
         """Baseline read: straight to shadow memory."""
@@ -358,36 +364,47 @@ class Runtime:
             task.current_step = step
         return step
 
+    # read/write inline the common cases of _ensure_step and _alloc_seq:
+    # they run once per instrumented access.
+
     def read(self, task: Task, location: Location) -> Any:
         """Instrumented shared-memory read."""
         with self._lock:
-            step = self._ensure_step(task)
-            seq = self._alloc_seq()
-            event = MemoryEvent(
-                seq,
-                task.task_id,
-                step,
-                location,
-                READ,
-                task.lock_state.lockset_tuple(),
+            step = task.current_step
+            if step is None:
+                step = self._ensure_step(task)
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            self._on_memory(
+                MemoryEvent(
+                    seq,
+                    task.task_id,
+                    step,
+                    location,
+                    READ,
+                    task.lock_state.lockset_tuple(),
+                )
             )
-            self.observer.on_memory(event)
             return self.shadow.load(location)
 
     def write(self, task: Task, location: Location, value: Any) -> None:
         """Instrumented shared-memory write."""
         with self._lock:
-            step = self._ensure_step(task)
-            seq = self._alloc_seq()
-            event = MemoryEvent(
-                seq,
-                task.task_id,
-                step,
-                location,
-                WRITE,
-                task.lock_state.lockset_tuple(),
+            step = task.current_step
+            if step is None:
+                step = self._ensure_step(task)
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            self._on_memory(
+                MemoryEvent(
+                    seq,
+                    task.task_id,
+                    step,
+                    location,
+                    WRITE,
+                    task.lock_state.lockset_tuple(),
+                )
             )
-            self.observer.on_memory(event)
             self.shadow.store(location, value)
 
     # -- instrumented locks -----------------------------------------------------------

@@ -44,7 +44,11 @@ class TaskLockState:
         self._held: Dict[str, str] = {}
         #: base name -> next epoch to use on re-acquisition
         self._epochs: Dict[str, int] = {}
+        #: Both forms of the held lockset, rebuilt together on the first
+        #: read after a mutation (``_dirty``), so every access between two
+        #: lock operations shares one frozenset and one sorted tuple.
         self._frozen_cache: FrozenSet[str] = frozenset()
+        self._tuple_cache: Tuple[str, ...] = ()
         self._dirty = False
         #: Fresh versioned names minted by re-acquisitions (epoch > 0);
         #: surfaced as the ``runtime.lock_version_bumps`` metric.
@@ -79,16 +83,26 @@ class TaskLockState:
         self._dirty = True
         return name
 
+    def _refresh(self) -> None:
+        self._frozen_cache = frozenset(self._held.values())
+        self._tuple_cache = tuple(sorted(self._frozen_cache))
+        self._dirty = False
+
     def lockset(self) -> FrozenSet[str]:
         """The current versioned lockset (cached between mutations)."""
         if self._dirty:
-            self._frozen_cache = frozenset(self._held.values())
-            self._dirty = False
+            self._refresh()
         return self._frozen_cache
 
     def lockset_tuple(self) -> Tuple[str, ...]:
-        """Sorted tuple form, used in events and reports."""
-        return tuple(sorted(self.lockset()))
+        """Sorted tuple form, used in events and reports.
+
+        Cached like :meth:`lockset`: between two lock operations every call
+        returns the same tuple object.
+        """
+        if self._dirty:
+            self._refresh()
+        return self._tuple_cache
 
     @property
     def holds_any(self) -> bool:

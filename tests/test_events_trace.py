@@ -1,5 +1,7 @@
 """Events, the trace recorder, and the Trace container."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import TraceError
@@ -14,6 +16,7 @@ from repro.runtime.events import (
     TaskEndEvent,
     TaskSpawnEvent,
 )
+from repro.trace.serialize import dump_trace, load_trace
 from repro.trace.trace import Trace
 
 
@@ -69,6 +72,50 @@ class TestRecorder:
         assert a.conflicts_with(b)
         assert not a.conflicts_with(a)   # read-read never conflicts
         assert not b.conflicts_with(c)   # different locations
+
+
+class TestMemoryEventContract:
+    """What observers, serializers and tests rely on now that
+    :class:`MemoryEvent` is immutable by convention rather than frozen."""
+
+    FIELDS = ("seq", "task", "step", "location", "access_type", "lockset")
+
+    def test_value_equality_and_hash(self):
+        a = MemoryEvent(4, 1, 7, ("A", 2), WRITE, ("L", "M#1"))
+        b = MemoryEvent(4, 1, 7, ("A", 2), WRITE, ("L", "M#1"))
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != dataclasses.replace(a, seq=5)
+        assert a != dataclasses.replace(a, lockset=())
+
+    def test_replace_derives_a_new_event(self):
+        a = MemoryEvent(0, 1, 2, "X", READ, ("L",))
+        b = dataclasses.replace(a, lockset=())
+        assert b is not a
+        assert b.lockset == ()
+        assert a.lockset == ("L",)
+        assert dataclasses.astuple(b)[:5] == dataclasses.astuple(a)[:5]
+
+    def test_field_order(self):
+        event = MemoryEvent(0, 1, 2, "X", READ, ("L",))
+        assert tuple(event.__dataclass_fields__) == self.FIELDS
+        assert tuple(vars(event)) == self.FIELDS
+        assert tuple(vars(event).values()) == (0, 1, 2, "X", READ, ("L",))
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".trc"])
+    def test_round_trip(self, recorded, tmp_path, suffix):
+        """v2 (JSONL) and v3 (columnar) decode memory events equal to,
+        and hashing like, the recorded ones."""
+        path = str(tmp_path / f"trace{suffix}")
+        dump_trace(recorded.trace, path)
+        original = recorded.trace.memory_events()
+        decoded = load_trace(path).memory_events()
+        assert decoded == original
+        assert [hash(e) for e in decoded] == [hash(e) for e in original]
+        assert all(type(e) is MemoryEvent for e in decoded)
+        assert all(tuple(vars(e)) == self.FIELDS for e in decoded)
 
 
 class TestTraceViews:
