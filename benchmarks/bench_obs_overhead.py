@@ -31,6 +31,7 @@ Two entry points:
 """
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -88,15 +89,18 @@ def time_variants(trace, repeats: int):
     median across rounds.  Pairing inside a round cancels the slow drift
     (allocator growth, shared-host contention) that makes independent
     best-of-N comparisons of near-identical code paths read a few
-    percent apart in either direction.
+    percent apart in either direction.  The variant order rotates each
+    round, so no variant always runs in the first slot of a round.
 
     Returns ``(best_seconds, median_overhead_pct)`` dicts by variant.
     """
     best = {name: float("inf") for name, _ in VARIANTS}
     ratios = {name: [] for name, _ in VARIANTS}
-    for _ in range(repeats):
+    for round_index in range(repeats):
+        shift = round_index % len(VARIANTS)
         round_times = {}
-        for name, fn in VARIANTS:
+        for name, fn in VARIANTS[shift:] + VARIANTS[:shift]:
+            gc.collect()  # no variant pays for the previous one's garbage
             started = time.perf_counter()
             fn(trace)
             round_times[name] = time.perf_counter() - started

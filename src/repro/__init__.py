@@ -27,8 +27,7 @@ Quickstart
 (live programs, recorded traces, trace files) and every checking mode
 (in-process or location-sharded across processes); pass
 ``recorder=MetricsRecorder()`` to collect :mod:`repro.obs` metrics and
-phase timings.  The older :func:`~repro.runtime.program.check_program`
-one-shot is deprecated.
+phase timings.
 
 The package layers:
 
@@ -101,7 +100,6 @@ from repro.runtime import (
     parallel_reduce,
     run_program,
 )
-from repro.runtime.program import check_program
 from repro.checker.sharded import check_sharded
 from repro.session import CheckSession, check_trace
 from repro.dpst import EngineStats
@@ -168,7 +166,6 @@ __all__ = [
     "parallel_pipeline",
     "parallel_reduce",
     "run_program",
-    "check_program",
     "check_sharded",
     "CheckSession",
     "check_trace",

@@ -26,9 +26,12 @@ Two input shapes:
   the parent never materializes the events and traces larger than RAM can
   be checked.
 
-Workers replay their shard with :func:`repro.trace.replay.replay_memory_events`
-and return a :class:`~repro.report.ViolationReport`; the driver merges them
-with :meth:`ViolationReport.merge`.
+Every offline check -- ``jobs=1`` in-process (the whole run is shard 0),
+each ``jobs>1`` worker, checkpointed or not, streaming or not -- replays
+through one shard body, :func:`_replay_shard`, which returns a
+:class:`~repro.report.ViolationReport`; the driver merges them with
+:meth:`ViolationReport.merge`.  :class:`repro.session.CheckSession` hands
+every check of a trace here.
 
 Static prefilter: ``skip_locations`` (normally produced by
 ``repro.static.lint`` serial-location proofs, via
@@ -50,6 +53,7 @@ from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple, Uni
 
 from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
+from repro.checker.streaming import StreamingChecker, resolve_window
 from repro.checker.supervisor import (
     CheckpointStore,
     ShardOutcome,
@@ -61,7 +65,7 @@ from repro.checker.supervisor import (
 from repro.errors import CheckerError, TraceError
 from repro.report import ViolationReport
 from repro.runtime.events import MemoryEvent
-from repro.trace.replay import replay_memory_events
+from repro.trace.replay import replay_events, replay_memory_events
 from repro.trace.serialize import (
     TraceReader,
     dpst_from_dict,
@@ -153,131 +157,116 @@ def _require_shardable(checker: CheckerSpec) -> None:
         )
 
 
-def _fresh_checker(spec: CheckerSpec):
-    """Instantiate one shard's checker from a (possibly pickled) spec.
+def _replay_shard(
+    events: Iterable[object],
+    dpst,
+    recorder,
+    spec: CheckerSpec,
+    annotations: Optional[AtomicAnnotations],
+    lca_cache: bool,
+    parallel_engine: str,
+    skip_locations: SkipLocations = None,
+    lines_from: Optional[TraceReader] = None,
+) -> ViolationReport:
+    """Replay one shard: the single body behind every offline check.
 
-    Worker processes each get their own unpickled copy of an instance
-    spec, so sharing a pre-built instance across shards is safe -- every
+    ``jobs=1`` runs it in-process as shard 0; each ``jobs>1`` worker runs
+    it over its own slice.  Prefiltered events are dropped (and counted)
+    here, and so are the lines the lenient reader *lines_from* skips
+    meanwhile.  Every worker scans the same unstamped garbage lines, so
+    only shard 0 passes its reader: then ``jobs=1`` and ``jobs=N`` totals
+    agree.
+
+    A :class:`~repro.checker.streaming.StreamingChecker` is fed through
+    :func:`~repro.trace.replay.replay_events`, so task ends in the stream
+    release finished tasks; every other checker goes through
+    :func:`~repro.trace.replay.replay_memory_events`.  Worker processes
+    each get their own unpickled copy of an instance *spec*, so every
     shard replays into private state.
     """
-    return make_checker(spec)
-
-
-# -- worker bodies (top level so multiprocessing can pickle them) -----------
-
-
-def _worker_recorder(collect: bool):
-    """A per-shard :class:`~repro.obs.MetricsRecorder`, or ``None``.
-
-    Workers never share a recorder with the parent -- each shard records
-    into a private snapshot that travels back as a plain dict and is
-    merged by :meth:`repro.obs.MetricsRecorder.add_shard`.
-    """
-    if not collect:
-        return None
-    from repro.obs import MetricsRecorder
-
-    return MetricsRecorder()
-
-
-def _worker_snapshot(recorder, elapsed: float):
-    """Finalize a worker recorder into its wire-format snapshot dict."""
-    if recorder is None:
-        return None
-    recorder.gauge("worker.elapsed_s", elapsed)
-    recorder.gauge("worker.pid", float(os.getpid()))
-    return recorder.snapshot().to_dict()
-
-
-def _check_shard_events(
-    payload: Tuple[Any, ...], attempt: int = 0
-) -> Tuple[ViolationReport, Optional[dict]]:
-    """Replay one pre-partitioned shard of in-memory events."""
-    (
-        shard_id,
-        dpst_dict,
+    checker = make_checker(spec)
+    if skip_locations:
+        events = filter_skipped(events, skip_locations, recorder)
+    skipped_before = lines_from.lines_skipped if lines_from is not None else 0
+    replay = (
+        replay_events
+        if isinstance(checker, StreamingChecker)
+        else replay_memory_events
+    )
+    report = replay(
         events,
-        spec,
-        annotations,
-        lca_cache,
-        parallel_engine,
-        collect,
-    ) = payload
-    maybe_inject_fault(shard_id, attempt)
-    dpst = None if dpst_dict is None else dpst_from_dict(dpst_dict)
-    recorder = _worker_recorder(collect)
-    started = time.perf_counter()
-    report = replay_memory_events(
-        events,
-        _fresh_checker(spec),
+        checker,
         dpst=dpst,
         annotations=annotations,
         lca_cache=lca_cache,
         parallel_engine=parallel_engine,
         recorder=recorder,
     )
-    return report, _worker_snapshot(recorder, time.perf_counter() - started)
+    if lines_from is not None and recorder is not None and recorder.enabled:
+        skipped = lines_from.lines_skipped - skipped_before
+        if skipped:
+            recorder.count("trace.lines_skipped", skipped)
+    return report
 
 
-def _check_shard_from_file(
+# -- worker body (top level so multiprocessing can pickle it) ---------------
+
+
+def _check_shard(
     payload: Tuple[Any, ...], attempt: int = 0
 ) -> Tuple[ViolationReport, Optional[dict]]:
-    """Stream a trace file and replay only this worker's shard."""
-    (
-        shard_id,
-        path,
-        jobs,
-        spec,
-        annotations,
-        lca_cache,
-        parallel_engine,
-        collect,
-        skip_locations,
-        strict,
-    ) = payload
+    """Replay one shard in a worker; return its report and snapshot.
+
+    *source* is either ``(dpst_dict, events)`` -- a shard of an in-memory
+    trace, partitioned (and prefiltered) in the parent -- or a trace file
+    path, which the worker streams itself, keeping only its own slice and
+    dropping its own prefiltered events.  The shard filters yield memory
+    events only, so a streaming worker never sees a task end: it evicts
+    stale cells but releases no finished task (see :func:`check_sharded`).
+
+    Workers never share a recorder with the parent -- each shard records
+    into its own :class:`~repro.obs.MetricsRecorder`, whose snapshot
+    travels back as a plain dict (``None`` when not collecting) and is
+    merged by :meth:`repro.obs.MetricsRecorder.add_shard`.
+    """
+    shard_id, jobs, source, strict, collect, options = payload
     maybe_inject_fault(shard_id, attempt)
-    reader = TraceReader(path, strict=strict)
-    try:
-        keyed = annotations is not None and not annotations.trivial
+    recorder = None
+    if collect:
+        from repro.obs import MetricsRecorder
 
-        if keyed:
-            # Group-aware key: the line's "sk" stamp (raw location) may
-            # not match metadata_key, so decode every line and re-key.
-            def shard_stream():
-                for event in reader.memory_events():
-                    key = annotations.metadata_key(event.location)
-                    if shard_for_location(key, jobs) == shard_id:
-                        yield event
-
-            events = shard_stream()
-        else:
-            # Fast path: the reader shard-filters raw lines by their "sk"
-            # stamp, so this worker only JSON-decodes its own 1/jobs slice.
-            events = reader.memory_events(shard=shard_id, jobs=jobs)
-
-        recorder = _worker_recorder(collect)
-        if skip_locations:
-            # Each worker drops its own shard's skipped events (the parent
-            # never sees the stream), counting into its private snapshot.
-            events = filter_skipped(events, skip_locations, recorder)
-        started = time.perf_counter()
-        report = replay_memory_events(
-            events,
-            _fresh_checker(spec),
-            dpst=reader.dpst,
-            annotations=annotations,
-            lca_cache=lca_cache,
-            parallel_engine=parallel_engine,
-            recorder=recorder,
-        )
-        # Every worker scans (and in lenient mode skips) the same
-        # unstamped garbage lines; shard 0 alone reports the count so
-        # jobs=1 and jobs=N totals agree.
-        if recorder is not None and shard_id == 0 and reader.lines_skipped:
-            recorder.count("trace.lines_skipped", reader.lines_skipped)
-        return report, _worker_snapshot(recorder, time.perf_counter() - started)
-    finally:
-        reader.close()
+        recorder = MetricsRecorder()
+    started = time.perf_counter()
+    if isinstance(source, tuple):
+        dpst_dict, events = source
+        dpst = None if dpst_dict is None else dpst_from_dict(dpst_dict)
+        report = _replay_shard(events, dpst, recorder, **options)
+    else:
+        with TraceReader(source, strict=strict) as reader:
+            annotations = options["annotations"]
+            if annotations is not None and not annotations.trivial:
+                # Group-aware key: the line's "sk" stamp (raw location) may
+                # not match metadata_key, so decode every line and re-key.
+                events = (
+                    event
+                    for event in reader.memory_events()
+                    if shard_for_location(
+                        annotations.metadata_key(event.location), jobs
+                    ) == shard_id
+                )
+            else:
+                # Fast path: the reader shard-filters raw lines by their
+                # "sk" stamp, so this worker decodes only its 1/jobs slice.
+                events = reader.memory_events(shard=shard_id, jobs=jobs)
+            lines_from = reader if shard_id == 0 else None
+            report = _replay_shard(
+                events, reader.dpst, recorder, lines_from=lines_from, **options
+            )
+    if recorder is None:
+        return report, None
+    recorder.gauge("worker.elapsed_s", time.perf_counter() - started)
+    recorder.gauge("worker.pid", float(os.getpid()))
+    return report, recorder.snapshot().to_dict()
 
 
 def _mp_context(start_method: Optional[str] = None):
@@ -401,8 +390,13 @@ def check_sharded(
         ``streaming=True`` wraps the checker in a
         :class:`repro.checker.streaming.StreamingChecker` so every shard
         checks its event stream incrementally with a compaction sweep
-        each *window* events (``None`` -> the default window, ``0`` ->
-        never sweep).  Each worker compacts its own shard; reports stay
+        each *window* events (mapped by
+        :func:`~repro.checker.streaming.resolve_window`: ``None`` -> the
+        default window, ``0`` -> never sweep).  At ``jobs=1`` the full
+        event stream is replayed, so ended tasks free their metadata.
+        Each ``jobs>1`` worker compacts its own shard, but replays memory
+        events only -- the shard filters drop task ends -- so it evicts
+        stale cells and never releases a finished task.  Reports stay
         identical to the offline run at every window.
 
     Returns the merged, deduplicated :class:`ViolationReport`.
@@ -410,23 +404,9 @@ def check_sharded(
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise TraceError(f"jobs must be >= 1, got {jobs}")
-    if window is not None and not streaming:
-        raise CheckerError(
-            "window= only applies to streaming checks; pass "
-            "streaming=True (or drop window=)"
-        )
-    if streaming:
-        from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
-
-        if not isinstance(checker, StreamingChecker):
-            checker = StreamingChecker(
-                window=(
-                    DEFAULT_WINDOW
-                    if window is None
-                    else (None if window == 0 else window)
-                ),
-                checker=checker,
-            )
+    window = resolve_window(window, streaming)
+    if streaming and not isinstance(checker, StreamingChecker):
+        checker = StreamingChecker(window=window, checker=checker)
     if skip_locations is not None and not skip_locations:
         skip_locations = None
     collect = recorder is not None and recorder.enabled
@@ -435,19 +415,14 @@ def check_sharded(
 
     owned_reader: Optional[TraceReader] = None
     if isinstance(source, (str, os.PathLike)):
-        reader: Optional[TraceReader] = open_trace(
+        source = owned_reader = open_trace(
             source, strict=True if strict is None else strict
         )
-        owned_reader = reader
-        path: Optional[str] = reader.path
-        trace: Optional[Trace] = None
-    elif isinstance(source, TraceReader):
+    reader: Optional[TraceReader] = None
+    trace: Optional[Trace] = None
+    if isinstance(source, TraceReader):
         reader = source
-        path = source.path
-        trace = None
     elif isinstance(source, Trace):
-        reader = None
-        path = None
         trace = source
     else:
         raise TraceError(
@@ -456,6 +431,7 @@ def check_sharded(
         )
     if strict is None:
         strict = reader.strict if reader is not None else True
+    path = reader.path if reader is not None else None
 
     store: Optional[CheckpointStore] = None
     if checkpoint_dir is not None:
@@ -467,11 +443,17 @@ def check_sharded(
             resume=resume,
         )
 
+    # What every shard replays with (see _replay_shard).
+    options = dict(
+        spec=checker,
+        annotations=annotations,
+        lca_cache=lca_cache,
+        parallel_engine=parallel_engine,
+    )
     try:
         if jobs == 1:
             return _check_single(
-                trace, reader, checker, annotations, lca_cache,
-                parallel_engine, recorder, skip_locations, store, collect,
+                trace, reader, recorder, skip_locations, store, collect, options
             )
         _require_shardable(checker)
         policy = WorkerPolicy(
@@ -481,9 +463,8 @@ def check_sharded(
             timeout_s=shard_timeout,
         )
         return _check_supervised(
-            trace, path, checker, jobs, annotations, lca_cache,
-            parallel_engine, recorder, skip_locations, strict,
-            policy, store, _mp_context(start_method), collect,
+            trace, path, jobs, recorder, skip_locations, strict, policy,
+            store, _mp_context(start_method), collect, options,
         )
     finally:
         # A worker raising must not leak the handles of a reader this
@@ -495,19 +476,18 @@ def check_sharded(
 def _check_single(
     trace: Optional[Trace],
     reader: Optional[TraceReader],
-    checker: CheckerSpec,
-    annotations: Optional[AtomicAnnotations],
-    lca_cache: bool,
-    parallel_engine: str,
     recorder,
     skip_locations: SkipLocations,
     store,
     collect: bool,
+    options: dict,
 ) -> ViolationReport:
-    """``jobs=1``: in-process replay, with optional checkpointing.
+    """``jobs=1``: the whole run is shard 0, replayed in-process.
 
-    Checkpointing treats the whole run as shard 0, so
-    ``--checkpoint/--resume`` behave uniformly across job counts.
+    Checkpointing treats the run as shard 0 too, so
+    ``--checkpoint/--resume`` behave uniformly across job counts.  File
+    sources are never materialized, and a streaming checker gets the
+    full event stream so ended tasks are released.
     """
     if store is not None:
         cached = store.load(0)
@@ -515,27 +495,19 @@ def _check_single(
             if collect:
                 recorder.count("sharded.resumed_shards")
             return cached[0]
-    events: Iterable[MemoryEvent]
+    options = dict(options, spec=make_checker(options["spec"]))
+    full = isinstance(options["spec"], StreamingChecker)
+    events: Iterable[object]
     if trace is not None:
-        events, dpst = trace.memory_events(), trace.dpst
+        events = trace.events if full else trace.memory_events()
+        dpst = trace.dpst
     else:
-        events, dpst = reader.memory_events(), reader.dpst
-    if skip_locations:
-        events = filter_skipped(events, skip_locations, recorder)
-    skipped_before = reader.lines_skipped if reader is not None else 0
-    report = replay_memory_events(
-        events,
-        make_checker(checker),
-        dpst=dpst,
-        annotations=annotations,
-        lca_cache=lca_cache,
-        parallel_engine=parallel_engine,
-        recorder=recorder,
+        events = reader.events() if full else reader.memory_events()
+        dpst = reader.dpst
+    report = _replay_shard(
+        events, dpst, recorder, skip_locations=skip_locations,
+        lines_from=reader, **options,
     )
-    if collect and reader is not None:
-        skipped = reader.lines_skipped - skipped_before
-        if skipped:
-            recorder.count("trace.lines_skipped", skipped)
     if store is not None:
         store.store(0, report, None)
     return report
@@ -544,11 +516,7 @@ def _check_single(
 def _check_supervised(
     trace: Optional[Trace],
     path: Optional[str],
-    checker: CheckerSpec,
     jobs: int,
-    annotations: Optional[AtomicAnnotations],
-    lca_cache: bool,
-    parallel_engine: str,
     recorder,
     skip_locations: SkipLocations,
     strict: bool,
@@ -556,6 +524,7 @@ def _check_supervised(
     store,
     context,
     collect: bool,
+    options: dict,
 ) -> ViolationReport:
     """The ``jobs > 1`` path: supervised workers, checkpoints, metrics.
 
@@ -584,15 +553,17 @@ def _check_supervised(
                         skip_locations,
                         recorder if collect else None,
                     )
-                shards = partition_memory_events(source_events, jobs, annotations)
+                shards = partition_memory_events(
+                    source_events, jobs, options["annotations"]
+                )
                 dpst_dict = None if trace.dpst is None else dpst_to_dict(trace.dpst)
                 tasks = [
                     ShardTask(
                         shard_id=index,
-                        fn=_check_shard_events,
+                        fn=_check_shard,
                         payload=(
-                            index, dpst_dict, shard, checker, annotations,
-                            lca_cache, parallel_engine, collect,
+                            index, jobs, (dpst_dict, shard), strict, collect,
+                            options,
                         ),
                     )
                     for index, shard in enumerate(shards)
@@ -603,14 +574,12 @@ def _check_supervised(
                     recorder.count("sharded.workers", 0)
                 return ViolationReport()
         else:
+            file_options = dict(options, skip_locations=skip_locations)
             tasks = [
                 ShardTask(
                     shard_id=shard,
-                    fn=_check_shard_from_file,
-                    payload=(
-                        shard, path, jobs, checker, annotations, lca_cache,
-                        parallel_engine, collect, skip_locations, strict,
-                    ),
+                    fn=_check_shard,
+                    payload=(shard, jobs, path, strict, collect, file_options),
                 )
                 for shard in range(jobs)
             ]

@@ -57,6 +57,23 @@ from repro.runtime.observer import RuntimeObserver
 DEFAULT_WINDOW = 4096
 
 
+def resolve_window(window: Optional[int], streaming: bool = True) -> Optional[int]:
+    """Map a caller's ``window=`` to :class:`StreamingChecker`'s.
+
+    ``None`` means :data:`DEFAULT_WINDOW` and ``0`` means unbounded (no
+    periodic compaction, returned as ``None``).  A window on a check
+    that does not stream is refused with a :class:`CheckerError`.
+    """
+    if window is not None and not streaming:
+        raise CheckerError(
+            "window= only applies to streaming checks; pass "
+            "streaming=True (or drop window=)"
+        )
+    if window is None:
+        return DEFAULT_WINDOW
+    return None if window == 0 else window
+
+
 class StreamingChecker(RuntimeObserver):
     """Windowed incremental wrapper around a compactable checker.
 

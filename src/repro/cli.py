@@ -13,7 +13,7 @@ Commands
 ``dpst MODULE:FUNC``
     Execute a program and print its dynamic program structure tree.
 ``record MODULE:FUNC -o FILE`` / ``replay FILE``
-    Serialize an execution trace (monolithic JSON or streaming JSONL,
+    Serialize an execution trace (streaming JSONL or binary columnar,
     picked by extension or ``--format``) / replay a saved trace through a
     checker.
 ``check-trace FILE --jobs N``
@@ -48,6 +48,8 @@ import sys
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.checker import make_checker
+from repro.checker.streaming import resolve_window
+from repro.errors import CheckerError
 from repro.runtime import (
     RandomOrderExecutor,
     SerialExecutor,
@@ -427,8 +429,10 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         # Offline traces carry no program text, so the prefilter flag
         # names the program (MODULE:FUNC) the trace was recorded from.
         prefilter = _load_lint_target(args.static_prefilter)
-    if args.window is not None and not args.streaming:
-        raise SystemExit("--window needs --streaming")
+    try:
+        resolve_window(args.window, args.streaming)
+    except CheckerError:
+        raise SystemExit("--window needs --streaming") from None
     if recorder is None and (
         args.static_prefilter or args.lenient or args.streaming
     ):
@@ -481,14 +485,8 @@ def _print_streaming(args: argparse.Namespace, recorder) -> None:
     """
     if not getattr(args, "streaming", False):
         return
-    from repro.checker.streaming import DEFAULT_WINDOW
-
-    window = args.window
-    shown = (
-        "unbounded"
-        if window == 0
-        else str(window if window is not None else DEFAULT_WINDOW)
-    )
+    window = resolve_window(args.window)
+    shown = "unbounded" if window is None else str(window)
     if recorder is None or not recorder.enabled:
         print(f"streaming: window={shown}")
         return
@@ -852,10 +850,10 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("program")
     record.add_argument("-o", "--output", required=True)
     record.add_argument(
-        "--format", choices=("auto", "json", "jsonl", "columnar"),
+        "--format", choices=("auto", "jsonl", "columnar"),
         default="auto",
-        help="serialization format; auto picks JSONL for .jsonl/.ndjson "
-        "paths and binary columnar (v3) for .trc/.v3 paths",
+        help="serialization format; auto picks binary columnar (v3) for "
+        ".trc/.v3 paths and JSONL (v2) for every other path",
     )
     _add_run_options(record)
     record.set_defaults(handler=cmd_record)

@@ -41,7 +41,7 @@ from repro.dpst.engines import (
     make_engine,
     register_engine,
 )
-from repro.dpst.lca import LCAEngine, LCAStats
+from repro.dpst.lca import LCAEngine
 from repro.dpst.labels import LabelEngine
 from repro.dpst.vclock import VectorClockEngine
 from repro.dpst.depa import DePaEngine
@@ -58,7 +58,6 @@ __all__ = [
     "LinkedDPST",
     "ArrayDPST",
     "LCAEngine",
-    "LCAStats",
     "ParallelismEngine",
     "UnknownEngineError",
     "VectorClockEngine",

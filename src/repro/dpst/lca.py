@@ -23,10 +23,6 @@ from repro.dpst.nodes import NodeKind
 from repro.dpst import relation
 from repro.dpst.stats import EngineStats
 
-#: Backwards-compatible alias: the counters were unified across engines
-#: as :class:`repro.dpst.stats.EngineStats`.
-LCAStats = EngineStats
-
 
 class LCAEngine:
     """Parallelism queries over a DPST, memoized per unordered step pair.
@@ -46,7 +42,7 @@ class LCAEngine:
     def __init__(self, tree: DPSTBase, cache: bool = True) -> None:
         self.tree = tree
         self.cache_enabled = cache
-        self.stats = LCAStats()
+        self.stats = EngineStats()
         self._parallel_memo: Dict[Tuple[int, int], bool] = {}
 
     # -- queries ----------------------------------------------------------
@@ -106,7 +102,7 @@ class LCAEngine:
 
     def reset_stats(self) -> None:
         """Zero the counters (the memo table is kept)."""
-        self.stats = LCAStats()
+        self.stats = EngineStats()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

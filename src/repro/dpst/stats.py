@@ -4,8 +4,7 @@ Every registered engine (see :mod:`repro.dpst.engines`) answers the same
 ``parallel(a, b)`` queries and accounts for them with the same three
 counters, which produce Table 1's columns and feed the observability
 layer's ``engine.*`` metrics (:mod:`repro.obs`).  One exported dataclass
-keeps all the surfaces field-for-field identical; ``LCAStats`` remains as
-a backwards-compatible alias in :mod:`repro.dpst.lca`.
+keeps all the surfaces field-for-field identical.
 """
 
 from __future__ import annotations

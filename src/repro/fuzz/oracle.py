@@ -113,11 +113,6 @@ def exact_legs(reference: str = "lca") -> Tuple[str, ...]:
     )
 
 
-#: Leg names compared triple-for-triple against the default reference
-#: (kept for existing callers; prefer :func:`exact_legs`).
-EXACT_LEGS = exact_legs()
-
-
 @dataclass(frozen=True)
 class Disagreement:
     """One broken equivalence, with everything needed to reproduce it."""

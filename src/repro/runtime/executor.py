@@ -40,7 +40,6 @@ from typing import (
     Tuple,
 )
 
-import warnings
 
 from repro.dpst import ArrayDPST, LCAEngine, LinkedDPST, NodeKind, ROOT_ID, make_dpst
 from repro.dpst.engines import make_engine
@@ -83,8 +82,7 @@ class RunContext:
         self.dpst = dpst
         #: The :class:`~repro.dpst.engines.ParallelismEngine` answering
         #: series-parallel queries for this run (``None`` when no DPST is
-        #: built).  The historical name ``lca_engine`` is a deprecated
-        #: alias.
+        #: built).
         self.engine = engine
         self.shadow = shadow
         self.locks = locks
@@ -107,16 +105,6 @@ class RunContext:
         self.elapsed: float = 0.0
         #: Map task id -> :class:`Task`, for post-run inspection.
         self.tasks: Dict[int, Task] = {}
-
-    @property
-    def lca_engine(self) -> Any:
-        """Deprecated alias of :attr:`engine` (the pre-registry name)."""
-        warnings.warn(
-            "RunContext.lca_engine is deprecated; use RunContext.engine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.engine
 
     @property
     def dpst_nodes(self) -> int:

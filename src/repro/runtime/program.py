@@ -12,8 +12,7 @@ collected trace, per-run statistics and each checker's violation report.
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 from repro.checker.annotations import AtomicAnnotations
 from repro.dpst.base import DPSTBase
@@ -99,16 +98,6 @@ class RunResult:
         return self.context.engine
 
     @property
-    def lca_engine(self) -> Any:
-        """Deprecated alias of :attr:`engine` (the pre-registry name)."""
-        warnings.warn(
-            "RunResult.lca_engine is deprecated; use RunResult.engine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.context.engine
-
-    @property
     def shadow(self) -> ShadowMemory:
         return self.context.shadow
 
@@ -147,10 +136,6 @@ class RunResult:
             if isinstance(found, ViolationReport):
                 out[getattr(observer, "checker_name", type(observer).__name__)] = found
         return out
-
-    def reports_by_checker(self) -> Dict[str, ViolationReport]:
-        """Alias of :attr:`reports` (kept for existing callers)."""
-        return self.reports
 
     def first_violation(self):
         """The first violation any attached checker found, or ``None``."""
@@ -311,42 +296,3 @@ def run_program(
     value = None if root_task is None else root_task.result
     return RunResult(program, context, attached, stats, trace_recorder, value)
 
-
-def check_program(
-    program: Union[TaskProgram, TaskBody],
-    checker: Any = "optimized",
-    executor: Optional[Executor] = None,
-    dpst_layout: str = "array",
-    **checker_kwargs: Any,
-) -> ViolationReport:
-    """One-call convenience: run *program* under one checker.
-
-    .. deprecated::
-        :class:`repro.session.CheckSession` (or its
-        :func:`~repro.session.check_trace` shorthand) is the front door
-        now -- it covers live runs, recorded traces, trace files,
-        sharded checking and metrics collection under one API.  This
-        shim forwards to :func:`run_program` unchanged and will be
-        removed in a future release.
-
-    ``checker`` is any :func:`repro.checker.make_checker` spec -- a
-    registered name such as ``"optimized"``, a checker class, or a
-    pre-built instance.  Returns the checker's
-    :class:`~repro.report.ViolationReport`.
-    """
-    warnings.warn(
-        "check_program() is deprecated; use repro.session.CheckSession "
-        "(or check_trace) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.checker import make_checker
-
-    analysis = make_checker(checker, **checker_kwargs)
-    result = run_program(
-        program,
-        executor=executor,
-        observers=[analysis],
-        dpst_layout=dpst_layout,
-    )
-    return result.report()

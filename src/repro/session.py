@@ -9,9 +9,11 @@ One entry point for every way of checking something:
   format is checked without ever materializing the events).
 
 and every way of running a checker over it: any :func:`make_checker`
-spec (name, class, or instance), in-process (``jobs=1``) or through the
-location-sharded multiprocessing pipeline (``jobs>1``, see
-:mod:`repro.checker.sharded`).
+spec (name, class, or instance), in-process (``jobs=1``) or across
+worker processes (``jobs>1``).  Either way the session hands the check to
+one offline path, :func:`repro.checker.sharded.check_sharded`; it keeps
+only what it alone knows -- source resolution, annotations, the result
+cache and prefilter decisions, and :attr:`CheckSession.reports`.
 
 ::
 
@@ -26,8 +28,7 @@ location-sharded multiprocessing pipeline (``jobs>1``, see
     session.reports          # {"optimized": ..., "racedetector": ...}
     session.first_violation  # first finding across every check so far
 
-:func:`check_trace` is the one-call convenience wrapper, mirroring
-:func:`repro.runtime.program.check_program` for offline sources.
+:func:`check_trace` is the one-call convenience wrapper.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from typing import Any, Dict, Optional, Union
 
 from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
-from repro.checker.sharded import CheckerSpec, check_sharded, filter_skipped
+from repro.checker.sharded import CheckerSpec, check_sharded
+from repro.checker.streaming import StreamingChecker, resolve_window
 from repro.errors import TraceError
 from repro.report import ViolationReport
 from repro.runtime.program import TaskProgram, run_program
-from repro.trace.replay import replay_events, replay_memory_events
 from repro.trace.serialize import TraceReader, open_trace
 from repro.trace.trace import Trace
 
@@ -270,12 +271,14 @@ class CheckSession:
         ``streaming=True`` checks incrementally through
         :class:`repro.checker.streaming.StreamingChecker`: events are
         consumed one at a time (file sources are never materialized, and
-        the full event stream -- including task ends -- is replayed so
-        finished tasks free their metadata) with a compaction sweep every
-        *window* events.  ``window`` defaults to
+        at ``jobs=1`` the full event stream -- including task ends -- is
+        replayed so finished tasks free their metadata) with a compaction
+        sweep every *window* events.  ``window`` defaults to
         :data:`repro.checker.streaming.DEFAULT_WINDOW`; ``0`` disables
         periodic compaction (the ∞ window).  The report is byte-identical
         to the offline check at every window; only peak memory differs.
+        A streaming check is filed under ``"streaming"`` in
+        :attr:`reports`.
         Requires a compactable checker -- ``velodrome``, ``basic`` and
         ``regiontrack`` are refused with a
         :class:`~repro.errors.CheckerError`.
@@ -283,30 +286,13 @@ class CheckSession:
         spec = self.checker if checker is None else checker
         jobs = self.jobs if jobs is None else jobs
         engine = self.engine if engine is None else engine
-        if window is not None and not streaming:
-            from repro.errors import CheckerError
-
-            raise CheckerError(
-                "window= only applies to streaming checks; pass "
-                "streaming=True (or drop window=)"
-            )
+        resolve_window(window, streaming)  # refuse a stray window= early
         cache_state = self._resolve_cache(
             cache_dir, spec, checker_kwargs, engine, static_prefilter, streaming
         )
-        if streaming:
-            from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
-
-            spec = StreamingChecker(
-                window=(
-                    DEFAULT_WINDOW
-                    if window is None
-                    else (None if window == 0 else window)
-                ),
-                checker=spec,
-                **checker_kwargs,
-            )
-        elif checker_kwargs:
+        if checker_kwargs:
             spec = make_checker(spec, **checker_kwargs)
+        name = StreamingChecker.checker_name if streaming else checker_name_of(spec)
         if cache_state is not None:
             entry = cache_state["cache"].load(cache_state["key"])
             if entry is not None:
@@ -314,16 +300,18 @@ class CheckSession:
                 if self.recorder.enabled:
                     self.recorder.count("cache.hit")
                     self.recorder.count("cache.bytes", entry.nbytes)
-                self.reports[checker_name_of(spec)] = entry.report
+                self.reports[name] = entry.report
                 return entry.report
         skip = self._resolve_prefilter(static_prefilter)
-        fault_options = dict(
+        options = dict(
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             on_shard_failure=on_shard_failure,
             max_retries=max_retries,
             shard_timeout=shard_timeout,
             start_method=start_method,
+            streaming=streaming,
+            window=window,
         )
 
         if self.recorder.enabled:
@@ -331,9 +319,9 @@ class CheckSession:
 
             self._span_dpst_build()
             with self.recorder.span(SPAN_CHECK):
-                report = self._dispatch(spec, jobs, engine, skip, fault_options)
+                report = self._dispatch(spec, jobs, engine, skip, options)
         else:
-            report = self._dispatch(spec, jobs, engine, skip, fault_options)
+            report = self._dispatch(spec, jobs, engine, skip, options)
         if cache_state is not None:
             from repro.cache import normalized_report_copy
 
@@ -344,7 +332,7 @@ class CheckSession:
             if self.recorder.enabled:
                 self.recorder.count("cache.miss")
                 self.recorder.count("cache.bytes", nbytes)
-        self.reports[checker_name_of(spec)] = report
+        self.reports[name] = report
         return report
 
     def _source_digest(self) -> str:
@@ -439,14 +427,17 @@ class CheckSession:
         spec: CheckerSpec,
         jobs: Optional[int],
         engine: str,
-        skip_locations: Optional[frozenset] = None,
-        fault_options: Optional[Dict[str, Any]] = None,
+        skip_locations: Optional[frozenset],
+        options: Dict[str, Any],
     ) -> ViolationReport:
-        fault_options = fault_options or {}
-        if jobs == 1 and not fault_options.get("checkpoint_dir"):
-            return self._check_in_process(spec, engine, skip_locations)
+        """Hand the check to the one offline path, :func:`check_sharded`.
+
+        A file source goes as its reader, so it is never materialized; a
+        program source is recorded first (inside the ``check`` span).
+        """
+        file_source = self._trace is None and self._reader is not None
         return check_sharded(
-            self._sharded_source(),
+            self._reader if file_source else self.trace,
             checker=spec,
             jobs=jobs,
             annotations=self.annotations,
@@ -454,7 +445,7 @@ class CheckSession:
             parallel_engine=engine,
             recorder=self.recorder,
             skip_locations=skip_locations,
-            **fault_options,
+            **options,
         )
 
     def _span_dpst_build(self) -> None:
@@ -477,64 +468,6 @@ class CheckSession:
         for spec in checkers:
             self.check(spec)
         return dict(self.reports)
-
-    def _sharded_source(self):
-        """The cheapest source shape to hand to the sharded driver."""
-        if self._trace is not None:
-            return self._trace
-        if self._reader is not None:
-            return self._reader
-        return self.trace  # program: record, then shard the trace
-
-    def _check_in_process(
-        self,
-        spec: CheckerSpec,
-        engine: Optional[str] = None,
-        skip_locations: Optional[frozenset] = None,
-    ) -> ViolationReport:
-        """jobs=1: stream file sources, replay in-memory ones."""
-        from repro.checker.streaming import StreamingChecker
-
-        analysis = make_checker(spec)
-        # Streaming checkers get the *full* event stream: task-end events
-        # let the compaction sweep release finished tasks' metadata.
-        # Plain checkers keep the memory-only stream (and its replay
-        # function) they have always had.
-        full_stream = isinstance(analysis, StreamingChecker)
-        file_stream = self._trace is None and self._reader is not None
-        if file_stream:
-            # File source: never materialize the event list.
-            events = (
-                self._reader.events()
-                if full_stream
-                else self._reader.memory_events()
-            )
-            dpst = self._reader.dpst
-            skipped_before = self._reader.lines_skipped
-        else:
-            events = self.trace.events if full_stream else self.trace.memory_events()
-            dpst = self.trace.dpst
-        if skip_locations:
-            if self.recorder.enabled:
-                self.recorder.count(
-                    "static.prefilter.locations", len(skip_locations)
-                )
-            events = filter_skipped(events, skip_locations, self.recorder)
-        replay = replay_events if full_stream else replay_memory_events
-        report = replay(
-            events,
-            analysis,
-            dpst=dpst,
-            annotations=self.annotations,
-            lca_cache=self.lca_cache,
-            parallel_engine=self.engine if engine is None else engine,
-            recorder=self.recorder,
-        )
-        if file_stream and self.recorder.enabled:
-            skipped = self._reader.lines_skipped - skipped_before
-            if skipped:
-                self.recorder.count("trace.lines_skipped", skipped)
-        return report
 
     # -- static analysis ---------------------------------------------------
 

@@ -57,6 +57,77 @@ def _make_context(
     )
 
 
+def _replay(
+    drive, events, checker, dpst, annotations, lca_cache, parallel_engine, recorder
+):
+    """The shared prologue and epilogue of both replay front doors.
+
+    *drive* ``(events, checker, counting)`` feeds the events and returns
+    the number of memory events routed (only needed when *counting*).
+    """
+    needs_tree = getattr(checker, "requires_lca", checker.requires_dpst)
+    if needs_tree and dpst is None:
+        raise TraceError(
+            f"{type(checker).__name__} needs the producing DPST to replay"
+        )
+    context = _make_context(dpst, annotations, lca_cache, parallel_engine, recorder)
+    checker.on_run_begin(context)
+    if recorder is not None and recorder.enabled:
+        from repro.obs import (
+            SPAN_REPLAY,
+            flush_engine_stats,
+            flush_observer_metrics,
+        )
+
+        with recorder.span(SPAN_REPLAY):
+            routed = drive(events, checker, True)
+        checker.on_run_end(context)
+        recorder.count("trace.events.routed", routed)
+        flush_observer_metrics(recorder, checker)
+        flush_engine_stats(recorder, context.engine)
+    else:
+        drive(events, checker, False)
+        checker.on_run_end(context)
+    report = getattr(checker, "report", None)
+    if not isinstance(report, ViolationReport):
+        raise TraceError(f"{type(checker).__name__} exposes no report")
+    return report
+
+
+def _drive_memory(events, checker, counting: bool) -> int:
+    on_memory = checker.on_memory
+    routed = 0
+    if counting:
+        for routed, event in enumerate(events, 1):
+            on_memory(event)
+    else:
+        for event in events:
+            on_memory(event)
+    return routed
+
+
+def _drive_all(events, checker, counting: bool) -> int:
+    routed = 0
+    on_memory = checker.on_memory
+    for event in events:
+        if isinstance(event, MemoryEvent):
+            on_memory(event)
+            routed += 1
+        elif isinstance(event, TaskEndEvent):
+            checker.on_task_end(event)
+        elif isinstance(event, TaskSpawnEvent):
+            checker.on_task_spawn(event)
+        elif isinstance(event, TaskBeginEvent):
+            checker.on_task_begin(event)
+        elif isinstance(event, SyncEvent):
+            checker.on_sync(event)
+        elif isinstance(event, AcquireEvent):
+            checker.on_acquire(event)
+        elif isinstance(event, ReleaseEvent):
+            checker.on_release(event)
+    return routed
+
+
 def replay_memory_events(
     events: Iterable[MemoryEvent],
     checker: RuntimeObserver,
@@ -77,41 +148,13 @@ def replay_memory_events(
     *recorder* is an optional :class:`repro.obs.Recorder`.  When enabled,
     the replay runs under a ``"replay"`` span, counts the events routed,
     and flushes the checker's and engine's accumulated counters at the
-    end.  When disabled (or ``None``) the per-event loop is exactly the
-    historical one -- observability costs nothing it does not use.
+    end.  When disabled (or ``None``) the per-event loop is a bare
+    ``on_memory`` call -- observability costs nothing it does not use.
     """
-    needs_tree = getattr(checker, "requires_lca", checker.requires_dpst)
-    if needs_tree and dpst is None:
-        raise TraceError(
-            f"{type(checker).__name__} needs the producing DPST to replay"
-        )
-    context = _make_context(dpst, annotations, lca_cache, parallel_engine, recorder)
-    if recorder is not None and recorder.enabled:
-        from repro.obs import (
-            SPAN_REPLAY,
-            flush_engine_stats,
-            flush_observer_metrics,
-        )
-
-        checker.on_run_begin(context)
-        routed = 0
-        with recorder.span(SPAN_REPLAY):
-            for event in events:
-                checker.on_memory(event)
-                routed += 1
-        checker.on_run_end(context)
-        recorder.count("trace.events.routed", routed)
-        flush_observer_metrics(recorder, checker)
-        flush_engine_stats(recorder, context.engine)
-    else:
-        checker.on_run_begin(context)
-        for event in events:
-            checker.on_memory(event)
-        checker.on_run_end(context)
-    report = getattr(checker, "report", None)
-    if not isinstance(report, ViolationReport):
-        raise TraceError(f"{type(checker).__name__} exposes no report")
-    return report
+    return _replay(
+        _drive_memory, events, checker, dpst, annotations, lca_cache,
+        parallel_engine, recorder,
+    )
 
 
 def replay_events(
@@ -134,56 +177,10 @@ def replay_events(
     ignored.  ``trace.events.routed`` still counts memory events only, so
     the counter stays comparable with memory-only replays.
     """
-    needs_tree = getattr(checker, "requires_lca", checker.requires_dpst)
-    if needs_tree and dpst is None:
-        raise TraceError(
-            f"{type(checker).__name__} needs the producing DPST to replay"
-        )
-    context = _make_context(dpst, annotations, lca_cache, parallel_engine, recorder)
-
-    def drive() -> int:
-        routed = 0
-        on_memory = checker.on_memory
-        for event in events:
-            if isinstance(event, MemoryEvent):
-                on_memory(event)
-                routed += 1
-            elif isinstance(event, TaskEndEvent):
-                checker.on_task_end(event)
-            elif isinstance(event, TaskSpawnEvent):
-                checker.on_task_spawn(event)
-            elif isinstance(event, TaskBeginEvent):
-                checker.on_task_begin(event)
-            elif isinstance(event, SyncEvent):
-                checker.on_sync(event)
-            elif isinstance(event, AcquireEvent):
-                checker.on_acquire(event)
-            elif isinstance(event, ReleaseEvent):
-                checker.on_release(event)
-        return routed
-
-    if recorder is not None and recorder.enabled:
-        from repro.obs import (
-            SPAN_REPLAY,
-            flush_engine_stats,
-            flush_observer_metrics,
-        )
-
-        checker.on_run_begin(context)
-        with recorder.span(SPAN_REPLAY):
-            routed = drive()
-        checker.on_run_end(context)
-        recorder.count("trace.events.routed", routed)
-        flush_observer_metrics(recorder, checker)
-        flush_engine_stats(recorder, context.engine)
-    else:
-        checker.on_run_begin(context)
-        drive()
-        checker.on_run_end(context)
-    report = getattr(checker, "report", None)
-    if not isinstance(report, ViolationReport):
-        raise TraceError(f"{type(checker).__name__} exposes no report")
-    return report
+    return _replay(
+        _drive_all, events, checker, dpst, annotations, lca_cache,
+        parallel_engine, recorder,
+    )
 
 
 def replay_trace(

@@ -3,14 +3,10 @@
 The paper's artifact workflows (and ours) need executions to be portable:
 record once, then replay through different checkers, permute orders, or
 archive as regression goldens.  This module round-trips a
-:class:`~repro.trace.trace.Trace` *including its DPST* through plain
-JSON-compatible dictionaries.
+:class:`~repro.trace.trace.Trace` *including its DPST* to disk.
 
-Three on-disk formats are supported:
+Two on-disk formats are supported:
 
-* **v1 (monolithic JSON)** -- one JSON object holding every event, written
-  by :func:`dump_trace` with ``format="json"``.  Simple, but the whole
-  trace must fit in memory to read or write it.
 * **v2 (streaming JSONL)** -- a one-line header
   ``{"format": "repro-trace", "version": 2, "dpst": ...}`` followed
   by one event per line.  :class:`TraceWriter` appends events with bounded
@@ -155,24 +151,6 @@ def event_from_dict(row: Dict[str, Any]) -> object:
     return cls(**kwargs)
 
 
-def trace_to_dict(trace: Trace) -> Dict[str, Any]:
-    """Encode a whole trace (events + DPST) as one JSON-safe dict."""
-    return {
-        "version": 1,
-        "events": [event_to_dict(event) for event in trace.events],
-        "dpst": None if trace.dpst is None else dpst_to_dict(trace.dpst),
-    }
-
-
-def trace_from_dict(data: Dict[str, Any]) -> Trace:
-    """Inverse of :func:`trace_to_dict`."""
-    if data.get("version") != 1:
-        raise TraceError(f"unsupported trace version {data.get('version')!r}")
-    events = [event_from_dict(row) for row in data["events"]]
-    dpst = None if data.get("dpst") is None else dpst_from_dict(data["dpst"])
-    return Trace(events, dpst=dpst)
-
-
 # ---------------------------------------------------------------------------
 # v2: streaming JSONL
 # ---------------------------------------------------------------------------
@@ -304,13 +282,12 @@ _SKIPPED = object()
 
 
 class TraceReader:
-    """Streaming reader over a serialized trace file (v1, v2, or v3).
+    """Streaming reader over a serialized trace file (v2 or v3).
 
-    Construction parses only the header (v2), the header + footer tables
+    Construction parses only the header (v2) or the header + footer tables
     (v3, which it wraps transparently via
-    :class:`repro.trace.columnar.ColumnarTraceReader`), or the whole file
-    (v1 has no incremental structure); :meth:`events` then yields decoded
-    events as a generator.  Each call to :meth:`events` opens a fresh
+    :class:`repro.trace.columnar.ColumnarTraceReader`); :meth:`events` then
+    yields decoded events as a generator.  Each call to :meth:`events` opens a fresh
     handle, so a reader supports any number of passes -- exactly what the
     sharded pipeline's workers need when each filters out its own shard.
 
@@ -323,8 +300,9 @@ class TraceReader:
     lines are *counted and skipped* (:attr:`lines_skipped`) instead of
     raising mid-stream -- never silently; callers surface the count as
     the ``trace.lines_skipped`` metric.  The header must always decode
-    (the DPST lives there), and v1 monolithic JSON has no line structure
-    to salvage, so both still raise.  Soundness caveat: a skipped line is
+    (the DPST lives there), so a damaged header still raises.  Files in
+    neither format -- including the retired v1 monolithic JSON -- raise a
+    :class:`TraceError` naming the path.  Soundness caveat: a skipped line is
     a memory access the checker never sees, so a lenient run can miss
     violations on the affected locations; it can never invent them.
     """
@@ -336,7 +314,6 @@ class TraceReader:
         self._lines_skipped = 0
         self._closed = False
         self._live_handles: set = set()
-        self._v1_trace: Optional[Trace] = None
         self._v3 = None
         # Imported lazily: columnar.py builds on this module's primitives.
         from repro.trace.columnar import ColumnarTraceReader, is_columnar_trace
@@ -363,21 +340,16 @@ class TraceReader:
             raw_dpst = header.get("dpst")
             self.dpst = None if raw_dpst is None else dpst_from_dict(raw_dpst)
         else:
-            # v1 fallback: monolithic JSON, decoded eagerly.  Anything that
-            # is not JSON at all (empty file, truncated header, binary
-            # garbage) lands here too, so decode failures surface as
-            # TraceError with the path -- not a bare json.JSONDecodeError.
-            try:
-                with open(self.path, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise TraceError(
-                    f"cannot parse {self.path!r} as a trace: not a v1 JSON, "
-                    f"v2 JSONL, or v3 columnar trace file ({exc})"
-                ) from exc
-            self._v1_trace = trace_from_dict(data)
-            self.version = 1
-            self.dpst = self._v1_trace.dpst
+            # Empty files, truncated headers, binary garbage and v1
+            # monolithic JSON alike: a TraceError with the path, never a
+            # bare json.JSONDecodeError.
+            if not os.path.isfile(self.path):
+                raise TraceError(f"no trace file at {self.path!r}")
+            raise TraceError(
+                f"cannot parse {self.path!r} as a trace: not a v2 JSONL or "
+                "v3 columnar trace file (the v1 monolithic-JSON format is "
+                "no longer read; re-record the trace)"
+            )
 
     @property
     def lines_skipped(self) -> int:
@@ -453,9 +425,6 @@ class TraceReader:
         if self._v3 is not None:
             yield from self._v3.events()
             return
-        if self._v1_trace is not None:
-            yield from self._v1_trace.events
-            return
         handle = self._open_stream()
         try:
             handle.readline()  # header
@@ -483,9 +452,9 @@ class TraceReader:
         tail, so foreign-shard lines are skipped *without* JSON decoding --
         this is what lets N streaming workers split the parse cost of one
         file instead of each paying it in full.  Lines without a stamp
-        (v1 files, externally produced v2 files) fall back to decode-then-
-        filter, so the result is identical either way.  On v3 files the
-        filter runs over the columnar frames directly (see
+        (externally produced v2 files) fall back to decode-then-filter,
+        so the result is identical either way.  On v3 files the filter
+        runs over the columnar frames directly (see
         :meth:`repro.trace.columnar.ColumnarTraceReader.memory_events`).
         """
         if self._v3 is not None:
@@ -496,14 +465,6 @@ class TraceReader:
         if shard is None or jobs is None or jobs <= 1:
             for event in self.events():
                 if isinstance(event, MemoryEvent):
-                    yield event
-            return
-        if self._v1_trace is not None:
-            for event in self._v1_trace.events:
-                if (
-                    isinstance(event, MemoryEvent)
-                    and location_shard_key(event.location) % jobs == shard
-                ):
                     yield event
             return
         # Binary mode: foreign-shard lines are dropped after a bounded
@@ -537,8 +498,6 @@ class TraceReader:
         """Materialize the full :class:`Trace` (events + DPST) in memory."""
         if self._v3 is not None:
             return self._v3.read()
-        if self._v1_trace is not None:
-            return self._v1_trace
         return Trace(list(self.events()), dpst=self.dpst)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -558,13 +517,13 @@ _HEADER_PREFIX = re.compile(
 
 
 def is_jsonl_trace(path: str) -> bool:
-    """Does *path* hold a v2 JSONL trace (vs. v1 monolithic / v3 columnar)?
+    """Does *path* hold a v2 JSONL trace (vs. v3 columnar or anything else)?
 
     Decides by *parsing* the first line's JSON (bounded read) and checking
     its ``format`` field -- never by matching an exact byte rendering, so
     v2 files written with compact separators, reordered keys, or extra
     whitespace are all recognized.  Detection works regardless of file
-    extension and never reads a multi-GB v1 file just to decide.
+    extension and never reads a multi-GB file just to decide.
     """
     from repro.trace.columnar import COLUMNAR_MAGIC
 
@@ -585,7 +544,7 @@ def is_jsonl_trace(path: str) -> bool:
         first = stripped  # whole file in hand: single-line candidate
     else:
         # First line exceeds the window (huge header DPST, or a one-line
-        # multi-GB v1 file we must not read in full): a bounded prefix
+        # multi-GB JSON file we must not read in full): a bounded prefix
         # scan decides.
         return _HEADER_PREFIX.match(stripped) is not None
     try:
@@ -621,32 +580,23 @@ def dump_trace_jsonl(
 def dump_trace(trace: Trace, path: str, format: str = "auto") -> None:
     """Write a trace to *path*.
 
-    ``format="auto"`` (default) picks v2 JSONL for ``.jsonl`` / ``.ndjson``
-    paths, binary columnar v3 for ``.trc`` / ``.v3`` paths, and the legacy
-    v1 monolithic JSON otherwise; ``"jsonl"``, ``"columnar"``, and
-    ``"json"`` force a variant.
+    ``format="auto"`` (default) picks binary columnar v3 for ``.trc`` /
+    ``.v3`` paths and v2 JSONL for every other path; ``"jsonl"`` and
+    ``"columnar"`` force a variant.
     """
     if format == "auto":
         suffix = os.path.splitext(os.fspath(path))[1].lower()
-        if suffix in (".jsonl", ".ndjson"):
-            format = "jsonl"
-        elif suffix in (".trc", ".v3"):
-            format = "columnar"
-        else:
-            format = "json"
+        format = "columnar" if suffix in (".trc", ".v3") else "jsonl"
     if format == "jsonl":
         dump_trace_jsonl(trace, path)
     elif format == "columnar":
         from repro.trace.columnar import dump_trace_columnar
 
         dump_trace_columnar(trace, path)
-    elif format == "json":
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(trace_to_dict(trace), handle)
     else:
         raise TraceError(
             f"unknown trace format {format!r} "
-            "(expected 'auto', 'json', 'jsonl' or 'columnar')"
+            "(expected 'auto', 'jsonl' or 'columnar')"
         )
 
 

@@ -89,7 +89,6 @@ class TestRunProgramCheckers:
     def test_reports_mapping_and_alias(self):
         result = run_program(TaskProgram(buggy), checkers=["optimized"])
         assert set(result.reports["optimized"].locations()) == {"X"}
-        assert result.reports_by_checker() == result.reports
 
     def test_first_violation(self):
         result = run_program(TaskProgram(buggy), checkers=["optimized"])

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.errors import TraceError
 
 PROGRAMS_SOURCE = '''
 """CLI test target programs."""
@@ -190,10 +191,19 @@ class TestCheckTrace:
         assert code == 0
         assert "no violations" in out
 
-    def test_v1_json_trace_accepted(self, target_module, tmp_path, capsys):
+    def test_v1_json_trace_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"version": 1, "events": [], "dpst": null}')
+        with pytest.raises(TraceError, match="t.json"):
+            main(["check-trace", str(path), "--jobs", "2"])
+
+    def test_record_json_extension_writes_jsonl(self, target_module, tmp_path, capsys):
+        from repro.trace.serialize import is_jsonl_trace
+
         path = str(tmp_path / "t.json")
         main(["record", f"{target_module}:buggy", "-o", path])
         capsys.readouterr()
+        assert is_jsonl_trace(path)
         assert main(["check-trace", path, "--jobs", "2"]) == 1
 
     def test_regiontrack_checker(self, trace_file, capsys):

@@ -235,10 +235,11 @@ class TestSharding:
 
 class TestSniffing:
     def test_magic_prefix(self, trace, tmp_path):
-        v1 = str(tmp_path / "t.json")
+        v1 = tmp_path / "t.json"
+        v1.write_text('{"version": 1, "events": [], "dpst": null}')
+        v1 = str(v1)
         v2 = str(tmp_path / "t.jsonl")
         v3 = str(tmp_path / "t.trc")
-        dump_trace(trace, v1, format="json")
         dump_trace(trace, v2, format="jsonl")
         dump_trace(trace, v3, format="columnar")
         assert is_columnar_trace(v3)

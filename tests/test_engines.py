@@ -2,10 +2,9 @@
 
 Covers the registry surface (register/available/make, unknown-name
 errors), the vector-clock and DePa engines against the reference
-relation semantics, the deprecated ``lca_engine`` aliases, duck-typed
-third-party engines flowing through the runtime and checkers, and the
-derived surfaces (CLI choices, fuzz-oracle legs, per-engine metrics)
-that must track the registry automatically.
+relation semantics, duck-typed third-party engines flowing through the
+runtime and checkers, and the derived surfaces (CLI choices, fuzz-oracle
+legs, per-engine metrics) that must track the registry automatically.
 """
 
 import argparse
@@ -210,19 +209,6 @@ class TestRuntimePlumbing:
                 parallel_engine="voodoo",
             )
 
-    def test_run_result_lca_engine_deprecated_alias(self):
-        result = run_program(tiny_program)
-        with pytest.warns(DeprecationWarning):
-            legacy = result.lca_engine
-        assert legacy is result.engine
-
-    def test_run_context_lca_engine_deprecated_alias(self):
-        tree, _ = diamond_tree()
-        context = _make_context(tree, None)
-        with pytest.warns(DeprecationWarning):
-            legacy = context.lca_engine
-        assert legacy is context.engine
-
     def test_checker_accepts_duck_typed_engine(self):
         register_engine("reltest", lambda tree, cache=True: RelationEngine(tree, cache))
         try:
@@ -259,7 +245,7 @@ class TestDerivedSurfaces:
             assert tuple(action.choices) == available_engines(), command
 
     def test_exact_legs_derived_from_registry(self):
-        from repro.fuzz.oracle import EXACT_LEGS, exact_legs
+        from repro.fuzz.oracle import exact_legs
 
         legs = exact_legs()
         assert "lca-engine" not in legs  # the reference itself
@@ -268,7 +254,6 @@ class TestDerivedSurfaces:
                 assert f"{name}-engine" in legs
         assert "vc-engine" not in exact_legs(reference="vc")
         assert "lca-engine" in exact_legs(reference="vc")
-        assert EXACT_LEGS == legs
 
     def test_per_engine_metric_names_registered(self):
         from repro.obs import METRIC_NAMES

@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 from repro.checker import OptAtomicityChecker
-from repro.dpst import EngineStats, LabelEngine, LCAEngine, LCAStats
+from repro.dpst import EngineStats, LabelEngine, LCAEngine
 from repro.obs import (
     METRIC_NAMES,
     METRICS_SCHEMA,
@@ -274,9 +274,6 @@ class TestMetricNameRegistry:
 
 
 class TestEngineStatsUnification:
-    def test_lcastats_is_engine_stats(self):
-        assert LCAStats is EngineStats
-
     def test_both_engines_expose_engine_stats(self):
         program = counter_program()
         result = run_program(program, observers=[OptAtomicityChecker()])
@@ -392,13 +389,6 @@ class TestSessionIntegration:
 
 
 class TestDeprecation:
-    def test_check_program_warns(self):
-        from repro.runtime.program import check_program
-
-        with pytest.warns(DeprecationWarning, match="CheckSession"):
-            report = check_program(counter_program())
-        assert len(report) >= 1
-
     def test_session_path_warns_nothing(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import RuntimeUsageError
 from repro.runtime import SerialExecutor, TaskProgram, run_program
-from repro.runtime.program import check_program
 
 
 class TestMemoryOps:
@@ -206,21 +205,6 @@ class TestProgramWrapper:
 
         program = TaskProgram(main, args=(10,), kwargs={"offset": 5})
         assert run_program(program).value == 15
-
-    def test_check_program_helper(self):
-        def child(ctx):
-            ctx.add("X", 1)
-
-        def main(ctx):
-            ctx.spawn(child)
-            ctx.spawn(child)
-            ctx.sync()
-
-        # The deprecated shim still works, but says so.
-        with pytest.warns(DeprecationWarning, match="CheckSession"):
-            report = check_program(main)
-        assert report
-        assert report.locations() == ["X"]
 
     def test_exceptions_propagate(self):
         def main(ctx):

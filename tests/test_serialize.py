@@ -17,9 +17,10 @@ from repro.trace.serialize import (
     event_from_dict,
     event_to_dict,
     load_trace,
-    trace_from_dict,
-    trace_to_dict,
 )
+
+#: The retired v1 monolithic-JSON layout, which readers now refuse.
+V1_TRACE = '{"version": 1, "events": [], "dpst": null}'
 
 
 def recorded_run():
@@ -89,10 +90,11 @@ class TestEventRoundtrip:
 class TestTraceRoundtrip:
     def test_dict_roundtrip_is_json_safe(self):
         result = recorded_run()
-        data = trace_to_dict(result.trace)
-        rehydrated = trace_from_dict(json.loads(json.dumps(data)))
-        assert len(rehydrated) == len(result.trace)
-        rehydrated.validate()
+        trace = result.trace
+        rows = json.loads(json.dumps([event_to_dict(e) for e in trace.events]))
+        assert [event_from_dict(row) for row in rows] == list(trace.events)
+        tree = dpst_from_dict(json.loads(json.dumps(dpst_to_dict(trace.dpst))))
+        assert len(tree) == len(trace.dpst)
 
     def test_file_roundtrip(self, tmp_path):
         result = recorded_run()
@@ -112,6 +114,8 @@ class TestTraceRoundtrip:
         replayed = replay_trace(loaded, OptAtomicityChecker())
         assert set(replayed.locations()) == set(original.locations())
 
-    def test_version_guard(self):
-        with pytest.raises(TraceError):
-            trace_from_dict({"version": 99, "events": []})
+    def test_version_guard(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(V1_TRACE)
+        with pytest.raises(TraceError, match="old.json"):
+            load_trace(str(path))

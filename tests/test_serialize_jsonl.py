@@ -20,6 +20,9 @@ from repro.trace.serialize import (
     open_trace,
 )
 
+#: The retired v1 monolithic-JSON layout, which readers now refuse.
+V1_TRACE = '{"version": 1, "events": [], "dpst": null}'
+
 
 def recorded_run():
     def child(ctx, i):
@@ -116,13 +119,16 @@ class TestTraceReader:
         second = [e.seq for e in reader.events()]
         assert first == second
 
-    def test_reads_v1_files_too(self, trace, tmp_path):
-        path = str(tmp_path / "t.json")
-        dump_trace(trace, path, format="json")
-        reader = open_trace(path)
-        assert reader.version == 1
-        assert len(reader.read()) == len(trace)
-        assert len(list(reader.memory_events())) == len(trace.memory_events())
+    def test_v1_files_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(V1_TRACE)
+        with pytest.raises(TraceError, match="t.json") as err:
+            open_trace(str(path))
+        assert "v1" in str(err.value)
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        with pytest.raises(TraceError, match="absent.jsonl"):
+            open_trace(str(tmp_path / "absent.jsonl"))
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -170,13 +176,6 @@ class TestShardFiltering:
             open_trace(str(stamped)), 4
         )
 
-    def test_v1_files_shard_too(self, trace, tmp_path):
-        v1 = str(tmp_path / "t.json")
-        v2 = str(tmp_path / "t.jsonl")
-        dump_trace(trace, v1, format="json")
-        dump_trace(trace, v2, format="jsonl")
-        assert self.shards(open_trace(v1), 4) == self.shards(open_trace(v2), 4)
-
     def test_decoded_events_do_not_leak_the_stamp(self, trace, tmp_path):
         path = str(tmp_path / "t.jsonl")
         dump_trace_jsonl(trace, path)
@@ -186,11 +185,11 @@ class TestShardFiltering:
 
 class TestFormatSelection:
     def test_sniffing(self, trace, tmp_path):
-        v1 = str(tmp_path / "t.json")
+        v1 = tmp_path / "t.json"
+        v1.write_text(V1_TRACE)
         v2 = str(tmp_path / "t.jsonl")
-        dump_trace(trace, v1)
         dump_trace(trace, v2)
-        assert not is_jsonl_trace(v1)
+        assert not is_jsonl_trace(str(v1))
         assert is_jsonl_trace(v2)
 
     def test_extension_does_not_fool_the_sniffer(self, trace, tmp_path):
@@ -211,10 +210,20 @@ class TestFormatSelection:
             dump_trace(trace, str(tmp_path / "t.x"), format="yaml")
 
     def test_load_trace_handles_both(self, trace, tmp_path):
-        for name, format in (("a.json", "json"), ("b.jsonl", "jsonl")):
+        for name, format in (("a.jsonl", "jsonl"), ("b.trc", "columnar")):
             path = str(tmp_path / name)
             dump_trace(trace, path, format=format)
             assert len(load_trace(path)) == len(trace)
+
+    def test_auto_writes_jsonl_for_other_paths(self, trace, tmp_path):
+        for name in ("t.json", "t.dat", "t"):
+            path = str(tmp_path / name)
+            dump_trace(trace, path)
+            assert is_jsonl_trace(path), name
+
+    def test_json_format_retired(self, trace, tmp_path):
+        with pytest.raises(TraceError, match="jsonl"):
+            dump_trace(trace, str(tmp_path / "t.json"), format="json")
 
 
 class TestLenientReader:

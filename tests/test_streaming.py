@@ -12,15 +12,18 @@ it must never change is the verdict.
 
 import pytest
 
-from repro import CheckSession, TaskProgram, run_program
+from repro import CheckSession, TaskProgram, check_sharded, run_program
 from repro.checker import make_checker
 from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
+from repro.dpst import ROOT_ID, ArrayDPST, NodeKind
 from repro.errors import CheckerError
 from repro.obs import METRIC_NAMES, MetricsRecorder
-from repro.report import normalize_report
+from repro.report import READ, WRITE, normalize_report
+from repro.runtime.events import MemoryEvent, TaskEndEvent
 from repro.runtime.executor import SerialExecutor
 from repro.suite import all_cases
 from repro.trace.serialize import dump_trace
+from repro.trace.trace import Trace
 
 WINDOWS = (1, 8, 64, 0)  # 0 = unbounded, via the session's window= mapping
 
@@ -39,6 +42,25 @@ def buggy_body(ctx):
 
 def recorded_trace():
     return run_program(TaskProgram(buggy_body), record_trace=True).trace
+
+
+def churn_trace(tasks):
+    """Short-lived tasks doing locked RMWs on a few shared scalars, each
+    ending before the next begins; the first two race on ``"bug"``."""
+    dpst = ArrayDPST()
+    events = []
+    for task in range(1, tasks + 1):
+        step = dpst.add_node(dpst.add_node(ROOT_ID, NodeKind.ASYNC), NodeKind.STEP)
+        accesses = [("bug", ())] if task <= 2 else []
+        location = ("shared", task % 4)
+        accesses += [(location, (f"m{task % 4}@{task}",))] * 2
+        for location, lockset in accesses:
+            for access_type in (READ, WRITE):
+                events.append(MemoryEvent(
+                    len(events), task, step, location, access_type, lockset
+                ))
+        events.append(TaskEndEvent(len(events), task))
+    return Trace(events, dpst=dpst)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +223,35 @@ class TestCompaction:
             "streaming.evicted",
             "streaming.peak_window",
         } <= names
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".trc"])
+    def test_every_jobs1_path_releases_ended_tasks(self, tmp_path, suffix):
+        """The session, its checkpointed variant and the sharded driver at
+        ``jobs=1`` are one offline path: same report, same evictions."""
+        path = str(tmp_path / ("churn" + suffix))
+        dump_trace(churn_trace(tasks=250), path)
+
+        def streamed(check):
+            recorder = MetricsRecorder()
+            report = check(recorder)
+            counters = recorder.snapshot().counters
+            return (
+                normalize_report(report),
+                counters["streaming.evicted"],
+                counters["streaming.peak_window"],
+            )
+
+        session = streamed(lambda rec: CheckSession(path, recorder=rec).check(
+            streaming=True, window=64
+        ))
+        checkpointed = streamed(lambda rec: CheckSession(path, recorder=rec).check(
+            streaming=True, window=64, checkpoint_dir=str(tmp_path / "ck")
+        ))
+        sharded = streamed(lambda rec: check_sharded(
+            path, jobs=1, recorder=rec, streaming=True, window=64
+        ))
+        assert session[1] > 0
+        assert session == checkpointed == sharded
 
     def test_events_counter_partitions_across_shards(self, tmp_path):
         """``streaming.events`` is shard-summable: jobs=4 totals jobs=1."""
