@@ -34,8 +34,10 @@ filters a frame by comparing small ints -- no location decode, no JSON,
 no regex.  The DPST lives in the *header* (as in v2) because every
 checker needs the complete tree before the first event replays.
 
-Frames are optionally zlib-compressed (``compress=True``, the default);
-the flag travels per frame, so mixed files are legal.
+Frames are optionally zlib-compressed (``compress=True``, the default,
+at :data:`COMPRESS_LEVEL`); the flag travels per frame, so mixed files
+are legal.  Readers inflate a frame no further than one byte past its
+declared size, so a hostile frame cannot make them allocate more.
 
 Writers follow the crash-safe discipline of the shard checkpoint store:
 the header is built *before* any file is opened, all bytes go to a
@@ -50,6 +52,7 @@ import json
 import os
 import struct
 import zlib
+from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dpst.base import DPSTBase
@@ -66,11 +69,10 @@ from repro.runtime.events import (
 )
 from repro.trace.serialize import (
     JSONL_FORMAT,
+    LocationTable,
     decode_location,
     dpst_from_dict,
     dpst_to_dict,
-    encode_location,
-    location_shard_key,
 )
 from repro.trace.trace import Trace
 
@@ -87,6 +89,13 @@ COLUMNAR_VERSION = 3
 #: Events per frame; bounds writer and reader memory to O(frame).
 DEFAULT_FRAME_EVENTS = 4096
 
+#: zlib level of compressed frames.  On the benchmark's traces, level 3
+#: compresses 3-5x faster than zlib's default of 6, for frames 11-14%
+#: larger (files 1-9% larger, as the footer tables dominate them) and
+#: the same decompression time.  Level 1 saves little more time and
+#: makes lock-heavy frames half again as large.
+COMPRESS_LEVEL = 3
+
 #: Event classes in tag order; a tag is an index into this tuple.
 EVENT_TAGS: Tuple[type, ...] = (
     TaskSpawnEvent,
@@ -99,6 +108,9 @@ EVENT_TAGS: Tuple[type, ...] = (
 )
 _TAG_OF = {cls: tag for tag, cls in enumerate(EVENT_TAGS)}
 _MEMORY_TAG = _TAG_OF[MemoryEvent]
+
+#: Names of the packed columns after ``type``, with their struct codes.
+_PACKED_COLUMNS = (("seq", "q"),) + tuple((f"f{k}", "i") for k in range(5))
 
 _BLOCK_LEN = struct.Struct("<I")
 _FRAME_HEADER = struct.Struct("<BII")  # flags, n_events, payload_len
@@ -157,7 +169,14 @@ class ColumnarTraceWriter:
     up front, append events one at a time (buffered into frames of
     ``frame_events``), and ``close()`` -- or use as a context manager,
     which *discards* the temporary file if the body raised, so failed
-    recordings never publish a truncated trace.
+    recordings never publish a truncated trace.  A ``close()`` that fails
+    (a field value that does not fit its column, a full disk) discards
+    the temporary file too, and raises.
+
+    Recording pays per event only for the columns: a memory access costs
+    one ``repr`` (its location's intern key), one lockset dict hit and
+    seven appends.  Out-of-range fields are caught when a frame is
+    packed, not per event.
     """
 
     def __init__(
@@ -174,8 +193,6 @@ class ColumnarTraceWriter:
         self.path = os.fspath(path)
         self.frame_events = frame_events
         self.compress = bool(compress)
-        #: Number of events written so far.
-        self.count = 0
         # Header bytes are built *before* any file is opened: a DPST that
         # fails to flatten raises here with nothing on disk.
         header = _dump_block(
@@ -185,36 +202,25 @@ class ColumnarTraceWriter:
                 "dpst": None if dpst is None else dpst_to_dict(dpst),
             }
         )
-        # Interned tables.  Locations key on repr (== 1 / 1.0 / True hash
-        # alike but must intern separately; repr is injective over the
-        # serializable location vocabulary and matches location_shard_key).
-        self._location_ids: Dict[str, int] = {}
-        self._location_values: List[Any] = []
+        # Interned tables.
+        self._locations = LocationTable()
         self._lock_ids: Dict[str, int] = {}
         self._lock_names: List[str] = []
         self._lockset_ids: Dict[Tuple[str, ...], int] = {}
         self._lockset_rows: List[List[int]] = []
-        # Current frame buffers (parallel arrays).
+        # Current frame buffers (parallel arrays), emptied in place by
+        # _flush_frame so write_all can hold them in locals.
         self._types = bytearray()
         self._seqs: List[int] = []
-        self._cols: List[List[int]] = [[], [], [], [], []]
+        self._cols: Tuple[List[int], ...] = ([], [], [], [], [])
         self._frames: List[List[int]] = []  # [offset, n_events]
+        self._flushed = 0  # events in frames already written
         self._tmp_path: Optional[str] = f"{self.path}.tmp.{os.getpid()}"
         self._handle = open(self._tmp_path, "wb")
         self._handle.write(COLUMNAR_MAGIC)
         self._handle.write(header)
 
     # -- interning ---------------------------------------------------------
-
-    def _location_id(self, location: Any) -> int:
-        key = repr(location)
-        ident = self._location_ids.get(key)
-        if ident is None:
-            encode_location(location)  # reject unserializable values now
-            ident = len(self._location_values)
-            self._location_ids[key] = ident
-            self._location_values.append(location)
-        return ident
 
     def _lock_id(self, name: str) -> int:
         ident = self._lock_ids.get(name)
@@ -225,107 +231,149 @@ class ColumnarTraceWriter:
         return ident
 
     def _lockset_id(self, lockset: Tuple[str, ...]) -> int:
-        key = tuple(lockset)
-        ident = self._lockset_ids.get(key)
+        ident = self._lockset_ids.get(lockset)
         if ident is None:
             ident = len(self._lockset_rows)
-            self._lockset_ids[key] = ident
-            self._lockset_rows.append([self._lock_id(name) for name in key])
+            self._lockset_ids[lockset] = ident
+            self._lockset_rows.append([self._lock_id(name) for name in lockset])
         return ident
 
-    # -- writing -----------------------------------------------------------
-
-    def write(self, event: object) -> None:
-        """Append one event."""
-        if self._handle is None:
-            raise TraceError(f"ColumnarTraceWriter for {self.path!r} is closed")
+    def _fields(self, event: object) -> Tuple[int, int, int, int, int, int]:
+        """Tag and ``f0``-``f4`` of any event but a :class:`MemoryEvent`."""
         tag = _TAG_OF.get(type(event))
         if tag is None:
             raise TraceError(f"unknown event type {type(event).__name__!r}")
-        f = [0, 0, 0, 0, 0]
-        if tag == _MEMORY_TAG:
-            f[0] = event.task
-            f[1] = event.step
-            f[2] = self._location_id(event.location)
-            f[3] = 1 if event.access_type == WRITE else 0
-            f[4] = self._lockset_id(event.lockset)
-        elif isinstance(event, TaskSpawnEvent):
-            f[0], f[1], f[2] = event.parent, event.child, event.async_node
-        elif isinstance(event, (TaskBeginEvent, TaskEndEvent)):
-            f[0] = event.task
-        elif isinstance(event, SyncEvent):
-            f[0], f[1] = event.task, event.finish_node
-        else:  # Acquire / Release
-            f[0], f[1] = event.task, event.step
-            f[2] = self._lock_id(event.name)
-            f[3] = self._lock_id(event.versioned_name)
-        self._types.append(tag)
-        self._seqs.append(event.seq)
-        for column, value in zip(self._cols, f):
-            column.append(value)
-        self.count += 1
-        if len(self._seqs) >= self.frame_events:
-            self._flush_frame()
+        if isinstance(event, TaskSpawnEvent):
+            return tag, event.parent, event.child, event.async_node, 0, 0
+        if isinstance(event, (TaskBeginEvent, TaskEndEvent)):
+            return tag, event.task, 0, 0, 0, 0
+        if isinstance(event, SyncEvent):
+            return tag, event.task, event.finish_node, 0, 0, 0
+        # Acquire / Release
+        name = self._lock_id(event.name)
+        versioned = self._lock_id(event.versioned_name)
+        return tag, event.task, event.step, name, versioned, 0
+
+    # -- writing -----------------------------------------------------------
+
+    @property
+    def count(self) -> int:
+        """Number of events written so far."""
+        return self._flushed + len(self._seqs)
+
+    def write(self, event: object) -> None:
+        """Append one event."""
+        self.write_all((event,))
 
     def write_all(self, events: Iterable[object]) -> None:
         """Append every event of *events* (any iterable)."""
-        for event in events:
-            self.write(event)
+        if self._handle is None:
+            raise TraceError(f"ColumnarTraceWriter for {self.path!r} is closed")
+        types, seqs = self._types, self._seqs
+        c0, c1, c2, c3, c4 = self._cols
+        location_ids = self._locations.ids
+        add_location = self._locations.add
+        lockset_ids = self._lockset_ids
+        memory, memory_tag = MemoryEvent, _MEMORY_TAG
+        events = iter(events)
+        while True:
+            # Each pass fills the current frame from a bounded slice of
+            # the input, so the loop body never tests for a full frame.
+            for event in islice(events, self.frame_events - len(seqs)):
+                if type(event) is memory:
+                    # Every lookup before the first append: an event that
+                    # raises leaves the columns aligned.
+                    key = repr(event.location)
+                    location = location_ids.get(key)
+                    if location is None:
+                        location = add_location(key, event.location)
+                    lockset = lockset_ids.get(event.lockset)
+                    if lockset is None:
+                        lockset = self._lockset_id(event.lockset)
+                    types.append(memory_tag)
+                    seqs.append(event.seq)
+                    c0.append(event.task)
+                    c1.append(event.step)
+                    c2.append(location)
+                    c3.append(event.access_type == WRITE)
+                    c4.append(lockset)
+                else:
+                    tag, f0, f1, f2, f3, f4 = self._fields(event)
+                    types.append(tag)
+                    seqs.append(event.seq)
+                    c0.append(f0)
+                    c1.append(f1)
+                    c2.append(f2)
+                    c3.append(f3)
+                    c4.append(f4)
+            if len(seqs) < self.frame_events:
+                return  # input exhausted
+            self._flush_frame()
 
     def _flush_frame(self) -> None:
-        n = len(self._seqs)
+        seqs = self._seqs
+        n = len(seqs)
         if not n:
             return
-        parts = [bytes(self._types), struct.pack(f"<{n}q", *self._seqs)]
-        parts.extend(
-            struct.pack(f"<{n}i", *column) for column in self._cols
-        )
+        parts = [bytes(self._types)]
+        for (name, code), column in zip(_PACKED_COLUMNS, (seqs, *self._cols)):
+            try:
+                parts.append(struct.pack(f"<{n}{code}", *column))
+            except struct.error as exc:
+                raise TraceError(
+                    f"cannot write columnar trace {self.path!r}: column "
+                    f"{name!r} holds a value that does not fit: {exc}"
+                ) from exc
         payload = b"".join(parts)
         flags = 0
         if self.compress:
-            packed = zlib.compress(payload)
+            packed = zlib.compress(payload, COMPRESS_LEVEL)
             if len(packed) < len(payload):
                 payload = packed
                 flags |= _FLAG_COMPRESSED
         self._frames.append([self._handle.tell(), n])
         self._handle.write(_FRAME_HEADER.pack(flags, n, len(payload)))
         self._handle.write(payload)
-        self._types = bytearray()
-        self._seqs = []
-        self._cols = [[], [], [], [], []]
+        self._flushed += n
+        self._types.clear()
+        seqs.clear()
+        for column in self._cols:
+            column.clear()
 
     def close(self) -> None:
         """Flush, write footer + trailer, and publish the file (idempotent).
 
         Publication is atomic: the bytes move from the temporary sibling
         to :attr:`path` with :func:`os.replace`, so readers only ever see
-        a complete trace or no trace at all.
+        a complete trace or no trace at all.  If anything here fails, the
+        write is discarded before the error propagates.
         """
         if self._handle is None:
             return
-        self._flush_frame()
-        footer_offset = self._handle.tell()
-        self._handle.write(
-            _dump_block(
-                {
-                    "locations": [
-                        encode_location(loc) for loc in self._location_values
-                    ],
-                    "location_sk": [
-                        location_shard_key(loc)
-                        for loc in self._location_values
-                    ],
-                    "locks": self._lock_names,
-                    "locksets": self._lockset_rows,
-                    "frames": self._frames,
-                    "events": self.count,
-                }
+        try:
+            self._flush_frame()
+            footer_offset = self._handle.tell()
+            self._handle.write(
+                _dump_block(
+                    {
+                        "locations": self._locations.encoded,
+                        "location_sk": self._locations.shard_keys,
+                        "locks": self._lock_names,
+                        "locksets": self._lockset_rows,
+                        "frames": self._frames,
+                        "events": self.count,
+                    }
+                )
             )
-        )
-        self._handle.write(_TRAILER_OFFSET.pack(footer_offset) + _TAIL_MAGIC)
-        self._handle.close()
+            self._handle.write(
+                _TRAILER_OFFSET.pack(footer_offset) + _TAIL_MAGIC
+            )
+            self._handle.close()
+            os.replace(self._tmp_path, self.path)
+        except BaseException:
+            self.discard()
+            raise
         self._handle = None
-        os.replace(self._tmp_path, self.path)
         self._tmp_path = None
 
     def discard(self) -> None:
@@ -480,19 +528,33 @@ class ColumnarTraceReader:
             raise TraceError(
                 f"corrupt frame at offset {offset} in {self.path!r}"
             )
+        expected = n * _ROW_BYTES
         if flags & _FLAG_COMPRESSED:
+            # Inflate no further than one byte past the declared size: a
+            # frame that inflates to gigabytes costs O(frame) to reject.
+            inflater = zlib.decompressobj()
             try:
-                payload = zlib.decompress(payload)
+                payload = inflater.decompress(payload, expected + 1)
             except zlib.error as exc:
                 raise TraceError(
                     f"corrupt compressed frame at offset {offset} in "
                     f"{self.path!r}: {exc}"
                 ) from exc
-        if len(payload) != n * _ROW_BYTES:
+            if len(payload) > expected:
+                raise TraceError(
+                    f"corrupt compressed frame at offset {offset} in "
+                    f"{self.path!r}: inflates past its {expected} "
+                    "column bytes"
+                )
+            if not inflater.eof:
+                raise TraceError(
+                    f"corrupt compressed frame at offset {offset} in "
+                    f"{self.path!r}: incomplete or truncated stream"
+                )
+        if len(payload) != expected:
             raise TraceError(
                 f"corrupt frame at offset {offset} in {self.path!r}: "
-                f"expected {n * _ROW_BYTES} column bytes, "
-                f"got {len(payload)}"
+                f"expected {expected} column bytes, got {len(payload)}"
             )
         return payload
 

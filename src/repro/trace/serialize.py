@@ -91,6 +91,46 @@ def location_shard_key(location: Location) -> int:
     return zlib.crc32(repr(location).encode("utf-8"))
 
 
+class LocationTable:
+    """The distinct locations of a trace being written, each interned once.
+
+    Both writers key locations on ``repr``: ``1``, ``1.0`` and ``True``
+    compare and hash alike but must round-trip as themselves, and
+    ``repr`` is injective over the serializable location vocabulary.  A
+    location is encoded (rejecting unserializable values) and given its
+    :func:`location_shard_key` when first seen; every later occurrence
+    costs one ``repr`` and one dict lookup.
+
+    ``ids`` maps the ``repr`` key to an index into the parallel lists
+    ``encoded`` and ``shard_keys``.
+    """
+
+    __slots__ = ("ids", "encoded", "shard_keys")
+
+    def __init__(self) -> None:
+        self.ids: Dict[str, int] = {}
+        self.encoded: List[Dict[str, Any]] = []
+        self.shard_keys: List[int] = []
+
+    def add(self, key: str, location: Location) -> int:
+        """Intern *location*, not yet seen, whose ``repr`` is *key*."""
+        encoded = encode_location(location)
+        ident = len(self.encoded)
+        self.encoded.append(encoded)
+        # location_shard_key, from the repr already in hand.
+        self.shard_keys.append(zlib.crc32(key.encode("utf-8")))
+        self.ids[key] = ident
+        return ident
+
+    def index(self, location: Location) -> int:
+        """Index of *location*, interning it on first sight."""
+        key = repr(location)
+        ident = self.ids.get(key)
+        if ident is None:
+            ident = self.add(key, location)
+        return ident
+
+
 def decode_location(encoded: Dict[str, Any]) -> Location:
     """Inverse of :func:`encode_location`."""
     if "t" in encoded:
@@ -186,6 +226,9 @@ class TraceWriter:
     :meth:`close` publishes the finished file with :func:`os.replace`.  A
     write that dies mid-stream (or exits a ``with`` block on an exception,
     which calls :meth:`discard`) never leaves a half-trace at the target.
+
+    Each distinct location is encoded and shard-keyed once
+    (:class:`LocationTable`), so the writer also holds O(locations).
     """
 
     def __init__(
@@ -201,6 +244,7 @@ class TraceWriter:
         #: Number of events written so far.
         self.count = 0
         self._buffer: List[str] = []
+        self._locations = LocationTable()
         # The header is rendered *before* any file is opened: a DPST that
         # fails to flatten raises with nothing on disk and no open handle.
         header = json.dumps(
@@ -220,11 +264,24 @@ class TraceWriter:
         """Append one event."""
         if self._handle is None:
             raise TraceError(f"TraceWriter for {self.path!r} is closed")
-        row = event_to_dict(event)
         if isinstance(event, MemoryEvent):
-            # Stamped last so readers can shard-filter the raw line tail
-            # without decoding the JSON (see TraceReader.memory_events).
-            row["sk"] = location_shard_key(event.location)
+            locations = self._locations
+            ident = locations.index(event.location)
+            # event_to_dict's row, with the shard key stamped last so
+            # readers can shard-filter the raw line tail without decoding
+            # the JSON (see TraceReader.memory_events).
+            row = {
+                "type": "MemoryEvent",
+                "seq": event.seq,
+                "task": event.task,
+                "step": event.step,
+                "location": locations.encoded[ident],
+                "access_type": event.access_type,
+                "lockset": list(event.lockset),
+                "sk": locations.shard_keys[ident],
+            }
+        else:
+            row = event_to_dict(event)
         self._buffer.append(json.dumps(row))
         self.count += 1
         if len(self._buffer) >= self.chunk_size:
@@ -245,14 +302,20 @@ class TraceWriter:
 
         Publication is atomic: the temporary sibling moves to
         :attr:`path` via :func:`os.replace`, so readers only ever see a
-        complete trace or no trace at all.
+        complete trace or no trace at all.  If anything here fails, the
+        write is discarded before the error propagates.
         """
-        if self._handle is not None:
+        if self._handle is None:
+            return
+        try:
             self._flush()
             self._handle.close()
-            self._handle = None
             os.replace(self._tmp_path, self.path)
-            self._tmp_path = None
+        except BaseException:
+            self.discard()
+            raise
+        self._handle = None
+        self._tmp_path = None
 
     def discard(self) -> None:
         """Abandon the write: delete the temporary file without touching

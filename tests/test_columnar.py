@@ -1,8 +1,11 @@
 """The columnar (v3) trace format: writer, reader, sniffing, sharding."""
 
+import hashlib
 import json
 import os
 import struct
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.runtime.events import (
     TaskEndEvent,
     TaskSpawnEvent,
 )
+from repro.suite import all_cases
 from repro.trace.columnar import (
     COLUMNAR_MAGIC,
     ColumnarTraceReader,
@@ -25,11 +29,13 @@ from repro.trace.columnar import (
     is_columnar_trace,
 )
 from repro.trace.serialize import (
+    LocationTable,
     TraceReader,
     dump_trace,
     dump_trace_jsonl,
     is_jsonl_trace,
     load_trace,
+    location_shard_key,
     open_trace,
 )
 from repro.trace.trace import Trace
@@ -61,6 +67,33 @@ def event_rows(events):
     return [(type(e).__name__,) + tuple(vars(e).values()) for e in events]
 
 
+EVENT_KINDS = (
+    TaskSpawnEvent, TaskBeginEvent, TaskEndEvent, SyncEvent,
+    MemoryEvent, AcquireEvent, ReleaseEvent,
+)
+
+
+def long_run():
+    """~4.8k events that repeat all seven event kinds from start to end,
+    so frames of 1, 7 or 4096 events split every kind across boundaries."""
+
+    def child(ctx, i):
+        with ctx.lock(f"L{i % 3}"):
+            ctx.add(("cell", i % 5), 1)
+        ctx.write(("own", i), i)
+
+    def main(ctx):
+        for batch in range(60):
+            for i in range(10):
+                ctx.spawn(child, batch * 10 + i)
+            ctx.sync()
+
+    program = TaskProgram(
+        main, initial_memory={("cell", k): 0 for k in range(5)}
+    )
+    return run_program(program, record_trace=True)
+
+
 class TestRoundTrip:
     def test_every_event_type_survives(self, trace, tmp_path):
         path = str(tmp_path / "t.trc")
@@ -72,11 +105,7 @@ class TestRoundTrip:
 
     def test_all_seven_event_kinds_covered(self, trace):
         # The fixture must keep exercising every tag the format encodes.
-        kinds = {type(e) for e in trace.events}
-        assert kinds == {
-            TaskSpawnEvent, TaskBeginEvent, TaskEndEvent, SyncEvent,
-            MemoryEvent, AcquireEvent, ReleaseEvent,
-        }
+        assert {type(e) for e in trace.events} == set(EVENT_KINDS)
 
     def test_exotic_locations(self, tmp_path):
         # Locations that collide under == / hash (1, 1.0, True) must
@@ -147,6 +176,18 @@ class TestRoundTrip:
         second = [e.seq for e in reader.events()]
         assert first == second == [e.seq for e in trace.events]
 
+    @pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.name)
+    def test_suite_program_round_trips(self, case, tmp_path):
+        recorded = run_program(case.build(), record_trace=True).trace
+        for frame_events in (7, 4096):
+            path = str(tmp_path / f"t{frame_events}.trc")
+            dump_trace_columnar(recorded, path, frame_events=frame_events)
+            loaded = load_trace(path)
+            assert event_rows(loaded.events) == event_rows(recorded.events)
+            assert [loaded.dpst.parent(n) for n in loaded.dpst.nodes()] == [
+                recorded.dpst.parent(n) for n in recorded.dpst.nodes()
+            ]
+
 
 class TestWriter:
     def test_closed_writer_rejects_events(self, trace, tmp_path):
@@ -198,6 +239,133 @@ class TestWriter:
         writer.discard()
         writer.discard()
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("frame_events", [1, 7, 4096])
+    def test_write_and_write_all_give_identical_files(
+        self, frame_events, tmp_path
+    ):
+        recorded = long_run().trace
+        events = recorded.events
+        assert len(events) > 4096
+        for boundary in (100, 4096):
+            window = events[boundary - 100:boundary + 100]
+            assert {type(e) for e in window} == set(EVENT_KINDS)
+        one = str(tmp_path / "one.trc")
+        whole = str(tmp_path / "whole.trc")
+        chunked = str(tmp_path / "chunked.trc")
+        with ColumnarTraceWriter(
+            one, dpst=recorded.dpst, frame_events=frame_events
+        ) as writer:
+            for event in events:
+                writer.write(event)
+        with ColumnarTraceWriter(
+            whole, dpst=recorded.dpst, frame_events=frame_events
+        ) as writer:
+            writer.write_all(events)
+        with ColumnarTraceWriter(
+            chunked, dpst=recorded.dpst, frame_events=frame_events
+        ) as writer:
+            for start in range(0, len(events), 5):  # frames end mid-chunk
+                writer.write_all(iter(events[start:start + 5]))
+                assert writer.count == min(start + 5, len(events))
+        data = open(one, "rb").read()
+        assert open(whole, "rb").read() == data
+        assert open(chunked, "rb").read() == data
+        assert event_rows(load_trace(one).events) == event_rows(events)
+
+    @pytest.mark.parametrize("frame_events", [1, 4096])
+    @pytest.mark.parametrize(
+        "event, column",
+        [
+            (MemoryEvent(0, 2**31, 0, "x", "read", ()), "f0"),
+            (MemoryEvent(2**63, 0, 0, "x", "read", ()), "seq"),
+            (SyncEvent(0, 0, -(2**31) - 1), "f1"),
+        ],
+    )
+    def test_out_of_range_field_fails_cleanly(
+        self, event, column, frame_events, tmp_path
+    ):
+        # The value is caught when its frame is packed -- mid-stream for
+        # one-event frames, in close() inside __exit__ otherwise -- and
+        # either way nothing is published and no temporary file remains.
+        path = str(tmp_path / "t.trc")
+        with pytest.raises(TraceError) as err:
+            with ColumnarTraceWriter(path, frame_events=frame_events) as writer:
+                writer.write(MemoryEvent(0, 0, 0, "x", "write", ()))
+                writer.write(event)
+        assert path in str(err.value)
+        assert repr(column) in str(err.value)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_close_discards(self, tmp_path):
+        path = str(tmp_path / "t.trc")
+        writer = ColumnarTraceWriter(path)
+        writer.write(MemoryEvent(0, 0, 0, "x", "read", ()))
+        writer.write(MemoryEvent(1, 0, 2**40, "x", "read", ()))
+        with pytest.raises(TraceError):
+            writer.close()
+        assert os.listdir(tmp_path) == []
+        writer.close()  # already discarded: a no-op
+        with pytest.raises(TraceError):
+            writer.write(MemoryEvent(2, 0, 0, "x", "read", ()))
+
+
+class TestPinnedBytes:
+    """Trace bytes pinned by SHA-256: a writer change cannot move the
+    format unnoticed.
+
+    Uncompressed v3 files and v2 files are determined by the events
+    alone; compressed v3 frames also depend on the zlib level, so they
+    are not pinned.  If the runtime's event stream for
+    :func:`recorded_run` changes on purpose, re-pin.
+    """
+
+    def digest(self, path):
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    def test_uncompressed_v3(self, trace, tmp_path):
+        path = str(tmp_path / "t.trc")
+        dump_trace_columnar(trace, path, compress=False)
+        assert self.digest(path) == (
+            "21b946be77dd03e70f9e98d42811be9200640a3e42b14770f774e0805f2b68cc"
+        )
+
+    def test_uncompressed_v3_small_frames(self, trace, tmp_path):
+        path = str(tmp_path / "t.trc")
+        dump_trace_columnar(trace, path, frame_events=7, compress=False)
+        assert self.digest(path) == (
+            "09c172a9be2d19acff250c9dccacd8d4c816ec2a970ac823ab2b5f072b94dea5"
+        )
+
+    def test_v2(self, trace, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        dump_trace_jsonl(trace, path)
+        assert self.digest(path) == (
+            "abdf69dc6f419e2aa3fa109af1f1844ae548770fb5a4200d8c66bb7bf602753d"
+        )
+
+
+class TestLocationTable:
+    def test_interns_by_repr(self):
+        table = LocationTable()
+        ids = [table.index(loc) for loc in (1, 1.0, True, 1, ("a", 1))]
+        assert ids == [0, 1, 2, 0, 3]
+        # repr, because {"v": 1} == {"v": 1.0} == {"v": True}.
+        assert [repr(row) for row in table.encoded] == [
+            "{'v': 1}", "{'v': 1.0}", "{'v': True}",
+            "{'t': [{'v': 'a'}, {'v': 1}]}",
+        ]
+        assert table.shard_keys == [
+            location_shard_key(loc) for loc in (1, 1.0, True, ("a", 1))
+        ]
+
+    def test_unserializable_location_leaves_table_unchanged(self):
+        table = LocationTable()
+        table.index("x")
+        with pytest.raises(TraceError):
+            table.index(("x", object()))
+        assert list(table.ids) == ["'x'"]
+        assert len(table.encoded) == len(table.shard_keys) == 1
 
 
 class TestSharding:
@@ -347,6 +515,57 @@ class TestCorruption:
         reader = open_trace(path, strict=False)
         list(reader.memory_events(shard=0, jobs=2))
         assert reader.lines_skipped == 4
+
+    def replace_only_frame(self, path, payload):
+        """Swap the compressed *payload* into *path*, a one-frame file."""
+        reader = ColumnarTraceReader(path)
+        ((offset, n),) = reader._frames
+        reader.close()
+        data = open(path, "rb").read()
+        (footer_offset,) = struct.unpack("<Q", data[-16:-8])
+        head = data[:offset] + struct.pack("<BII", 1, n, len(payload))
+        head += payload
+        with open(path, "wb") as handle:
+            handle.write(head + data[footer_offset:-16])
+            handle.write(struct.pack("<Q", len(head)) + data[-8:])
+
+    def test_inflation_bomb_rejected_in_bounded_memory(self, trace, tmp_path):
+        # ~200 KB that inflates to 200 MB: the reader must stop one byte
+        # past the frame's declared size instead of inflating it all.
+        path = str(tmp_path / "t.trc")
+        dump_trace_columnar(trace, path)
+        deflate = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
+        zeros = bytes(1 << 20)
+        bomb = b"".join(deflate.compress(zeros) for _ in range(200))
+        bomb += deflate.flush()
+        del zeros
+        assert len(bomb) < 250_000
+        self.replace_only_frame(path, bomb)
+        del bomb
+        for view in ("events", "memory_events"):
+            reader = open_trace(path)
+            tracemalloc.start()
+            try:
+                with pytest.raises(TraceError) as err:
+                    list(getattr(reader, view)())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8_000_000
+            assert "inflates past" in str(err.value)
+
+    def test_truncated_compressed_stream_rejected(self, trace, tmp_path):
+        path = str(tmp_path / "t.trc")
+        dump_trace_columnar(trace, path, compress=False)
+        reader = ColumnarTraceReader(path)
+        ((offset, n),) = reader._frames
+        with open(path, "rb") as handle:
+            columns = reader._frame_payload(handle, offset, n)
+        # Every column byte is there, but the stream's checksum is not.
+        self.replace_only_frame(path, zlib.compress(columns)[:-4])
+        with pytest.raises(TraceError, match="truncated"):
+            list(open_trace(path).events())
+        assert len(list(open_trace(path, strict=False).events())) == 0
 
 
 class TestStreamingLenientCounting:

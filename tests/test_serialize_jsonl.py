@@ -458,6 +458,21 @@ class TestWriterCrashSafety:
         writer.discard()
         assert os.listdir(tmp_path) == []
 
+    def test_failed_close_discards(self, trace, tmp_path):
+        import os
+
+        writer = TraceWriter(str(tmp_path / "t.jsonl"), dpst=trace.dpst)
+        writer.write_all(trace.events)
+
+        def disk_full(data):
+            raise OSError(28, "No space left on device")
+
+        writer._handle.write = disk_full
+        with pytest.raises(OSError):
+            writer.close()
+        assert os.listdir(tmp_path) == []
+        writer.close()  # already discarded: a no-op
+
 
 class TestLocationRoundTrip:
     """Satellite: the location codec and shard key over the full
