@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.checker.supervisor import _atomic_write
+from repro.errors import TraceError
 from repro.report import (
     ViolationReport,
     location_key,
@@ -194,8 +195,8 @@ class ResultCache:
         """Return the entry stored under *key*, or ``None`` on miss.
 
         A present-but-damaged entry (torn by an external process, schema
-        drift, undecodable report) is also a miss: the caller recomputes
-        and overwrites it.
+        drift, undecodable report or location) is also a miss: the caller
+        recomputes and overwrites it.
         """
         path = self._path(key)
         try:
@@ -209,7 +210,7 @@ class ResultCache:
             ):
                 return None
             report = report_from_dict(data["report"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, TraceError):
             return None
         return CacheEntry(
             key=key,

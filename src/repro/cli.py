@@ -82,7 +82,7 @@ def _load_callable(spec: str) -> Callable[..., Any]:
 
 def _load_lint_target(spec: str) -> Any:
     """Resolve ``MODULE:FUNC`` to something :func:`repro.static.lint_program`
-    accepts.
+    accepts (``repro coverage`` resolves its target the same way).
 
     The attribute may be a task body taking ``ctx``, a zero-argument
     builder returning a :class:`TaskProgram` (the workload/example
@@ -701,13 +701,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_coverage(args: argparse.Namespace) -> int:
     from repro.static import analyze_function, check_trace_coverage
 
-    body = _load_callable(args.program)
+    target = _load_lint_target(args.program)
+    program = target if isinstance(target, TaskProgram) else TaskProgram(target)
     result = run_program(
-        TaskProgram(body),
+        program,
         executor=_make_executor(args.executor, args.seed, args.workers),
         record_trace=True,
     )
-    static = analyze_function(body)
+    static = analyze_function(program.body)
     report = check_trace_coverage(static, result.trace)
     print(static.describe())
     print()
@@ -1000,7 +1001,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate the single-trace completeness precondition "
         "(static access set vs observed trace)",
     )
-    coverage.add_argument("program")
+    coverage.add_argument(
+        "program",
+        help="import path of a task body, TaskProgram, or zero-argument "
+        "builder, e.g. mypkg.mymod:main",
+    )
     _add_run_options(coverage)
     coverage.set_defaults(handler=cmd_coverage)
 

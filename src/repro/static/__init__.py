@@ -9,12 +9,12 @@ explore in the future."*
 
 This package explores it:
 
-* :mod:`repro.static.accesses` -- computes an over-approximation of the
-  shared accesses a program can perform, either **exactly** from a
-  generator spec tree (the :mod:`repro.trace.generator` format) or
-  **best-effort** from the Python AST of task bodies (constant locations
-  are resolved; computed locations degrade to prefix or unknown
-  patterns);
+* :mod:`repro.static.accesses` -- the over-approximated set of shared
+  accesses a program can perform, as location patterns (constant
+  locations are exact; computed locations degrade to prefix or unknown
+  patterns).  :func:`analyze_spec` (**exact**, from a generator spec
+  tree) and :func:`analyze_function` (**best-effort**, from the Python
+  AST of task bodies) project the static skeleton below to it;
 * :mod:`repro.static.coverage` -- validates the completeness
   precondition: every statically-possible access must appear (in some
   order) in the observed trace.  A clean coverage report means the
@@ -41,12 +41,7 @@ This package explores it:
   fail-only-on-new gating.
 """
 
-from repro.static.accesses import (
-    AccessPattern,
-    StaticAccessSet,
-    analyze_function,
-    analyze_spec,
-)
+from repro.static.accesses import AccessPattern, StaticAccessSet
 from repro.static.baseline import (
     BASELINE_SCHEMA,
     BaselineError,
@@ -73,6 +68,8 @@ from repro.static.mhp import MHPIndex
 from repro.static.sarif import report_to_sarif, reports_to_sarif
 from repro.static.structure import (
     StaticSkeleton,
+    analyze_function,
+    analyze_spec,
     skeleton_from_function,
     skeleton_from_spec,
 )

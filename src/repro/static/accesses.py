@@ -1,39 +1,27 @@
-"""Static over-approximation of a program's shared-memory accesses.
+"""The static access vocabulary: location patterns and access sets.
 
-Two front ends produce a :class:`StaticAccessSet`:
+A :class:`StaticAccessSet` over-approximates the shared accesses a
+program can perform.  Both front ends produce one by projecting the
+static skeleton (:mod:`repro.static.structure`):
+:func:`~repro.static.structure.analyze_spec` for generator spec trees
+(exact) and :func:`~repro.static.structure.analyze_function` for task
+bodies (best effort).
 
-:func:`analyze_spec`
-    Exact analysis of a :mod:`repro.trace.generator` spec tree -- specs
-    are straight-line access scripts, so the access set is computable
-    precisely (every listed access, no more, no less).
+Location expressions are abstracted to three precision levels:
 
-:func:`analyze_function`
-    Best-effort AST analysis of ordinary task bodies.  It walks the
-    function (and, transitively, every locally-resolvable function passed
-    to ``ctx.spawn`` / the parallel algorithm templates), collecting
-    ``ctx.read`` / ``ctx.write`` / ``ctx.add`` / ``ctx.update`` call
-    sites.  Location expressions are abstracted to three precision
-    levels:
-
-    * a fully constant expression -> an exact location;
-    * a tuple whose first element is constant -> a *prefix* pattern
-      (``("grid", i)`` with dynamic ``i`` becomes prefix ``"grid"``);
-    * anything else -> the *unknown* pattern (matches any location).
-
-    The result is a sound over-approximation for programs whose accesses
-    all go through the analyzed context parameter -- exactly the
-    discipline the instrumented runtime enforces anyway.
+* a fully constant expression -> an exact location;
+* a tuple whose first element is constant -> a *prefix* pattern
+  (``("grid", i)`` with dynamic ``i`` becomes prefix ``"grid"``);
+* anything else -> the *unknown* pattern (matches any location).
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Hashable, List, Optional, Set, Tuple
 
-from repro.report import READ, WRITE
+from repro.report import WRITE
 
 Location = Hashable
 
@@ -41,13 +29,6 @@ Location = Hashable
 EXACT = "exact"
 PREFIX = "prefix"
 UNKNOWN = "unknown"
-
-#: ctx methods that read / write / both.
-_READ_METHODS = {"read"}
-_WRITE_METHODS = {"write"}
-_RMW_METHODS = {"add", "update"}
-#: ctx methods whose first argument is a spawned task body.
-_SPAWN_METHODS = {"spawn"}
 
 
 @dataclass(frozen=True)
@@ -80,7 +61,9 @@ class StaticAccessSet:
 
     def __init__(self) -> None:
         self.patterns: Set[AccessPattern] = set()
-        #: Names of spawned bodies the analysis could not resolve.
+        #: Constructs that may hide accesses from :attr:`patterns`:
+        #: unresolved task bodies, context escapes, unsupported
+        #: constructs, an exhausted analysis budget.
         self.unresolved_tasks: List[str] = []
 
     # -- population ------------------------------------------------------
@@ -88,15 +71,11 @@ class StaticAccessSet:
     def add(self, kind: str, location: Location, access_type: str) -> None:
         self.patterns.add(AccessPattern(kind, location, access_type))
 
-    def merge(self, other: "StaticAccessSet") -> None:
-        self.patterns |= other.patterns
-        self.unresolved_tasks += other.unresolved_tasks
-
     # -- queries ----------------------------------------------------------
 
     @property
     def is_precise(self) -> bool:
-        """True when every pattern is exact and every task was resolved."""
+        """True when every pattern is exact and nothing may hide an access."""
         return not self.unresolved_tasks and all(
             p.kind == EXACT for p in self.patterns
         )
@@ -129,38 +108,7 @@ class StaticAccessSet:
 
 
 # ---------------------------------------------------------------------------
-# Spec front end (exact)
-# ---------------------------------------------------------------------------
-
-
-def analyze_spec(spec: Tuple[Any, ...]) -> StaticAccessSet:
-    """Exact access set of a generator spec tree."""
-    result = StaticAccessSet()
-
-    def visit(items: Sequence[Tuple[Any, ...]]) -> None:
-        for item in items:
-            tag = item[0]
-            if tag == "access":
-                _, location, access_type = item
-                result.add(EXACT, location, access_type)
-            elif tag == "locked":
-                visit(item[2])
-            elif tag in ("spawn", "finish"):
-                visit(item[1])
-            elif tag == "sync":
-                continue
-            else:
-                raise ValueError(f"unknown spec item {tag!r}")
-
-    if spec and spec[0] == "task":
-        visit(spec[1])
-    else:
-        visit(spec)  # bare item list
-    return result
-
-
-# ---------------------------------------------------------------------------
-# AST front end (best effort)
+# Location abstraction
 # ---------------------------------------------------------------------------
 
 
@@ -200,184 +148,3 @@ def _location_pattern(node: ast.expr) -> Tuple[str, Any]:
         if head_constant:
             return PREFIX, head
     return UNKNOWN, None
-
-
-class _BodyAnalyzer(ast.NodeVisitor):
-    """Collects accesses and spawned bodies from one function's AST."""
-
-    def __init__(self, ctx_names: Set[str], result: StaticAccessSet) -> None:
-        self.ctx_names = set(ctx_names)
-        self.result = result
-        #: function names passed to spawn/parallel templates
-        self.spawned_names: List[str] = []
-        #: nested function definitions by name (for local resolution)
-        self.local_functions: Dict[str, ast.AST] = {}
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.local_functions[node.name] = node
-        # Nested defs are analyzed only when spawned/invoked (their first
-        # parameter is then treated as a context).
-        # Still walk them for *direct* uses of the outer ctx (closures).
-        self.generic_visit(node)
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        # Lambdas used as bodies: first parameter is a context.
-        if node.args.args:
-            inner_ctx = node.args.args[0].arg
-            self.ctx_names.add(inner_ctx)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            owner = func.value.id
-            method = func.attr
-            if owner in self.ctx_names:
-                self._handle_ctx_call(method, node)
-        elif isinstance(func, ast.Name) and func.id in (
-            "parallel_for",
-            "parallel_reduce",
-            "parallel_invoke",
-            "parallel_pipeline",
-        ):
-            self._handle_template_call(func.id, node)
-        self.generic_visit(node)
-
-    def _handle_ctx_call(self, method: str, node: ast.Call) -> None:
-        if method in _READ_METHODS | _WRITE_METHODS | _RMW_METHODS:
-            location = _call_argument(node, 0, "location")
-            if location is None:
-                return
-            kind, value = _location_pattern(location)
-            if method not in _WRITE_METHODS:
-                self.result.add(kind, value, READ)
-            if method not in _READ_METHODS:
-                self.result.add(kind, value, WRITE)
-        elif method in _SPAWN_METHODS:
-            target = _call_argument(node, 0, "body")
-            if target is None:
-                return
-            if isinstance(target, ast.Name):
-                self.spawned_names.append(target.id)
-            elif isinstance(target, ast.Lambda):
-                self.visit_Lambda(target)
-            else:
-                self.result.unresolved_tasks.append(ast.dump(target)[:40])
-
-    def _handle_template_call(self, name: str, node: ast.Call) -> None:
-        # The body argument position per template: for/reduce take it as
-        # the 4th positional (ctx, start, stop, body) or the ``body`` /
-        # ``map_body`` keyword, invoke takes every positional after ctx,
-        # pipeline takes a list of stages (3rd positional or ``stages``).
-        candidates: List[ast.expr] = []
-        if name in ("parallel_for", "parallel_reduce"):
-            keyword = "body" if name == "parallel_for" else "map_body"
-            body = _call_argument(node, 3, keyword)
-            if body is not None:
-                candidates.append(body)
-        elif name == "parallel_invoke":
-            candidates.extend(node.args[1:])
-        elif name == "parallel_pipeline":
-            stages = _call_argument(node, 2, "stages")
-            if isinstance(stages, (ast.List, ast.Tuple)):
-                candidates.extend(stages.elts)
-        for candidate in candidates:
-            if isinstance(candidate, ast.Name):
-                self.spawned_names.append(candidate.id)
-            elif isinstance(candidate, ast.Lambda):
-                self.visit_Lambda(candidate)
-            else:
-                self.result.unresolved_tasks.append(ast.dump(candidate)[:40])
-
-
-def _function_ast(func: Callable[..., Any]) -> Optional[ast.AST]:
-    try:
-        source = textwrap.dedent(inspect.getsource(func))
-    except (OSError, TypeError):
-        return None
-    tree = ast.parse(source)
-    return tree.body[0] if tree.body else None
-
-
-def analyze_function(
-    func: Callable[..., Any],
-    _visited: Optional[Set[str]] = None,
-) -> StaticAccessSet:
-    """Best-effort access set of a task body and its spawned children.
-
-    Children are resolved through the defining module's globals and
-    through nested ``def``s; anything else (bound methods, dynamically
-    chosen bodies) is recorded in ``unresolved_tasks``, which voids the
-    precision claim but keeps the result a useful lower bound plus a
-    warning.
-    """
-    result = StaticAccessSet()
-    visited = _visited if _visited is not None else set()
-    marker = f"{getattr(func, '__module__', '?')}.{getattr(func, '__qualname__', repr(func))}"
-    if marker in visited:
-        return result
-    visited.add(marker)
-
-    node = _function_ast(func)
-    if node is None:
-        result.unresolved_tasks.append(marker)
-        return result
-    args = getattr(node, "args", None)
-    if args is None or not args.args:
-        result.unresolved_tasks.append(marker)
-        return result
-    ctx_name = args.args[0].arg
-    analyzer = _BodyAnalyzer({ctx_name}, result)
-    analyzer.visit(node)
-    # The visitor registers the root def itself, so a self-spawn resolves
-    # locally; the node marker below keeps that from recursing forever.
-    visited.add(f"<local:{id(node)}>")
-
-    module_globals = getattr(func, "__globals__", {})
-    _resolve_spawned(analyzer, module_globals, result, visited)
-    return result
-
-
-def _resolve_spawned(
-    analyzer: _BodyAnalyzer,
-    env_globals: Dict[str, Any],
-    result: StaticAccessSet,
-    visited: Set[str],
-) -> None:
-    """Fold every spawned body into *result*: nested ``def``s recurse to
-    any depth (grandchildren included), everything else resolves through
-    the defining module's globals."""
-    for name in analyzer.spawned_names:
-        local_node = analyzer.local_functions.get(name)
-        if local_node is not None:
-            _analyze_local_def(local_node, env_globals, result, visited)
-            continue
-        target = env_globals.get(name)
-        if callable(target):
-            result.merge(analyze_function(target, visited))
-        else:
-            result.unresolved_tasks.append(name)
-
-
-def _analyze_local_def(
-    node: ast.AST,
-    env_globals: Dict[str, Any],
-    result: StaticAccessSet,
-    visited: Set[str],
-) -> None:
-    """Analyze one nested ``def`` spawned as a task body."""
-    marker = f"<local:{id(node)}>"
-    if marker in visited:
-        return
-    visited.add(marker)
-    args = getattr(node, "args", None)
-    if args is None or not args.args:
-        result.unresolved_tasks.append(getattr(node, "name", "<nested>"))
-        return
-    child_result = StaticAccessSet()
-    child_analyzer = _BodyAnalyzer({args.args[0].arg}, child_result)
-    child_analyzer.visit(node)
-    result.merge(child_result)
-    _resolve_spawned(child_analyzer, env_globals, result, visited)

@@ -8,8 +8,15 @@ the lint pass share:
   environment it closes over (module globals overlaid with closure
   cells), a stable marker, and any ``# repro: ignore[...]`` suppression
   comments found in its source;
-* :func:`resolve_attribute` -- name/attribute-chain resolution through
-  that environment (``helpers.leaf`` works, not just ``leaf``);
+* :func:`resolve_attribute` / :func:`resolve_function` -- name and
+  attribute-chain resolution through that environment (``helpers.leaf``
+  works, not just ``leaf``), and the function a spawned body, template
+  body or inlined callee names;
+* the ctx discipline both AST walkers apply, defined once:
+  :data:`ACCESS_METHODS` / :data:`QUERY_METHODS`, the ctx predicates
+  (:func:`is_ctx`, :func:`ctx_method`, :func:`references_ctx`,
+  :func:`captures_ctx`), and :func:`template_bodies`, which decodes a
+  :data:`TEMPLATES` entry against one call;
 * :func:`build_callgraph` -- the call graph reachable from one root
   function.  Every node carries its **direct facts** (accesses, lock
   usage, spawn/sync/finish effects, ctx-escape approximations,
@@ -43,6 +50,7 @@ from typing import (
     FrozenSet,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -54,10 +62,15 @@ from repro.static.accesses import (
     _location_pattern,
 )
 
-#: ctx methods by effect (mirrors :mod:`repro.static.structure`).
-READ_METHODS = frozenset({"read"})
-WRITE_METHODS = frozenset({"write"})
-RMW_METHODS = frozenset({"add", "update"})
+#: ctx access methods and the access types each performs, in program
+#: order (a read-modify-write reads, then writes).
+ACCESS_METHODS: Dict[str, Tuple[str, ...]] = {
+    "read": (READ,),
+    "write": (WRITE,),
+    "add": (READ, WRITE),
+    "update": (READ, WRITE),
+}
+#: ctx methods without a shared-memory or structural effect.
 QUERY_METHODS = frozenset({"locked", "task_id", "depth"})
 
 #: The parallel algorithm templates and where their task bodies live:
@@ -145,6 +158,10 @@ class FunctionInfo:
     def lambda_marker(self, node: ast.Lambda) -> str:
         return f"{self.marker}.<lambda>@{getattr(node, 'lineno', 0)}"
 
+    def site(self, node: ast.AST) -> str:
+        """``file:line`` of *node* in absolute source coordinates."""
+        return f"{self.filename}:{getattr(node, 'lineno', 0) + self.line_offset}"
+
     def child(self, node: ast.AST, marker: str) -> "FunctionInfo":
         """A nested def / lambda sharing this info's source coordinates."""
         return FunctionInfo(
@@ -221,6 +238,92 @@ def resolve_attribute(node: ast.expr, env: Dict[str, Any]) -> Optional[Any]:
         except Exception:
             return None
     return target
+
+
+def resolve_function(
+    target: ast.expr, info: FunctionInfo, local_defs: Dict[str, FunctionInfo]
+) -> Optional[FunctionInfo]:
+    """The function a spawned body, template body or inlined callee names.
+
+    A lambda is a child of *info*; a name bound by a nested ``def`` seen
+    so far resolves to it; any other name or attribute chain resolves
+    through *info*'s environment.  Anything dynamic returns ``None``.
+    """
+    if isinstance(target, ast.Lambda):
+        return info.child(target, info.lambda_marker(target))
+    if isinstance(target, ast.Name) and target.id in local_defs:
+        return local_defs[target.id]
+    resolved = resolve_attribute(target, info.env)
+    if callable(resolved):
+        return info_for_callable(resolved)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The ctx discipline: the rules both AST walkers apply
+# ---------------------------------------------------------------------------
+
+
+def is_ctx(node: ast.AST, ctx_names: Set[str]) -> bool:
+    return isinstance(node, ast.Name) and node.id in ctx_names
+
+
+def references_ctx(node: ast.AST, ctx_names: Set[str]) -> bool:
+    return any(is_ctx(sub, ctx_names) for sub in ast.walk(node))
+
+
+def captures_ctx(node: ast.AST, ctx_names: Set[str]) -> bool:
+    """Does a nested ``def`` use a ctx name its parameters do not shadow?
+
+    Such a closure reaches the context outside the recognized forms
+    (``helper()`` with no ctx argument runs ``ctx.write`` unseen), so
+    both walkers treat it as an escape.
+    """
+    params = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+    return references_ctx(node, ctx_names - params)
+
+
+def ctx_method(node: ast.expr, ctx_names: Set[str]) -> Optional[str]:
+    """``m`` for ``ctx.m(...)`` or a bare ``ctx.m`` on a ctx name, else None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute) and is_ctx(node.value, ctx_names):
+        return node.attr
+    return None
+
+
+def call_arguments(
+    node: ast.Call, consumed: Sequence[Optional[ast.expr]]
+) -> List[ast.expr]:
+    """*node*'s positional, then keyword, argument expressions, minus the
+    ones a recognized form consumed (compared by identity)."""
+    arguments = list(node.args) + [keyword.value for keyword in node.keywords]
+    return [arg for arg in arguments if not any(arg is used for used in consumed)]
+
+
+def template_bodies(
+    name: str, node: ast.Call
+) -> Tuple[List[Optional[ast.expr]], List[ast.expr]]:
+    """Decode ``TEMPLATES[name]`` against one template call.
+
+    Returns ``(bodies, consumed)``: the task-body expressions the call
+    runs, with ``None`` for a body it does not name literally (a missing
+    body, a stage list that is not a literal list), and the argument
+    expressions those bodies came from.  Walkers scan every argument
+    except the context and *consumed* as ordinary expressions.
+    """
+    spec, keyword = TEMPLATES[name]
+    if spec == "*":
+        return list(node.args[1:]), list(node.args[1:])
+    if isinstance(spec, str):  # "list:N"
+        stages = _call_argument(node, int(spec.split(":", 1)[1]), keyword)
+        if stages is None:
+            return [None], []
+        if isinstance(stages, (ast.List, ast.Tuple)):
+            return list(stages.elts), [stages]
+        return [None], [stages]
+    body = _call_argument(node, spec, keyword)
+    return [body], ([] if body is None else [body])
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +507,10 @@ def build_callgraph(root: Any) -> CallGraph:
 class _FactCollector:
     """One function's direct facts + call sites, by explicit AST walk.
 
-    The traversal recognizes the same ctx discipline the skeleton walker
-    does -- method calls on a ctx name, helpers taking ctx first, spawn
-    bodies, algorithm templates -- and conservatively flags everything
-    else (``escapes`` / ``unresolved``).  Child nodes consumed by a
+    The traversal applies the ctx discipline defined above, as the
+    skeleton walker does -- method calls on a ctx name, helpers taking
+    ctx first, spawn bodies, algorithm templates -- and conservatively
+    flags everything else (``escapes`` / ``unresolved``).  Child nodes consumed by a
     recognized form are not re-visited, so a ctx name inside
     ``ctx.read(...)`` does not count as an escape.
     """
@@ -430,22 +533,18 @@ class _FactCollector:
 
     # -- traversal ---------------------------------------------------------
 
-    def _site(self, node: ast.AST) -> str:
-        line = getattr(node, "lineno", 0) + self.info.line_offset
-        return f"{self.info.filename}:{line}"
-
     def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self.local_defs[stmt.name] = self.info.child(
                 stmt, self.info.local_marker(stmt.name)
             )
+            if captures_ctx(stmt, self.ctx_names):
+                self.facts.escapes = True
             return
         if isinstance(stmt, ast.Assign):
             value = stmt.value
-            if (
-                isinstance(value, ast.Name)
-                and value.id in self.ctx_names
-                and all(isinstance(t, ast.Name) for t in stmt.targets)
+            if is_ctx(value, self.ctx_names) and all(
+                isinstance(t, ast.Name) for t in stmt.targets
             ):
                 for target in stmt.targets:
                     self.ctx_names.add(target.id)
@@ -472,7 +571,7 @@ class _FactCollector:
 
     def _withitem(self, item: ast.withitem) -> None:
         expr = item.context_expr
-        method = self._ctx_method(expr)
+        method = ctx_method(expr, self.ctx_names)
         if method == "lock":
             self.facts.locks = True
             return
@@ -490,14 +589,11 @@ class _FactCollector:
                 self.facts.escapes = True
             return
         if isinstance(node, ast.Lambda):
-            if self._references_ctx(node.body):
+            if references_ctx(node.body, self.ctx_names):
                 self.facts.escapes = True
             return
         if isinstance(node, ast.Attribute):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id in self.ctx_names
-            ):
+            if is_ctx(node.value, self.ctx_names):
                 if node.attr not in QUERY_METHODS:
                     self.facts.escapes = True
                 return
@@ -515,7 +611,7 @@ class _FactCollector:
 
     def _call(self, node: ast.Call) -> None:
         func = node.func
-        method = self._ctx_method(func)
+        method = ctx_method(func, self.ctx_names)
         if method is not None:
             self._ctx_call(method, node)
             return
@@ -523,18 +619,20 @@ class _FactCollector:
             isinstance(func, ast.Name)
             and func.id in TEMPLATES
             and node.args
-            and self._is_ctx(node.args[0])
+            and is_ctx(node.args[0], self.ctx_names)
         ):
             self._template_call(func.id, node)
             return
         ctx_positions = [
-            index for index, arg in enumerate(node.args) if self._is_ctx(arg)
+            index
+            for index, arg in enumerate(node.args)
+            if is_ctx(arg, self.ctx_names)
         ]
         for index, arg in enumerate(node.args):
             if index not in ctx_positions:
                 self._expr(arg)
         for keyword in node.keywords:
-            if self._is_ctx(keyword.value):
+            if is_ctx(keyword.value, self.ctx_names):
                 self.facts.escapes = True
             else:
                 self._expr(keyword.value)
@@ -560,31 +658,21 @@ class _FactCollector:
         self._expr(func)
 
     def _ctx_call(self, method: str, node: ast.Call) -> None:
-        if method in READ_METHODS or method in WRITE_METHODS or method in RMW_METHODS:
+        if method in ACCESS_METHODS:
             location_arg = _call_argument(node, 0, "location")
-            for index, arg in enumerate(node.args):
-                if arg is not location_arg:
-                    self._expr(arg)
-            for keyword in node.keywords:
-                if keyword.value is not location_arg:
-                    self._expr(keyword.value)
+            for arg in call_arguments(node, [location_arg]):
+                self._expr(arg)
             if location_arg is None:
                 self.facts.escapes = True
                 return
             kind, value = _location_pattern(location_arg)
-            if method not in WRITE_METHODS:
-                self.facts.patterns.add(AccessPattern(kind, value, READ))
-            if method not in READ_METHODS:
-                self.facts.patterns.add(AccessPattern(kind, value, WRITE))
+            for access_type in ACCESS_METHODS[method]:
+                self.facts.patterns.add(AccessPattern(kind, value, access_type))
         elif method == "spawn":
             self.facts.constructs = True
             body_arg = _call_argument(node, 0, "body")
-            for arg in node.args:
-                if arg is not body_arg:
-                    self._expr(arg)
-            for keyword in node.keywords:
-                if keyword.value is not body_arg:
-                    self._expr(keyword.value)
+            for arg in call_arguments(node, [body_arg]):
+                self._expr(arg)
             if body_arg is None:
                 self._unresolved(SPAWN, node, "spawn without a body")
             else:
@@ -596,97 +684,35 @@ class _FactCollector:
         elif method in ("lock", "finish"):
             # Outside a with statement: untrackable context manager.
             self.facts.escapes = True
-        elif method in QUERY_METHODS:
-            pass
-        else:
+        elif method not in QUERY_METHODS:
             self.facts.escapes = True
 
     def _template_call(self, name: str, node: ast.Call) -> None:
         self.facts.constructs = True
-        spec, keyword_name = TEMPLATES[name]
-        bodies: List[ast.expr] = []
-        consumed: List[ast.expr] = []
-        if spec == "*":
-            bodies = list(node.args[1:])
-            consumed = list(node.args[1:])
-        elif isinstance(spec, str) and spec.startswith("list:"):
-            index = int(spec.split(":", 1)[1])
-            stages = _call_argument(node, index, keyword_name)
-            if isinstance(stages, (ast.List, ast.Tuple)):
-                bodies = list(stages.elts)
-            elif stages is not None:
-                self._unresolved(TEMPLATE, node, f"{name} stages not a literal list")
-            if stages is not None:
-                consumed = [stages]
-        else:
-            body = _call_argument(node, spec, keyword_name)
-            if body is not None:
-                bodies = [body]
-                consumed = [body]
-            else:
-                self._unresolved(TEMPLATE, node, f"{name} without a body")
-        for index, arg in enumerate(node.args):
-            if index == 0 or arg in consumed:
-                continue
+        bodies, consumed = template_bodies(name, node)
+        for arg in call_arguments(node, [node.args[0], *consumed]):
             self._expr(arg)
-        for keyword in node.keywords:
-            if keyword.value not in consumed:
-                self._expr(keyword.value)
         for body in bodies:
-            self._edge(TEMPLATE, body, node)
+            if body is None:
+                self._unresolved(TEMPLATE, node, f"{name} without a literal body")
+            else:
+                self._edge(TEMPLATE, body, node)
 
     # -- resolution --------------------------------------------------------
 
     def _edge(self, kind: str, target: ast.expr, node: ast.Call) -> None:
         """Record one call site, resolving *target* to a FunctionInfo."""
-        site = self._site(node)
-        callee = self._resolve(target)
+        callee = resolve_function(target, self.info, self.local_defs)
         if callee is None:
             self._unresolved(kind, node, ast.dump(target)[:60])
             return
-        self.sites.append(CallSite(self.info.marker, kind, callee.marker, site))
+        self.sites.append(
+            CallSite(self.info.marker, kind, callee.marker, self.info.site(node))
+        )
         self.callees.append(callee)
 
     def _unresolved(self, kind: str, node: ast.Call, detail: str) -> None:
         self.facts.unresolved += 1
         self.sites.append(
-            CallSite(self.info.marker, kind, None, self._site(node), detail)
-        )
-
-    def _resolve(self, target: ast.expr) -> Optional[FunctionInfo]:
-        if isinstance(target, ast.Lambda):
-            return self.info.child(target, self.info.lambda_marker(target))
-        if isinstance(target, ast.Name) and target.id in self.local_defs:
-            return self.local_defs[target.id]
-        if isinstance(target, (ast.Name, ast.Attribute)):
-            resolved = resolve_attribute(target, self.info.env)
-            if callable(resolved):
-                return info_for_callable(resolved)
-        return None
-
-    # -- predicates --------------------------------------------------------
-
-    def _ctx_method(self, node: ast.expr) -> Optional[str]:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in self.ctx_names
-        ):
-            return node.func.attr
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in self.ctx_names
-        ):
-            return node.attr
-        return None
-
-    def _is_ctx(self, node: ast.expr) -> bool:
-        return isinstance(node, ast.Name) and node.id in self.ctx_names
-
-    def _references_ctx(self, node: ast.AST) -> bool:
-        return any(
-            isinstance(sub, ast.Name) and sub.id in self.ctx_names
-            for sub in ast.walk(node)
+            CallSite(self.info.marker, kind, None, self.info.site(node), detail)
         )

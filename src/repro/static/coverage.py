@@ -17,8 +17,8 @@ module classifies each static pattern:
 
 Conversely, a trace access matching *no* static pattern indicates the
 static front end under-approximated (it should be impossible for the
-exact spec front end, and signals unresolved task bodies for the AST
-front end).
+exact spec front end; for the AST front end the construct that hid it
+is normally listed in ``unresolved_tasks`` as well).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Code ranges
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 #: Severity levels, in decreasing order of gravity.

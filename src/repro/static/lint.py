@@ -75,6 +75,7 @@ from repro.static.diagnostics import (
 from repro.static.locksets import locks_disjoint
 from repro.static.mhp import MHPIndex
 from repro.static.structure import (
+    ACCESS_HIDING_NOTE_KINDS,
     SkeletonNote,
     StaticAccess,
     StaticSkeleton,
@@ -104,15 +105,7 @@ _NOTE_CODES: Dict[str, str] = {
 #: (``recursive-inline`` joins them only when its note carries no
 #: localizing patterns; lock-related notes never poison -- the serial
 #: proof does not consult locksets.)
-GLOBAL_POISON_NOTE_KINDS = frozenset(
-    {
-        "unresolved-task",
-        "ctx-escape",
-        "unsupported",
-        "budget-exceeded",
-        "control-flow-skip",
-    }
-)
+GLOBAL_POISON_NOTE_KINDS = ACCESS_HIDING_NOTE_KINDS | {"control-flow-skip"}
 
 
 @dataclass(frozen=True)
@@ -407,9 +400,7 @@ def _global_poison_reasons(skeleton: StaticSkeleton) -> List[str]:
     """Reasons that void *every* location's serial proof."""
     reasons: List[str] = []
     for note in skeleton.notes:
-        if note.kind in GLOBAL_POISON_NOTE_KINDS or (
-            note.kind == "recursive-inline" and not note.patterns
-        ):
+        if note.kind in GLOBAL_POISON_NOTE_KINDS or note.hides_accesses:
             reason = f"{note.kind} @ {note.site}"
             if reason not in reasons:
                 reasons.append(reason)
@@ -469,14 +460,6 @@ def _prefilter_analysis(
         else:
             serial.add(location)
     return frozenset(serial), poisoned
-
-
-def _serial_locations(
-    skeleton: StaticSkeleton, mhp: MHPIndex
-) -> FrozenSet[Location]:
-    """Exact locations with an unpoisoned pairwise-serial proof."""
-    serial, _ = _prefilter_analysis(skeleton, mhp)
-    return serial
 
 
 def _note_diagnostics(notes: Sequence[SkeletonNote]) -> List[Diagnostic]:

@@ -30,10 +30,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.runtime.locks import versioned_name
 
 
-class LockScopeError(Exception):
-    """An unbalanced lock operation (recorded, not raised, by the builder)."""
-
-
 class StaticLockState:
     """Versioned lockset bookkeeping for one static task.
 

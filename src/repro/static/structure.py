@@ -44,6 +44,13 @@ lint pass additionally uses each note's optional ``patterns`` to poison
 only the locations a given imprecision may touch, so one approximated
 helper no longer disables the prefilter for the whole program.
 
+This is the only AST front end that produces accesses.
+:func:`analyze_function` and :func:`analyze_spec` project a skeleton to
+the flat :class:`~repro.static.accesses.StaticAccessSet` that trace
+coverage checks; the notes that may hide an access
+(:data:`ACCESS_HIDING_NOTE_KINDS`) travel with it and void coverage's
+completeness claim.
+
 The AST front end is interprocedural: :func:`skeleton_from_function`
 first builds the call graph reachable from the target
 (:mod:`repro.static.callgraph`) and walks helpers by inlining --
@@ -72,25 +79,32 @@ from typing import (
     Tuple,
 )
 
-from repro.report import READ, WRITE
 from repro.static.accesses import (
     EXACT,
     PREFIX,
     UNKNOWN,
     AccessPattern,
     StaticAccessSet,
+    _call_argument,
     _literal,
     _location_pattern,
 )
 from repro.static.callgraph import (
-    TEMPLATES as _TEMPLATES,
+    ACCESS_METHODS,
+    QUERY_METHODS,
+    TEMPLATES,
     CallGraph,
     CallGraphStats,
-    FunctionInfo as _FunctionInfo,
+    FunctionInfo,
     build_callgraph,
-    callable_env as _callable_env,
-    info_for_callable as _info_for_callable,
-    resolve_attribute as _resolve_attribute,
+    call_arguments,
+    captures_ctx,
+    ctx_method,
+    info_for_callable,
+    is_ctx,
+    references_ctx,
+    resolve_function,
+    template_bodies,
 )
 from repro.static.locksets import StaticLockState
 from repro.static.summaries import FunctionSummary, compute_summaries
@@ -102,26 +116,22 @@ FINISH = "finish"
 ASYNC = "async"
 STEP = "step"
 
-#: ctx methods by effect.
-_READ_METHODS = frozenset({"read"})
-_WRITE_METHODS = frozenset({"write"})
-_RMW_METHODS = frozenset({"add", "update"})
-_QUERY_METHODS = frozenset({"locked", "task_id", "depth"})
+#: Note kinds that can hide an access: the walker could not bound what
+#: the construct touches, so the skeleton's accesses may miss some.  A
+#: ``recursive-inline`` note hides accesses only when it carries no
+#: localizing patterns (see :attr:`SkeletonNote.hides_accesses`).
+ACCESS_HIDING_NOTE_KINDS = frozenset(
+    {"unresolved-task", "ctx-escape", "unsupported", "budget-exceeded"}
+)
 
 #: Note kinds that void the skeleton's exactness claim (and with it the
 #: static prefilter): anything that could make the skeleton *miss*
 #: accesses or parallelism.
-IMPRECISE_NOTE_KINDS = frozenset(
-    {
-        "unresolved-task",
-        "ctx-escape",
-        "lock-imbalance",
-        "unsupported",
-        "budget-exceeded",
-        "control-flow-skip",
-        "recursive-inline",
-    }
-)
+IMPRECISE_NOTE_KINDS = ACCESS_HIDING_NOTE_KINDS | {
+    "lock-imbalance",
+    "control-flow-skip",
+    "recursive-inline",
+}
 
 #: Walk budget: AST nodes processed (statements + expressions) before the
 #: builder gives up and marks the skeleton approximate.  Loop unrolling
@@ -152,6 +162,14 @@ class SkeletonNote:
     @property
     def localized(self) -> bool:
         return bool(self.patterns)
+
+    @property
+    def hides_accesses(self) -> bool:
+        """May the construct behind this note access locations that the
+        skeleton's accesses do not cover?"""
+        return self.kind in ACCESS_HIDING_NOTE_KINDS or (
+            self.kind == "recursive-inline" and not self.patterns
+        )
 
 
 class StaticNode:
@@ -323,13 +341,20 @@ class StaticSkeleton:
         return all(a.kind == EXACT for a in self.accesses)
 
     def access_set(self) -> StaticAccessSet:
-        """The flat access set (interops with :mod:`repro.static.coverage`)."""
+        """The flat access set :mod:`repro.static.coverage` checks.
+
+        Every note that may hide an access lands in
+        :attr:`StaticAccessSet.unresolved_tasks`, voiding coverage's
+        completeness claim.
+        """
         result = StaticAccessSet()
         for access in self.accesses:
             result.add(access.kind, access.location, access.access_type)
         for note in self.notes:
-            if note.kind == "unresolved-task":
-                result.unresolved_tasks.append(note.detail or note.site)
+            if note.hides_accesses:
+                result.unresolved_tasks.append(
+                    f"{note.kind} @ {note.site}: {note.detail}"
+                )
         return result
 
     def describe(self) -> str:
@@ -374,9 +399,6 @@ class _TaskCursor:
         #: control flow that might skip one.
         self.constructs = 0
 
-    def _close_step(self) -> None:
-        self.step = None
-
     def access(self, kind: str, location: Location, access_type: str, site: str) -> None:
         if self.step is None:
             self.step = self.sk._node(STEP, self.frames[-1][0], site=site)
@@ -387,7 +409,7 @@ class _TaskCursor:
     def spawn(self, site: str) -> StaticNode:
         """Create the async region for one spawn; returns it."""
         self.constructs += 1
-        self._close_step()
+        self.step = None
         node, frame_kind = self.frames[-1]
         if frame_kind == "body":
             finish = self.sk._node(FINISH, node, site=site)
@@ -404,7 +426,7 @@ class _TaskCursor:
         path).  Returns False when the sync was ignored.
         """
         self.constructs += 1
-        self._close_step()
+        self.step = None
         if self.frames[-1][1] != "implicit":
             return True  # body/explicit top: runtime sync is a wait/no-op
         if len(self.frames) - 1 < barrier:
@@ -414,14 +436,14 @@ class _TaskCursor:
 
     def finish_enter(self, site: str) -> StaticNode:
         self.constructs += 1
-        self._close_step()
+        self.step = None
         node = self.sk._node(FINISH, self.frames[-1][0], site=site)
         self.frames.append((node, "explicit"))
         return node
 
     def finish_exit(self) -> None:
         self.constructs += 1
-        self._close_step()
+        self.step = None
         while self.frames[-1][1] == "implicit":
             self.frames.pop()
         if self.frames[-1][1] == "explicit":
@@ -429,7 +451,7 @@ class _TaskCursor:
 
     def end(self, site: str) -> None:
         """End of the task body: drain frames, flag drain-joined spawns."""
-        self._close_step()
+        self.step = None
         while len(self.frames) > 1:
             node, kind = self.frames.pop()
             if kind == "implicit" and any(
@@ -461,7 +483,9 @@ def skeleton_from_spec(spec: Sequence[Any], source: str = "<spec>") -> StaticSke
     skeleton = StaticSkeleton(source=source)
 
     def canon_location(location: Any) -> Location:
-        return tuple(location) if isinstance(location, list) else location
+        if isinstance(location, list):
+            return tuple(canon_location(item) for item in location)
+        return location
 
     def visit(items: Sequence[Any], cursor: _TaskCursor, path: str) -> None:
         for index, item in enumerate(items):
@@ -498,6 +522,11 @@ def skeleton_from_spec(spec: Sequence[Any], source: str = "<spec>") -> StaticSke
     return skeleton
 
 
+def analyze_spec(spec: Sequence[Any]) -> StaticAccessSet:
+    """Exact access set of a generator spec tree (tuple or JSON form)."""
+    return skeleton_from_spec(spec).access_set()
+
+
 # ---------------------------------------------------------------------------
 # AST front end (best effort, conservatively noted)
 # ---------------------------------------------------------------------------
@@ -512,10 +541,7 @@ class _AstSkeletonBuilder:
     """Interprets task-body ASTs against the static scope-frame rules."""
 
     def __init__(
-        self,
-        skeleton: StaticSkeleton,
-        budget: int = _DEFAULT_BUDGET,
-        graph: Optional[CallGraph] = None,
+        self, skeleton: StaticSkeleton, budget: int, graph: CallGraph
     ) -> None:
         self.sk = skeleton
         self.budget = budget
@@ -524,13 +550,11 @@ class _AstSkeletonBuilder:
         self.spawn_chain: List[str] = []
         #: markers of helpers on the current inline chain.
         self.inline_chain: List[str] = []
-        #: the interprocedural call graph, when the front end built one.
+        #: the interprocedural call graph of the target.
         self.graph = graph
         self._summaries: Optional[Dict[str, FunctionSummary]] = None
 
     def _summary_for(self, marker: str) -> Optional[FunctionSummary]:
-        if self.graph is None:
-            return None
         if self._summaries is None:
             self._summaries = compute_summaries(self.graph)
         return self._summaries.get(marker)
@@ -542,11 +566,7 @@ class _AstSkeletonBuilder:
         if self.ops > self.budget:
             raise _BudgetExceeded()
 
-    def _site(self, info: _FunctionInfo, node: ast.AST) -> str:
-        line = getattr(node, "lineno", 0) + info.line_offset
-        return f"{info.filename}:{line}"
-
-    def _merge_suppressions(self, info: _FunctionInfo) -> None:
+    def _merge_suppressions(self, info: FunctionInfo) -> None:
         """Register *info*'s ``# repro: ignore`` comments by absolute site."""
         for line, codes in getattr(info, "suppressions", {}).items():
             key = f"{info.filename}:{line + info.line_offset}"
@@ -560,12 +580,12 @@ class _AstSkeletonBuilder:
 
     # -- task entry --------------------------------------------------------
 
-    def build_task(self, info: _FunctionInfo, base: StaticNode) -> None:
+    def build_task(self, info: FunctionInfo, base: StaticNode) -> None:
         """Walk *info* as one task's body rooted at *base*."""
         self._merge_suppressions(info)
         ctx_name = info.first_param()
         cursor = _TaskCursor(self.sk, base)
-        site = self._site(info, info.node)
+        site = info.site(info.node)
         if ctx_name is None:
             self.sk.note("unresolved-task", site, f"{info.marker}: no context parameter")
             cursor.end(site)
@@ -624,12 +644,12 @@ class _AstSkeletonBuilder:
             if stmt.value is not None:
                 self._scan_expr(state, stmt.value, barrier)
             state.early_exits.append(
-                (cursor.constructs, self._site(state.info, stmt))
+                (cursor.constructs, state.info.site(stmt))
             )
             return True
         elif isinstance(stmt, (ast.Break, ast.Continue)):
             state.early_exits.append(
-                (cursor.constructs, self._site(state.info, stmt))
+                (cursor.constructs, state.info.site(stmt))
             )
         elif isinstance(stmt, ast.If):
             self._scan_expr(state, stmt.test, barrier)
@@ -656,13 +676,19 @@ class _AstSkeletonBuilder:
             if cursor.constructs != before:
                 self.sk.note(
                     "control-flow-skip",
-                    self._site(state.info, stmt),
+                    state.info.site(stmt),
                     "task constructs inside a try block",
                 )
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             state.local_defs[stmt.name] = state.info.child(
                 stmt, state.info.local_marker(stmt.name)
             )
+            if captures_ctx(stmt, state.ctx_names):
+                self.sk.note(
+                    "ctx-escape",
+                    state.info.site(stmt),
+                    f"nested def {stmt.name!r} closes over the context",
+                )
         elif isinstance(stmt, (ast.Import, ast.ImportFrom, ast.Pass, ast.Global, ast.Nonlocal)):
             pass
         elif isinstance(stmt, (ast.Raise, ast.Assert, ast.Delete)):
@@ -672,10 +698,10 @@ class _AstSkeletonBuilder:
         else:
             # Match statements, class defs, anything exotic: scan for ctx
             # references and flag the construct when they appear.
-            if self._references_ctx(state, stmt):
+            if references_ctx(stmt, state.ctx_names):
                 self.sk.note(
                     "unsupported",
-                    self._site(state.info, stmt),
+                    state.info.site(stmt),
                     f"unsupported statement {type(stmt).__name__} uses the context",
                 )
             for child in ast.iter_child_nodes(stmt):
@@ -701,10 +727,10 @@ class _AstSkeletonBuilder:
         entered: List[Tuple[str, Any]] = []  # ("lock", base) | ("finish", None)
         for item in stmt.items:
             expr = item.context_expr
-            method = self._ctx_method(state, expr)
-            site = self._site(state.info, expr)
+            method = ctx_method(expr, state.ctx_names)
+            site = state.info.site(expr)
             if method == "lock" and isinstance(expr, ast.Call):
-                base = self._lock_base(state, expr, site)
+                base = self._lock_base(expr, site)
                 cursor.locks.acquire(base, site)
                 entered.append(("lock", base))
             elif method == "finish":
@@ -712,14 +738,14 @@ class _AstSkeletonBuilder:
                 entered.append(("finish", None))
             else:
                 self._scan_expr(state, expr, barrier)
-            if item.optional_vars is not None and self._references_ctx(
-                state, item.optional_vars
+            if item.optional_vars is not None and references_ctx(
+                item.optional_vars, state.ctx_names
             ):
                 self.sk.note("ctx-escape", site, "context bound by a with statement")
         self._walk_block(state, stmt.body, barrier)
         for kind, payload in reversed(entered):
             if kind == "lock":
-                cursor.locks.release(payload, self._site(state.info, stmt))
+                cursor.locks.release(payload, state.info.site(stmt))
             else:
                 cursor.finish_exit()
 
@@ -741,26 +767,26 @@ class _AstSkeletonBuilder:
             if not store and node.id in state.ctx_names:
                 self.sk.note(
                     "ctx-escape",
-                    self._site(state.info, node),
+                    state.info.site(node),
                     f"context {node.id!r} used outside the access discipline",
                 )
             return
         if isinstance(node, ast.Lambda):
-            if self._references_ctx(state, node.body):
+            if references_ctx(node.body, state.ctx_names):
                 self.sk.note(
                     "ctx-escape",
-                    self._site(state.info, node),
+                    state.info.site(node),
                     "lambda closing over the context in an unrecognized position",
                 )
             return
         if isinstance(node, ast.Attribute):
             # ctx.method without a call (e.g. passed around) is an escape;
             # plain attribute chains are scanned for nested calls.
-            if isinstance(node.value, ast.Name) and node.value.id in state.ctx_names:
-                if node.attr not in _QUERY_METHODS:
+            if is_ctx(node.value, state.ctx_names):
+                if node.attr not in QUERY_METHODS:
                     self.sk.note(
                         "ctx-escape",
-                        self._site(state.info, node),
+                        state.info.site(node),
                         f"unbound context method {node.attr!r}",
                     )
                 return
@@ -778,28 +804,28 @@ class _AstSkeletonBuilder:
 
     def _scan_call(self, state: "_WalkState", node: ast.Call, barrier: int) -> None:
         func = node.func
-        method = self._ctx_method(state, func)
+        method = ctx_method(func, state.ctx_names)
         if method is not None:
             self._handle_ctx_call(state, method, node, barrier)
             return
-        if isinstance(func, ast.Name) and func.id in _TEMPLATES:
-            if node.args and self._is_ctx(state, node.args[0]):
+        if isinstance(func, ast.Name) and func.id in TEMPLATES:
+            if node.args and is_ctx(node.args[0], state.ctx_names):
                 self._handle_template(state, func.id, node, barrier)
                 return
         # Plain call: arguments first (eval order), then maybe inline.
         ctx_positions = [
             index
             for index, arg in enumerate(node.args)
-            if self._is_ctx(state, arg)
+            if is_ctx(arg, state.ctx_names)
         ]
         for index, arg in enumerate(node.args):
             if index not in ctx_positions:
                 self._scan_expr(state, arg, barrier)
         for keyword in node.keywords:
-            if self._is_ctx(state, keyword.value):
+            if is_ctx(keyword.value, state.ctx_names):
                 self.sk.note(
                     "ctx-escape",
-                    self._site(state.info, node),
+                    state.info.site(node),
                     "context passed as a keyword argument",
                 )
             else:
@@ -812,7 +838,7 @@ class _AstSkeletonBuilder:
         elif ctx_positions:
             self.sk.note(
                 "ctx-escape",
-                self._site(state.info, node),
+                state.info.site(node),
                 "context passed to an unresolvable callee position",
             )
 
@@ -822,17 +848,13 @@ class _AstSkeletonBuilder:
         self, state: "_WalkState", method: str, node: ast.Call, barrier: int
     ) -> None:
         cursor = state.cursor
-        site = self._site(state.info, node)
-        location_arg = self._argument(node, 0, "location")
-        if method in _READ_METHODS or method in _WRITE_METHODS or method in _RMW_METHODS:
+        site = state.info.site(node)
+        if method in ACCESS_METHODS:
+            location_arg = _call_argument(node, 0, "location")
             # Evaluate the other arguments first (they may contain nested
             # ctx calls: ctx.write(X, ctx.read(X) + 1) reads before writing).
-            for index, arg in enumerate(node.args):
-                if index != 0 or location_arg is not arg:
-                    self._scan_expr(state, arg, barrier)
-            for keyword in node.keywords:
-                if keyword.value is not location_arg:
-                    self._scan_expr(state, keyword.value, barrier)
+            for arg in call_arguments(node, [location_arg]):
+                self._scan_expr(state, arg, barrier)
             if location_arg is None:
                 self.sk.note("unsupported", site, f"ctx.{method} without a location")
                 return
@@ -843,18 +865,13 @@ class _AstSkeletonBuilder:
                     site,
                     f"ctx.{method} location degrades to a {kind} pattern",
                 )
-            if method in _READ_METHODS:
-                cursor.access(kind, value, READ, site)
-            elif method in _WRITE_METHODS:
-                cursor.access(kind, value, WRITE, site)
-            else:
-                cursor.access(kind, value, READ, site)
-                cursor.access(kind, value, WRITE, site)
+            for access_type in ACCESS_METHODS[method]:
+                cursor.access(kind, value, access_type, site)
         elif method == "spawn":
-            body_arg = self._argument(node, 0, "body")
-            for index, arg in enumerate(node.args):
+            body_arg = _call_argument(node, 0, "body")
+            for arg in node.args:
                 if arg is not body_arg:
-                    if self._is_ctx(state, arg):
+                    if is_ctx(arg, state.ctx_names):
                         self.sk.note("ctx-escape", site, "context passed to a spawned child")
                     else:
                         self._scan_expr(state, arg, barrier)
@@ -870,12 +887,12 @@ class _AstSkeletonBuilder:
                     "sync under a condition ignored (parallelism over-approximated)",
                 )
         elif method == "acquire" or method == "release":
-            base = self._lock_base(state, node, site)
+            base = self._lock_base(node, site)
             if method == "acquire":
                 cursor.locks.acquire(base, site)
             else:
                 cursor.locks.release(base, site)
-        elif method in _QUERY_METHODS:
+        elif method in QUERY_METHODS:
             pass
         elif method in ("lock", "finish"):
             # Correct use is inside a with statement (handled there); a
@@ -887,19 +904,17 @@ class _AstSkeletonBuilder:
             self.sk.note("unsupported", site, f"unknown context method {method!r}")
 
     def _spawn_body(self, state: "_WalkState", body_arg: Optional[ast.expr], site: str) -> None:
-        cursor = state.cursor
-        if body_arg is None:
-            self.sk.note("unresolved-task", site, "spawn without a body argument")
-            cursor.spawn(site)
-            return
-        info = self._resolve_body(state, body_arg)
-        async_node = cursor.spawn(site)
+        info = None
+        if body_arg is not None:
+            info = resolve_function(body_arg, state.info, state.local_defs)
+        async_node = state.cursor.spawn(site)
         if info is None:
-            self.sk.note(
-                "unresolved-task",
-                site,
-                ast.dump(body_arg)[:60],
+            detail = (
+                "spawn without a body argument"
+                if body_arg is None
+                else ast.dump(body_arg)[:60]
             )
+            self.sk.note("unresolved-task", site, detail)
             return
         if info.marker in self.spawn_chain:
             # Recursive spawn: one static region stands for the whole
@@ -914,36 +929,11 @@ class _AstSkeletonBuilder:
     def _handle_template(
         self, state: "_WalkState", name: str, node: ast.Call, barrier: int
     ) -> None:
-        site = self._site(state.info, node)
+        site = state.info.site(node)
         cursor = state.cursor
-        spec, keyword_name = _TEMPLATES[name]
-        bodies: List[Optional[ast.expr]] = []
-        consumed: List[ast.expr] = []
-        if spec == "*":
-            bodies = list(node.args[1:])
-            consumed = list(node.args[1:])
-        elif isinstance(spec, str) and spec.startswith("list:"):
-            index = int(spec.split(":", 1)[1])
-            stages = self._argument(node, index, keyword_name)
-            if isinstance(stages, (ast.List, ast.Tuple)):
-                bodies = list(stages.elts)
-            else:
-                bodies = [None]
-            if stages is not None:
-                consumed = [stages]
-        else:
-            body = self._argument(node, spec, keyword_name)
-            bodies = [body, body]  # data parallel: leaf vs leaf
-            if body is not None:
-                consumed = [body]
-        for index, arg in enumerate(node.args):
-            if index == 0 or arg in consumed:
-                continue
+        bodies, consumed = template_bodies(name, node)
+        for arg in call_arguments(node, [node.args[0], *consumed]):
             self._scan_expr(state, arg, barrier)
-        for keyword in node.keywords:
-            if keyword.value in consumed:
-                continue
-            self._scan_expr(state, keyword.value, barrier)
         if name == "parallel_pipeline":
             # Stages run wave-by-wave: one finish per stage, each stage
             # instantiated twice (item-vs-item parallelism within a wave).
@@ -953,6 +943,8 @@ class _AstSkeletonBuilder:
                     self._spawn_body(state, stage, site)
                 cursor.finish_exit()
             return
+        if isinstance(TEMPLATES[name][0], int):
+            bodies = bodies * 2  # one body over a range: leaf vs leaf
         cursor.finish_enter(site)
         for body in bodies:
             self._spawn_body(state, body, site)
@@ -962,9 +954,9 @@ class _AstSkeletonBuilder:
         self, state: "_WalkState", func: ast.expr, node: ast.Call, barrier: int
     ) -> None:
         """A helper receiving the context runs in the caller's task: inline."""
-        site = self._site(state.info, node)
+        site = state.info.site(node)
         name = self._callee_name(func)
-        info = self._resolve_callee(state, func)
+        info = resolve_function(func, state.info, state.local_defs)
         if info is None:
             self.sk.note(
                 "ctx-escape", site, f"context passed to unresolvable callee {name!r}"
@@ -987,7 +979,7 @@ class _AstSkeletonBuilder:
             self.inline_chain.pop()
 
     def _recursive_cutoff(
-        self, state: "_WalkState", info: _FunctionInfo, name: str, site: str
+        self, state: "_WalkState", info: FunctionInfo, name: str, site: str
     ) -> None:
         """Stop unrolling a recursive helper, consulting its summary.
 
@@ -1038,24 +1030,12 @@ class _AstSkeletonBuilder:
             parts.append("<expr>")
         return ".".join(reversed(parts))
 
-    def _resolve_callee(
-        self, state: "_WalkState", func: ast.expr
-    ) -> Optional[_FunctionInfo]:
-        if isinstance(func, ast.Name):
-            return self._resolve_name(state, func.id)
-        resolved = _resolve_attribute(func, state.info.env)
-        if callable(resolved):
-            return _info_for_callable(resolved)
-        return None
-
     # -- small helpers -----------------------------------------------------
 
     def _handle_assign(self, state: "_WalkState", stmt: ast.Assign, barrier: int) -> None:
         value = stmt.value
-        if (
-            isinstance(value, ast.Name)
-            and value.id in state.ctx_names
-            and all(isinstance(target, ast.Name) for target in stmt.targets)
+        if is_ctx(value, state.ctx_names) and all(
+            isinstance(target, ast.Name) for target in stmt.targets
         ):
             for target in stmt.targets:
                 state.ctx_names.add(target.id)  # ctx alias
@@ -1067,44 +1047,8 @@ class _AstSkeletonBuilder:
             else:
                 self._scan_expr(state, target, barrier, store=True)
 
-    def _ctx_method(self, state: "_WalkState", node: ast.expr) -> Optional[str]:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in state.ctx_names
-        ):
-            return node.func.attr
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in state.ctx_names
-        ):
-            return node.attr
-        return None
-
-    def _is_ctx(self, state: "_WalkState", node: ast.expr) -> bool:
-        return isinstance(node, ast.Name) and node.id in state.ctx_names
-
-    def _references_ctx(self, state: "_WalkState", node: ast.AST) -> bool:
-        return any(
-            isinstance(sub, ast.Name) and sub.id in state.ctx_names
-            for sub in ast.walk(node)
-        )
-
-    def _argument(
-        self, node: ast.Call, index: Any, keyword_name: Optional[str]
-    ) -> Optional[ast.expr]:
-        if isinstance(index, int) and len(node.args) > index:
-            return node.args[index]
-        if keyword_name is not None:
-            for keyword in node.keywords:
-                if keyword.arg == keyword_name:
-                    return keyword.value
-        return None
-
-    def _lock_base(self, state: "_WalkState", node: ast.Call, site: str) -> str:
-        name_arg = self._argument(node, 0, "name")
+    def _lock_base(self, node: ast.Call, site: str) -> str:
+        name_arg = _call_argument(node, 0, "name")
         if name_arg is not None:
             constant, value = _literal(name_arg)
             if constant:
@@ -1116,27 +1060,6 @@ class _AstSkeletonBuilder:
         )
         return f"?lock@{site}"
 
-    def _resolve_body(
-        self, state: "_WalkState", node: ast.expr
-    ) -> Optional[_FunctionInfo]:
-        if isinstance(node, ast.Name):
-            return self._resolve_name(state, node.id)
-        if isinstance(node, ast.Lambda):
-            return state.info.child(node, state.info.lambda_marker(node))
-        if isinstance(node, ast.Attribute):
-            resolved = _resolve_attribute(node, state.info.env)
-            if callable(resolved):
-                return _info_for_callable(resolved)
-        return None
-
-    def _resolve_name(self, state: "_WalkState", name: str) -> Optional[_FunctionInfo]:
-        if name in state.local_defs:
-            return state.local_defs[name]
-        target = state.info.env.get(name)
-        if callable(target):
-            return _info_for_callable(target)
-        return None
-
 
 class _WalkState:
     """Per-inlined-function walking state sharing one task cursor."""
@@ -1144,12 +1067,12 @@ class _WalkState:
     __slots__ = ("info", "cursor", "ctx_names", "local_defs", "early_exits")
 
     def __init__(
-        self, info: _FunctionInfo, cursor: _TaskCursor, ctx_names: set
+        self, info: FunctionInfo, cursor: _TaskCursor, ctx_names: set
     ) -> None:
         self.info = info
         self.cursor = cursor
         self.ctx_names = set(ctx_names)
-        self.local_defs: Dict[str, _FunctionInfo] = {}
+        self.local_defs: Dict[str, FunctionInfo] = {}
         #: (constructs-at-exit, site) of conditional returns/breaks.
         self.early_exits: List[Tuple[int, str]] = []
 
@@ -1168,13 +1091,13 @@ def skeleton_from_function(
     """
     marker = f"{getattr(func, '__module__', '?')}.{getattr(func, '__qualname__', repr(func))}"
     skeleton = StaticSkeleton(source=marker)
-    info = _info_for_callable(func)
+    info = info_for_callable(func)
     if info is None:
         skeleton.note("unresolved-task", "<root>", f"{marker}: source unavailable")
         return skeleton
     graph = build_callgraph(info)
     skeleton.callgraph_stats = graph.stats()
-    builder = _AstSkeletonBuilder(skeleton, budget=budget, graph=graph)
+    builder = _AstSkeletonBuilder(skeleton, budget, graph)
     try:
         builder.build_task(info, skeleton.root)
     except _BudgetExceeded:
@@ -1184,3 +1107,8 @@ def skeleton_from_function(
             f"analysis budget of {budget} AST nodes exceeded",
         )
     return skeleton
+
+
+def analyze_function(func: Callable[..., Any]) -> StaticAccessSet:
+    """Access set of a task body and everything it spawns or inlines."""
+    return skeleton_from_function(func).access_set()

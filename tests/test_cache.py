@@ -235,6 +235,28 @@ class TestSessionIntegration:
         assert counters["cache.bytes"] > 0
         assert "cache.miss" not in counters
 
+    def test_undecodable_location_is_a_miss(self, trace, tmp_path):
+        """A stored location that fails to decode raises TraceError inside
+        the cache; the check must treat it as a miss, recompute, and
+        rewrite the entry."""
+        cache_dir = str(tmp_path / "rc")
+        first = CheckSession(trace)
+        fresh = first.check(cache_dir=cache_dir)
+        key = first.cache_info["key"]
+        cache = ResultCache(cache_dir)
+        path = cache._path(key)
+        data = json.loads(open(path).read())
+        data["report"]["cycles"] = [{"location": {"q": 1}}]
+        open(path, "w").write(json.dumps(data))
+        assert cache.load(key) is None
+        session = CheckSession(trace)
+        served = session.check(cache_dir=cache_dir)
+        assert not session.cache_info["hit"]
+        assert report_bytes(served) == report_bytes(fresh)
+        entry = cache.load(key)
+        assert entry is not None
+        assert report_bytes(entry.report) == report_bytes(fresh)
+
     def test_no_cache_dir_means_no_cache_info(self, trace):
         session = CheckSession(trace)
         session.check()

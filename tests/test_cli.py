@@ -14,6 +14,8 @@ from repro.errors import TraceError
 PROGRAMS_SOURCE = '''
 """CLI test target programs."""
 
+from repro.runtime import TaskProgram
+
 def buggy(ctx):
     def rmw(inner):
         value = inner.read("X")
@@ -28,6 +30,13 @@ def clean(ctx):
     for i in range(3):
         ctx.spawn(writer, i)
     ctx.sync()
+
+def flagged(ctx):
+    if ctx.read("flag"):
+        ctx.write("rare", 1)
+
+def build_flagged():
+    return TaskProgram(flagged, initial_memory={"flag": 1})
 '''
 
 
@@ -364,6 +373,16 @@ class TestCoverage:
         main(["coverage", f"{target_module}:clean"])
         out = capsys.readouterr().out
         assert "static access pattern" in out
+
+    def test_builder_target_runs_its_program(self, target_module, capsys):
+        """A zero-argument builder is accepted as by `repro lint`, and its
+        program's initial memory drives the run: flag=1 takes the branch,
+        so W('rare') is covered."""
+        code = main(["coverage", f"{target_module}:build_flagged"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "W('rare')" in out
+        assert "single-trace completeness guarantee STANDS" in out
 
 
 class TestParser:

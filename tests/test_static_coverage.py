@@ -2,15 +2,30 @@
 
 Complements ``tests/test_static.py``: reserved template scratch
 locations, unresolved-task plumbing, ``suspect_locations`` filtering,
-and the ``SAV102``/``SAV105`` diagnostics together with their
-per-location prefilter consequences (lock notes never poison; a
-non-constant location leaves the *other* locations provable).
+the ``SAV102``/``SAV105`` diagnostics together with their per-location
+prefilter consequences (lock notes never poison; a non-constant location
+leaves the *other* locations provable), and coverage through the
+skeleton projection: helpers are followed, and every construct that may
+hide an access voids the guarantee.
 """
 
+import json
+
+import pytest
+
+from repro import suite, workloads
+from repro.report import WRITE
 from repro.runtime import TaskProgram, parallel_reduce, run_program
-from repro.static import analyze_function, check_trace_coverage, lint_function
+from repro.static import (
+    AccessPattern,
+    analyze_function,
+    analyze_spec,
+    check_trace_coverage,
+    lint_function,
+)
 from repro.static.accesses import EXACT, PREFIX
-from repro.static.diagnostics import INFO, WARNING
+from repro.static.diagnostics import CTX_ESCAPE, INFO, WARNING
+from repro.trace.generator import GeneratorConfig, TraceGenerator
 
 
 def _trace_of(body):
@@ -50,6 +65,39 @@ def _computed_cell(ctx):
     for i in range(3):
         ctx.write(("cell", i), i)
     ctx.write("ok", 0)
+
+
+def _write_x(ctx):
+    ctx.write("X", 1)
+
+
+def _calls_helper(ctx):
+    _write_x(ctx)
+
+
+def _quiet_handler(ctx):
+    pass
+
+
+def _logging_handler(ctx):
+    ctx.write("log", 1)
+
+
+HANDLERS = {"quiet": _quiet_handler, "loud": _logging_handler}
+MODE = "quiet"
+
+
+def _dispatches(ctx):
+    ctx.write("X", 1)
+    HANDLERS[MODE](ctx)
+
+
+def _closure_logger(ctx):
+    def log():
+        ctx.write("log", 1)
+
+    if ctx.read("verbose"):
+        log()
 
 
 class TestCoverageCorners:
@@ -99,3 +147,72 @@ class TestImprecisionDiagnostics:
         assert "ok" in report.prefilter_locations()
         # Non-exact groups appear in neither the serial nor poisoned set.
         assert not report.poisoned_locations
+
+
+def _corpus():
+    for case in suite.all_cases():
+        yield pytest.param(case.name, case.build, id=f"suite-{case.name}")
+    for spec in workloads.all_workloads():
+        yield pytest.param(
+            spec.name, lambda spec=spec: spec.build(1), id=f"workload-{spec.name}"
+        )
+
+
+#: Suite programs whose accesses all go through helpers taking ctx.
+HELPER_ONLY = {
+    "pattern_rrw",
+    "pattern_rwr",
+    "pattern_rww",
+    "pattern_wrr",
+    "pattern_wrw",
+    "pattern_wwr",
+    "nest_deep_chain",
+}
+
+
+class TestSkeletonProjection:
+    """analyze_function is the skeleton's access set: it follows helpers
+    and keeps every note that may hide an access."""
+
+    @pytest.mark.parametrize("name, build", list(_corpus()))
+    def test_corpus_accesses_all_predicted(self, name, build):
+        program = build()
+        trace = run_program(program, record_trace=True).trace
+        report = check_trace_coverage(analyze_function(program.body), trace)
+        assert not report.unpredicted, report.describe()
+        if name in HELPER_ONLY:
+            assert report.complete, report.describe()
+
+    def test_inlined_helper_is_predicted(self):
+        static = analyze_function(_calls_helper)
+        assert AccessPattern(EXACT, "X", WRITE) in static.patterns
+        report = check_trace_coverage(static, _trace_of(_calls_helper))
+        assert report.complete, report.describe()
+
+    def test_unresolvable_handler_voids_the_guarantee(self):
+        """The quiet handler does nothing on this input, but another input
+        writes 'log': the escaped context must void the guarantee."""
+        report = check_trace_coverage(
+            analyze_function(_dispatches), _trace_of(_dispatches)
+        )
+        assert not report.missing and not report.unpredicted
+        assert any("ctx-escape" in entry for entry in report.unresolved_tasks)
+        assert not report.complete
+        assert "guarantee VOID" in report.describe()
+
+    def test_closure_over_the_context_voids_the_guarantee(self):
+        """log() writes through the enclosing ctx without receiving it."""
+        report = check_trace_coverage(
+            analyze_function(_closure_logger), _trace_of(_closure_logger)
+        )
+        assert any("closes over the context" in e for e in report.unresolved_tasks)
+        assert not report.complete
+        assert CTX_ESCAPE in {d.code for d in lint_function(_closure_logger).diagnostics}
+
+    def test_json_round_tripped_spec(self):
+        """JSON turns tuple locations into lists; the projection re-tuples them."""
+        config = GeneratorConfig(tasks=3, accesses_per_task=3, locations=2, seed=4)
+        spec = TraceGenerator(config).generate_spec()
+        assert any(isinstance(p.location, tuple) for p in analyze_spec(spec).patterns)
+        round_tripped = analyze_spec(json.loads(json.dumps(spec)))
+        assert round_tripped.patterns == analyze_spec(spec).patterns
