@@ -40,7 +40,7 @@ def bench_spec():
 
 
 def test_oracle_trace_legs_only(benchmark, bench_spec):
-    """The same-trace matrix: engines, prefilter, replay, no re-execution."""
+    """The same-trace matrix: engines, replay, cache, streaming; no re-execution."""
     outcome = benchmark(
         lambda: check_spec(bench_spec, seed=BENCH_SEED, jobs=1, schedules=False)
     )

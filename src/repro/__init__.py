@@ -49,8 +49,7 @@ The package layers:
   histograms and phase spans behind one :class:`~repro.obs.Recorder`;
 * :mod:`repro.static` -- static analysis: access-set over-approximation,
   trace-coverage validation, and the ``repro lint`` pass (static MHP +
-  locksets + Figure 4 candidate triples, feeding the sharded checker's
-  ``--static-prefilter``).
+  locksets + Figure 4 candidate triples).
 """
 
 from repro.report import (

@@ -101,7 +101,6 @@ def result_cache_key(
     trace_digest: str,
     checker_token: str,
     engine: str,
-    prefilter: bool,
     strict: bool,
 ) -> str:
     """SHA-256 cache key over every report-affecting input."""
@@ -111,7 +110,6 @@ def result_cache_key(
             "trace": trace_digest,
             "checker": checker_token,
             "engine": engine,
-            "prefilter": bool(prefilter),
             "strict": bool(strict),
         },
         sort_keys=True,

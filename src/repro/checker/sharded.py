@@ -32,15 +32,6 @@ through one shard body, :func:`_replay_shard`, which returns a
 :class:`~repro.report.ViolationReport`; the driver merges them with
 :meth:`ViolationReport.merge`.  :class:`repro.session.CheckSession` hands
 every check of a trace here.
-
-Static prefilter: ``skip_locations`` (normally produced by
-``repro.static.lint`` serial-location proofs, via
-``CheckSession.check(static_prefilter=...)``) drops every memory event on
-those locations before replay -- in the parent for in-memory sources, in
-each worker for streamed files, so ``jobs=1`` and ``jobs=N`` drop (and
-count) exactly the same events.  The driver never decides *whether*
-skipping is sound; callers must only pass locations proven
-schedule-serial.
 """
 
 from __future__ import annotations
@@ -81,34 +72,6 @@ Location = Hashable
 CheckerSpec = Any
 
 TraceSource = Union[Trace, TraceReader, str, "os.PathLike[str]"]
-
-#: Locations whose events the driver may drop (proven schedule-serial).
-SkipLocations = Optional[frozenset]
-
-
-def filter_skipped(
-    events: Iterable[MemoryEvent],
-    skip_locations: frozenset,
-    recorder=None,
-) -> Iterable[MemoryEvent]:
-    """Drop events on *skip_locations*, counting every drop.
-
-    The count lands on *recorder* (when enabled) as
-    ``static.prefilter.events_skipped`` (one per drop, historical name)
-    and ``static.prefilter.dropped_events`` (same value, the
-    per-location prefilter's counter family) -- in the parent for
-    in-memory sources and ``jobs=1``, in the worker snapshot for
-    streamed shards, so the summed totals match across job counts.
-    """
-    counting = recorder is not None and recorder.enabled
-    for event in events:
-        if isinstance(event, MemoryEvent) and event.location in skip_locations:
-            if counting:
-                recorder.count("static.prefilter.events_skipped")
-                recorder.count("static.prefilter.dropped_events")
-            continue
-        yield event
-
 
 def shard_for_location(location: Location, jobs: int) -> int:
     """Deterministic shard index of *location* in ``[0, jobs)``.
@@ -165,17 +128,15 @@ def _replay_shard(
     annotations: Optional[AtomicAnnotations],
     lca_cache: bool,
     parallel_engine: str,
-    skip_locations: SkipLocations = None,
     lines_from: Optional[TraceReader] = None,
 ) -> ViolationReport:
     """Replay one shard: the single body behind every offline check.
 
     ``jobs=1`` runs it in-process as shard 0; each ``jobs>1`` worker runs
-    it over its own slice.  Prefiltered events are dropped (and counted)
-    here, and so are the lines the lenient reader *lines_from* skips
-    meanwhile.  Every worker scans the same unstamped garbage lines, so
-    only shard 0 passes its reader: then ``jobs=1`` and ``jobs=N`` totals
-    agree.
+    it over its own slice.  The lines the lenient reader *lines_from*
+    skips meanwhile are counted here.  Every worker scans the same
+    unstamped garbage lines, so only shard 0 passes its reader: then
+    ``jobs=1`` and ``jobs=N`` totals agree.
 
     A :class:`~repro.checker.streaming.StreamingChecker` is fed through
     :func:`~repro.trace.replay.replay_events`, so task ends in the stream
@@ -185,8 +146,6 @@ def _replay_shard(
     shard replays into private state.
     """
     checker = make_checker(spec)
-    if skip_locations:
-        events = filter_skipped(events, skip_locations, recorder)
     skipped_before = lines_from.lines_skipped if lines_from is not None else 0
     replay = (
         replay_events
@@ -218,11 +177,11 @@ def _check_shard(
     """Replay one shard in a worker; return its report and snapshot.
 
     *source* is either ``(dpst_dict, events)`` -- a shard of an in-memory
-    trace, partitioned (and prefiltered) in the parent -- or a trace file
-    path, which the worker streams itself, keeping only its own slice and
-    dropping its own prefiltered events.  The shard filters yield memory
-    events only, so a streaming worker never sees a task end: it evicts
-    stale cells but releases no finished task (see :func:`check_sharded`).
+    trace, partitioned in the parent -- or a trace file path, which the
+    worker streams itself, keeping only its own slice.  The shard filters
+    yield memory events only, so a streaming worker never sees a task
+    end: it evicts stale cells but releases no finished task (see
+    :func:`check_sharded`).
 
     Workers never share a recorder with the parent -- each shard records
     into its own :class:`~repro.obs.MetricsRecorder`, whose snapshot
@@ -317,7 +276,6 @@ def check_sharded(
     lca_cache: bool = True,
     parallel_engine: str = "lca",
     recorder=None,
-    skip_locations: SkipLocations = None,
     on_shard_failure: str = "retry",
     max_retries: int = 2,
     retry_backoff: float = 0.05,
@@ -357,12 +315,6 @@ def check_sharded(
         :meth:`~repro.obs.MetricsRecorder.add_shard`: counters sum into
         the parent totals while each shard's spans stay listed under the
         snapshot's ``shards`` array.  Disabled or ``None`` costs nothing.
-    skip_locations:
-        Locations proven schedule-serial by the static lint pass: their
-        memory events are dropped before replay (and counted, never
-        silently).  Soundness is the caller's responsibility -- use
-        :meth:`repro.session.CheckSession.check` with
-        ``static_prefilter=...`` for the safety-gated path.
     on_shard_failure / max_retries / retry_backoff / shard_timeout:
         The fault-tolerance policy (see
         :class:`~repro.checker.supervisor.WorkerPolicy`): a crashed,
@@ -407,11 +359,7 @@ def check_sharded(
     window = resolve_window(window, streaming)
     if streaming and not isinstance(checker, StreamingChecker):
         checker = StreamingChecker(window=window, checker=checker)
-    if skip_locations is not None and not skip_locations:
-        skip_locations = None
     collect = recorder is not None and recorder.enabled
-    if skip_locations and collect:
-        recorder.count("static.prefilter.locations", len(skip_locations))
 
     owned_reader: Optional[TraceReader] = None
     if isinstance(source, (str, os.PathLike)):
@@ -452,9 +400,7 @@ def check_sharded(
     )
     try:
         if jobs == 1:
-            return _check_single(
-                trace, reader, recorder, skip_locations, store, collect, options
-            )
+            return _check_single(trace, reader, recorder, store, collect, options)
         _require_shardable(checker)
         policy = WorkerPolicy(
             on_failure=on_shard_failure,
@@ -463,7 +409,7 @@ def check_sharded(
             timeout_s=shard_timeout,
         )
         return _check_supervised(
-            trace, path, jobs, recorder, skip_locations, strict, policy,
+            trace, path, jobs, recorder, strict, policy,
             store, _mp_context(start_method), collect, options,
         )
     finally:
@@ -477,7 +423,6 @@ def _check_single(
     trace: Optional[Trace],
     reader: Optional[TraceReader],
     recorder,
-    skip_locations: SkipLocations,
     store,
     collect: bool,
     options: dict,
@@ -504,10 +449,7 @@ def _check_single(
     else:
         events = reader.events() if full else reader.memory_events()
         dpst = reader.dpst
-    report = _replay_shard(
-        events, dpst, recorder, skip_locations=skip_locations,
-        lines_from=reader, **options,
-    )
+    report = _replay_shard(events, dpst, recorder, lines_from=reader, **options)
     if store is not None:
         store.store(0, report, None)
     return report
@@ -518,7 +460,6 @@ def _check_supervised(
     path: Optional[str],
     jobs: int,
     recorder,
-    skip_locations: SkipLocations,
     strict: bool,
     policy: WorkerPolicy,
     store,
@@ -546,15 +487,8 @@ def _check_supervised(
     with sharded_span:
         if trace is not None:
             with span(SPAN_PARTITION):
-                source_events: Iterable[object] = trace.events
-                if skip_locations:
-                    source_events = filter_skipped(
-                        source_events,
-                        skip_locations,
-                        recorder if collect else None,
-                    )
                 shards = partition_memory_events(
-                    source_events, jobs, options["annotations"]
+                    trace.events, jobs, options["annotations"]
                 )
                 dpst_dict = None if trace.dpst is None else dpst_to_dict(trace.dpst)
                 tasks = [
@@ -574,12 +508,11 @@ def _check_supervised(
                     recorder.count("sharded.workers", 0)
                 return ViolationReport()
         else:
-            file_options = dict(options, skip_locations=skip_locations)
             tasks = [
                 ShardTask(
                     shard_id=shard,
                     fn=_check_shard,
-                    payload=(shard, jobs, path, strict, collect, file_options),
+                    payload=(shard, jobs, path, strict, collect, options),
                 )
                 for shard in range(jobs)
             ]

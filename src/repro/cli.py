@@ -25,10 +25,7 @@ Commands
     static series-parallel skeleton, runs MHP + lockset analysis, and
     prints candidate unserializable triples and structural ``SAVnnn``
     diagnostics without executing the program.  ``--json`` emits the
-    machine-readable report.  ``check`` and ``check-trace`` accept
-    ``--static-prefilter`` to drop events on locations the lint pass
-    proves schedule-serial (exact skeletons only; refusals and skip
-    counts are always printed).
+    machine-readable report.
 ``stats FILE``
     Summarize a ``--metrics`` JSON snapshot (counters, spans, per-shard
     timings) or, given a trace file, its basic shape.
@@ -44,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import sys
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.checker import make_checker
@@ -173,43 +169,12 @@ def _dump_metrics(recorder, args: argparse.Namespace) -> None:
     print(f"metrics written to {args.metrics}")
 
 
-def _print_prefilter(session, recorder) -> None:
-    """Render the outcome of a ``--static-prefilter`` request.
-
-    Skipping is never silent: this prints either the applied filter with
-    its dropped-event count or the reason filtering was refused.
-    """
-    info = session.prefilter_info
-    if info is None:
-        return
-    poisoned = info.get("poisoned") or {}
-    if not info["applied"]:
-        print(f"static prefilter: disabled -- {info['reason']}")
-        for location, reasons in poisoned.items():
-            print(f"  poisoned {location}: {'; '.join(reasons)}")
-        return
-    skipped = 0
-    if recorder is not None and recorder.enabled:
-        skipped = int(
-            recorder.snapshot().counters.get(
-                "static.prefilter.events_skipped", 0
-            )
-        )
-    locations = ", ".join(info["locations"]) or "-"
-    print(
-        f"static prefilter: {info['reason']}; "
-        f"dropped {skipped} event(s) on [{locations}]"
-    )
-    for location, reasons in poisoned.items():
-        print(f"  poisoned {location}: {'; '.join(reasons)}")
-
-
 def _print_cache(session) -> None:
     """Render the outcome of a ``--cache-dir`` request.
 
-    Bypassing is never silent, mirroring :func:`_print_prefilter`.  Every
-    line carries the stable ``result cache:`` prefix so report output can
-    be compared across runs with the cache lines filtered out.
+    Bypassing is never silent.  Every line carries the stable
+    ``result cache:`` prefix so report output can be compared across runs
+    with the cache lines filtered out.
     """
     info = session.cache_info
     if info is None:
@@ -222,45 +187,9 @@ def _print_cache(session) -> None:
         print(f"result cache: miss {info['key'][:12]} (stored)")
 
 
-def _check_with_prefilter(body, args: argparse.Namespace, recorder) -> int:
-    """The ``check --static-prefilter`` path, routed through CheckSession."""
-    from repro.obs import MetricsRecorder
-    from repro.session import CheckSession
-
-    if args.dpst_layout != "array":
-        raise SystemExit(
-            "--static-prefilter checks through CheckSession, which uses "
-            "the array DPST layout; drop --dpst-layout"
-        )
-    if recorder is None:
-        # A private recorder so the skipped-event count can be reported.
-        recorder = MetricsRecorder()
-    session = CheckSession(
-        TaskProgram(body),
-        checker=args.checker,
-        engine=args.engine,
-        executor=_make_executor(args.executor, args.seed, args.workers),
-        recorder=recorder,
-    )
-    report = session.check(static_prefilter=True)
-    print(report.describe())
-    _print_prefilter(session, recorder)
-    result = session.run_result
-    if args.stats and result is not None and result.stats is not None:
-        stats = result.stats
-        print(
-            f"\ntasks={stats.tasks} accesses={stats.memory_events} "
-            f"dpst_nodes={stats.dpst_nodes} lca_queries={stats.lca_queries}"
-        )
-    _dump_metrics(recorder if getattr(args, "metrics", None) else None, args)
-    return 1 if report else 0
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     body = _load_callable(args.program)
     recorder = _metrics_recorder(args)
-    if args.static_prefilter:
-        return _check_with_prefilter(body, args, recorder)
     checker = make_checker(args.checker)
     result = run_program(
         TaskProgram(body),
@@ -422,20 +351,13 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
 
     jobs = None if args.jobs == 0 else args.jobs
     recorder = _metrics_recorder(args)
-    prefilter: Any = False
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume needs --checkpoint DIR")
-    if args.static_prefilter:
-        # Offline traces carry no program text, so the prefilter flag
-        # names the program (MODULE:FUNC) the trace was recorded from.
-        prefilter = _load_lint_target(args.static_prefilter)
     try:
         resolve_window(args.window, args.streaming)
     except CheckerError:
         raise SystemExit("--window needs --streaming") from None
-    if recorder is None and (
-        args.static_prefilter or args.lenient or args.streaming
-    ):
+    if recorder is None and (args.lenient or args.streaming):
         # A private recorder so skip/sweep counts can be reported even
         # without --metrics (skipping and compaction are never silent).
         from repro.obs import MetricsRecorder
@@ -446,7 +368,6 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         recorder=recorder, strict=not args.lenient,
     )
     report = session.check(
-        static_prefilter=prefilter,
         checkpoint_dir=args.checkpoint,
         resume=args.resume,
         on_shard_failure=args.on_shard_failure,
@@ -470,7 +391,6 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
             f"lenient mode: skipped {skipped} undecodable trace line(s); "
             "the verdict covers the decodable events only"
         )
-    _print_prefilter(session, recorder)
     _print_cache(session)
     _print_streaming(args, recorder)
     _dump_metrics(recorder if getattr(args, "metrics", None) else None, args)
@@ -817,12 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="OUT.json", default=None,
         help="collect observability metrics and write the snapshot here",
     )
-    check.add_argument(
-        "--static-prefilter", action="store_true",
-        help="lint the body first and skip locations proven "
-        "schedule-serial (refused, with the reason printed, unless the "
-        "static skeleton is exact)",
-    )
     _add_run_options(check)
     check.set_defaults(handler=cmd_check)
 
@@ -884,11 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="OUT.json", default=None,
         help="collect pipeline metrics (merged counters + per-shard spans) "
         "and write the snapshot here",
-    )
-    check_trace.add_argument(
-        "--static-prefilter", metavar="MODULE:FUNC", default=None,
-        help="lint the named program (the one this trace was recorded "
-        "from) and skip locations proven schedule-serial",
     )
     check_trace.add_argument(
         "--checkpoint", metavar="DIR", default=None,
@@ -1093,7 +1002,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(args)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())

@@ -2,14 +2,14 @@
 
 The paper's central claim is *schedule insensitivity*: the checker
 reports the same unserializable patterns (Fig. 4) for every schedule of
-a given input.  The reproduction, meanwhile, has grown five independent
-ways to compute a verdict -- basic vs optimized checkers, LCA vs label
-parallelism engines, in-process vs location-sharded (``jobs>1``)
-checking, static-prefilter on vs off, and record -> replay round-trips
--- all of which must agree.  This package is the standing correctness
-harness that cross-checks them on randomized inputs, in the tradition of
-RegionTrack's and the vector-clock atomicity line's randomized-trace
-validation:
+a given input.  The reproduction, meanwhile, has grown several
+independent ways to compute a verdict -- basic vs optimized checkers,
+LCA vs label parallelism engines, in-process vs location-sharded
+(``jobs>1``) checking, streaming vs offline, and record -> replay
+round-trips -- all of which must agree.  This package is the standing
+correctness harness that cross-checks them on randomized inputs, in the
+tradition of RegionTrack's and the vector-clock atomicity line's
+randomized-trace validation:
 
 * :mod:`repro.fuzz.generate` -- a seeded random task-parallel program
   generator emitting valid spawn/sync/finish structures with nested

@@ -15,15 +15,6 @@ leg                  configuration
                      registering an engine automatically extends the
                      matrix)
 ``sharded-jobs4``    same checker through the location-sharded pipeline
-``prefilter``        same checker with the static prefilter applied
-                     (the spec is exactly lintable, so refusals are rare
-                     and recorded, never silent)
-``prefilter-``       same checker with a *deliberately degraded* lint
-``poisoned``         report: one location carries an injected localized
-                     poison note, so the per-location prefilter drops
-                     events for the remaining proven-serial locations
-                     only -- partial filtering soundness, machine-checked
-                     on every program
 ``replay``           JSONL record -> replay round-trip of the trace
 ``columnar``         binary columnar (v3) record -> replay round-trip --
                      the machine check that v2 and v3 serialization
@@ -101,8 +92,6 @@ def exact_legs(reference: str = "lca") -> Tuple[str, ...]:
     )
     return engines + (
         "sharded-jobs4",
-        "prefilter",
-        "prefilter-poisoned",
         "replay",
         "columnar",
         "cached",
@@ -159,7 +148,7 @@ class OracleOutcome:
     events: int
     #: Leg name -> normalized verdict (normal form or location tuple).
     verdicts: Dict[str, Any] = field(default_factory=dict)
-    #: Notes per leg (e.g. the prefilter decision); never silent.
+    #: Notes per leg (e.g. the cache decision); never silent.
     notes: Dict[str, str] = field(default_factory=dict)
     disagreements: List[Disagreement] = field(default_factory=list)
 
@@ -269,8 +258,6 @@ def check_spec(
             f"sharded-jobs{jobs}",
             session.check(jobs=jobs, mode="thorough"),
         )
-    exact("prefilter", _prefilter_leg(session, spec, outcome))
-    exact("prefilter-poisoned", _poisoned_prefilter_leg(session, spec, outcome))
     exact("replay", _replay_roundtrip_leg(trace))
     exact("columnar", _columnar_roundtrip_leg(trace))
     exact("cached", _cached_check_leg(trace, spec, seed, outcome))
@@ -340,64 +327,6 @@ def check_spec(
         if not outcome.ok:
             recorder.count("fuzz.disagreements", len(outcome.disagreements))
     return outcome
-
-
-def _prefilter_leg(
-    session: CheckSession, spec: Spec, outcome: OracleOutcome
-) -> ViolationReport:
-    """The static-prefilter-on leg; the decision lands in ``notes``."""
-    from repro.static.lint import lint_spec
-
-    lint = lint_spec(spec)
-    report = session.check(static_prefilter=lint, mode="thorough")
-    info = session.prefilter_info or {}
-    outcome.notes["prefilter"] = (
-        f"applied={info.get('applied')} "
-        f"proven={len(lint.prefilter_locations())} "
-        f"poisoned={len(lint.poisoned_locations)} "
-        f"reason={info.get('reason', '')!r}"
-    )
-    return report
-
-
-def _poisoned_prefilter_leg(
-    session: CheckSession, spec: Spec, outcome: OracleOutcome
-) -> ViolationReport:
-    """Per-location prefilter under a deliberately imprecise lint report.
-
-    One location of the spec is poisoned by injecting a localized
-    approximation note (the mechanism a summarized recursive helper
-    uses) into an otherwise-exact skeleton.  Poisoning only *shrinks*
-    the filtered set, so the leg is sound by construction -- and because
-    the remaining proven-serial locations still filter, every generated
-    program exercises *partial* dropping, the behavior the global
-    ``prefilter_safe`` gate could never reach.
-    """
-    from repro.fuzz.generate import spec_locations
-    from repro.report import WRITE
-    from repro.static.accesses import EXACT, AccessPattern
-    from repro.static.lint import lint_skeleton
-    from repro.static.structure import skeleton_from_spec
-
-    skeleton = skeleton_from_spec(spec, source="<fuzz-poisoned>")
-    locations = spec_locations(spec)
-    if locations:
-        skeleton.note(
-            "recursive-inline",
-            "<fuzz:poison>",
-            "deliberately poisoned location (prefilter soundness leg)",
-            patterns=(AccessPattern(EXACT, locations[0], WRITE),),
-        )
-    lint = lint_skeleton(skeleton, target="<fuzz-poisoned>")
-    report = session.check(static_prefilter=lint, mode="thorough")
-    info = session.prefilter_info or {}
-    outcome.notes["prefilter-poisoned"] = (
-        f"applied={info.get('applied')} "
-        f"proven={len(lint.prefilter_locations())} "
-        f"poisoned={len(lint.poisoned_locations)} "
-        f"reason={info.get('reason', '')!r}"
-    )
-    return report
 
 
 def _replay_roundtrip_leg(trace: Any) -> ViolationReport:

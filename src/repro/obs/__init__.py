@@ -62,7 +62,6 @@ __all__ = [
     "SHARD_SENSITIVE_METRICS",
     "SPAN_CHECK",
     "SPAN_DPST_BUILD",
-    "SPAN_LINT",
     "SPAN_MAP",
     "SPAN_MERGE",
     "SPAN_PARTITION",
@@ -93,7 +92,6 @@ SPAN_SHARDED = "sharded"
 SPAN_PARTITION = "partition"
 SPAN_MAP = "map"
 SPAN_MERGE = "merge"
-SPAN_LINT = "static.lint"
 
 # -- canonical metric names --------------------------------------------------
 
@@ -161,30 +159,11 @@ METRIC_NAMES: Dict[str, str] = {
     # per-worker (inside shard snapshots)
     "worker.elapsed_s": "wall seconds one worker spent on its shard",
     "worker.pid": "OS pid of the worker process",
-    # static lint pass (repro lint / CheckSession.lint)
-    "static.lint.runs": "lint passes executed",
-    "static.lint.accesses": "static accesses collected by the skeleton builder",
-    "static.lint.steps": "static step regions in the skeleton",
-    "static.lint.candidates": "candidate unserializable triples found statically",
-    "static.lint.errors": "error-severity diagnostics",
-    "static.lint.warnings": "warning-severity diagnostics",
-    "static.lint.serial_locations": "exact locations proven schedule-serial",
-    # interprocedural call graph (AST front end)
-    "static.callgraph.functions": "functions reachable in the lint call graph",
-    "static.callgraph.sccs": "strongly connected components in the lint call graph",
-    "static.callgraph.unresolved_calls": "call sites the static resolver could not resolve",
-    # static prefilter (sharded/in-process event dropping)
-    "static.prefilter.locations": "locations the dynamic check skipped as schedule-serial",
-    "static.prefilter.proven": "locations individually proven schedule-serial by the lint pass",
-    "static.prefilter.poisoned": "serial-looking locations whose proof an imprecision voided",
-    "static.prefilter.events_skipped": "memory events dropped by the static prefilter",
-    "static.prefilter.dropped_events": "memory events dropped by the per-location static prefilter",
-    "static.prefilter.disabled": "prefilter requests refused (no provable locations or non-trivial annotations)",
     # content-addressed result cache (repro.cache / CheckSession cache_dir=)
     "cache.hit": "checks served from the content-addressed result cache",
     "cache.miss": "checks computed fresh and stored into the result cache",
     "cache.bytes": "bytes moved through the result cache (stored on miss, read on hit)",
-    "cache.bypass": "cache requests refused (uncacheable checker/prefilter/annotations)",
+    "cache.bypass": "cache requests refused (uncacheable checker, annotations, or streaming)",
     # differential fuzzing (repro fuzz / repro.fuzz)
     "fuzz.runs": "programs pushed through the differential oracle",
     "fuzz.comparisons": "oracle legs compared against the reference verdict",

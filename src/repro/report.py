@@ -277,7 +277,7 @@ def merge_reports(reports: Iterable[ViolationReport]) -> ViolationReport:
 # ---------------------------------------------------------------------------
 #
 # Two reports produced by different pipeline configurations (engines,
-# sharding, prefilter, replay) must be comparable without depending on
+# sharding, streaming, replay) must be comparable without depending on
 # first-seen order, dict iteration order, or the mutual orderability of
 # heterogeneous location values.  The canonical forms below are what the
 # equivalence tests and the differential fuzzing oracle

@@ -13,7 +13,7 @@ spec (name, class, or instance), in-process (``jobs=1``) or across
 worker processes (``jobs>1``).  Either way the session hands the check to
 one offline path, :func:`repro.checker.sharded.check_sharded`; it keeps
 only what it alone knows -- source resolution, annotations, the result
-cache and prefilter decisions, and :attr:`CheckSession.reports`.
+cache, and :attr:`CheckSession.reports`.
 
 ::
 
@@ -120,15 +120,10 @@ class CheckSession:
         self.recorder = recorder
         #: Reports of every :meth:`check` call, keyed by checker name.
         self.reports: Dict[str, ViolationReport] = {}
-        #: Outcome of the last ``static_prefilter=`` request (see
-        #: :meth:`check`): ``{"requested", "applied", "locations",
-        #: "reason"}`` -- the CLI renders this so skips are never silent.
-        self.prefilter_info: Optional[Dict[str, Any]] = None
         #: Outcome of the last ``cache_dir=`` request (see :meth:`check`):
-        #: ``{"requested", "applied", "hit", "key", "reason"}`` -- like
-        #: :attr:`prefilter_info`, a bypassed cache is never silent.
+        #: ``{"requested", "applied", "hit", "key", "reason"}`` -- the CLI
+        #: renders this so a bypassed cache is never silent.
         self.cache_info: Optional[Dict[str, Any]] = None
-        self._lint_report = None
         self._source_digest_memo: Optional[str] = None
 
         self._program: Optional[TaskProgram] = None
@@ -216,7 +211,6 @@ class CheckSession:
         checker: Optional[CheckerSpec] = None,
         jobs: Optional[int] = None,
         engine: Optional[str] = None,
-        static_prefilter: Any = False,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
         on_shard_failure: str = "retry",
@@ -241,16 +235,6 @@ class CheckSession:
         it applies to offline replays -- a program source's recording
         engine stays the session's.
 
-        ``static_prefilter`` drops events on locations the static lint
-        pass proves schedule-serial before the dynamic check runs:
-        ``True`` lints the session's own program source, or pass a task
-        body / :class:`TaskProgram` / generator spec /
-        pre-built :class:`~repro.static.lint.LintReport` describing the
-        program that produced an offline trace.  Filtering is refused --
-        with the reason recorded in :attr:`prefilter_info`, never
-        silently -- unless the lint skeleton is fully exact and the
-        session's annotations are trivial.
-
         ``checkpoint_dir`` / ``resume`` persist (and reuse) per-shard
         results; ``on_shard_failure`` / ``max_retries`` /
         ``shard_timeout`` / ``start_method`` configure the worker
@@ -264,9 +248,8 @@ class CheckSession:
         configuration, and both hits and fresh results are served in
         canonical (jobs-insensitive) violation order.  The cache is
         bypassed -- with the reason recorded in :attr:`cache_info`,
-        never silently -- for class/instance checker specs, static
-        prefilter requests, and non-trivial annotations, since those
-        carry state the key cannot see.
+        never silently -- for class/instance checker specs and non-trivial
+        annotations, since those carry state the key cannot see.
 
         ``streaming=True`` checks incrementally through
         :class:`repro.checker.streaming.StreamingChecker`: events are
@@ -288,7 +271,7 @@ class CheckSession:
         engine = self.engine if engine is None else engine
         resolve_window(window, streaming)  # refuse a stray window= early
         cache_state = self._resolve_cache(
-            cache_dir, spec, checker_kwargs, engine, static_prefilter, streaming
+            cache_dir, spec, checker_kwargs, engine, streaming
         )
         if checker_kwargs:
             spec = make_checker(spec, **checker_kwargs)
@@ -302,7 +285,6 @@ class CheckSession:
                     self.recorder.count("cache.bytes", entry.nbytes)
                 self.reports[name] = entry.report
                 return entry.report
-        skip = self._resolve_prefilter(static_prefilter)
         options = dict(
             checkpoint_dir=checkpoint_dir,
             resume=resume,
@@ -319,9 +301,9 @@ class CheckSession:
 
             self._span_dpst_build()
             with self.recorder.span(SPAN_CHECK):
-                report = self._dispatch(spec, jobs, engine, skip, options)
+                report = self._dispatch(spec, jobs, engine, options)
         else:
-            report = self._dispatch(spec, jobs, engine, skip, options)
+            report = self._dispatch(spec, jobs, engine, options)
         if cache_state is not None:
             from repro.cache import normalized_report_copy
 
@@ -354,13 +336,12 @@ class CheckSession:
         spec: CheckerSpec,
         checker_kwargs: Dict[str, Any],
         engine: str,
-        static_prefilter: Any,
         streaming: bool = False,
     ) -> Optional[Dict[str, Any]]:
         """Turn a ``cache_dir=`` request into a ready cache lookup.
 
-        Mirrors :meth:`_resolve_prefilter`: the decision (and any reason
-        for bypassing) lands in :attr:`cache_info`, never silently.
+        The decision (and any reason for bypassing) lands in
+        :attr:`cache_info`, never silently.
         """
         if cache_dir is None:
             return None
@@ -391,11 +372,6 @@ class CheckSession:
                 "registered name, not a class or instance, with "
                 "JSON-safe kwargs)"
             )
-        elif static_prefilter not in (False, None):
-            info["reason"] = (
-                "static prefilter requests carry program text the "
-                "cache key cannot see"
-            )
         elif self.annotations is not None and not self.annotations.trivial:
             info["reason"] = (
                 "non-trivial atomicity annotations are not part of "
@@ -406,7 +382,7 @@ class CheckSession:
                 self.recorder.count("cache.bypass")
             return None
         digest = self._source_digest()
-        key = result_cache_key(digest, token, engine, False, self.strict)
+        key = result_cache_key(digest, token, engine, self.strict)
         info["applied"] = True
         info["key"] = key
         info["reason"] = "content-addressed lookup enabled"
@@ -427,7 +403,6 @@ class CheckSession:
         spec: CheckerSpec,
         jobs: Optional[int],
         engine: str,
-        skip_locations: Optional[frozenset],
         options: Dict[str, Any],
     ) -> ViolationReport:
         """Hand the check to the one offline path, :func:`check_sharded`.
@@ -444,7 +419,6 @@ class CheckSession:
             lca_cache=self.lca_cache,
             parallel_engine=engine,
             recorder=self.recorder,
-            skip_locations=skip_locations,
             **options,
         )
 
@@ -468,115 +442,6 @@ class CheckSession:
         for spec in checkers:
             self.check(spec)
         return dict(self.reports)
-
-    # -- static analysis ---------------------------------------------------
-
-    def lint(self, target: Any = None):
-        """Run the static lint pass; return its
-        :class:`~repro.static.lint.LintReport`.
-
-        With no *target* the session's program source is linted (and the
-        report cached); offline sessions must pass the task body,
-        :class:`TaskProgram`, or generator spec the trace came from.
-        """
-        from repro.static.lint import LintReport, lint_program
-
-        if isinstance(target, LintReport):
-            return target
-        if target is None:
-            if self._lint_report is not None:
-                return self._lint_report
-            if self._program is None:
-                raise TraceError(
-                    "lint needs program text: this session checks a "
-                    f"{self.source_kind}; pass the task body, TaskProgram "
-                    "or generator spec explicitly"
-                )
-            target = self._program
-        if self.recorder.enabled:
-            from repro.obs import SPAN_LINT
-
-            with self.recorder.span(SPAN_LINT):
-                report = lint_program(target)
-            counts = report.severity_counts()
-            self.recorder.count("static.lint.runs")
-            self.recorder.count(
-                "static.lint.accesses", len(report.skeleton.accesses)
-            )
-            self.recorder.count("static.lint.steps", len(report.skeleton.steps()))
-            self.recorder.count("static.lint.candidates", len(report.candidates))
-            self.recorder.count("static.lint.errors", counts["error"])
-            self.recorder.count("static.lint.warnings", counts["warning"])
-            self.recorder.count(
-                "static.lint.serial_locations", len(report.serial_locations)
-            )
-            stats = report.callgraph_stats()
-            if stats is not None:
-                self.recorder.count(
-                    "static.callgraph.functions", stats["functions"]
-                )
-                self.recorder.count("static.callgraph.sccs", stats["sccs"])
-                self.recorder.count(
-                    "static.callgraph.unresolved_calls",
-                    stats["unresolved_calls"],
-                )
-        else:
-            report = lint_program(target)
-        if target is self._program:
-            self._lint_report = report
-        return report
-
-    def _resolve_prefilter(self, request: Any) -> Optional[frozenset]:
-        """Turn a ``static_prefilter=`` request into safe skip locations.
-
-        Never silent: the decision (and the reason for refusing) lands in
-        :attr:`prefilter_info`.
-        """
-        if request is False or request is None:
-            return None
-        report = self.lint(None if request is True else request)
-        info: Dict[str, Any] = {
-            "requested": True,
-            "applied": False,
-            "locations": [],
-            "poisoned": {},
-            "reason": "",
-        }
-        self.prefilter_info = info
-        if self.annotations is not None and not self.annotations.trivial:
-            info["reason"] = (
-                "non-trivial atomicity annotations (grouped locations "
-                "share metadata, so per-location proofs do not compose)"
-            )
-            if self.recorder.enabled:
-                self.recorder.count("static.prefilter.disabled")
-            return None
-        locations = report.prefilter_locations()
-        poisoned = report.poisoned_locations
-        info["poisoned"] = {
-            repr(location): list(reasons)
-            for location, reasons in sorted(
-                poisoned.items(), key=lambda kv: repr(kv[0])
-            )
-        }
-        if self.recorder.enabled:
-            self.recorder.count("static.prefilter.proven", len(locations))
-            self.recorder.count("static.prefilter.poisoned", len(poisoned))
-        if not locations:
-            info["reason"] = (
-                "no locations proven schedule-serial"
-                + (f" ({len(poisoned)} poisoned by imprecision)" if poisoned else "")
-            )
-            if self.recorder.enabled:
-                self.recorder.count("static.prefilter.disabled")
-            return None
-        info["applied"] = True
-        info["locations"] = sorted(repr(loc) for loc in locations)
-        info["reason"] = (
-            f"{len(locations)} location(s) proven schedule-serial"
-            + (f" ({len(poisoned)} poisoned by imprecision)" if poisoned else "")
-        )
-        return frozenset(locations)
 
     # -- aggregate views ---------------------------------------------------
 

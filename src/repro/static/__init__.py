@@ -27,9 +27,8 @@ This package explores it:
   versioned static locksets (Section 3.3 replayed over lexical scopes);
 * :mod:`repro.static.lint` / :mod:`repro.static.diagnostics` -- the
   ``repro lint`` pass: candidate unserializable triples per Figure 4
-  found without running the program, structural ``SAVnnn`` diagnostics,
-  and per-location schedule-serial proofs that feed the sharded
-  checker's ``--static-prefilter``;
+  found without running the program, and structural ``SAVnnn``
+  diagnostics;
 * :mod:`repro.static.callgraph` / :mod:`repro.static.summaries` -- the
   interprocedural layer: the call graph reachable from a task body
   (name/attribute resolution through closures and module globals, SCC

@@ -25,8 +25,8 @@ the lint pass share:
 * :meth:`CallGraph.sccs` -- Tarjan condensation, components emitted
   callees-first, which is the evaluation order the bottom-up summary
   fixpoint (:mod:`repro.static.summaries`) needs;
-* :meth:`CallGraph.stats` -- the ``static.callgraph.*`` counters
-  (functions / SCCs / unresolved call sites) surfaced by
+* :meth:`CallGraph.stats` -- the call-graph stats (functions / SCCs /
+  unresolved call sites) surfaced by
   :meth:`repro.static.lint.LintReport.to_dict` and ``repro lint --json``.
 
 The facts collected here are deliberately coarser than the skeleton
@@ -364,7 +364,7 @@ class DirectFacts:
 
 @dataclass(frozen=True)
 class CallGraphStats:
-    """The ``static.callgraph.*`` counter values for one analysis."""
+    """The call-graph stats of one analysis."""
 
     functions: int
     sccs: int

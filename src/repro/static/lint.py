@@ -18,20 +18,6 @@ before any execution:
   escapes, unbalanced lock scopes, conditional syncs, ...), each under a
   stable ``SAV1xx`` code.
 
-The pass also proves locations *schedule-serial*: an exact location whose
-accessing steps are pairwise non-parallel (and not self-parallel) can
-never participate in any violation, on any input, under any schedule --
-the fact the sharded checker's ``--static-prefilter`` consumes.  The
-proof is **per location**: an imprecision poisons only the locations it
-may touch.  An imprecise access pattern poisons every location it
-may-alias; a localized skeleton note (one carrying ``patterns``) poisons
-the locations those patterns may match; only imprecisions with an
-unknown blast radius -- unresolved task bodies, ctx escapes, exceeded
-budgets, over-trusted control flow -- poison the whole program.  The
-proof never consults locksets, so lock-related notes (imbalances,
-dynamic lock names) do not poison anything: soundness rests solely on
-the skeleton over-approximating accesses and parallelism.
-
 Suppression comments (``# repro: ignore[SAV001]`` on the flagged line)
 move diagnostics into :attr:`LintReport.suppressed` without deleting
 them, so SARIF output can mark them suppressed-in-source.
@@ -75,9 +61,7 @@ from repro.static.diagnostics import (
 from repro.static.locksets import locks_disjoint
 from repro.static.mhp import MHPIndex
 from repro.static.structure import (
-    ACCESS_HIDING_NOTE_KINDS,
     SkeletonNote,
-    StaticAccess,
     StaticSkeleton,
     skeleton_from_function,
     skeleton_from_spec,
@@ -99,13 +83,6 @@ _NOTE_CODES: Dict[str, str] = {
     "control-flow-skip": ANALYSIS_LIMIT,
     "recursive-inline": ANALYSIS_LIMIT,
 }
-
-#: Note kinds whose blast radius is unknown: they may hide accesses or
-#: parallelism anywhere, so they poison every location's serial proof.
-#: (``recursive-inline`` joins them only when its note carries no
-#: localizing patterns; lock-related notes never poison -- the serial
-#: proof does not consult locksets.)
-GLOBAL_POISON_NOTE_KINDS = ACCESS_HIDING_NOTE_KINDS | {"control-flow-skip"}
 
 
 @dataclass(frozen=True)
@@ -171,8 +148,6 @@ class LintReport:
         mhp: MHPIndex,
         candidates: List[StaticCandidate],
         diagnostics: List[Diagnostic],
-        serial_locations: FrozenSet[Location],
-        poisoned_locations: Optional[Dict[Location, Tuple[str, ...]]] = None,
         suppressed: Optional[List[Diagnostic]] = None,
     ) -> None:
         self.target = target
@@ -182,13 +157,6 @@ class LintReport:
         self.candidates = candidates
         #: Active diagnostics (candidates included), severity-major order.
         self.diagnostics = diagnostics
-        #: Exact locations individually proven schedule-serial.
-        self.serial_locations = serial_locations
-        #: Exact locations whose steps are serial but whose proof an
-        #: imprecision voided, mapped to the human-readable reasons.
-        self.poisoned_locations: Dict[Location, Tuple[str, ...]] = (
-            poisoned_locations or {}
-        )
         #: Diagnostics silenced by ``# repro: ignore`` comments.
         self.suppressed: List[Diagnostic] = suppressed or []
 
@@ -206,28 +174,9 @@ class LintReport:
     def has_errors(self) -> bool:
         return any(d.severity == ERROR for d in self.diagnostics)
 
-    @property
-    def prefilter_safe(self) -> bool:
-        """Is the whole skeleton exact (no approximations anywhere)?
-
-        Historical all-or-nothing gate, kept for introspection: the
-        prefilter itself now trusts :attr:`serial_locations` per
-        location, so a partially-imprecise program still filters its
-        individually-proven locations.
-        """
-        return self.skeleton.is_exact
-
-    def prefilter_locations(self) -> FrozenSet[Location]:
-        """Locations the dynamic checker may skip.
-
-        Each one is individually proven: its accessing steps are
-        pairwise schedule-serial and no imprecision -- imprecise access
-        pattern, approximated helper, unresolved body -- may touch it.
-        """
-        return self.serial_locations
-
     def callgraph_stats(self) -> Optional[Dict[str, int]]:
-        """``static.callgraph.*`` counters, when the AST front end ran."""
+        """Call-graph stats (functions, SCCs, unresolved calls), when the
+        AST front end ran."""
         stats = self.skeleton.callgraph_stats
         return stats.to_dict() if stats is not None else None
 
@@ -252,21 +201,6 @@ class LintReport:
             lines.append(f"  {diagnostic.describe()}")
         for diagnostic in self.suppressed:
             lines.append(f"  [suppressed] {diagnostic.describe()}")
-        if self.serial_locations:
-            rendered = ", ".join(
-                sorted(repr(loc) for loc in self.serial_locations)
-            )
-            lines.append(
-                f"  schedule-serial location(s) [prefilterable]: {rendered}"
-            )
-        if self.poisoned_locations:
-            for location in sorted(
-                self.poisoned_locations, key=repr
-            ):
-                reasons = "; ".join(self.poisoned_locations[location])
-                lines.append(
-                    f"  poisoned location {location!r}: {reasons}"
-                )
         stats = self.callgraph_stats()
         if stats is not None:
             lines.append(
@@ -290,19 +224,6 @@ class LintReport:
                 "suppressed": len(self.suppressed),
             },
             "exact_skeleton": self.skeleton.is_exact,
-            "prefilter_safe": self.prefilter_safe,
-            "serial_locations": sorted(
-                repr(loc) for loc in self.serial_locations
-            ),
-            "prefilter": {
-                "proven": sorted(repr(loc) for loc in self.serial_locations),
-                "poisoned": {
-                    repr(location): list(reasons)
-                    for location, reasons in sorted(
-                        self.poisoned_locations.items(), key=lambda kv: repr(kv[0])
-                    )
-                },
-            },
             "candidates": [c.to_dict() for c in self.candidates],
             "diagnostics": [d.to_dict() for d in self.diagnostics],
             "suppressed": [d.to_dict() for d in self.suppressed],
@@ -396,72 +317,6 @@ def _find_candidates(
     return candidates
 
 
-def _global_poison_reasons(skeleton: StaticSkeleton) -> List[str]:
-    """Reasons that void *every* location's serial proof."""
-    reasons: List[str] = []
-    for note in skeleton.notes:
-        if note.kind in GLOBAL_POISON_NOTE_KINDS or note.hides_accesses:
-            reason = f"{note.kind} @ {note.site}"
-            if reason not in reasons:
-                reasons.append(reason)
-    return reasons
-
-
-def _prefilter_analysis(
-    skeleton: StaticSkeleton, mhp: MHPIndex
-) -> Tuple[FrozenSet[Location], Dict[Location, Tuple[str, ...]]]:
-    """Per-location serial proofs and what poisons the failed ones.
-
-    Returns ``(serial, poisoned)``: *serial* holds exact locations whose
-    accessing steps are pairwise non-parallel AND that no imprecision
-    may touch; *poisoned* maps locations whose steps are serial but
-    whose proof an imprecision voided to the reasons.  Locations with
-    genuinely parallel accesses appear in neither -- they are the
-    checker's job, not a precision loss.
-    """
-    exact_groups: Dict[Location, List[StaticAccess]] = {}
-    imprecise: List[StaticAccess] = []
-    for access in skeleton.accesses:
-        if access.kind == EXACT:
-            exact_groups.setdefault(access.location, []).append(access)
-        else:
-            imprecise.append(access)
-    global_reasons = _global_poison_reasons(skeleton)
-    localized_notes = [
-        note
-        for note in skeleton.notes
-        if note.patterns
-        and note.kind not in GLOBAL_POISON_NOTE_KINDS
-    ]
-    serial: set = set()
-    poisoned: Dict[Location, Tuple[str, ...]] = {}
-    for location, group in exact_groups.items():
-        steps = list({access.step for access in group})
-        if any(mhp.self_parallel(step) for step in steps):
-            continue
-        if any(
-            mhp.parallel(steps[i], steps[j])
-            for i in range(len(steps))
-            for j in range(i + 1, len(steps))
-        ):
-            continue
-        representative = group[0]
-        reasons = list(global_reasons)
-        for other in imprecise:
-            if other.may_alias(representative):
-                reasons.append(
-                    f"imprecise access {other.pattern.describe()} @ {other.site}"
-                )
-        for note in localized_notes:
-            if any(pattern.matches(location) for pattern in note.patterns):
-                reasons.append(f"{note.kind} @ {note.site}")
-        if reasons:
-            poisoned[location] = tuple(dict.fromkeys(reasons))
-        else:
-            serial.add(location)
-    return frozenset(serial), poisoned
-
-
 def _note_diagnostics(notes: Sequence[SkeletonNote]) -> List[Diagnostic]:
     seen: set = set()
     out: List[Diagnostic] = []
@@ -505,15 +360,12 @@ def lint_skeleton(skeleton: StaticSkeleton, target: str = "") -> LintReport:
     active, suppressed = _split_suppressed(
         sort_diagnostics(diagnostics), skeleton.suppressions
     )
-    serial, poisoned = _prefilter_analysis(skeleton, mhp)
     return LintReport(
         target=target or skeleton.source,
         skeleton=skeleton,
         mhp=mhp,
         candidates=candidates,
         diagnostics=active,
-        serial_locations=serial,
-        poisoned_locations=poisoned,
         suppressed=suppressed,
     )
 

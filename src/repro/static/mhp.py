@@ -6,8 +6,7 @@ child of their LCA on the path toward ``S1`` is an async region.  Because
 the static skeleton over-approximates the dynamic DPST -- whatever the
 input, every dynamic step maps into some static step, and the mapping
 preserves the finish/async nesting -- "statically serial" implies
-"serial in every execution", which is exactly the guarantee the sharded
-checker's prefilter needs.
+"serial in every execution".
 
 Two static-only extensions:
 

@@ -105,15 +105,7 @@ def report_to_sarif(report: Any) -> Dict[str, Any]:
             }
         },
         "results": results,
-        "properties": {
-            "target": report.target,
-            "prefilter": {
-                "proven": sorted(repr(loc) for loc in report.serial_locations),
-                "poisoned": sorted(
-                    repr(loc) for loc in report.poisoned_locations
-                ),
-            },
-        },
+        "properties": {"target": report.target},
     }
     stats = report.callgraph_stats()
     if stats is not None:

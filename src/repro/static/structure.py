@@ -39,10 +39,7 @@ Everything the walker cannot model soundly -- unresolvable task bodies,
 a context object escaping the ``ctx`` access discipline, unbalanced
 manual lock usage, control flow that can skip a task construct -- is
 recorded as a structured :class:`SkeletonNote`.  Notes whose kind is in
-:data:`IMPRECISE_NOTE_KINDS` void :attr:`StaticSkeleton.is_exact`; the
-lint pass additionally uses each note's optional ``patterns`` to poison
-only the locations a given imprecision may touch, so one approximated
-helper no longer disables the prefilter for the whole program.
+:data:`IMPRECISE_NOTE_KINDS` void :attr:`StaticSkeleton.is_exact`.
 
 This is the only AST front end that produces accesses.
 :func:`analyze_function` and :func:`analyze_spec` project a skeleton to
@@ -60,7 +57,7 @@ their true locksets materialize) and then cut off using the bottom-up
 :mod:`repro.static.summaries`: a step-local summary proves deeper
 unrolling redundant (the skeleton stays exact); anything else
 contributes the summary's access patterns plus a ``recursive-inline``
-note carrying those patterns for per-location poisoning.
+note, which hides no access when the summary is resolved.
 """
 
 from __future__ import annotations
@@ -118,15 +115,14 @@ STEP = "step"
 
 #: Note kinds that can hide an access: the walker could not bound what
 #: the construct touches, so the skeleton's accesses may miss some.  A
-#: ``recursive-inline`` note hides accesses only when it carries no
-#: localizing patterns (see :attr:`SkeletonNote.hides_accesses`).
+#: ``recursive-inline`` note hides accesses only when it is not
+#: ``bounded`` (see :attr:`SkeletonNote.hides_accesses`).
 ACCESS_HIDING_NOTE_KINDS = frozenset(
     {"unresolved-task", "ctx-escape", "unsupported", "budget-exceeded"}
 )
 
-#: Note kinds that void the skeleton's exactness claim (and with it the
-#: static prefilter): anything that could make the skeleton *miss*
-#: accesses or parallelism.
+#: Note kinds that void the skeleton's exactness claim: anything that
+#: could make the skeleton *miss* accesses or parallelism.
 IMPRECISE_NOTE_KINDS = ACCESS_HIDING_NOTE_KINDS | {
     "lock-imbalance",
     "control-flow-skip",
@@ -147,28 +143,22 @@ class _BudgetExceeded(Exception):
 class SkeletonNote:
     """One structured fact the builder recorded about the program.
 
-    ``patterns`` localizes the imprecision when the builder can bound
-    which locations it may involve (e.g. a recursive helper with a fully
-    resolved summary): the lint pass then poisons only locations one of
-    these patterns may match, instead of the whole program.  An empty
-    tuple means the blast radius is unknown.
+    ``bounded`` says the walker knows every location the construct may
+    touch and emitted those accesses into the skeleton (a recursive
+    helper whose resolved summary has at least one access pattern).
     """
 
     kind: str
     site: str
     detail: str = ""
-    patterns: Tuple[AccessPattern, ...] = field(default=(), compare=False)
-
-    @property
-    def localized(self) -> bool:
-        return bool(self.patterns)
+    bounded: bool = field(default=False, compare=False)
 
     @property
     def hides_accesses(self) -> bool:
         """May the construct behind this note access locations that the
         skeleton's accesses do not cover?"""
         return self.kind in ACCESS_HIDING_NOTE_KINDS or (
-            self.kind == "recursive-inline" and not self.patterns
+            self.kind == "recursive-inline" and not self.bounded
         )
 
 
@@ -293,8 +283,8 @@ class StaticSkeleton:
         #: Task-body markers that spawn themselves (directly or through a
         #: cycle): their regions stand for unboundedly many instances.
         self.recursive_markers: set = set()
-        #: ``static.callgraph.*`` stats from the AST front end (``None``
-        #: for the exact spec front end, which has no call graph).
+        #: Call-graph stats from the AST front end (``None`` for the
+        #: exact spec front end, which has no call graph).
         self.callgraph_stats: Optional[CallGraphStats] = None
         #: ``# repro: ignore[...]`` comments by absolute "file:line" site;
         #: an empty frozenset suppresses every code on that line.
@@ -312,9 +302,9 @@ class StaticSkeleton:
         kind: str,
         site: str,
         detail: str = "",
-        patterns: Tuple[AccessPattern, ...] = (),
+        bounded: bool = False,
     ) -> None:
-        self.notes.append(SkeletonNote(kind, site, detail, patterns))
+        self.notes.append(SkeletonNote(kind, site, detail, bounded))
 
     # -- queries -----------------------------------------------------------
 
@@ -993,29 +983,28 @@ class _AstSkeletonBuilder:
           add, and the skeleton stays exact;
         * a **resolved** summary bounds the deeper effects: emit its
           access patterns in the current step/lockset (may-accesses) and
-          localize the imprecision to exactly those patterns;
+          mark the note ``bounded``, so it hides no access;
         * anything else (ctx escapes or unresolved calls below) leaves
-          the blast radius unknown: an unlocalized note poisons the
-          whole program, as before.
+          what the deeper iterations touch unknown: the note hides
+          accesses.
         """
         summary = self._summary_for(info.marker)
         if summary is not None and summary.step_local:
             return
         cursor = state.cursor
-        patterns: Tuple[AccessPattern, ...] = ()
+        bounded = False
         if summary is not None:
             for pattern in sorted(
                 summary.patterns, key=lambda p: repr((p.kind, p.location, p.access_type))
             ):
                 cursor.access(pattern.kind, pattern.location, pattern.access_type, site)
-            if summary.resolved:
-                patterns = tuple(summary.patterns)
+            bounded = summary.resolved and bool(summary.patterns)
         self.sk.note(
             "recursive-inline",
             site,
             f"recursive helper {name!r}: unrolled {_RECURSIVE_UNROLL}x, deeper "
             f"iterations approximated by its summary",
-            patterns=patterns,
+            bounded=bounded,
         )
 
     def _callee_name(self, func: ast.expr) -> str:
@@ -1084,10 +1073,9 @@ def skeleton_from_function(
 
     Builds the interprocedural call graph first (helpers, spawned
     bodies, template bodies, through closures / module globals /
-    attribute chains), records its ``static.callgraph.*`` stats on the
-    skeleton, and hands the graph to the walker so recursive helpers can
-    be cut off with bottom-up summaries instead of a blanket
-    approximation note.
+    attribute chains), records its call-graph stats on the skeleton, and
+    hands the graph to the walker so recursive helpers can be cut off
+    with bottom-up summaries instead of a blanket approximation note.
     """
     marker = f"{getattr(func, '__module__', '?')}.{getattr(func, '__qualname__', repr(func))}"
     skeleton = StaticSkeleton(source=marker)

@@ -14,7 +14,7 @@ inlining would not terminate: a recursive helper whose summary is
 *step-local* (no constructs, no locks, no escapes, no unresolved calls)
 contributes exactly the accesses already walked, so deeper unrolling is
 redundant and the skeleton stays exact; anything else degrades to the
-summary's access patterns plus a localized poison note.
+summary's access patterns plus an approximation note.
 """
 
 from __future__ import annotations

@@ -37,7 +37,11 @@ checker needs the complete tree before the first event replays.
 Frames are optionally zlib-compressed (``compress=True``, the default,
 at :data:`COMPRESS_LEVEL`); the flag travels per frame, so mixed files
 are legal.  Readers inflate a frame no further than one byte past its
-declared size, so a hostile frame cannot make them allocate more.
+declared size, so a hostile frame cannot make them allocate more.  The
+frame index is checked once at open (offsets increasing and inside the
+frame region, counts at most :data:`MAX_FRAME_EVENTS` and summing to the
+footer's total), and a frame's ``payload_len`` must end before the next
+frame starts, so no header field can size a read past the file.
 
 Writers follow the crash-safe discipline of the shard checkpoint store:
 the header is built *before* any file is opened, all bytes go to a
@@ -88,6 +92,11 @@ COLUMNAR_VERSION = 3
 
 #: Events per frame; bounds writer and reader memory to O(frame).
 DEFAULT_FRAME_EVENTS = 4096
+
+#: Most events one frame may hold.  Writers refuse larger frames and
+#: readers refuse a frame index that declares one, so a hostile count
+#: cannot size an allocation.
+MAX_FRAME_EVENTS = 1 << 16
 
 #: zlib level of compressed frames.  On the benchmark's traces, level 3
 #: compresses 3-5x faster than zlib's default of 6, for frames 11-14%
@@ -186,9 +195,10 @@ class ColumnarTraceWriter:
         frame_events: int = DEFAULT_FRAME_EVENTS,
         compress: bool = True,
     ) -> None:
-        if frame_events < 1:
+        if not 1 <= frame_events <= MAX_FRAME_EVENTS:
             raise TraceError(
-                f"frame_events must be positive, got {frame_events}"
+                f"frame_events must be in [1, {MAX_FRAME_EVENTS}], "
+                f"got {frame_events}"
             )
         self.path = os.fspath(path)
         self.frame_events = frame_events
@@ -438,6 +448,7 @@ class ColumnarTraceReader:
             self.dpst: Optional[DPSTBase] = (
                 None if raw_dpst is None else dpst_from_dict(raw_dpst)
             )
+            header_end = handle.tell()
             handle.seek(0, os.SEEK_END)
             size = handle.tell()
             if size < _TRAILER_SIZE:
@@ -479,6 +490,7 @@ class ColumnarTraceReader:
             raise TraceError(
                 f"malformed footer of columnar trace {self.path!r}: {exc}"
             ) from exc
+        self._frame_end = self._check_frame_index(header_end, footer_offset)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -514,6 +526,40 @@ class ColumnarTraceReader:
 
     # -- frame decode ------------------------------------------------------
 
+    def _check_frame_index(
+        self, header_end: int, footer_offset: int
+    ) -> Dict[int, int]:
+        """Validate the footer's frame index; map each frame's offset to
+        the byte its payload must end by (the next frame, or the footer
+        for the last one)."""
+        where = f"columnar trace {self.path!r}"
+        previous = -1
+        for offset, n in self._frames:
+            if not header_end <= offset < footer_offset:
+                raise TraceError(
+                    f"corrupt frame index of {where}: frame at offset "
+                    f"{offset} lies outside [{header_end}, {footer_offset})"
+                )
+            if offset <= previous:
+                raise TraceError(
+                    f"corrupt frame index of {where}: frame at offset "
+                    f"{offset} does not follow the frame at {previous}"
+                )
+            if not 1 <= n <= MAX_FRAME_EVENTS:
+                raise TraceError(
+                    f"corrupt frame index of {where}: frame at offset "
+                    f"{offset} declares {n} events (1 to {MAX_FRAME_EVENTS})"
+                )
+            previous = offset
+        total = sum(n for _, n in self._frames)
+        if total != self.count:
+            raise TraceError(
+                f"corrupt footer at offset {footer_offset} of {where}: "
+                f"{self.count} events declared, frames hold {total}"
+            )
+        offsets = [offset for offset, _ in self._frames]
+        return dict(zip(offsets, offsets[1:] + [footer_offset]))
+
     def _frame_payload(self, handle, offset: int, n: int) -> bytes:
         handle.seek(offset)
         head = handle.read(_FRAME_HEADER.size)
@@ -523,6 +569,11 @@ class ColumnarTraceReader:
                 f"offset {offset} cut short"
             )
         flags, n_events, payload_len = _FRAME_HEADER.unpack(head)
+        if offset + _FRAME_HEADER.size + payload_len > self._frame_end[offset]:
+            raise TraceError(
+                f"corrupt frame at offset {offset} in {self.path!r}: "
+                f"payload of {payload_len} bytes runs past the frame's end"
+            )
         payload = handle.read(payload_len)
         if len(payload) != payload_len or n_events != n:
             raise TraceError(

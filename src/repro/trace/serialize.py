@@ -471,13 +471,16 @@ class TraceReader:
     # -- streaming views ---------------------------------------------------
 
     def _decode_line(self, line) -> object:
-        """Decode one event line; in lenient mode bad lines become
-        :data:`_SKIPPED` (and are counted) instead of raising."""
-        if self.strict:
-            return event_from_dict(json.loads(line))
+        """Decode one event line.  A bad line raises a :class:`TraceError`
+        naming the file; in lenient mode it becomes :data:`_SKIPPED` (and
+        is counted) instead."""
         try:
             return event_from_dict(json.loads(line))
-        except (ValueError, TypeError, KeyError, TraceError):
+        except (ValueError, TypeError, KeyError, TraceError) as exc:
+            if self.strict:
+                raise TraceError(
+                    f"undecodable event line in {self.path!r}: {exc}"
+                ) from exc
             self._lines_skipped += 1
             return _SKIPPED
 

@@ -84,14 +84,13 @@ class TestKey:
     def test_every_component_changes_the_key(self):
         base = dict(
             trace_digest="d1", checker_token="optimized",
-            engine="lca", prefilter=False, strict=True,
+            engine="lca", strict=True,
         )
         key = result_cache_key(**base)
         for field, other in (
             ("trace_digest", "d2"),
             ("checker_token", "basic"),
             ("engine", "depa"),
-            ("prefilter", True),
             ("strict", False),
         ):
             varied = dict(base)
@@ -290,15 +289,6 @@ class TestBypasses:
         info = session.cache_info
         assert info["requested"] and not info["applied"]
         assert "not content-addressable" in info["reason"]
-
-    def test_prefilter_request_bypasses(self, tmp_path):
-        session = CheckSession(TaskProgram(buggy_body))
-        session.check(
-            cache_dir=str(tmp_path / "rc"), static_prefilter=buggy_body
-        )
-        info = session.cache_info
-        assert not info["applied"]
-        assert "prefilter" in info["reason"]
 
     def test_nontrivial_annotations_bypass(self, trace, tmp_path):
         from repro.checker.annotations import AtomicAnnotations

@@ -4,12 +4,17 @@ A small importable module of task bodies is materialized under ``tmp_path``
 and put on ``sys.path`` so the MODULE:FUNC commands have a target.
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.errors import TraceError
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 PROGRAMS_SOURCE = '''
 """CLI test target programs."""
@@ -531,34 +536,48 @@ class TestLintBaselineFlag:
             main(["lint", f"{target_module}:buggy", "--update-baseline"])
 
 
-class TestStaticPrefilterFlag:
-    def test_check_refusal_is_printed(self, target_module, capsys):
-        # clean's tuple indices make the skeleton imprecise: the refusal
-        # (never a silent skip) must land in the output.
-        code = main(["check", f"{target_module}:clean", "--static-prefilter"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "static prefilter: disabled" in out
+class TestExitStatus:
+    """``python -m repro``: 0 clean, 1 violations, 2 errors -- an error
+    is one stderr line, never a traceback."""
 
-    def test_check_prefilter_keeps_violation(self, target_module, capsys):
-        code = main(["check", f"{target_module}:buggy", "--static-prefilter"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "Atomicity violation" in out
-        assert "static prefilter" in out
+    def run(self, *argv, cwd):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC_DIR, env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120, cwd=cwd, env=env,
+        )
 
-    def test_check_trace_prefilter_sharded(self, target_module, tmp_path, capsys):
-        trace = tmp_path / "t.jsonl"
-        main(["record", f"{target_module}:buggy", "-o", str(trace)])
+    def assert_error_names(self, completed, path):
+        assert completed.returncode == 2, completed.stderr
+        assert "Traceback" not in completed.stderr
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("repro: error: ")
+        assert path in lines[0]
+
+    def test_corrupt_jsonl_exits_2(self, tmp_path):
+        (tmp_path / "bad.jsonl").write_text("not json\n")
+        completed = self.run("check-trace", "bad.jsonl", cwd=tmp_path)
+        self.assert_error_names(completed, "bad.jsonl")
+
+    def test_missing_path_exits_2(self, tmp_path):
+        completed = self.run("check-trace", "missing.jsonl", cwd=tmp_path)
+        self.assert_error_names(completed, "missing.jsonl")
+
+    def test_refused_option_exits_2(self, tmp_path):
+        completed = self.run("check-trace", "t.jsonl", "--resume", cwd=tmp_path)
+        self.assert_error_names(completed, "--checkpoint")
+
+    def test_violating_trace_exits_1(self, target_module, tmp_path, capsys):
+        main(["record", f"{target_module}:buggy", "-o", str(tmp_path / "t.trc")])
         capsys.readouterr()
-        code = main([
-            "check-trace", str(trace), "--jobs", "2",
-            "--static-prefilter", f"{target_module}:buggy",
-        ])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "Atomicity violation" in out
-        assert "static prefilter" in out
+        completed = self.run("check-trace", "t.trc", cwd=tmp_path)
+        assert completed.returncode == 1, completed.stderr
+        assert "Atomicity violation" in completed.stdout
+        assert not completed.stderr
 
 
 class TestStatsHistograms:

@@ -23,6 +23,7 @@ from repro.runtime.events import (
 from repro.suite import all_cases
 from repro.trace.columnar import (
     COLUMNAR_MAGIC,
+    MAX_FRAME_EVENTS,
     ColumnarTraceReader,
     ColumnarTraceWriter,
     dump_trace_columnar,
@@ -198,8 +199,12 @@ class TestWriter:
             writer.write(trace.events[0])
 
     def test_bad_frame_events(self, tmp_path):
-        with pytest.raises(TraceError):
-            ColumnarTraceWriter(str(tmp_path / "t.trc"), frame_events=0)
+        for frame_events in (0, MAX_FRAME_EVENTS + 1):
+            with pytest.raises(TraceError, match="frame_events"):
+                ColumnarTraceWriter(
+                    str(tmp_path / "t.trc"), frame_events=frame_events
+                )
+        assert not os.listdir(tmp_path)  # refused before opening a file
 
     def test_unknown_event_type_rejected(self, tmp_path):
         path = str(tmp_path / "t.trc")
@@ -463,6 +468,19 @@ class TestFrontDoor:
             list(reader.memory_events(shard=0, jobs=2))
 
 
+def set_frame(index, offset=None, n=None):
+    """A footer edit overriding one frame-index entry's offset or count."""
+
+    def edit(table):
+        entry = table["frames"][index]
+        if offset is not None:
+            entry[0] = offset
+        if n is not None:
+            entry[1] = n
+
+    return edit
+
+
 class TestCorruption:
     def dump(self, trace, tmp_path):
         path = str(tmp_path / "t.trc")
@@ -516,11 +534,28 @@ class TestCorruption:
         list(reader.memory_events(shard=0, jobs=2))
         assert reader.lines_skipped == 4
 
-    def replace_only_frame(self, path, payload):
-        """Swap the compressed *payload* into *path*, a one-frame file."""
+    def rewrite_footer(self, path, edit):
+        """Pass the footer table of *path* through *edit* in place."""
+        data = open(path, "rb").read()
+        (footer_offset,) = struct.unpack("<Q", data[-16:-8])
+        (length,) = struct.unpack_from("<I", data, footer_offset)
+        table = json.loads(data[footer_offset + 4 : footer_offset + 4 + length])
+        edit(table)
+        raw = json.dumps(table, sort_keys=True).encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(data[:footer_offset] + struct.pack("<I", len(raw)))
+            handle.write(raw + data[-16:])
+
+    def replace_only_frame(self, path, payload, n_events=None):
+        """Swap the compressed *payload* into *path*, a one-frame file;
+        *n_events* overrides the frame's count in its header and in the
+        footer's frame index."""
         reader = ColumnarTraceReader(path)
         ((offset, n),) = reader._frames
         reader.close()
+        if n_events is not None:
+            n = n_events
+            self.rewrite_footer(path, set_frame(0, n=n))
         data = open(path, "rb").read()
         (footer_offset,) = struct.unpack("<Q", data[-16:-8])
         head = data[:offset] + struct.pack("<BII", 1, n, len(payload))
@@ -529,30 +564,71 @@ class TestCorruption:
             handle.write(head + data[footer_offset:-16])
             handle.write(struct.pack("<Q", len(head)) + data[-8:])
 
+    def assert_rejected_in_bounded_memory(self, path, message):
+        for view in ("events", "memory_events"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TraceError) as err:
+                    list(getattr(open_trace(path), view)())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8_000_000
+            assert message in str(err.value)
+            assert os.path.basename(path) in str(err.value)
+
     def test_inflation_bomb_rejected_in_bounded_memory(self, trace, tmp_path):
         # ~200 KB that inflates to 200 MB: the reader must stop one byte
-        # past the frame's declared size instead of inflating it all.
-        path = str(tmp_path / "t.trc")
-        dump_trace_columnar(trace, path)
+        # past the frame's declared size instead of inflating it all, and
+        # a frame that lies about its event count cannot raise that size.
         deflate = zlib.compressobj(9, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
         zeros = bytes(1 << 20)
         bomb = b"".join(deflate.compress(zeros) for _ in range(200))
         bomb += deflate.flush()
         del zeros
         assert len(bomb) < 250_000
-        self.replace_only_frame(path, bomb)
-        del bomb
-        for view in ("events", "memory_events"):
-            reader = open_trace(path)
-            tracemalloc.start()
-            try:
-                with pytest.raises(TraceError) as err:
-                    list(getattr(reader, view)())
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8_000_000
-            assert "inflates past" in str(err.value)
+        for n_events, message in (
+            (None, "inflates past"),
+            (2**32 - 1, f"declares {2**32 - 1} events"),
+        ):
+            path = str(tmp_path / f"bomb-{n_events}.trc")
+            dump_trace_columnar(trace, path)
+            self.replace_only_frame(path, bomb, n_events)
+            self.assert_rejected_in_bounded_memory(path, message)
+
+    def test_huge_payload_len_rejected_before_reading(self, trace, tmp_path):
+        path = str(tmp_path / "t.trc")
+        dump_trace_columnar(trace, path)
+        reader = ColumnarTraceReader(path)
+        ((offset, _),) = reader._frames
+        reader.close()
+        with open(path, "r+b") as handle:
+            handle.seek(offset + struct.calcsize("<BI"))
+            handle.write(struct.pack("<I", 2**32 - 1))
+        self.assert_rejected_in_bounded_memory(path, "runs past")
+        lenient = open_trace(path, strict=False)
+        assert list(lenient.events()) == []
+        assert lenient.lines_skipped == len(trace.events)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t["frames"].reverse(), "does not follow"),
+            (set_frame(0, offset=3), "lies outside"),
+            (set_frame(-1, offset=10**9), "lies outside"),
+            (set_frame(0, n=0), "declares 0 events"),
+            (lambda t: t.update(events=t["events"] + 1), "events declared"),
+        ],
+        ids=["unordered", "in-header", "past-footer", "empty", "total"],
+    )
+    def test_lying_frame_index_rejected_at_open(
+        self, trace, tmp_path, edit, message
+    ):
+        path = self.dump(trace, tmp_path)
+        self.rewrite_footer(path, edit)
+        with pytest.raises(TraceError, match=message) as err:
+            open_trace(path)
+        assert "t.trc" in str(err.value)
 
     def test_truncated_compressed_stream_rejected(self, trace, tmp_path):
         path = str(tmp_path / "t.trc")

@@ -84,8 +84,8 @@ def test_generated_specs_are_exactly_lintable():
     for seed in SEEDS:
         report = lint_spec(gen.generate_spec(seed))
         # The spec language is the lint pass's native input: the static
-        # skeleton must be exact, or the prefilter oracle leg is vacuous.
-        assert report.prefilter_safe, (seed, report.describe())
+        # skeleton must be exact.
+        assert report.skeleton.is_exact, (seed, report.describe())
 
 
 def test_templates_emit_fork_join_structure():

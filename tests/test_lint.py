@@ -1,23 +1,12 @@
-"""The ``repro lint`` pass and the sharded checker's static prefilter.
-
-Covers :mod:`repro.static.lint` / :mod:`repro.static.diagnostics`,
-:meth:`repro.session.CheckSession.lint`, ``static_prefilter=`` on
-:meth:`~repro.session.CheckSession.check`, and the acceptance criterion:
-on the 36-program suite the prefiltered check reports exactly what the
-unfiltered check reports, at ``jobs=1`` and ``jobs=4``.
-"""
+"""The ``repro lint`` pass: :mod:`repro.static.lint` /
+:mod:`repro.static.diagnostics`, suppressions, SARIF and baselines."""
 
 import pytest
 
-from repro.checker.annotations import AtomicAnnotations
-from repro.errors import TraceError
-from repro.obs import MetricsRecorder
 from repro.report import READ, WRITE
-from repro.runtime import TaskProgram, run_program
-from repro.session import CheckSession
+from repro.runtime import TaskProgram
 from repro.static import lint_function, lint_program, lint_spec
 from repro.static.diagnostics import ERROR, RULES, WARNING
-from repro.suite import all_cases
 
 # -- module-level task bodies ------------------------------------------------
 
@@ -80,20 +69,6 @@ def _interprocedural_serial(ctx):
     ctx.read("shared")
 
 
-def _grid_sweeper(ctx):
-    for i in range(2):
-        ctx.write(("grid", i), 1)
-
-
-def _half_poisoned(ctx):
-    ctx.write("safe", 0)
-    ctx.write(("grid", 0), 0)
-    ctx.spawn(_grid_sweeper)
-    ctx.sync()
-    ctx.read(("grid", 0))
-    ctx.read("safe")
-
-
 def _suppressed_nonconstant(ctx):
     for i in range(3):
         ctx.write(("cell", i), i)  # repro: ignore[SAV102]
@@ -142,13 +117,11 @@ class TestLintCandidates:
     def test_serial_program_is_clean_and_provable(self):
         report = lint_function(_serial_only)
         assert not report.diagnostics
-        assert report.prefilter_safe
-        assert report.prefilter_locations() == frozenset({"x", "y"})
+        assert report.skeleton.is_exact
 
     def test_imprecise_skeleton_disables_prefilter(self):
         report = lint_function(_dynamic_index)
-        assert not report.prefilter_safe
-        assert report.prefilter_locations() == frozenset()
+        assert not report.skeleton.is_exact
 
     def test_report_dict_shape(self):
         data = lint_function(_lost_update).to_dict()
@@ -201,8 +174,8 @@ class TestInterprocedural:
         assert not any(d.code == "SAV101" for d in report.diagnostics), [
             d.describe() for d in report.diagnostics
         ]
-        assert report.prefilter_safe
-        assert report.prefilter_locations() == frozenset({"shared"})
+        assert report.skeleton.is_exact
+        assert {a.location for a in report.skeleton.accesses} == {"shared"}
 
     def test_callgraph_stats_surface(self):
         report = lint_function(_interprocedural_serial)
@@ -212,49 +185,6 @@ class TestInterprocedural:
         assert stats["unresolved_calls"] == 0
         assert report.to_dict()["callgraph"] == stats
         assert "call graph:" in report.describe()
-
-    def test_dynamic_equivalence_under_prefilter(self):
-        baseline = CheckSession(TaskProgram(_interprocedural_serial)).check()
-        session = CheckSession(TaskProgram(_interprocedural_serial))
-        filtered = session.check(static_prefilter=True)
-        assert set(filtered.locations()) == set(baseline.locations())
-        assert session.prefilter_info["applied"]
-
-
-# -- per-location poisoning (ISSUE acceptance scenario 2) --------------------
-
-
-class TestPerLocationPoisoning:
-    def test_untainted_location_still_proven(self):
-        """One imprecise location must not cost the proven-serial ones."""
-        report = lint_function(_half_poisoned)
-        assert not report.prefilter_safe  # skeleton as a whole is imprecise
-        assert "safe" in report.prefilter_locations()
-        assert ("grid", 0) in report.poisoned_locations
-        reasons = report.poisoned_locations[("grid", 0)]
-        assert any("imprecise access" in reason for reason in reasons)
-
-    def test_report_shapes_carry_the_split(self):
-        report = lint_function(_half_poisoned)
-        data = report.to_dict()
-        assert data["prefilter"]["proven"] == ["'safe'"]
-        assert list(data["prefilter"]["poisoned"]) == ["('grid', 0)"]
-        assert "poisoned location" in report.describe()
-
-    def test_partial_prefilter_applies_with_counters(self):
-        recorder = MetricsRecorder()
-        session = CheckSession(TaskProgram(_half_poisoned), recorder=recorder)
-        baseline = CheckSession(TaskProgram(_half_poisoned)).check()
-        filtered = session.check(static_prefilter=True)
-        assert set(filtered.locations()) == set(baseline.locations())
-        info = session.prefilter_info
-        assert info["applied"]
-        assert info["locations"] == ["'safe'"] or "safe" in str(info["locations"])
-        counters = recorder.snapshot().counters
-        assert counters["static.prefilter.proven"] == 1
-        assert counters["static.prefilter.poisoned"] == 1
-        assert counters["static.prefilter.dropped_events"] == 2  # W+R on "safe"
-
 
 # -- suppression comments ----------------------------------------------------
 
@@ -273,11 +203,10 @@ class TestSuppressions:
         assert [d.code for d in report.suppressed] == ["SAV102"]
 
     def test_suppression_does_not_unpoison(self):
-        """Silencing the diagnostic must not re-enable the prefilter:
+        """Silencing the diagnostic must not make the skeleton exact:
         suppression is about reporting, the imprecision still stands."""
         report = lint_function(_suppressed_nonconstant)
-        assert not report.prefilter_safe
-        assert report.prefilter_locations() == frozenset()
+        assert not report.skeleton.is_exact
 
 
 # -- SARIF export ------------------------------------------------------------
@@ -377,149 +306,3 @@ class TestBaseline:
 
         with pytest.raises(BaselineError, match="--update-baseline"):
             compare_to_baseline([], str(tmp_path / "missing.json"))
-
-
-# -- CheckSession integration ------------------------------------------------
-
-
-class TestSessionLint:
-    def test_program_source_lints_and_caches(self):
-        session = CheckSession(TaskProgram(_lost_update))
-        report = session.lint()
-        assert report.has_errors
-        assert session.lint() is report
-
-    def test_offline_source_needs_explicit_target(self):
-        trace = run_program(TaskProgram(_serial_only), record_trace=True).trace
-        session = CheckSession(trace)
-        with pytest.raises(TraceError, match="program text"):
-            session.lint()
-        assert session.lint(_serial_only).prefilter_safe
-
-    def test_lint_counters_recorded(self):
-        recorder = MetricsRecorder()
-        session = CheckSession(TaskProgram(_lost_update), recorder=recorder)
-        session.lint()
-        counters = recorder.snapshot().counters
-        assert counters["static.lint.runs"] == 1
-        assert counters["static.lint.errors"] >= 1
-        assert counters["static.lint.candidates"] >= 1
-
-    def test_callgraph_counters_recorded(self):
-        recorder = MetricsRecorder()
-        session = CheckSession(
-            TaskProgram(_interprocedural_serial), recorder=recorder
-        )
-        session.lint()
-        counters = recorder.snapshot().counters
-        assert counters["static.callgraph.functions"] >= 3
-        assert counters["static.callgraph.sccs"] >= 3
-        assert counters.get("static.callgraph.unresolved_calls", 0) == 0
-
-
-class TestPrefilter:
-    def test_applied_on_serial_program(self):
-        recorder = MetricsRecorder()
-        session = CheckSession(TaskProgram(_serial_only), recorder=recorder)
-        report = session.check(static_prefilter=True)
-        assert not report
-        info = session.prefilter_info
-        assert info["applied"]
-        assert len(info["locations"]) == 2
-        counters = recorder.snapshot().counters
-        assert counters["static.prefilter.locations"] == 2
-        assert counters["static.prefilter.events_skipped"] == 3
-
-    def test_never_silent_when_refused(self):
-        recorder = MetricsRecorder()
-        session = CheckSession(TaskProgram(_dynamic_index), recorder=recorder)
-        session.check(static_prefilter=True)
-        info = session.prefilter_info
-        assert not info["applied"]
-        assert "no locations proven" in info["reason"]
-        assert recorder.snapshot().counters["static.prefilter.disabled"] == 1
-
-    def test_refused_under_grouped_annotations(self):
-        annotations = AtomicAnnotations(check_all=True)
-        annotations.annotate_group("pair", ["x", "y"])
-        session = CheckSession(
-            TaskProgram(_serial_only), annotations=annotations
-        )
-        session.check(static_prefilter=True)
-        assert not session.prefilter_info["applied"]
-        assert "annotations" in session.prefilter_info["reason"]
-
-    def test_offline_trace_with_explicit_body(self):
-        trace = run_program(TaskProgram(_serial_only), record_trace=True).trace
-        session = CheckSession(trace)
-        report = session.check(static_prefilter=_serial_only)
-        assert not report
-        assert session.prefilter_info["applied"]
-
-    def test_violations_never_masked(self):
-        baseline = CheckSession(TaskProgram(_lost_update)).check()
-        session = CheckSession(TaskProgram(_lost_update))
-        filtered = session.check(static_prefilter=True)
-        assert set(filtered.locations()) == set(baseline.locations()) == {
-            "counter"
-        }
-
-
-# -- acceptance: the 36-program suite ----------------------------------------
-
-
-CASES = all_cases()
-
-
-class TestSuiteEquivalence:
-    @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
-    def test_prefilter_matches_unfiltered_jobs1(self, case):
-        baseline = set(CheckSession(case.build()).check().locations())
-        session = CheckSession(case.build())
-        filtered = set(session.check(static_prefilter=True).locations())
-        assert filtered == baseline
-        assert session.prefilter_info["requested"]
-
-    def test_prefilter_matches_unfiltered_jobs4(self):
-        for case in CASES:
-            baseline = set(
-                CheckSession(case.build(), jobs=4).check().locations()
-            )
-            session = CheckSession(case.build(), jobs=4)
-            filtered = set(
-                session.check(static_prefilter=True).locations()
-            )
-            assert filtered == baseline, case.name
-
-    def test_prefilter_actually_fires_somewhere(self):
-        """The equivalence above must not hold vacuously: some suite
-        cases get locations proven serial and events dropped."""
-        fired = 0
-        for case in CASES:
-            recorder = MetricsRecorder()
-            session = CheckSession(case.build(), recorder=recorder)
-            session.check(static_prefilter=True)
-            info = session.prefilter_info
-            if info["applied"] and info["locations"]:
-                counters = recorder.snapshot().counters
-                if counters.get("static.prefilter.events_skipped", 0):
-                    fired += 1
-        assert fired >= 3
-
-    def test_skip_accounting_matches_across_jobs(self):
-        """events_skipped totals are shard-stable (parent-side for
-        in-memory sources, summed worker-side for file streams)."""
-        case = next(c for c in CASES if not c.violating)
-        totals = []
-        for jobs in (1, 4):
-            recorder = MetricsRecorder()
-            session = CheckSession(
-                case.build(), jobs=jobs, recorder=recorder
-            )
-            session.check(static_prefilter=True)
-            totals.append(
-                recorder.snapshot().counters.get(
-                    "static.prefilter.events_skipped", 0
-                )
-            )
-        assert totals[0] == totals[1]

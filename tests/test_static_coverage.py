@@ -2,11 +2,11 @@
 
 Complements ``tests/test_static.py``: reserved template scratch
 locations, unresolved-task plumbing, ``suspect_locations`` filtering,
-the ``SAV102``/``SAV105`` diagnostics together with their per-location
-prefilter consequences (lock notes never poison; a non-constant location
-leaves the *other* locations provable), and coverage through the
-skeleton projection: helpers are followed, and every construct that may
-hide an access voids the guarantee.
+the ``SAV102``/``SAV105`` diagnostics together with their effect on
+skeleton exactness (lock notes keep it; a non-constant location voids
+it), and coverage through the skeleton projection: helpers are
+followed, and every construct that may hide an access voids the
+guarantee.
 """
 
 import json
@@ -131,22 +131,18 @@ class TestImprecisionDiagnostics:
         sav105 = [d for d in report.diagnostics if d.code == "SAV105"]
         assert sav105 and sav105[0].severity == INFO
         assert "not a compile-time constant" in sav105[0].message
-        # Soundness of the prefilter never rests on locksets, so the
-        # dynamic lock name must not cost any proven-serial location.
-        assert "d" in report.prefilter_locations()
-        assert not report.poisoned_locations
+        # A lock name is not an access: the skeleton stays exact.
+        assert report.skeleton.is_exact
 
     def test_nonconstant_location_warns_but_stays_per_location(self):
         report = lint_function(_computed_cell)
         sav102 = [d for d in report.diagnostics if d.code == "SAV102"]
         assert sav102 and sav102[0].severity == WARNING
         assert "prefix" in sav102[0].message
-        # The old global boolean would have dropped everything here; the
-        # per-location proof keeps the untainted exact location.
-        assert not report.prefilter_safe
-        assert "ok" in report.prefilter_locations()
-        # Non-exact groups appear in neither the serial nor poisoned set.
-        assert not report.poisoned_locations
+        assert not report.skeleton.is_exact
+        # The constant location stays exact next to the computed one.
+        kinds = {a.location: a.kind for a in report.skeleton.accesses}
+        assert kinds["ok"] == EXACT
 
 
 def _corpus():
