@@ -46,6 +46,7 @@ class ExploringVelodrome(RuntimeObserver):
     """
 
     requires_dpst = True
+    requires_full_stream = True
     checker_name = "velodrome+explorer"
 
     def __init__(self, max_schedules: int = 2_000) -> None:

@@ -120,6 +120,17 @@ def _require_shardable(checker: CheckerSpec) -> None:
         )
 
 
+def require_checkpoint_to_resume(
+    checkpoint_dir: Optional[str], resume: bool
+) -> None:
+    """Refuse ``resume=True`` when there is no checkpoint to resume from."""
+    if resume and checkpoint_dir is None:
+        raise CheckerError(
+            "resume=True needs checkpoint_dir=: there is no checkpoint "
+            "directory to resume from"
+        )
+
+
 def _replay_shard(
     events: Iterable[object],
     dpst,
@@ -138,19 +149,18 @@ def _replay_shard(
     unstamped garbage lines, so only shard 0 passes its reader: then
     ``jobs=1`` and ``jobs=N`` totals agree.
 
-    A :class:`~repro.checker.streaming.StreamingChecker` is fed through
-    :func:`~repro.trace.replay.replay_events`, so task ends in the stream
-    release finished tasks; every other checker goes through
-    :func:`~repro.trace.replay.replay_memory_events`.  Worker processes
-    each get their own unpickled copy of an instance *spec*, so every
-    shard replays into private state.
+    A checker that sets ``requires_full_stream`` (the streaming checker,
+    the interleaving explorer) is fed through
+    :func:`~repro.trace.replay.replay_events`, so it sees task ends and
+    lock events; every other checker goes through the bare
+    :func:`~repro.trace.replay.replay_memory_events` loop.  Worker
+    processes each get their own unpickled copy of an instance *spec*, so
+    every shard replays into private state.
     """
     checker = make_checker(spec)
     skipped_before = lines_from.lines_skipped if lines_from is not None else 0
     replay = (
-        replay_events
-        if isinstance(checker, StreamingChecker)
-        else replay_memory_events
+        replay_events if checker.requires_full_stream else replay_memory_events
     )
     report = replay(
         events,
@@ -232,12 +242,12 @@ def _mp_context(start_method: Optional[str] = None):
     """Resolve the multiprocessing context for worker processes.
 
     Prefers fork (cheap, inherits the already-imported interpreter);
-    an explicit *start_method* -- or the ``REPRO_START_METHOD``
-    environment variable, which the CI matrix uses to run the test
-    suite under spawn -- overrides.  All worker payloads are picklable,
-    so every start method produces identical reports; an unpicklable
-    *checker instance* surfaces as a :class:`CheckerError` from the
-    supervisor, not a pickle traceback.
+    an explicit *start_method* (:attr:`WorkerPolicy.start_method`) -- or
+    else the ``REPRO_START_METHOD`` environment variable, which the CI
+    matrix uses to run the test suite under spawn -- overrides.  All
+    worker payloads are picklable, so every start method produces
+    identical reports; an unpicklable *checker instance* surfaces as a
+    :class:`CheckerError` from the supervisor, not a pickle traceback.
     """
     if start_method is None:
         start_method = os.environ.get("REPRO_START_METHOD") or None
@@ -276,14 +286,10 @@ def check_sharded(
     lca_cache: bool = True,
     parallel_engine: str = "lca",
     recorder=None,
-    on_shard_failure: str = "retry",
-    max_retries: int = 2,
-    retry_backoff: float = 0.05,
-    shard_timeout: Optional[float] = None,
+    policy: Optional[WorkerPolicy] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     strict: Optional[bool] = None,
-    start_method: Optional[str] = None,
     streaming: bool = False,
     window: Optional[int] = None,
 ) -> ViolationReport:
@@ -315,29 +321,28 @@ def check_sharded(
         :meth:`~repro.obs.MetricsRecorder.add_shard`: counters sum into
         the parent totals while each shard's spans stay listed under the
         snapshot's ``shards`` array.  Disabled or ``None`` costs nothing.
-    on_shard_failure / max_retries / retry_backoff / shard_timeout:
-        The fault-tolerance policy (see
-        :class:`~repro.checker.supervisor.WorkerPolicy`): a crashed,
-        erroring, or timed-out worker is retried with exponential
-        backoff (``"retry"``, the default), degraded to in-process
-        checking after the retries (``"inline"``), or aborts the run
-        immediately (``"raise"``).  ``shard_timeout`` bounds one
-        attempt's wall-clock seconds; ``None`` means no timeout.
+    policy:
+        The worker fault policy, a
+        :class:`~repro.checker.supervisor.WorkerPolicy` (default
+        ``WorkerPolicy()``): a crashed, erroring, or timed-out worker is
+        retried with exponential backoff (``"retry"``), degraded to
+        in-process checking after the retries (``"inline"``), or aborts
+        the run immediately (``"raise"``); it also carries the
+        per-attempt timeout and the multiprocessing start method.  Only
+        ``jobs > 1`` starts workers.
     checkpoint_dir / resume:
         With *checkpoint_dir*, every completed shard's report (+ metrics
         snapshot) is persisted as JSON under that directory; with
         ``resume=True`` shards already checkpointed by a compatible
         earlier run (same jobs count and checker) are merged from disk
         instead of re-run, reproducing the fresh-run report exactly.
+        ``resume=True`` without *checkpoint_dir* raises
+        :class:`CheckerError`.
     strict:
         ``False`` turns on lenient trace ingestion for file sources
         (undecodable JSONL lines are counted as ``trace.lines_skipped``
         and skipped, never silently); ``None`` inherits the reader's
         own mode (``True`` for paths).
-    start_method:
-        Multiprocessing start method override (``"fork"``/``"spawn"``/
-        ``"forkserver"``); default prefers fork, and the
-        ``REPRO_START_METHOD`` environment variable overrides too.
     streaming / window:
         ``streaming=True`` wraps the checker in a
         :class:`repro.checker.streaming.StreamingChecker` so every shard
@@ -356,6 +361,7 @@ def check_sharded(
     jobs = default_jobs() if jobs is None else jobs
     if jobs < 1:
         raise TraceError(f"jobs must be >= 1, got {jobs}")
+    require_checkpoint_to_resume(checkpoint_dir, resume)
     window = resolve_window(window, streaming)
     if streaming and not isinstance(checker, StreamingChecker):
         checker = StreamingChecker(window=window, checker=checker)
@@ -402,15 +408,10 @@ def check_sharded(
         if jobs == 1:
             return _check_single(trace, reader, recorder, store, collect, options)
         _require_shardable(checker)
-        policy = WorkerPolicy(
-            on_failure=on_shard_failure,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            timeout_s=shard_timeout,
-        )
+        policy = WorkerPolicy() if policy is None else policy
         return _check_supervised(
             trace, path, jobs, recorder, strict, policy,
-            store, _mp_context(start_method), collect, options,
+            store, _mp_context(policy.start_method), collect, options,
         )
     finally:
         # A worker raising must not leak the handles of a reader this
@@ -431,8 +432,8 @@ def _check_single(
 
     Checkpointing treats the run as shard 0 too, so
     ``--checkpoint/--resume`` behave uniformly across job counts.  File
-    sources are never materialized, and a streaming checker gets the
-    full event stream so ended tasks are released.
+    sources are never materialized, and a checker that sets
+    ``requires_full_stream`` gets the full event stream.
     """
     if store is not None:
         cached = store.load(0)
@@ -441,7 +442,7 @@ def _check_single(
                 recorder.count("sharded.resumed_shards")
             return cached[0]
     options = dict(options, spec=make_checker(options["spec"]))
-    full = isinstance(options["spec"], StreamingChecker)
+    full = options["spec"].requires_full_stream
     events: Iterable[object]
     if trace is not None:
         events = trace.events if full else trace.memory_events()

@@ -91,6 +91,8 @@ class StreamingChecker(RuntimeObserver):
     """
 
     checker_name = "streaming"
+    #: Task ends in the stream release finished tasks at the next sweep.
+    requires_full_stream = True
 
     def __init__(
         self, window: Optional[int] = DEFAULT_WINDOW, checker="optimized", **checker_kwargs

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import CheckerError, TraceError
 from repro.report import ViolationReport, report_from_dict, report_to_dict
 
-#: Legal ``on_shard_failure`` policies (see :class:`WorkerPolicy`).
+#: Legal :attr:`WorkerPolicy.on_failure` values.
 FAILURE_POLICIES = ("retry", "inline", "raise")
 
 #: Fault-injection environment hooks (see module docstring).
@@ -107,17 +107,24 @@ class WorkerPolicy:
     timeout_s:
         Per-attempt wall-clock budget; an attempt exceeding it is killed
         and counts as a failure.  ``None`` disables the timeout.
+    start_method:
+        Multiprocessing start method of the workers (``"fork"``,
+        ``"spawn"`` or ``"forkserver"``).  ``None`` takes the
+        ``REPRO_START_METHOD`` environment variable, else prefers fork;
+        an unavailable method raises :class:`CheckerError` when the
+        workers start.
     """
 
     on_failure: str = "retry"
     max_retries: int = 2
     retry_backoff: float = 0.05
     timeout_s: Optional[float] = None
+    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.on_failure not in FAILURE_POLICIES:
             raise CheckerError(
-                f"unknown on_shard_failure policy {self.on_failure!r} "
+                f"unknown shard failure policy {self.on_failure!r} "
                 f"(expected one of {', '.join(FAILURE_POLICIES)})"
             )
         if self.max_retries < 0:
@@ -146,21 +153,17 @@ class ShardOutcome:
     shard_id: int
     report: ViolationReport
     snapshot: Optional[dict] = None
-    attempts: int = 1
-    failures: int = 0
     resumed: bool = False
-    inline: bool = False
 
 
 class _Attempt:
     """Mutable supervision state of one shard task."""
 
-    __slots__ = ("task", "attempt", "failures", "eligible_at")
+    __slots__ = ("task", "attempt", "eligible_at")
 
     def __init__(self, task: ShardTask) -> None:
         self.task = task
         self.attempt = 0
-        self.failures = 0
         self.eligible_at = 0.0
 
 
@@ -221,7 +224,7 @@ def run_supervised(
     process and result pipe, so a worker dying from any signal is
     detected (EOF) rather than hanging the driver.  *policy* governs
     retry/degrade/abort behavior; *on_event* (when given) receives
-    ``("failure" | "retry" | "inline" | "success", shard_id, detail)``
+    ``("failure" | "retry" | "inline", shard_id, detail)``
     notifications as they happen -- the driver uses it for metrics.
     *on_outcome* fires with each :class:`ShardOutcome` the moment its
     shard completes -- crucially *before* any later shard can abort the
@@ -262,22 +265,15 @@ def run_supervised(
         send.close()
         running[recv] = (proc, state, time.monotonic())
 
-    def succeed(state: _Attempt, result, inline: bool = False) -> None:
+    def succeed(state: _Attempt, result) -> None:
         report, snapshot = result
         outcome = ShardOutcome(
-            shard_id=state.task.shard_id,
-            report=report,
-            snapshot=snapshot,
-            attempts=state.attempt + 1,
-            failures=state.failures,
-            inline=inline,
+            shard_id=state.task.shard_id, report=report, snapshot=snapshot
         )
         outcomes[state.task.shard_id] = outcome
-        notify("success", state.task.shard_id, "inline" if inline else "")
         deliver(outcome)
 
     def fail(state: _Attempt, reason: str) -> None:
-        state.failures += 1
         shard_id = state.task.shard_id
         notify("failure", shard_id, reason)
         if policy.on_failure == "raise":
@@ -310,12 +306,13 @@ def run_supervised(
                 ) from exc
             finally:
                 os.environ.update(suspended)
-            succeed(state, result, inline=True)
+            succeed(state, result)
             return
         raise CheckerError(
             f"shard {shard_id} failed after {state.attempt + 1} attempt(s): "
-            f"{reason}; pass on_shard_failure='inline' to degrade to "
-            "in-process checking instead of aborting"
+            f"{reason}; use WorkerPolicy(on_failure='inline') "
+            "(--on-shard-failure inline) to degrade to in-process "
+            "checking instead of aborting"
         )
 
     try:
@@ -520,17 +517,6 @@ class CheckpointStore:
                 "metrics": snapshot,
             },
         )
-
-    def completed_shards(self) -> List[int]:
-        """Shard ids with a stored checkpoint file (sorted)."""
-        shards = []
-        for name in os.listdir(self.directory):
-            if name.startswith("shard-") and name.endswith(".json"):
-                try:
-                    shards.append(int(name[len("shard-"):-len(".json")]))
-                except ValueError:
-                    continue
-        return sorted(shards)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -3,8 +3,8 @@
 Commands
 --------
 ``check MODULE:FUNC``
-    Import a task body and run a checker over it (the CLI analogue of the
-    prototype's instrument-and-run flow).
+    Import a program and run a checker over it live (the CLI analogue of
+    the prototype's instrument-and-run flow).
 ``suite``
     Run the 36-program violation suite and print a result table.
 ``workload NAME``
@@ -12,10 +12,9 @@ Commands
     statistics and report.
 ``dpst MODULE:FUNC``
     Execute a program and print its dynamic program structure tree.
-``record MODULE:FUNC -o FILE`` / ``replay FILE``
-    Serialize an execution trace (streaming JSONL or binary columnar,
-    picked by extension or ``--format``) / replay a saved trace through a
-    checker.
+``record MODULE:FUNC -o FILE``
+    Serialize an execution trace: streaming JSONL (v2) or binary
+    columnar (v3), picked by extension or ``--format``.
 ``check-trace FILE --jobs N``
     The offline pipeline: check a recorded trace file through the unified
     :class:`~repro.session.CheckSession` API, optionally sharded by
@@ -26,26 +25,36 @@ Commands
     prints candidate unserializable triples and structural ``SAVnnn``
     diagnostics without executing the program.  ``--json`` emits the
     machine-readable report.
+``coverage MODULE:FUNC``
+    Check the single-trace completeness precondition: the static access
+    set against one observed trace.
+``compare MODULE:FUNC``
+    Run every analysis on one program side by side.
 ``stats FILE``
     Summarize a ``--metrics`` JSON snapshot (counters, spans, per-shard
     timings) or, given a trace file, its basic shape.
+``fuzz``
+    Differential fuzzing of every checker/engine/sharding configuration.
 ``table1`` / ``fig13`` / ``fig14`` / ``ablation``
     The evaluation harnesses (thin wrappers over :mod:`repro.bench`).
 
-``check`` and ``check-trace`` accept ``--metrics OUT.json`` to collect
-pipeline observability (see :mod:`repro.obs`) and write the merged
-snapshot; ``repro stats OUT.json`` renders it.
+Every ``MODULE:FUNC`` names a task body taking ``ctx``, a zero-argument
+builder returning a :class:`~repro.runtime.program.TaskProgram`, or a
+``TaskProgram``.  ``check``, ``check-trace`` and ``fuzz`` accept
+``--metrics OUT.json`` to collect pipeline observability (see
+:mod:`repro.obs`) and write the merged snapshot; ``repro stats OUT.json``
+renders it.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-from typing import Any, Callable, List, Optional, Sequence
+import inspect
+from typing import List, Optional, Sequence
 
-from repro.checker import make_checker
+from repro.checker import CHECKER_FACTORIES, make_checker
 from repro.checker.streaming import resolve_window
-from repro.errors import CheckerError
 from repro.runtime import (
     RandomOrderExecutor,
     SerialExecutor,
@@ -54,56 +63,40 @@ from repro.runtime import (
     run_program,
 )
 
-CHECKER_NAMES = (
-    "optimized",
-    "basic",
-    "velodrome",
-    "racedetector",
-    "velodrome+explorer",
-    "regiontrack",
-)
 
-
-def _load_callable(spec: str) -> Callable[..., Any]:
-    """Resolve ``package.module:function`` to the function object."""
-    if ":" not in spec:
-        raise SystemExit(f"expected MODULE:FUNC, got {spec!r}")
-    module_name, _, func_name = spec.partition(":")
-    module = importlib.import_module(module_name)
-    try:
-        return getattr(module, func_name)
-    except AttributeError as exc:
-        raise SystemExit(f"{module_name} has no function {func_name!r}") from exc
-
-
-def _load_lint_target(spec: str) -> Any:
-    """Resolve ``MODULE:FUNC`` to something :func:`repro.static.lint_program`
-    accepts (``repro coverage`` resolves its target the same way).
+def _load_program(spec: str) -> TaskProgram:
+    """Resolve ``package.module:name`` to the :class:`TaskProgram` it names.
 
     The attribute may be a task body taking ``ctx``, a zero-argument
     builder returning a :class:`TaskProgram` (the workload/example
-    convention), or a :class:`TaskProgram` instance.
+    convention), or a :class:`TaskProgram` instance.  Anything that
+    cannot be resolved is refused with one message (exit status 2).
     """
-    import inspect
-
-    obj = _load_callable(spec)
+    module_name, colon, name = spec.partition(":")
+    if not colon:
+        raise SystemExit(f"expected MODULE:FUNC, got {spec!r}")
+    try:
+        module = importlib.import_module(module_name)
+    except (ImportError, ValueError) as exc:
+        raise SystemExit(f"cannot import {module_name!r}: {exc}") from exc
+    try:
+        obj = getattr(module, name)
+    except AttributeError as exc:
+        raise SystemExit(f"{module_name} has no function {name!r}") from exc
     if isinstance(obj, TaskProgram):
         return obj
     if not callable(obj):
         raise SystemExit(f"{spec} is neither a callable nor a TaskProgram")
     try:
-        signature = inspect.signature(obj)
+        parameters = inspect.signature(obj).parameters.values()
     except (TypeError, ValueError):
-        return obj
-    required = [
-        param
-        for param in signature.parameters.values()
-        if param.default is param.empty
-        and param.kind
-        in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
-    ]
-    if required:
-        return obj  # takes ctx (or more): treat as a task body
+        return TaskProgram(obj)
+    if any(
+        param.default is param.empty
+        and param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+        for param in parameters
+    ):
+        return TaskProgram(obj)  # takes ctx (or more): a task body
     built = obj()
     if isinstance(built, TaskProgram):
         return built
@@ -125,22 +118,31 @@ def _make_executor(name: str, seed: int, workers: int):
     raise SystemExit(f"unknown executor {name!r}")
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
+def _add_program_argument(parser: argparse.ArgumentParser, **kwargs) -> None:
     parser.add_argument(
-        "--checker", choices=CHECKER_NAMES, default="optimized",
-        help="analysis to attach (default: optimized)",
+        "program",
+        help="import path of a task body, TaskProgram, or zero-argument "
+        "builder, e.g. mypkg.mymod:main",
+        **kwargs,
     )
+
+
+def _add_executor_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor", choices=("serial", "help-first", "random", "worksteal"),
         default="serial", help="scheduling strategy (default: serial)",
     )
     parser.add_argument("--seed", type=int, default=0, help="random executor seed")
     parser.add_argument("--workers", type=int, default=4, help="work-stealing pool size")
+
+
+def _add_checker_option(parser: argparse.ArgumentParser) -> None:
+    # "streaming" wraps another checker; check-trace spells it --streaming.
+    choices = [name for name in CHECKER_FACTORIES if name != "streaming"]
     parser.add_argument(
-        "--dpst-layout", choices=("array", "linked"), default="array",
-        help="DPST representation (default: array)",
+        "--checker", choices=choices, default="optimized",
+        help="analysis to run (default: optimized)",
     )
-    _add_engine_option(parser)
 
 
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:
@@ -153,9 +155,27 @@ def _add_engine_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_metrics_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--metrics", metavar="OUT.json", default=None,
+        help="collect observability metrics and write the snapshot here",
+    )
+
+
+def _add_live_options(parser: argparse.ArgumentParser) -> None:
+    """The options of a live run under a checker (``check``, ``workload``)."""
+    _add_checker_option(parser)
+    _add_executor_options(parser)
+    parser.add_argument(
+        "--dpst-layout", choices=("array", "linked"), default="array",
+        help="DPST representation (default: array)",
+    )
+    _add_engine_option(parser)
+
+
 def _metrics_recorder(args: argparse.Namespace):
     """A collecting recorder when ``--metrics PATH`` was given, else None."""
-    if not getattr(args, "metrics", None):
+    if not args.metrics:
         return None
     from repro.obs import MetricsRecorder
 
@@ -188,11 +208,11 @@ def _print_cache(session) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    body = _load_callable(args.program)
+    program = _load_program(args.program)
     recorder = _metrics_recorder(args)
     checker = make_checker(args.checker)
     result = run_program(
-        TaskProgram(body),
+        program,
         executor=_make_executor(args.executor, args.seed, args.workers),
         observers=[checker],
         dpst_layout=args.dpst_layout,
@@ -213,51 +233,31 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     from repro.bench.reporting import render_table
+    from repro.session import CheckSession
     from repro.suite import all_cases
 
-    engine = getattr(args, "engine", "lca")
-    cache_dir = getattr(args, "cache_dir", None)
     cache_hits = cache_misses = cache_bypasses = 0
     rows: List[List[str]] = []
     mismatches = 0
     for case in all_cases():
         if args.category and case.category != args.category:
             continue
-        if cache_dir:
-            # Record-then-check so the run is content-addressable: the
-            # deterministic executor replays each case to the same trace,
-            # making a repeated suite run a pure hash lookup.  The
-            # program's own annotations ride along; non-trivial ones
-            # bypass the cache (counted below) rather than mis-keying.
-            from repro.session import CheckSession
-
-            program = case.build()
-            result = run_program(
-                program, record_trace=True, parallel_engine=engine
-            )
-            session = CheckSession(
-                result.trace,
-                checker=args.checker,
-                engine=engine,
-                annotations=program.annotations,
-            )
-            report = session.check(cache_dir=cache_dir)
-            found = set(report.locations())
-            info = session.cache_info or {}
-            if info.get("hit"):
-                cache_hits += 1
-            elif info.get("applied"):
-                cache_misses += 1
-            else:
-                cache_bypasses += 1
+        # Record, then check offline: the deterministic executor replays
+        # each case to the same trace, so with --cache-dir a repeated
+        # suite run is a pure hash lookup.  The program's own annotations
+        # ride along; non-trivial ones bypass the cache (counted below)
+        # rather than mis-keying.
+        session = CheckSession(
+            case.build(), checker=args.checker, engine=args.engine
+        )
+        found = set(session.check(cache_dir=args.cache_dir).locations())
+        info = session.cache_info or {}
+        if info.get("hit"):
+            cache_hits += 1
+        elif info.get("applied"):
+            cache_misses += 1
         else:
-            checker = make_checker(args.checker)
-            result = run_program(
-                case.build(),
-                observers=[checker],
-                parallel_engine=engine,
-            )
-            found = set(result.report().locations())
+            cache_bypasses += 1
         ok = found == set(case.expected)
         mismatches += 0 if ok else 1
         rows.append(
@@ -277,7 +277,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         )
     )
     print(f"\n{len(rows)} case(s), {mismatches} mismatch(es)")
-    if cache_dir:
+    if args.cache_dir:
         print(
             f"result cache: {cache_hits} hit(s), {cache_misses} miss(es), "
             f"{cache_bypasses} bypassed"
@@ -311,8 +311,9 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_dpst(args: argparse.Namespace) -> int:
-    body = _load_callable(args.program)
-    result = run_program(TaskProgram(body), build_dpst=True, record_trace=True)
+    result = run_program(
+        _load_program(args.program), build_dpst=True, record_trace=True
+    )
     print(result.dpst.dump())
     return 0
 
@@ -320,11 +321,9 @@ def cmd_dpst(args: argparse.Namespace) -> int:
 def cmd_record(args: argparse.Namespace) -> int:
     from repro.trace.serialize import dump_trace
 
-    body = _load_callable(args.program)
     result = run_program(
-        TaskProgram(body),
+        _load_program(args.program),
         executor=_make_executor(args.executor, args.seed, args.workers),
-        parallel_engine=args.engine,
         record_trace=True,
     )
     dump_trace(result.trace, args.output, format=args.format)
@@ -335,28 +334,16 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    from repro.trace.replay import replay_trace
-    from repro.trace.serialize import load_trace
-
-    trace = load_trace(args.trace)
-    checker = make_checker(args.checker)
-    report = replay_trace(trace, checker)
-    print(report.describe())
-    return 1 if report else 0
-
-
 def cmd_check_trace(args: argparse.Namespace) -> int:
+    from repro.checker.supervisor import WorkerPolicy
     from repro.session import CheckSession
 
     jobs = None if args.jobs == 0 else args.jobs
     recorder = _metrics_recorder(args)
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume needs --checkpoint DIR")
-    try:
-        resolve_window(args.window, args.streaming)
-    except CheckerError:
-        raise SystemExit("--window needs --streaming") from None
+    if args.window is not None and not args.streaming:
+        raise SystemExit("--window needs --streaming")
     if recorder is None and (args.lenient or args.streaming):
         # A private recorder so skip/sweep counts can be reported even
         # without --metrics (skipping and compaction are never silent).
@@ -367,13 +354,16 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         args.trace, checker=args.checker, jobs=jobs, engine=args.engine,
         recorder=recorder, strict=not args.lenient,
     )
+    policy = WorkerPolicy(
+        on_failure=args.on_shard_failure,
+        max_retries=args.retries,
+        timeout_s=args.shard_timeout,
+        start_method=args.start_method,
+    )
     report = session.check(
         checkpoint_dir=args.checkpoint,
         resume=args.resume,
-        on_shard_failure=args.on_shard_failure,
-        max_retries=args.retries,
-        shard_timeout=args.shard_timeout,
-        start_method=args.start_method,
+        policy=policy,
         cache_dir=args.cache_dir,
         streaming=args.streaming,
         window=args.window,
@@ -393,7 +383,7 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         )
     _print_cache(session)
     _print_streaming(args, recorder)
-    _dump_metrics(recorder if getattr(args, "metrics", None) else None, args)
+    _dump_metrics(recorder if args.metrics else None, args)
     return 1 if report else 0
 
 
@@ -403,7 +393,7 @@ def _print_streaming(args: argparse.Namespace, recorder) -> None:
     One line with the stable ``streaming:`` prefix (filter it, like the
     ``result cache:`` lines, when diffing reports across modes).
     """
-    if not getattr(args, "streaming", False):
+    if not args.streaming:
         return
     window = resolve_window(args.window)
     shown = "unbounded" if window is None else str(window)
@@ -433,12 +423,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.update_baseline and not args.baseline:
         raise SystemExit("--update-baseline needs --baseline FILE")
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            spec_tree = json.load(handle)
+        try:
+            with open(args.spec, "r", encoding="utf-8") as handle:
+                spec_tree = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot read spec {args.spec}: {exc}") from exc
         report = lint_spec(spec_tree, target=args.spec)
     else:
-        target = _load_lint_target(args.program)
-        report = lint_program(target, target=args.program)
+        report = lint_program(_load_program(args.program), target=args.program)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -583,7 +575,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         VelodromeChecker,
     )
 
-    body = _load_callable(args.program)
+    program = _load_program(args.program)
     rows: List[List[str]] = []
     analyses = [
         ("optimized (paper)", OptAtomicityChecker(mode="paper")),
@@ -595,7 +587,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ]
     any_violation = False
     for label, analysis in analyses:
-        result = run_program(TaskProgram(body), observers=[analysis])
+        result = run_program(program, observers=[analysis])
         if isinstance(analysis, RaceDetector):
             found = sorted(str(l) for l in analysis.race_locations())
             count = len(analysis.races)
@@ -621,8 +613,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_coverage(args: argparse.Namespace) -> int:
     from repro.static import analyze_function, check_trace_coverage
 
-    target = _load_lint_target(args.program)
-    program = target if isinstance(target, TaskProgram) else TaskProgram(target)
+    program = _load_program(args.program)
     result = run_program(
         program,
         executor=_make_executor(args.executor, args.seed, args.workers),
@@ -730,19 +721,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    check = commands.add_parser("check", help="check a task body MODULE:FUNC")
-    check.add_argument("program", help="import path, e.g. mypkg.mymod:main")
+    check = commands.add_parser("check", help="check a program MODULE:FUNC live")
+    _add_program_argument(check)
     check.add_argument("--stats", action="store_true", help="print run statistics")
-    check.add_argument(
-        "--metrics", metavar="OUT.json", default=None,
-        help="collect observability metrics and write the snapshot here",
-    )
-    _add_run_options(check)
+    _add_metrics_option(check)
+    _add_live_options(check)
     check.set_defaults(handler=cmd_check)
 
     suite = commands.add_parser("suite", help="run the 36-program violation suite")
     suite.add_argument("--category", help="restrict to one category")
-    suite.add_argument("--checker", choices=CHECKER_NAMES, default="optimized")
+    _add_checker_option(suite)
     suite.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="content-addressed result cache: record each case's trace "
@@ -754,15 +742,15 @@ def build_parser() -> argparse.ArgumentParser:
     workload = commands.add_parser("workload", help="run a benchmark kernel")
     workload.add_argument("name", help="workload name (see repro.workloads)")
     workload.add_argument("--scale", type=int, default=1)
-    _add_run_options(workload)
+    _add_live_options(workload)
     workload.set_defaults(handler=cmd_workload)
 
     dpst = commands.add_parser("dpst", help="print a program's DPST")
-    dpst.add_argument("program", help="import path, e.g. mypkg.mymod:main")
+    _add_program_argument(dpst)
     dpst.set_defaults(handler=cmd_dpst)
 
     record = commands.add_parser("record", help="record a trace to a file")
-    record.add_argument("program")
+    _add_program_argument(record)
     record.add_argument("-o", "--output", required=True)
     record.add_argument(
         "--format", choices=("auto", "jsonl", "columnar"),
@@ -770,35 +758,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="serialization format; auto picks binary columnar (v3) for "
         ".trc/.v3 paths and JSONL (v2) for every other path",
     )
-    _add_run_options(record)
+    _add_executor_options(record)
     record.set_defaults(handler=cmd_record)
-
-    replay = commands.add_parser("replay", help="replay a recorded trace")
-    replay.add_argument("trace")
-    replay.add_argument("--checker", choices=CHECKER_NAMES, default="optimized")
-    replay.set_defaults(handler=cmd_replay)
 
     check_trace = commands.add_parser(
         "check-trace",
         help="check a recorded trace file, optionally sharded over N processes",
     )
     check_trace.add_argument(
-        "trace", help="trace file (JSON, JSONL, or columnar .trc)"
+        "trace", help="trace file: JSONL (v2) or columnar (v3, .trc)"
     )
-    check_trace.add_argument(
-        "--checker", choices=CHECKER_NAMES, default="optimized",
-        help="analysis to run (default: optimized)",
-    )
+    _add_checker_option(check_trace)
     check_trace.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for location-sharded checking "
         "(default: 1 = in-process; 0 = one per CPU)",
     )
-    check_trace.add_argument(
-        "--metrics", metavar="OUT.json", default=None,
-        help="collect pipeline metrics (merged counters + per-shard spans) "
-        "and write the snapshot here",
-    )
+    _add_metrics_option(check_trace)
     check_trace.add_argument(
         "--checkpoint", metavar="DIR", default=None,
         help="persist each completed shard's report under DIR so an "
@@ -860,11 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="static atomicity lint: MHP + lockset analysis, candidate "
         "unserializable triples, SAVnnn diagnostics",
     )
-    lint.add_argument(
-        "program", nargs="?", default=None,
-        help="import path of a task body, TaskProgram, or zero-argument "
-        "builder, e.g. mypkg.mymod:main",
-    )
+    _add_program_argument(lint, nargs="?", default=None)
     lint.add_argument(
         "--spec", metavar="FILE", default=None,
         help="lint a JSON generator spec tree instead of a MODULE:FUNC",
@@ -902,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = commands.add_parser(
         "compare", help="run every analysis on one program side by side"
     )
-    compare.add_argument("program")
+    _add_program_argument(compare)
     compare.set_defaults(handler=cmd_compare)
 
     coverage = commands.add_parser(
@@ -910,12 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate the single-trace completeness precondition "
         "(static access set vs observed trace)",
     )
-    coverage.add_argument(
-        "program",
-        help="import path of a task body, TaskProgram, or zero-argument "
-        "builder, e.g. mypkg.mymod:main",
-    )
-    _add_run_options(coverage)
+    _add_program_argument(coverage)
+    _add_executor_options(coverage)
     coverage.set_defaults(handler=cmd_coverage)
 
     table1 = commands.add_parser("table1", help="Table 1 harness")
@@ -961,10 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-dir", metavar="DIR", default="fuzz-reports",
         help="directory for shrunk reproducer modules (default: fuzz-reports)",
     )
-    fuzz.add_argument(
-        "--metrics", metavar="OUT.json", default=None,
-        help="collect fuzz.* observability metrics and write the snapshot here",
-    )
+    _add_metrics_option(fuzz)
     fuzz.add_argument("--verbose", action="store_true", help="print per-run progress")
     _add_engine_option(fuzz)
     fuzz.add_argument(

@@ -25,6 +25,7 @@ verdict is identical on every one of them.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 from collections import deque
@@ -221,10 +222,20 @@ class Runtime:
         started = time.perf_counter()
         try:
             self.executor.run_root(self, root)
+            if self.failure is not None:
+                raise self.failure
+        except RecursionError as exc:
+            # Each nested spawn costs the serial executors several Python
+            # frames, so a spawn chain a few hundred deep exhausts the
+            # interpreter stack: name the depth instead of a bare error.
+            depth = max(task.depth for task in self.run_context.tasks.values())
+            raise RuntimeUsageError(
+                f"spawn chain too deep: the run reached spawn depth {depth} "
+                f"and exhausted the Python recursion limit "
+                f"(sys.getrecursionlimit() = {sys.getrecursionlimit()})"
+            ) from exc
         finally:
             self.run_context.elapsed = time.perf_counter() - started
-        if self.failure is not None:
-            raise self.failure
         self.observer.on_run_end(self.run_context)
         return self.run_context
 

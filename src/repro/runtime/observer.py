@@ -62,6 +62,13 @@ class RuntimeObserver:
     #: ``False``.
     location_sharded = False
 
+    #: Set to ``True`` when the observer needs more than memory events
+    #: offline: the task lifecycle (the streaming checker frees finished
+    #: tasks) or lock events (the interleaving explorer keeps critical
+    #: sections together).  Offline replay then feeds the full event
+    #: stream; every other observer gets the bare memory-event loop.
+    requires_full_stream = False
+
     def on_run_begin(self, run: "RunContext") -> None:
         """Called once before the root task starts."""
 

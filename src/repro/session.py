@@ -38,8 +38,13 @@ from typing import Any, Dict, Optional, Union
 
 from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
-from repro.checker.sharded import CheckerSpec, check_sharded
+from repro.checker.sharded import (
+    CheckerSpec,
+    check_sharded,
+    require_checkpoint_to_resume,
+)
 from repro.checker.streaming import StreamingChecker, resolve_window
+from repro.checker.supervisor import WorkerPolicy
 from repro.errors import TraceError
 from repro.report import ViolationReport
 from repro.runtime.program import TaskProgram, run_program
@@ -213,10 +218,7 @@ class CheckSession:
         engine: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
-        on_shard_failure: str = "retry",
-        max_retries: int = 2,
-        shard_timeout: Optional[float] = None,
-        start_method: Optional[str] = None,
+        policy: Optional[WorkerPolicy] = None,
         cache_dir: Optional[str] = None,
         streaming: bool = False,
         window: Optional[int] = None,
@@ -236,11 +238,13 @@ class CheckSession:
         engine stays the session's.
 
         ``checkpoint_dir`` / ``resume`` persist (and reuse) per-shard
-        results; ``on_shard_failure`` / ``max_retries`` /
-        ``shard_timeout`` / ``start_method`` configure the worker
-        supervision of the sharded pipeline -- all forwarded to
+        results, and *policy* (a
+        :class:`~repro.checker.supervisor.WorkerPolicy`) configures the
+        worker supervision of the sharded pipeline -- all forwarded to
         :func:`repro.checker.sharded.check_sharded` (a ``jobs=1``
         check honors checkpoints too, treating the run as one shard).
+        ``resume=True`` without ``checkpoint_dir`` raises a
+        :class:`~repro.errors.CheckerError`, cache hit or not.
 
         ``cache_dir`` enables the content-addressed result cache
         (:mod:`repro.cache`): the check becomes a hash lookup when the
@@ -269,7 +273,9 @@ class CheckSession:
         spec = self.checker if checker is None else checker
         jobs = self.jobs if jobs is None else jobs
         engine = self.engine if engine is None else engine
-        resolve_window(window, streaming)  # refuse a stray window= early
+        # Refuse a stray window= or resume= before any cache lookup.
+        resolve_window(window, streaming)
+        require_checkpoint_to_resume(checkpoint_dir, resume)
         cache_state = self._resolve_cache(
             cache_dir, spec, checker_kwargs, engine, streaming
         )
@@ -288,10 +294,7 @@ class CheckSession:
         options = dict(
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            on_shard_failure=on_shard_failure,
-            max_retries=max_retries,
-            shard_timeout=shard_timeout,
-            start_method=start_method,
+            policy=policy,
             streaming=streaming,
             window=window,
         )

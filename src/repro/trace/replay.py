@@ -1,6 +1,6 @@
 """Offline replay of traces through checkers.
 
-The checkers are runtime observers, but they only consume memory events
+The checkers are runtime observers, and most consume only memory events
 plus the DPST -- so any recorded (or generated, or permuted) trace can be
 fed to them without re-executing a program.  Replay is what lets the test
 suite demonstrate the paper's schedule-insensitivity claim: permuting the
@@ -172,7 +172,9 @@ def replay_events(
     which only consume memory events.  Streaming checkers additionally
     want the task lifecycle: a ``TaskEndEvent`` proves a task's local
     metadata dead, letting the windowed compaction sweep reclaim it (see
-    :class:`repro.checker.streaming.StreamingChecker`).  Each event is
+    :class:`repro.checker.streaming.StreamingChecker`), and the
+    interleaving explorer needs lock events to keep critical sections
+    whole.  Each event is
     dispatched to the matching observer hook; unknown event types are
     ignored.  ``trace.events.routed`` still counts memory events only, so
     the counter stays comparable with memory-only replays.
@@ -193,11 +195,14 @@ def replay_trace(
 ) -> ViolationReport:
     """Replay a full :class:`Trace` through *checker*.
 
-    Only memory events are significant to the checkers (locksets ride on
-    the events themselves); task and lock events are skipped.
+    Memory events are all most checkers read (locksets ride on the
+    events themselves), so task and lock events are skipped -- unless the
+    checker sets ``requires_full_stream``, which gets every event.
     """
-    return replay_memory_events(
-        trace.memory_events(),
+    full = checker.requires_full_stream
+    replay = replay_events if full else replay_memory_events
+    return replay(
+        trace.events if full else trace.memory_events(),
         checker,
         dpst=trace.dpst,
         annotations=annotations,

@@ -42,6 +42,15 @@ def flagged(ctx):
 
 def build_flagged():
     return TaskProgram(flagged, initial_memory={"flag": 1})
+
+def build_buggy():
+    return TaskProgram(buggy)
+
+def deep_chain(ctx, depth=0):
+    if depth < 10_000:
+        ctx.spawn(deep_chain, depth + 1)
+        ctx.sync()
+    ctx.write("leaf", depth)
 '''
 
 
@@ -95,6 +104,25 @@ class TestCheck:
             main(["check", f"{target_module}:nope"])
 
 
+class TestTargetLoader:
+    """Every MODULE:FUNC command resolves its target through one loader."""
+
+    @pytest.mark.parametrize("command", ["check", "dpst", "compare", "coverage", "lint"])
+    def test_builder_and_body_agree(self, command, target_module, capsys):
+        main([command, f"{target_module}:buggy"])
+        body = capsys.readouterr().out
+        main([command, f"{target_module}:build_buggy"])
+        built = capsys.readouterr().out
+        assert built.replace("build_buggy", "buggy") == body
+
+    def test_record_builder_writes_same_trace(self, target_module, tmp_path, capsys):
+        body, built = str(tmp_path / "body.trc"), str(tmp_path / "built.trc")
+        assert main(["record", f"{target_module}:buggy", "-o", body]) == 0
+        assert main(["record", f"{target_module}:build_buggy", "-o", built]) == 0
+        with open(body, "rb") as first, open(built, "rb") as second:
+            assert first.read() == second.read()
+
+
 class TestSuite:
     def test_full_suite_passes(self, capsys):
         code = main(["suite"])
@@ -139,7 +167,7 @@ class TestRecordReplay:
         assert main(["record", f"{target_module}:buggy", "-o", trace_file]) == 0
         out = capsys.readouterr().out
         assert "recorded" in out
-        code = main(["replay", trace_file])
+        code = main(["check-trace", trace_file])
         out = capsys.readouterr().out
         assert code == 1
         assert "Atomicity violation" in out
@@ -148,7 +176,7 @@ class TestRecordReplay:
         trace_file = str(tmp_path / "t.json")
         main(["record", f"{target_module}:buggy", "-o", trace_file])
         capsys.readouterr()
-        code = main(["replay", trace_file, "--checker", "velodrome"])
+        code = main(["check-trace", trace_file, "--checker", "velodrome"])
         assert code == 0  # serial trace: no cycle
 
     def test_record_jsonl_by_extension(self, target_module, tmp_path, capsys):
@@ -402,6 +430,50 @@ class TestParser:
         for command in ("check", "suite", "workload", "table1", "fig13"):
             assert command in out
 
+    @staticmethod
+    def subcommands():
+        import argparse
+
+        from repro.cli import build_parser
+
+        return next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+
+    def test_fifteen_subcommands_and_no_replay(self):
+        commands = self.subcommands()
+        assert len(commands) == 15, sorted(commands)
+        assert "replay" not in commands
+        with pytest.raises(SystemExit) as refused:
+            main(["replay", "t.jsonl"])
+        assert refused.value.code == 2
+
+    def test_checker_choices_track_registry(self):
+        from repro.checker import CHECKER_FACTORIES
+
+        expected = tuple(name for name in CHECKER_FACTORIES if name != "streaming")
+        with_checker = []
+        for name, sub in self.subcommands().items():
+            for action in sub._actions:
+                if "--checker" in action.option_strings:
+                    assert tuple(action.choices) == expected, name
+                    with_checker.append(name)
+        assert sorted(with_checker) == ["check", "check-trace", "suite", "workload"]
+
+    @pytest.mark.parametrize("command", ["record", "coverage"])
+    @pytest.mark.parametrize(
+        "flag", [["--checker", "basic"], ["--engine", "lca"], ["--dpst-layout", "array"]]
+    )
+    def test_dead_flags_rejected(self, command, flag, target_module, tmp_path):
+        argv = [command, f"{target_module}:buggy", *flag]
+        if command == "record":
+            argv += ["-o", str(tmp_path / "t.jsonl")]
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+
 
 class TestCompare:
     def test_matrix_covers_all_analyses(self, target_module, capsys):
@@ -570,6 +642,35 @@ class TestExitStatus:
     def test_refused_option_exits_2(self, tmp_path):
         completed = self.run("check-trace", "t.jsonl", "--resume", cwd=tmp_path)
         self.assert_error_names(completed, "--checkpoint")
+
+    def test_unimportable_module_exits_2(self, tmp_path):
+        completed = self.run("check", "no_such_mod:main", cwd=tmp_path)
+        self.assert_error_names(completed, "no_such_mod")
+
+    def test_missing_attribute_exits_2(self, tmp_path):
+        (tmp_path / "target_mod.py").write_text("def main(ctx):\n    pass\n")
+        completed = self.run("dpst", "target_mod:nope", cwd=tmp_path)
+        self.assert_error_names(completed, "'nope'")
+
+    def test_builder_target_checks(self, tmp_path):
+        (tmp_path / "cli_targets.py").write_text(PROGRAMS_SOURCE)
+        completed = self.run("check", "cli_targets:build_buggy", cwd=tmp_path)
+        assert completed.returncode == 1, completed.stderr
+        assert "Atomicity violation" in completed.stdout
+
+    def test_missing_spec_exits_2(self, tmp_path):
+        completed = self.run("lint", "--spec", "missing.json", cwd=tmp_path)
+        self.assert_error_names(completed, "missing.json")
+
+    def test_non_json_spec_exits_2(self, tmp_path):
+        (tmp_path / "spec.json").write_text("not json")
+        completed = self.run("lint", "--spec", "spec.json", cwd=tmp_path)
+        self.assert_error_names(completed, "spec.json")
+
+    def test_deep_spawn_chain_exits_2(self, tmp_path):
+        (tmp_path / "cli_targets.py").write_text(PROGRAMS_SOURCE)
+        completed = self.run("check", "cli_targets:deep_chain", cwd=tmp_path)
+        self.assert_error_names(completed, "spawn depth")
 
     def test_violating_trace_exits_1(self, target_module, tmp_path, capsys):
         main(["record", f"{target_module}:buggy", "-o", str(tmp_path / "t.trc")])

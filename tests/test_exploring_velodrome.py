@@ -9,6 +9,7 @@ import pytest
 
 from repro.checker import ExploringVelodrome, OptAtomicityChecker, VelodromeChecker
 from repro.runtime import SerialExecutor, TaskProgram, run_program
+from repro.suite import all_cases
 
 
 def rmw_vs_writer():
@@ -127,3 +128,25 @@ class TestFactory:
         assert isinstance(make_checker("racedetector"), RaceDetector)
         with pytest.raises(ValueError):
             make_checker("psychic")
+
+
+class TestOfflineAgreesWithOnline:
+    """The offline pipeline feeds the explorer lock events too, so a
+    recorded trace gets the online verdict: no lock-protected program is
+    flagged offline only."""
+
+    @pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.name)
+    def test_suite_verdicts_agree(self, case):
+        from repro.session import CheckSession
+        from repro.trace.replay import replay_trace
+
+        program = case.build()
+        explorer = ExploringVelodrome()
+        result = run_program(program, observers=[explorer], record_trace=True)
+        online = explorer.violation_locations()
+        session = CheckSession(result.trace, annotations=program.annotations)
+        assert set(session.check("velodrome+explorer").locations()) == online
+        replayed = replay_trace(
+            result.trace, ExploringVelodrome(), annotations=program.annotations
+        )
+        assert set(replayed.locations()) == online

@@ -1,7 +1,7 @@
 """Fault tolerance of the sharded driver: supervision, checkpoints, resume.
 
 The failure matrix of ISSUE 4: a worker SIGKILLed mid-shard under each
-``on_shard_failure`` policy, timeout expiry, resume-after-interrupt
+``WorkerPolicy.on_failure`` policy, timeout expiry, resume-after-interrupt
 reproducing the fresh-run report exactly (including across the whole
 36-program suite), spawn-mode equivalence, and the driver bugfixes
 (affinity-aware ``default_jobs``, reader cleanup, picklable payloads).
@@ -99,6 +99,26 @@ class TestWorkerPolicy:
         with pytest.raises(CheckerError):
             WorkerPolicy(timeout_s=0)
 
+    def test_policy_is_the_only_fault_keyword(self):
+        import inspect
+
+        from repro.session import CheckSession
+
+        check = inspect.signature(CheckSession.check).parameters
+        sharded = inspect.signature(check_sharded).parameters
+        named = [
+            name for name, param in check.items()
+            if name != "self" and param.kind is not param.VAR_KEYWORD
+        ]
+        assert len(named) == 9
+        assert len(sharded) == 13  # source + 12
+        for name in (
+            "on_shard_failure", "max_retries", "retry_backoff",
+            "shard_timeout", "start_method",
+        ):
+            assert name not in check and name not in sharded
+        assert "policy" in check and "policy" in sharded
+
 
 class TestFailureMatrix:
     """Worker SIGKILLed mid-shard under each policy, plus timeouts."""
@@ -107,7 +127,9 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        report = check_sharded(trace_file, jobs=2, on_shard_failure="retry")
+        report = check_sharded(
+            trace_file, jobs=2, policy=WorkerPolicy(on_failure="retry")
+        )
         assert keys(report) == keys(baseline)
         assert report.raw_count == baseline.raw_count
 
@@ -116,20 +138,24 @@ class TestFailureMatrix:
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "1@0")
         report = check_sharded(
-            trace_file, jobs=2, on_shard_failure="inline", max_retries=0
+            trace_file, jobs=2,
+            policy=WorkerPolicy(on_failure="inline", max_retries=0),
         )
         assert keys(report) == keys(baseline)
 
     def test_kill_with_raise_policy_aborts(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError, match="shard 0 failed"):
-            check_sharded(trace_file, jobs=2, on_shard_failure="raise")
+            check_sharded(
+                trace_file, jobs=2, policy=WorkerPolicy(on_failure="raise")
+            )
 
     def test_persistent_crash_exhausts_retries(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError, match="failed after 1 attempt"):
             check_sharded(
-                trace_file, jobs=2, on_shard_failure="retry", max_retries=0
+                trace_file, jobs=2,
+                policy=WorkerPolicy(on_failure="retry", max_retries=0),
             )
 
     def test_crash_on_every_attempt_exhausts_retries(
@@ -141,9 +167,9 @@ class TestFailureMatrix:
             check_sharded(
                 trace_file,
                 jobs=2,
-                on_shard_failure="retry",
-                max_retries=2,
-                retry_backoff=0.01,
+                policy=WorkerPolicy(
+                    on_failure="retry", max_retries=2, retry_backoff=0.01
+                ),
             )
 
     def test_inline_fallback_survives_persistent_crash(
@@ -155,9 +181,9 @@ class TestFailureMatrix:
         report = check_sharded(
             trace_file,
             jobs=2,
-            on_shard_failure="inline",
-            max_retries=1,
-            retry_backoff=0.01,
+            policy=WorkerPolicy(
+                on_failure="inline", max_retries=1, retry_backoff=0.01
+            ),
         )
         assert keys(report) == keys(baseline)
         assert os.environ[FAULT_KILL_ENV] == "0@*"  # restored after inline
@@ -169,9 +195,9 @@ class TestFailureMatrix:
         report = check_sharded(
             trace_file,
             jobs=2,
-            on_shard_failure="retry",
-            shard_timeout=0.5,
-            retry_backoff=0.01,
+            policy=WorkerPolicy(
+                on_failure="retry", timeout_s=0.5, retry_backoff=0.01
+            ),
         )
         assert keys(report) == keys(baseline)
 
@@ -179,7 +205,9 @@ class TestFailureMatrix:
         trace = recorded_trace()
         fresh = check_sharded(trace, jobs=2)
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        report = check_sharded(trace, jobs=2, on_shard_failure="retry")
+        report = check_sharded(
+            trace, jobs=2, policy=WorkerPolicy(on_failure="retry")
+        )
         assert keys(report) == keys(fresh) == keys(baseline)
 
     def test_failure_metrics_are_counted(
@@ -188,7 +216,8 @@ class TestFailureMatrix:
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         recorder = MetricsRecorder()
         report = check_sharded(
-            trace_file, jobs=2, on_shard_failure="retry", recorder=recorder
+            trace_file, jobs=2, policy=WorkerPolicy(on_failure="retry"),
+            recorder=recorder,
         )
         counters = recorder.snapshot().counters
         assert keys(report) == keys(baseline)
@@ -202,8 +231,7 @@ class TestFailureMatrix:
         check_sharded(
             trace_file,
             jobs=2,
-            on_shard_failure="inline",
-            max_retries=0,
+            policy=WorkerPolicy(on_failure="inline", max_retries=0),
             recorder=recorder,
         )
         assert recorder.snapshot().counters["sharded.inline_fallbacks"] == 1
@@ -300,8 +328,8 @@ class TestCheckpointResume:
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
         with pytest.raises(CheckerError):
             check_sharded(
-                trace_file, jobs=2, checkpoint_dir=ck, max_retries=2,
-                retry_backoff=0.2,
+                trace_file, jobs=2, checkpoint_dir=ck,
+                policy=WorkerPolicy(max_retries=2, retry_backoff=0.2),
             )
         assert os.path.exists(os.path.join(ck, "shard-00001.json"))
         monkeypatch.delenv(FAULT_KILL_ENV)
@@ -309,6 +337,19 @@ class TestCheckpointResume:
             trace_file, jobs=2, checkpoint_dir=ck, resume=True
         )
         assert keys(resumed) == keys(baseline)
+
+    def test_resume_without_checkpoint_is_refused(self, trace_file, tmp_path):
+        from repro.session import CheckSession
+
+        with pytest.raises(CheckerError, match="resume=True needs checkpoint_dir="):
+            check_sharded(trace_file, jobs=1, resume=True)
+        with pytest.raises(CheckerError, match="resume=True needs checkpoint_dir="):
+            CheckSession(trace_file, jobs=2).check(resume=True)
+        # A cache hit answers without the driver; the refusal still holds.
+        cache = str(tmp_path / "rc")
+        CheckSession(trace_file).check(cache_dir=cache)
+        with pytest.raises(CheckerError, match="resume=True needs checkpoint_dir="):
+            CheckSession(trace_file).check(cache_dir=cache, resume=True)
 
     def test_store_validates_schema(self, tmp_path):
         ck = str(tmp_path / "ck")
@@ -336,7 +377,8 @@ class TestSuiteEquivalence:
             os.environ[FAULT_KILL_ENV] = f"{index % 2}@0"
             try:
                 faulted = check_sharded(
-                    path, jobs=2, on_shard_failure="retry", retry_backoff=0.01
+                    path, jobs=2,
+                    policy=WorkerPolicy(on_failure="retry", retry_backoff=0.01),
                 )
             finally:
                 del os.environ[FAULT_KILL_ENV]
@@ -401,7 +443,7 @@ class TestLenientChecking:
             jobs=4,
             strict=False,
             recorder=sharded,
-            retry_backoff=0.01,
+            policy=WorkerPolicy(retry_backoff=0.01),
         )
         assert keys(report) == keys(baseline)
         assert comparable_counters(
@@ -412,13 +454,17 @@ class TestLenientChecking:
 class TestStartMethods:
     def test_spawn_produces_identical_report(self, trace_file, baseline):
         forked = check_sharded(trace_file, jobs=2)
-        spawned = check_sharded(trace_file, jobs=2, start_method="spawn")
+        spawned = check_sharded(
+            trace_file, jobs=2, policy=WorkerPolicy(start_method="spawn")
+        )
         assert spawned.describe() == forked.describe()  # byte-identical
         assert keys(spawned) == keys(baseline)
 
     def test_unknown_start_method_rejected(self, trace_file):
         with pytest.raises(CheckerError, match="not available"):
-            check_sharded(trace_file, jobs=2, start_method="teleport")
+            check_sharded(
+                trace_file, jobs=2, policy=WorkerPolicy(start_method="teleport")
+            )
 
     def test_env_override_is_honored(self, trace_file, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "teleport")
@@ -430,7 +476,8 @@ class TestStartMethods:
         checker.unpicklable = lambda: None  # closures cannot be pickled
         with pytest.raises(CheckerError, match="picklable"):
             check_sharded(
-                trace_file, jobs=2, checker=checker, start_method="spawn"
+                trace_file, jobs=2, checker=checker,
+                policy=WorkerPolicy(start_method="spawn"),
             )
 
 
@@ -460,7 +507,7 @@ class TestDriverBugfixes:
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError):
             check_sharded(
-                trace_file, jobs=2, on_shard_failure="raise"
+                trace_file, jobs=2, policy=WorkerPolicy(on_failure="raise")
             )
         # The path is still checkable: no leaked handle, no stale state.
         monkeypatch.delenv(FAULT_KILL_ENV)
@@ -515,6 +562,6 @@ class TestSessionWiring:
 
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         report = CheckSession(trace_file, jobs=2).check(
-            on_shard_failure="retry"
+            policy=WorkerPolicy(on_failure="retry")
         )
         assert keys(report) == keys(baseline)

@@ -223,3 +223,34 @@ class TestProgramWrapper:
 
         with pytest.raises(KeyError):
             run_program(TaskProgram(main))
+
+
+class TestSpawnDepth:
+    """A spawn chain deeper than the interpreter stack allows ends in a
+    named error stating the depth and the recursion limit."""
+
+    @staticmethod
+    def chain(length):
+        def body(ctx, depth=0):
+            if depth < length:
+                ctx.spawn(body, depth + 1)
+                ctx.sync()
+            ctx.write("leaf", depth)
+
+        return body
+
+    @pytest.mark.parametrize("checkers", [(), ("optimized",)])
+    def test_deep_chain_is_a_named_error(self, checkers):
+        import sys
+
+        with pytest.raises(RuntimeUsageError, match="spawn depth") as raised:
+            run_program(self.chain(10_000), checkers=checkers)
+        assert f"sys.getrecursionlimit() = {sys.getrecursionlimit()}" in str(
+            raised.value
+        )
+
+    @pytest.mark.parametrize("checkers", [(), ("optimized",)])
+    def test_shallow_chain_runs_clean(self, checkers):
+        result = run_program(self.chain(100), checkers=checkers)
+        assert result.shadow.peek("leaf") == 0
+        assert not result.report()
