@@ -1,13 +1,12 @@
-"""BENCH-STREAMING -- peak checker memory: O(window), not O(trace).
+"""BENCH-STREAMING -- peak checker memory: O(live tasks), not O(trace).
 
 The workload is a *task churn* trace: rounds of short-lived tasks, each
 performing a handful of lock-protected read-modify-writes on a small
 fixed set of shared scalars and then ending.  Locations (and so the
 global spaces, the paper's fixed twelve entries per location) stay
-constant while the task count -- and with it the offline checker's local
-metadata -- grows linearly with the trace.  One unlocked racy pair in
-round 0 keeps the verdict non-trivial, and the locks keep the report a
-few entries however long the trace runs.
+constant while the task count grows linearly with the trace.  One
+unlocked racy pair in round 0 keeps the verdict non-trivial, and the
+locks keep the report a few entries however long the trace runs.
 
 Three scenarios over the same columnar trace file, peak-measured with
 ``tracemalloc`` (LCA memoization off everywhere, so the comparison is
@@ -15,15 +14,19 @@ metadata + buffering, not the shared cache):
 
 * **materialized** -- ``load_trace`` then check: the full event list is
   resident (the pre-streaming front door);
-* **offline** -- ``CheckSession(path)``: events stream from the file but
-  every finished task's local metadata stays until the end;
+* **offline** -- ``CheckSession(path)``: events stream from the file and
+  the checker frees each task's local metadata at its step changes and
+  at its end;
 * **streaming** -- ``check(streaming=True)`` at windows 1, 64 and
-  unbounded: ended tasks are released at the next compaction sweep.
+  unbounded: the same check behind the windowed wrapper, whose sweeps
+  find nothing left to evict.
 
 Claims enforced (exit 1 otherwise): every scenario reports the same
-violations; ``streaming(64) < offline < materialized`` on peak bytes;
-and the streaming peak stays under ``--budget-mb`` however many events
-the trace holds -- the bounded-memory contract itself.
+violations; the offline peak is within 5% of the streaming-w64 peak
+(the plain check is as bounded as streaming) and below the materialized
+peak; and both the offline and the streaming-w64 peaks stay under
+``--budget-mb`` however many events the trace holds -- the
+bounded-memory contract itself.
 
 Standalone harness (same ``--quick`` / ``--json`` contract as the other
 benchmarks)::
@@ -148,7 +151,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--budget-mb", type=float, default=64.0,
-        help="hard ceiling on the streaming-w64 peak (default: 64 MB)",
+        help="hard ceiling on the offline and streaming-w64 peaks "
+        "(default: 64 MB)",
     )
     parser.add_argument("--json", metavar="OUT.json", default=None)
     args = parser.parse_args(argv)
@@ -162,8 +166,8 @@ def main(argv=None) -> int:
     offline = scenarios["offline"]["peak_bytes"]
     materialized = scenarios["materialized"]["peak_bytes"]
     print(
-        f"\nstreaming-w64 uses {streaming / offline:.2f}x the offline peak, "
-        f"{streaming / materialized:.2f}x the materialized peak "
+        f"\noffline uses {offline / streaming:.2f}x the streaming-w64 peak, "
+        f"{offline / materialized:.2f}x the materialized peak "
         f"({results['violations']} violation(s) found by every scenario)"
     )
 
@@ -178,20 +182,28 @@ def main(argv=None) -> int:
     if not results["reports_agree"] or not results["violations"]:
         print("FAIL: scenarios disagree (or found nothing)", file=sys.stderr)
         failed = True
-    if not streaming < offline < materialized:
+    if not offline <= 1.05 * streaming:
         print(
-            "FAIL: expected streaming-w64 < offline < materialized peaks, "
-            f"got {streaming} / {offline} / {materialized}",
+            "FAIL: expected the offline peak within 5% of streaming-w64, "
+            f"got {offline} vs {streaming}",
             file=sys.stderr,
         )
         failed = True
-    if streaming > args.budget_mb * 1e6:
+    if not offline < materialized:
         print(
-            f"FAIL: streaming-w64 peak {streaming / 1e6:.2f} MB exceeds "
-            f"the {args.budget_mb:.0f} MB budget",
+            "FAIL: expected offline < materialized peaks, "
+            f"got {offline} / {materialized}",
             file=sys.stderr,
         )
         failed = True
+    for label, peak in (("offline", offline), ("streaming-w64", streaming)):
+        if peak > args.budget_mb * 1e6:
+            print(
+                f"FAIL: {label} peak {peak / 1e6:.2f} MB exceeds "
+                f"the {args.budget_mb:.0f} MB budget",
+                file=sys.stderr,
+            )
+            failed = True
     return 1 if failed else 0
 
 

@@ -14,12 +14,13 @@ group):
 Local space
 -----------
 Per task and location, the first read and the first write performed by the
-task's *current step node* (the paper stores them per task; entries here
-are stamped with their step so a stale entry from an earlier step of the
-same task is discarded rather than paired across atomic-region boundaries
--- see DESIGN.md).  The local space is the interim buffer holding a first
-access until a second access by the same step forms a two-access pattern
-eligible for promotion to the global space.
+task's *current step node*.  The local space is the interim buffer holding
+a first access until a second access by the same step forms a two-access
+pattern eligible for promotion to the global space, so nothing in it
+outlives its step: :class:`LocalSpace` stamps the step its cells belong to
+and frees them all when the task moves to its next step, and the checker
+drops the whole space at the task's end (see DESIGN.md, "Local metadata
+lifetime").
 
 Replacement policy (Figures 8 and 9): a slot is overwritten only when it is
 empty or its occupant's step executes *in series* with the current step, so
@@ -41,9 +42,18 @@ metadata.  The optimized checker enables it with ``mode="thorough"``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
-from repro.checker.access import AccessEntry, TwoAccessPattern
+from repro.checker.access import EMPTY_LOCKSET, AccessEntry, TwoAccessPattern
 
 Location = Hashable
 
@@ -215,15 +225,10 @@ class GlobalSpace:
 
 
 class LocalCell:
-    """Per-(task, location) local metadata: first read and first write.
-
-    ``step`` stamps the step node the cell belongs to; the checker discards
-    cells whose step differs from the current access's step (a task's
-    earlier step is a different atomic region).
-    """
+    """Per-(task, location) local metadata: first read and first write
+    by the owning :class:`LocalSpace`'s current step."""
 
     __slots__ = (
-        "step",
         "read",
         "write",
         "ver_rr",
@@ -234,8 +239,7 @@ class LocalCell:
         "ver_sw",
     )
 
-    def __init__(self, step: int) -> None:
-        self.step = step
+    def __init__(self) -> None:
         self.read: Optional[AccessEntry] = None
         self.write: Optional[AccessEntry] = None
         # Global-space versions at which this cell last ran each check
@@ -252,33 +256,54 @@ class LocalCell:
         return self.read is None and self.write is None
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<LS step={self.step} R={self.read!r} W={self.write!r}>"
+        return f"<LS R={self.read!r} W={self.write!r}>"
 
 
 class LocalSpace:
-    """All local metadata of one task: location/group key -> cell."""
+    """The local metadata of one task's current step: key -> cell.
 
-    __slots__ = ("task_id", "_cells")
+    ``step`` stamps the step node every cell belongs to.  A task's steps
+    run in series and its step ids only grow, so once the task accesses
+    memory from a later step no check can read the earlier step's cells
+    again: :meth:`advance` frees them all at once.
 
-    def __init__(self, task_id: int) -> None:
-        self.task_id = task_id
+    ``raw_lockset``/``lockset`` cache the event lockset of the task's
+    last locked access and its frozenset, so a run of accesses under one
+    set of locks shares a single frozenset; the cache goes with the
+    space at the task's end.
+    """
+
+    __slots__ = ("step", "_cells", "raw_lockset", "lockset")
+
+    def __init__(self, step: int) -> None:
+        self.step = step
         self._cells: Dict[Location, LocalCell] = {}
+        self.raw_lockset: Tuple[str, ...] = ()
+        self.lockset: FrozenSet[str] = EMPTY_LOCKSET
+
+    def advance(self, step: int) -> int:
+        """Move to *step*, freeing every cell of the old step; return how
+        many cells were freed."""
+        freed = len(self._cells)
+        self._cells.clear()
+        self.step = step
+        return freed
 
     def cell_for(self, key: Location, step: int) -> Tuple[LocalCell, bool]:
-        """The cell for *key* valid at *step*.
+        """The cell for *key* at *step*, advancing to *step* first.
 
-        Returns ``(cell, had_prior)`` where ``had_prior`` says whether a
-        non-stale cell with at least one recorded access already existed --
-        i.e. whether this is a *non-first* access by the current step.
-        Stale cells (older step) are replaced by a fresh empty cell.
+        Returns ``(cell, had_prior)`` where ``had_prior`` says whether the
+        current step already recorded an access to *key* -- i.e. whether
+        this is a *non-first* access by the step.
 
         :meth:`repro.checker.optimized.OptAtomicityChecker.on_memory`
         inlines this lookup on its per-access path; keep the two in step.
         """
+        if step != self.step:
+            self.advance(step)
         cell = self._cells.get(key)
-        if cell is None or cell.step != step:
-            cell = LocalCell(step)
-            self._cells[key] = cell
+        if cell is None:
+            cell = self._cells[key] = LocalCell()
             return cell, False
         return cell, not cell.is_empty
 
@@ -290,27 +315,5 @@ class LocalSpace:
         )
 
     def cell_count(self) -> int:
-        """Number of live cells (one per location this task has touched)."""
+        """Number of live cells (one per location the step has touched)."""
         return len(self._cells)
-
-    def evict_stale(self) -> int:
-        """Drop every cell stamped with an older step than the task's newest.
-
-        A task's step ids strictly increase over its execution (DPST node
-        ids are allocated in creation order), so any cell whose step is not
-        the maximum across this space is *stale*: :meth:`cell_for` would
-        replace it with a fresh empty cell on the task's next access to
-        that location, and no checker code path ever reads another task's
-        cells.  Evicting stale cells is therefore observationally invisible
-        -- it is the compaction primitive behind
-        :class:`repro.checker.streaming.StreamingChecker`.
-
-        Returns the number of cells evicted.
-        """
-        if len(self._cells) <= 1:
-            return 0
-        newest = max(cell.step for cell in self._cells.values())
-        stale = [key for key, cell in self._cells.items() if cell.step != newest]
-        for key in stale:
-            del self._cells[key]
-        return len(stale)

@@ -8,7 +8,9 @@ input, from a single observed trace, using fixed-size metadata:
   two-access patterns), shared by all tasks;
 * a :class:`~repro.checker.metadata.LocalSpace` per task holding the first
   read and first write of the current step to each location -- the interim
-  buffer that turns a second access into a two-access pattern.
+  buffer that turns a second access into a two-access pattern.  It is
+  freed as soon as it is dead: its cells when the task moves to a new
+  step, the whole space at the task's end event.
 
 Dispatch follows Figure 6:
 
@@ -42,7 +44,7 @@ documented in ``tests/test_opt_corner_cases.py``.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
 from repro.checker.access import EMPTY_LOCKSET, AccessEntry, TwoAccessPattern
 from repro.checker.annotations import AtomicAnnotations
@@ -50,7 +52,7 @@ from repro.checker.metadata import GlobalSpace, LocalCell, LocalSpace
 from repro.checker.patterns import pattern_violated_by, triple_code
 from repro.errors import CheckerError
 from repro.report import READ, AtomicityViolation, ViolationReport
-from repro.runtime.events import MemoryEvent
+from repro.runtime.events import MemoryEvent, TaskEndEvent
 from repro.runtime.observer import RuntimeObserver
 
 Location = Hashable
@@ -74,11 +76,6 @@ class OptAtomicityChecker(RuntimeObserver):
         self._engine = None
         #: ``self._engine.parallel``, bound once per run.
         self._parallel = None
-        #: Event lockset tuple -> the frozenset stored in entries, so the
-        #: accesses made under one set of locks share a single frozenset.
-        #: Emptied by :meth:`compact`, which keeps it bounded when
-        #: streaming.
-        self._locksets: Dict[Tuple[str, ...], FrozenSet[str]] = {}
         self._annotations: Optional[AtomicAnnotations] = None
         self._annotations_trivial = True
         # Observability counters (plain ints on the hot path; surfaced
@@ -88,6 +85,7 @@ class OptAtomicityChecker(RuntimeObserver):
         self._promotions_blocked = 0
         self._memo_hits = 0
         self._pattern_checks = 0
+        self._cells_freed = 0
 
     # -- observer wiring ----------------------------------------------------
 
@@ -104,8 +102,9 @@ class OptAtomicityChecker(RuntimeObserver):
         self._annotations_trivial = self._annotations.trivial
 
     def on_memory(self, event: MemoryEvent) -> None:
-        # The per-access hot path: local-cell lookup and Figure 7 are
-        # inlined, and the lockset is interned rather than rebuilt.
+        # The per-access hot path: the local-space lookup (with its step
+        # advance) and Figure 7 are inlined, and a task's run of accesses
+        # under one lockset shares one frozenset.
         location = event.location
         if self._annotations_trivial:
             key = location
@@ -117,22 +116,25 @@ class OptAtomicityChecker(RuntimeObserver):
         self._accesses += 1
         task = event.task
         step = event.step
-        raw_lockset = event.lockset
-        if raw_lockset:
-            locks = self._locksets.get(raw_lockset)
-            if locks is None:
-                locks = self._locksets[raw_lockset] = frozenset(raw_lockset)
-        else:
-            locks = EMPTY_LOCKSET
-        entry = AccessEntry(step, event.access_type, task, location, locks)
         # LocalSpace.cell_for, inlined.
         local = self._ls.get(task)
         if local is None:
-            local = self._ls[task] = LocalSpace(task)
+            local = self._ls[task] = LocalSpace(step)
+        elif local.step != step:
+            self._cells_freed += local.advance(step)
+        raw_lockset = event.lockset
+        if not raw_lockset:
+            locks = EMPTY_LOCKSET
+        elif raw_lockset == local.raw_lockset:
+            locks = local.lockset
+        else:
+            locks = local.lockset = frozenset(raw_lockset)
+            local.raw_lockset = raw_lockset
+        entry = AccessEntry(step, event.access_type, task, location, locks)
         cells = local._cells
         cell = cells.get(key)
-        if cell is None or cell.step != step:
-            cell = cells[key] = LocalCell(step)
+        if cell is None:
+            cell = cells[key] = LocalCell()
             had_prior = False
         else:
             had_prior = cell.read is not None or cell.write is not None
@@ -354,48 +356,21 @@ class OptAtomicityChecker(RuntimeObserver):
             )
         )
 
-    # -- streaming compaction protocol ----------------------------------------------
+    def on_task_end(self, event: TaskEndEvent) -> None:
+        """A finished task never accesses memory again: drop its space."""
+        local = self._ls.pop(event.task, None)
+        if local is not None:
+            self._cells_freed += local.cell_count()
 
     def compact(self) -> int:
-        """Evict provably dead local metadata; return the number of cells dropped.
+        """The compaction protocol of
+        :class:`repro.checker.streaming.StreamingChecker`.
 
-        A cell is dead when its step is older than the newest step its task
-        has a cell for: step ids strictly increase within a task, so
-        :meth:`~repro.checker.metadata.LocalSpace.cell_for` would replace
-        such a cell on the task's next touch anyway, and no check path ever
-        consults another task's cells.  Compaction therefore never changes
-        a verdict -- ``tests/test_streaming_property.py`` pins
-        compact-after-every-event ≡ compact-never.  The global spaces are
-        *not* touched: future accesses check against them, and they are
-        fixed-size per location in ``paper`` mode.
-
-        This method is the compaction protocol
-        :class:`repro.checker.streaming.StreamingChecker` requires of its
-        inner checker.
+        There is nothing left to evict: :meth:`on_memory` frees a task's
+        cells when its step changes and :meth:`on_task_end` drops the
+        task's space, so this always returns 0 cells.
         """
-        self._locksets.clear()
-        evicted = 0
-        emptied = []
-        for task_id, local in self._ls.items():
-            evicted += local.evict_stale()
-            if not local.cell_count():
-                emptied.append(task_id)
-        for task_id in emptied:
-            del self._ls[task_id]
-        return evicted
-
-    def release_task(self, task_id: int) -> int:
-        """Drop all local metadata of a *finished* task; return cells dropped.
-
-        Safe once the task's end event has been observed: a finished task
-        performs no further accesses, so its cells can never be read again.
-        Part of the streaming compaction protocol (the wrapper calls this
-        for tasks whose ``TaskEndEvent`` fell inside the window).
-        """
-        local = self._ls.pop(task_id, None)
-        if local is None:
-            return 0
-        return local.cell_count()
+        return 0
 
     # -- metadata accounting (ablation ABL-META) ------------------------------------
 
@@ -436,6 +411,7 @@ class OptAtomicityChecker(RuntimeObserver):
             "checker.optimized.pattern_checks": self._pattern_checks,
             "checker.optimized.global_entries": self.total_global_entries(),
             "checker.optimized.local_entries": self.total_local_entries(),
+            "checker.optimized.cells_freed": self._cells_freed,
             "checker.optimized.tracked_locations": self.tracked_locations(),
             "report.violations": len(self.report),
             "report.raw_findings": self.report.raw_count,

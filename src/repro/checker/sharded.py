@@ -30,8 +30,11 @@ Every offline check -- ``jobs=1`` in-process (the whole run is shard 0),
 each ``jobs>1`` worker, checkpointed or not, streaming or not -- replays
 through one shard body, :func:`_replay_shard`, which returns a
 :class:`~repro.report.ViolationReport`; the driver merges them with
-:meth:`ViolationReport.merge`.  :class:`repro.session.CheckSession` hands
-every check of a trace here.
+:meth:`ViolationReport.merge`.  What a shard replays is picked by one
+function, :func:`repro.trace.replay.events_to_replay`: its memory events
+plus every task end, which carries no location and so reaches every
+shard -- each shard frees a finished task's local metadata.
+:class:`repro.session.CheckSession` hands every check of a trace here.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import contextlib
 import multiprocessing
 import os
 import time
-from typing import Any, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
@@ -56,57 +59,20 @@ from repro.checker.supervisor import (
 from repro.errors import CheckerError, TraceError
 from repro.report import ViolationReport
 from repro.runtime.events import MemoryEvent
-from repro.trace.replay import replay_events, replay_memory_events
+from repro.trace.replay import events_to_replay, replay_events
 from repro.trace.serialize import (
     TraceReader,
     dpst_from_dict,
     dpst_to_dict,
-    location_shard_key,
     open_trace,
+    shard_for_location,  # re-exported: the partition every shard agrees on
 )
 from repro.trace.trace import Trace
-
-Location = Hashable
 
 #: Any form :func:`repro.checker.make_checker` accepts.
 CheckerSpec = Any
 
 TraceSource = Union[Trace, TraceReader, str, "os.PathLike[str]"]
-
-def shard_for_location(location: Location, jobs: int) -> int:
-    """Deterministic shard index of *location* in ``[0, jobs)``.
-
-    Keys on :func:`~repro.trace.serialize.location_shard_key` (CRC-32 of
-    the location's ``repr``) rather than Python's builtin ``hash``: string
-    hashing is randomized per process (PYTHONHASHSEED), and every worker
-    process must agree on the partition.  The same key is stamped on v2
-    trace lines, so file-streaming workers route lines without decoding
-    them.
-    """
-    if jobs <= 1:
-        return 0
-    return location_shard_key(location) % jobs
-
-
-def partition_memory_events(
-    events: Iterable[object],
-    jobs: int,
-    annotations: Optional[AtomicAnnotations] = None,
-) -> List[List[MemoryEvent]]:
-    """Bucket the memory events of *events* into ``jobs`` shards.
-
-    Relative order within each shard is trace order.  With non-trivial
-    *annotations*, bucketing keys on ``metadata_key`` so every member of a
-    multi-variable group shares a shard (they share a metadata cell).
-    """
-    shards: List[List[MemoryEvent]] = [[] for _ in range(jobs)]
-    keyed = annotations is not None and not annotations.trivial
-    for event in events:
-        if not isinstance(event, MemoryEvent):
-            continue
-        key = annotations.metadata_key(event.location) if keyed else event.location
-        shards[shard_for_location(key, jobs)].append(event)
-    return shards
 
 
 def _require_shardable(checker: CheckerSpec) -> None:
@@ -132,38 +98,34 @@ def require_checkpoint_to_resume(
 
 
 def _replay_shard(
-    events: Iterable[object],
+    source,
     dpst,
     recorder,
     spec: CheckerSpec,
     annotations: Optional[AtomicAnnotations],
     lca_cache: bool,
     parallel_engine: str,
+    shard: int = 0,
+    jobs: int = 1,
     lines_from: Optional[TraceReader] = None,
 ) -> ViolationReport:
     """Replay one shard: the single body behind every offline check.
 
-    ``jobs=1`` runs it in-process as shard 0; each ``jobs>1`` worker runs
-    it over its own slice.  The lines the lenient reader *lines_from*
-    skips meanwhile are counted here.  Every worker scans the same
-    unstamped garbage lines, so only shard 0 passes its reader: then
-    ``jobs=1`` and ``jobs=N`` totals agree.
-
-    A checker that sets ``requires_full_stream`` (the streaming checker,
-    the interleaving explorer) is fed through
-    :func:`~repro.trace.replay.replay_events`, so it sees task ends and
-    lock events; every other checker goes through the bare
-    :func:`~repro.trace.replay.replay_memory_events` loop.  Worker
-    processes each get their own unpickled copy of an instance *spec*, so
-    every shard replays into private state.
+    ``jobs=1`` runs it in-process as shard 0 over the whole *source* (a
+    :class:`Trace` or a :class:`TraceReader`); each ``jobs>1`` worker
+    runs it over its own slice -- a reader it filters to *shard*, or the
+    events the parent picked for it.  The events come from
+    :func:`~repro.trace.replay.events_to_replay`.  The lines the lenient
+    reader *lines_from* skips meanwhile are counted here.  Every worker
+    scans the same unstamped garbage lines, so only shard 0 passes its
+    reader: then ``jobs=1`` and ``jobs=N`` totals agree.  Worker
+    processes each get their own unpickled copy of an instance *spec*,
+    so every shard replays into private state.
     """
     checker = make_checker(spec)
     skipped_before = lines_from.lines_skipped if lines_from is not None else 0
-    replay = (
-        replay_events if checker.requires_full_stream else replay_memory_events
-    )
-    report = replay(
-        events,
+    report = replay_events(
+        events_to_replay(source, checker, shard, jobs, annotations),
         checker,
         dpst=dpst,
         annotations=annotations,
@@ -186,12 +148,10 @@ def _check_shard(
 ) -> Tuple[ViolationReport, Optional[dict]]:
     """Replay one shard in a worker; return its report and snapshot.
 
-    *source* is either ``(dpst_dict, events)`` -- a shard of an in-memory
-    trace, partitioned in the parent -- or a trace file path, which the
-    worker streams itself, keeping only its own slice.  The shard filters
-    yield memory events only, so a streaming worker never sees a task
-    end: it evicts stale cells but releases no finished task (see
-    :func:`check_sharded`).
+    *source* is either ``(dpst_dict, events)`` -- the events the parent
+    picked for this shard of an in-memory trace -- or a trace file path,
+    which the worker streams itself, keeping only its own slice and
+    every task end.
 
     Workers never share a recorder with the parent -- each shard records
     into its own :class:`~repro.obs.MetricsRecorder`, whose snapshot
@@ -212,24 +172,10 @@ def _check_shard(
         report = _replay_shard(events, dpst, recorder, **options)
     else:
         with TraceReader(source, strict=strict) as reader:
-            annotations = options["annotations"]
-            if annotations is not None and not annotations.trivial:
-                # Group-aware key: the line's "sk" stamp (raw location) may
-                # not match metadata_key, so decode every line and re-key.
-                events = (
-                    event
-                    for event in reader.memory_events()
-                    if shard_for_location(
-                        annotations.metadata_key(event.location), jobs
-                    ) == shard_id
-                )
-            else:
-                # Fast path: the reader shard-filters raw lines by their
-                # "sk" stamp, so this worker decodes only its 1/jobs slice.
-                events = reader.memory_events(shard=shard_id, jobs=jobs)
             lines_from = reader if shard_id == 0 else None
             report = _replay_shard(
-                events, reader.dpst, recorder, lines_from=lines_from, **options
+                reader, reader.dpst, recorder, shard=shard_id, jobs=jobs,
+                lines_from=lines_from, **options,
             )
     if recorder is None:
         return report, None
@@ -349,12 +295,10 @@ def check_sharded(
         checks its event stream incrementally with a compaction sweep
         each *window* events (mapped by
         :func:`~repro.checker.streaming.resolve_window`: ``None`` -> the
-        default window, ``0`` -> never sweep).  At ``jobs=1`` the full
-        event stream is replayed, so ended tasks free their metadata.
-        Each ``jobs>1`` worker compacts its own shard, but replays memory
-        events only -- the shard filters drop task ends -- so it evicts
-        stale cells and never releases a finished task.  Reports stay
-        identical to the offline run at every window.
+        default window, ``0`` -> never sweep).  Every shard at every
+        ``jobs`` replays task ends, so the optimized checker frees a
+        finished task's metadata with or without the wrapper.  Reports
+        stay identical to the offline run at every window.
 
     Returns the merged, deduplicated :class:`ViolationReport`.
     """
@@ -432,8 +376,7 @@ def _check_single(
 
     Checkpointing treats the run as shard 0 too, so
     ``--checkpoint/--resume`` behave uniformly across job counts.  File
-    sources are never materialized, and a checker that sets
-    ``requires_full_stream`` gets the full event stream.
+    sources are never materialized.
     """
     if store is not None:
         cached = store.load(0)
@@ -441,16 +384,10 @@ def _check_single(
             if collect:
                 recorder.count("sharded.resumed_shards")
             return cached[0]
-    options = dict(options, spec=make_checker(options["spec"]))
-    full = options["spec"].requires_full_stream
-    events: Iterable[object]
-    if trace is not None:
-        events = trace.events if full else trace.memory_events()
-        dpst = trace.dpst
-    else:
-        events = reader.events() if full else reader.memory_events()
-        dpst = reader.dpst
-    report = _replay_shard(events, dpst, recorder, lines_from=reader, **options)
+    source = trace if trace is not None else reader
+    report = _replay_shard(
+        source, source.dpst, recorder, lines_from=reader, **options
+    )
     if store is not None:
         store.store(0, report, None)
     return report
@@ -488,22 +425,23 @@ def _check_supervised(
     with sharded_span:
         if trace is not None:
             with span(SPAN_PARTITION):
-                shards = partition_memory_events(
-                    trace.events, jobs, options["annotations"]
-                )
                 dpst_dict = None if trace.dpst is None else dpst_to_dict(trace.dpst)
-                tasks = [
-                    ShardTask(
-                        shard_id=index,
-                        fn=_check_shard,
-                        payload=(
-                            index, jobs, (dpst_dict, shard), strict, collect,
-                            options,
-                        ),
-                    )
-                    for index, shard in enumerate(shards)
-                    if shard
-                ]
+                checker = make_checker(options["spec"])
+                tasks = []
+                for index in range(jobs):
+                    shard = list(events_to_replay(
+                        trace, checker, index, jobs, options["annotations"]
+                    ))
+                    # A shard holding only task ends has nothing to check.
+                    if any(isinstance(event, MemoryEvent) for event in shard):
+                        tasks.append(ShardTask(
+                            shard_id=index,
+                            fn=_check_shard,
+                            payload=(
+                                index, jobs, (dpst_dict, shard), strict,
+                                collect, options,
+                            ),
+                        ))
             if not tasks:
                 if collect:
                     recorder.count("sharded.workers", 0)

@@ -4,31 +4,25 @@
 optimized checker) and consumes events *one at a time* -- attached live to
 the runtime observer chain, or fed from a :class:`repro.trace.TraceReader`
 stream (v2 JSONL and v3 columnar alike) without ever materializing the
-trace.  Every ``window`` memory events it runs a *compaction sweep*:
+trace.  Every ``window`` memory events it runs a *compaction sweep*,
+calling the inner checker's ``compact()``.
 
-* :meth:`~repro.checker.optimized.OptAtomicityChecker.release_task` for
-  every task whose end event fell inside the window (a finished task never
-  accesses again, so its local metadata is dead);
-* :meth:`~repro.checker.optimized.OptAtomicityChecker.compact` to evict
-  *stale* local cells -- cells stamped with an older step than their
-  task's newest, which ``cell_for`` would replace on the next touch
-  anyway.
-
-Both evictions are observationally invisible: no check path ever reads an
-evicted cell again, so the report is byte-identical (after
-``normalize_report``) to an offline check at *every* window, including
-``window=1`` and no-compaction.  What the window buys is memory: peak live
-local metadata is bounded by the eviction debt one window can accumulate
-(live tasks plus stale cells created since the last sweep), not by the
-number of tasks or events in the trace.  The global spaces stay resident
--- they are the paper's fixed twelve entries per location, i.e. program
-state, not trace state.
+The optimized checker frees its own dead local metadata -- a task's
+cells when the task moves to its next step, its whole local space at its
+end event -- so every check of it is bounded, streaming or not, and a
+sweep finds nothing left to evict (``streaming.evicted`` reads 0).  The
+wrapper stays, as a thin pass-through that counts events and sweeps and
+samples ``streaming.peak_window``, until the streaming options are
+deleted.  The report is byte-identical (after ``normalize_report``) to an
+offline check at *every* window, including ``window=1`` and
+no-compaction.  The global spaces stay resident -- they are the paper's
+fixed twelve entries per location, i.e. program state, not trace state.
 
 When streaming refuses
 ----------------------
 Wrapping requires the inner checker to implement the compaction protocol
-(``compact()``; ``release_task()`` is optional).  Checkers that keep
-trace-global state have nothing sound to evict and are refused with a
+(a ``compact()`` method).  Checkers that keep trace-global state have
+nothing sound to evict and are refused with a
 :class:`~repro.errors.CheckerError`:
 
 * ``velodrome`` (and ``velodrome+explorer``) -- the cross-location
@@ -39,7 +33,7 @@ trace-global state have nothing sound to evict and are refused with a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import CheckerError
 from repro.runtime.events import (
@@ -91,8 +85,6 @@ class StreamingChecker(RuntimeObserver):
     """
 
     checker_name = "streaming"
-    #: Task ends in the stream release finished tasks at the next sweep.
-    requires_full_stream = True
 
     def __init__(
         self, window: Optional[int] = DEFAULT_WINDOW, checker="optimized", **checker_kwargs
@@ -122,7 +114,6 @@ class StreamingChecker(RuntimeObserver):
         self.requires_lca = getattr(inner, "requires_lca", inner.requires_dpst)
         self.location_sharded = inner.location_sharded
         self._since_sweep = 0
-        self._ended_tasks: List[int] = []
         # Observability (flushed at phase boundaries via metrics()).
         self._events = 0
         self._compactions = 0
@@ -157,11 +148,6 @@ class StreamingChecker(RuntimeObserver):
 
     def _sweep(self) -> None:
         self._peak_window = max(self._peak_window, self._live_entries())
-        release = getattr(self.inner, "release_task", None)
-        if self._ended_tasks and callable(release):
-            for task_id in self._ended_tasks:
-                self._evicted += release(task_id)
-        self._ended_tasks.clear()
         self._evicted += self.inner.compact()
         self._compactions += 1
         self._since_sweep = 0
@@ -188,9 +174,6 @@ class StreamingChecker(RuntimeObserver):
 
     def on_task_end(self, event: TaskEndEvent) -> None:
         self.inner.on_task_end(event)
-        # Release lazily at the next sweep so *all* eviction is governed by
-        # the window (window=None really does mean "never evict").
-        self._ended_tasks.append(event.task)
 
     def on_task_spawn(self, event: TaskSpawnEvent) -> None:
         self.inner.on_task_spawn(event)

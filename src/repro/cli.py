@@ -819,9 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_trace.add_argument(
         "--streaming", action="store_true",
-        help="check incrementally with bounded memory: events stream "
-        "through a windowed checker that compacts dead metadata instead "
-        "of materializing the trace (same report as offline)",
+        help="check through the windowed streaming checker (same report "
+        "as offline; every check frees dead metadata as it goes, so the "
+        "wrapper's sweeps evict nothing)",
     )
     check_trace.add_argument(
         "--window", type=int, default=None, metavar="N",

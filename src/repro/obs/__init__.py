@@ -113,7 +113,8 @@ METRIC_NAMES: Dict[str, str] = {
     "checker.optimized.memo_hits": "re-checks skipped by global-space version stamps",
     "checker.optimized.pattern_checks": "stored patterns tested against an interleaver",
     "checker.optimized.global_entries": "occupied global access-history entries (<=12/location in paper mode)",
-    "checker.optimized.local_entries": "occupied per-task local entries",
+    "checker.optimized.local_entries": "occupied per-task local entries (0 once every task has ended)",
+    "checker.optimized.cells_freed": "local cells freed at their task's step changes and end",
     "checker.optimized.tracked_locations": "locations with a global space",
     # basic checker (Figure 3)
     "checker.basic.history_entries": "stored access-history entries (grows with accesses)",
@@ -132,7 +133,7 @@ METRIC_NAMES: Dict[str, str] = {
     # streaming wrapper (repro.checker.streaming)
     "streaming.events": "memory events consumed by a streaming checker",
     "streaming.compactions": "compaction sweeps performed",
-    "streaming.evicted": "dead local cells evicted by sweeps",
+    "streaming.evicted": "dead local cells evicted by sweeps (0: the checker frees them first)",
     "streaming.peak_window": "peak live local entries observed at sweep boundaries",
     # race detector
     "checker.racedetector.races": "distinct data races recorded",

@@ -254,9 +254,11 @@ class Runtime:
         finally:
             if task.notify_frame is not None:
                 task.notify_frame.child_finished()
+        # Under the lock, like a memory access: a checker freeing the
+        # task's metadata here never races another task's access.
         with self._lock:
             seq = self._alloc_seq()
-        self.observer.on_task_end(TaskEndEvent(seq, task.task_id))
+            self.observer.on_task_end(TaskEndEvent(seq, task.task_id))
 
     # -- task management semantics ----------------------------------------------
 

@@ -255,15 +255,15 @@ class CheckSession:
         never silently -- for class/instance checker specs and non-trivial
         annotations, since those carry state the key cannot see.
 
-        ``streaming=True`` checks incrementally through
-        :class:`repro.checker.streaming.StreamingChecker`: events are
-        consumed one at a time (file sources are never materialized, and
-        at ``jobs=1`` the full event stream -- including task ends -- is
-        replayed so finished tasks free their metadata) with a compaction
-        sweep every *window* events.  ``window`` defaults to
+        ``streaming=True`` checks through
+        :class:`repro.checker.streaming.StreamingChecker`, with a
+        compaction sweep every *window* events.  Every check replays task
+        ends and the optimized checker frees dead local metadata itself,
+        so the sweeps find nothing to evict and memory is bounded with or
+        without the wrapper.  ``window`` defaults to
         :data:`repro.checker.streaming.DEFAULT_WINDOW`; ``0`` disables
         periodic compaction (the ∞ window).  The report is byte-identical
-        to the offline check at every window; only peak memory differs.
+        to the offline check at every window.
         A streaming check is filed under ``"streaming"`` in
         :attr:`reports`.
         Requires a compactable checker -- ``velodrome``, ``basic`` and

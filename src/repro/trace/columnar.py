@@ -3,8 +3,8 @@
 The streaming JSONL format (v2) made traces larger than RAM checkable,
 but left the sharded pipeline decode-bound: every worker pays a JSON
 parse per line it keeps, and a regex scan per line it drops.  The v3
-format stores events as *columns* instead of rows, so readers slice the
-fields they need with bulk :mod:`struct` unpacks and route whole frames
+format stores events as *columns* instead of rows, so readers read the
+fields they need through ``memoryview`` casts and route accesses
 without touching JSON at all.
 
 On-disk layout::
@@ -55,9 +55,11 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import zlib
+from array import array
 from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dpst.base import DPSTBase
 from repro.errors import TraceError
@@ -117,6 +119,7 @@ EVENT_TAGS: Tuple[type, ...] = (
 )
 _TAG_OF = {cls: tag for tag, cls in enumerate(EVENT_TAGS)}
 _MEMORY_TAG = _TAG_OF[MemoryEvent]
+_END_TAG = _TAG_OF[TaskEndEvent]
 
 #: Names of the packed columns after ``type``, with their struct codes.
 _PACKED_COLUMNS = (("seq", "q"),) + tuple((f"f{k}", "i") for k in range(5))
@@ -129,6 +132,30 @@ _FLAG_COMPRESSED = 0x01
 
 #: Per-event payload bytes: 1 (type) + 8 (seq) + 5 * 4 (f0..f4).
 _ROW_BYTES = 1 + 8 + 5 * 4
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _int_columns(payload: bytes, n: int) -> List[Sequence[int]]:
+    """The ``seq`` and ``f0``-``f4`` columns of a frame payload of *n*
+    events, as int sequences indexed by event.
+
+    The columns are little-endian.  On a little-endian host they are
+    ``memoryview`` casts that read the payload in place, so decoding a
+    frame allocates no per-event ints up front; elsewhere they are
+    byte-swapped :class:`array.array` copies.
+    """
+    base = 9 * n
+    spans = [("q", n, base)] + [
+        ("i", base + 4 * n * k, base + 4 * n * (k + 1)) for k in range(5)
+    ]
+    if _LITTLE_ENDIAN:
+        view = memoryview(payload)
+        return [view[start:stop].cast(code) for code, start, stop in spans]
+    columns = [array(code, payload[start:stop]) for code, start, stop in spans]
+    for column in columns:
+        column.byteswap()
+    return columns
 
 
 def is_columnar_trace(path: str) -> bool:
@@ -413,21 +440,23 @@ class ColumnarTraceReader:
     """Streaming reader over one v3 columnar trace file.
 
     Construction parses the header (DPST) and the footer (interned
-    tables + frame index); :meth:`events` / :meth:`memory_events` then
-    stream frames with a fresh tracked handle per pass, exactly like
+    tables + frame index); :meth:`events`, :meth:`memory_events` and
+    :meth:`checking_events` then stream frames with a fresh tracked
+    handle per pass, exactly like
     :class:`~repro.trace.serialize.TraceReader` -- which wraps this class
     for v3 files, so most callers never see it directly.
 
     Lenient mode (``strict=False``): a frame that fails to decode is
     skipped as a unit and its event count (known from the frame index)
-    lands on :attr:`lines_skipped`; the header, footer, and trailer must
-    always decode (the DPST and the tables live there).
+    lands on :attr:`lines_skipped`, as does each single event whose tag
+    or table id is bad; the header, footer, and trailer must always
+    decode (the DPST and the tables live there).
     """
 
     def __init__(self, path: str, strict: bool = True) -> None:
         self.path = os.fspath(path)
         self.strict = bool(strict)
-        #: Events lost to undecodable frames (lenient mode only).
+        #: Events lost to undecodable frames or bad ids (lenient mode only).
         self.lines_skipped = 0
         self._closed = False
         self._live_handles: set = set()
@@ -478,9 +507,11 @@ class ColumnarTraceReader:
             ]
             self._location_sk = [int(sk) for sk in footer["location_sk"]]
             self._lock_table = [str(name) for name in footer["locks"]]
+            rows = footer["locksets"]
+            if any(index < 0 for row in rows for index in row):
+                raise IndexError("negative lock id in a lockset row")
             self._locksets = [
-                tuple(self._lock_table[index] for index in row)
-                for row in footer["locksets"]
+                tuple(self._lock_table[index] for index in row) for row in rows
             ]
             self._frames = [
                 (int(offset), int(n)) for offset, n in footer["frames"]
@@ -609,30 +640,21 @@ class ColumnarTraceReader:
             )
         return payload
 
-    @staticmethod
-    def _columns(payload: bytes, n: int):
-        """Slice one frame payload into its parallel arrays."""
-        types = payload[:n]
-        seqs = struct.unpack_from(f"<{n}q", payload, n)
-        base = n + 8 * n
-        cols = [
-            struct.unpack_from(f"<{n}i", payload, base + k * 4 * n)
-            for k in range(5)
-        ]
-        return types, seqs, cols
-
-    def _build_event(self, tag: int, seq: int, cols, index: int) -> object:
-        f0 = cols[0][index]
-        f1 = cols[1][index]
-        f2 = cols[2][index]
+    def _build_event(
+        self, tag: int, seq: int, f0: int, f1: int, f2: int, f3: int, f4: int
+    ) -> object:
+        """One event from its column values; a bad tag or table id raises
+        :class:`TraceError` (a negative id would index from the end)."""
         if tag == _MEMORY_TAG:
+            if f2 < 0 or f4 < 0:
+                raise TraceError(f"negative table id ({f2}, {f4})")
             return MemoryEvent(
                 seq,
                 f0,
                 f1,
                 self._locations[f2],
-                WRITE if cols[3][index] else READ,
-                self._locksets[cols[4][index]],
+                WRITE if f3 else READ,
+                self._locksets[f4],
             )
         if tag == 0:
             return TaskSpawnEvent(seq, f0, f1, f2)
@@ -642,39 +664,44 @@ class ColumnarTraceReader:
             return TaskEndEvent(seq, f0)
         if tag == 3:
             return SyncEvent(seq, f0, f1)
-        if tag == 5:
-            return AcquireEvent(
-                seq, f0, f1, self._lock_table[f2], self._lock_table[cols[3][index]]
-            )
-        if tag == 6:
-            return ReleaseEvent(
-                seq, f0, f1, self._lock_table[f2], self._lock_table[cols[3][index]]
-            )
-        raise TraceError(f"unknown event tag {tag} in {self.path!r}")
+        if tag == 5 or tag == 6:
+            if f2 < 0 or f3 < 0:
+                raise TraceError(f"negative lock id ({f2}, {f3})")
+            lock = AcquireEvent if tag == 5 else ReleaseEvent
+            return lock(seq, f0, f1, self._lock_table[f2], self._lock_table[f3])
+        raise TraceError(f"unknown event tag {tag}")
 
     # -- streaming views ---------------------------------------------------
+
+    def _payloads(self, handle) -> Iterator[Tuple[int, int, bytes]]:
+        """``(offset, n, payload)`` per frame in file order; a lenient
+        reader skips (and counts) every frame that fails to decode."""
+        for offset, n in self._frames:
+            try:
+                payload = self._frame_payload(handle, offset, n)
+            except (TraceError, OSError):
+                if self.strict:
+                    raise
+                self.lines_skipped += n
+                continue
+            yield offset, n, payload
+
+    def _corrupt(self, offset: int, what: str) -> TraceError:
+        return TraceError(
+            f"corrupt frame at offset {offset} in {self.path!r}: {what}"
+        )
 
     def events(self) -> Iterator[object]:
         """Yield every event in file order (a fresh pass per call)."""
         handle = self._open_stream()
         try:
-            for offset, n in self._frames:
-                try:
-                    payload = self._frame_payload(handle, offset, n)
-                    types, seqs, cols = self._columns(payload, n)
-                except (TraceError, struct.error, OSError):
-                    if self.strict:
-                        raise
-                    self.lines_skipped += n
-                    continue
-                for index in range(n):
+            for offset, n, payload in self._payloads(handle):
+                for row in zip(payload[:n], *_int_columns(payload, n)):
                     try:
-                        event = self._build_event(
-                            types[index], seqs[index], cols, index
-                        )
-                    except (TraceError, IndexError):
+                        event = self._build_event(*row)
+                    except (TraceError, IndexError) as exc:
                         if self.strict:
-                            raise
+                            raise self._corrupt(offset, str(exc)) from exc
                         self.lines_skipped += 1
                         continue
                     yield event
@@ -687,78 +714,69 @@ class ColumnarTraceReader:
     def memory_events(
         self, shard: Optional[int] = None, jobs: Optional[int] = None
     ) -> Iterator[MemoryEvent]:
-        """Yield the memory accesses, optionally one shard's worth.
+        """Yield the memory accesses, optionally one shard's worth."""
+        return self._select(shard, jobs, ends=False)
+
+    def checking_events(
+        self, shard: Optional[int] = None, jobs: Optional[int] = None
+    ) -> Iterator[object]:
+        """Yield what an offline check replays: the memory accesses
+        (optionally one shard's worth) and every task end, in file order.
+        A task end carries no location, so every shard gets it."""
+        return self._select(shard, jobs, ends=True)
+
+    def _select(
+        self, shard: Optional[int], jobs: Optional[int], ends: bool
+    ) -> Iterator[object]:
+        """One pass per frame over its columns, building only the events
+        wanted.
 
         The shard filter compares the footer's per-location shard keys
-        against interned location *ids* straight out of the column, so a
-        foreign-shard frame costs one bulk unpack and a few integer
-        comparisons -- no location decode, no JSON, no event objects.
+        against interned location *ids* straight out of the column -- no
+        location decode, no JSON -- and builds no object for a foreign
+        access.  An access whose location or lockset id lies outside its
+        table is rejected in every shard, before routing, so a lenient
+        reader counts it the same way at any ``jobs``.
         """
         filtering = shard is not None and jobs is not None and jobs > 1
+        locations, locksets = self._locations, self._locksets
         sk = self._location_sk
+        n_locations, n_locksets = len(locations), len(locksets)
+        memory_tag = _MEMORY_TAG
+        # Without ends, the elif below can never fire.
+        end_tag = _END_TAG if ends else memory_tag
         handle = self._open_stream()
         try:
-            for offset, n in self._frames:
-                try:
-                    payload = self._frame_payload(handle, offset, n)
-                except (TraceError, struct.error, OSError):
-                    if self.strict:
-                        raise
-                    self.lines_skipped += n
-                    continue
+            for offset, n, payload in self._payloads(handle):
                 types = payload[:n]
-                if _MEMORY_TAG not in types:
+                if memory_tag not in types and end_tag not in types:
                     continue
-                base = n + 8 * n
-                locs = struct.unpack_from(f"<{n}i", payload, base + 2 * 4 * n)
-                try:
-                    if filtering:
-                        selected = [
-                            i
-                            for i in range(n)
-                            if types[i] == _MEMORY_TAG
-                            and sk[locs[i]] % jobs == shard
-                        ]
-                    else:
-                        selected = [
-                            i for i in range(n) if types[i] == _MEMORY_TAG
-                        ]
-                except IndexError:
-                    if self.strict:
-                        raise TraceError(
-                            f"corrupt frame at offset {offset} in "
-                            f"{self.path!r}: location id out of range"
+                seqs, tasks, steps, locs, writes, sets = _int_columns(payload, n)
+                for tag, seq, task, step, loc, write, held in zip(
+                    types, seqs, tasks, steps, locs, writes, sets
+                ):
+                    if tag == memory_tag:
+                        if not (0 <= loc < n_locations and 0 <= held < n_locksets):
+                            if self.strict:
+                                raise self._corrupt(
+                                    offset,
+                                    f"location id {loc} or lockset id {held} "
+                                    "out of range",
+                                )
+                            self.lines_skipped += 1
+                            continue
+                        if filtering and sk[loc] % jobs != shard:
+                            continue
+                        yield MemoryEvent(
+                            seq,
+                            task,
+                            step,
+                            locations[loc],
+                            WRITE if write else READ,
+                            locksets[held],
                         )
-                    self.lines_skipped += n
-                    continue
-                if not selected:
-                    continue
-                seqs = struct.unpack_from(f"<{n}q", payload, n)
-                tasks = struct.unpack_from(f"<{n}i", payload, base)
-                steps = struct.unpack_from(f"<{n}i", payload, base + 4 * n)
-                writes = struct.unpack_from(
-                    f"<{n}i", payload, base + 3 * 4 * n
-                )
-                sets = struct.unpack_from(f"<{n}i", payload, base + 4 * 4 * n)
-                for i in selected:
-                    try:
-                        event = MemoryEvent(
-                            seqs[i],
-                            tasks[i],
-                            steps[i],
-                            self._locations[locs[i]],
-                            WRITE if writes[i] else READ,
-                            self._locksets[sets[i]],
-                        )
-                    except IndexError:
-                        if self.strict:
-                            raise TraceError(
-                                f"corrupt frame at offset {offset} in "
-                                f"{self.path!r}: table index out of range"
-                            )
-                        self.lines_skipped += 1
-                        continue
-                    yield event
+                    elif tag == end_tag:
+                        yield TaskEndEvent(seq, task)
         finally:
             self._release(handle)
 

@@ -117,7 +117,9 @@ class InterleavingExplorer:
         """Every legal complete schedule, as memory-event sequences.
 
         Distinct lock-operation interleavings that produce the same memory
-        order appear once (deduplicated).
+        order appear once (deduplicated).  The depth-first search keeps
+        its own stack -- one frame per scheduled event -- so a trace of
+        any length explores without exhausting the interpreter's.
         """
         self.truncated = False
         sequences = self._sequences
@@ -128,7 +130,7 @@ class InterleavingExplorer:
         out: List[List[MemoryEvent]] = []
         seen: Set[Tuple[int, ...]] = set()
         current: List[MemoryEvent] = []
-        expansions = [0]
+        expansions = 0
 
         def step_done(step: int) -> bool:
             return counts[step] >= len(sequences[step])
@@ -144,13 +146,15 @@ class InterleavingExplorer:
                 return lock_holder.get(event.name) is None
             return True
 
-        def dfs() -> None:
-            if self.truncated:
-                return
-            expansions[0] += 1
-            if expansions[0] > self.max_expansions:
+        def expand() -> Optional[List[int]]:
+            """Visit the current state: the steps to branch on, or
+            ``None`` at a leaf (a complete schedule is recorded) or once
+            the search is cut off."""
+            nonlocal expansions
+            expansions += 1
+            if expansions > self.max_expansions:
                 self.truncated = True
-                return
+                return None
             candidates = [step for step in steps if enabled(step)]
             # Eager-release pruning: performing an enabled release first
             # never removes reachable memory orders (a release only
@@ -167,28 +171,47 @@ class InterleavingExplorer:
                         out.append(list(current))
                         if len(out) >= self.max_schedules:
                             self.truncated = True
-                return
-            for step in candidates:
-                event = sequences[step][counts[step]]
-                counts[step] += 1
-                pushed = False
-                if isinstance(event, AcquireEvent):
-                    lock_holder[event.name] = event.task
-                elif isinstance(event, ReleaseEvent):
-                    lock_holder[event.name] = None
-                else:
-                    current.append(event)
-                    pushed = True
-                dfs()
-                counts[step] -= 1
-                if isinstance(event, AcquireEvent):
-                    lock_holder[event.name] = None
-                elif isinstance(event, ReleaseEvent):
-                    lock_holder[event.name] = event.task
-                if pushed:
-                    current.pop()
+                return None
+            return candidates
 
-        dfs()
+        def perform(step: int) -> object:
+            event = sequences[step][counts[step]]
+            counts[step] += 1
+            if isinstance(event, AcquireEvent):
+                lock_holder[event.name] = event.task
+            elif isinstance(event, ReleaseEvent):
+                lock_holder[event.name] = None
+            else:
+                current.append(event)
+            return event
+
+        def undo(step: int, event: object) -> None:
+            counts[step] -= 1
+            if isinstance(event, AcquireEvent):
+                lock_holder[event.name] = None
+            elif isinstance(event, ReleaseEvent):
+                lock_holder[event.name] = event.task
+            else:
+                current.pop()
+
+        # stack[d]: the untried candidates at depth d; path[d]: the (step,
+        # event) performed to go from depth d to depth d + 1.
+        root = expand()
+        stack = [iter(root)] if root is not None else []
+        path: List[Tuple[int, object]] = []
+        while stack and not self.truncated:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if path:
+                    undo(*path.pop())
+                continue
+            path.append((step, perform(step)))
+            child = expand()
+            if child is None:
+                undo(*path.pop())
+            else:
+                stack.append(iter(child))
         return out
 
     # -- verdicts -----------------------------------------------------------------

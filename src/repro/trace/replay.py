@@ -10,7 +10,7 @@ verdict, while it very much changes Velodrome's.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.checker.annotations import AtomicAnnotations
 from repro.dpst.base import DPSTBase
@@ -30,6 +30,7 @@ from repro.runtime.executor import RunContext
 from repro.runtime.observer import RuntimeObserver
 from repro.runtime.shadow import ShadowMemory
 from repro.runtime.locks import LockTable
+from repro.trace.serialize import shard_for_location
 from repro.trace.trace import Trace
 
 
@@ -128,6 +129,57 @@ def _drive_all(events, checker, counting: bool) -> int:
     return routed
 
 
+def events_to_replay(
+    source,
+    checker: RuntimeObserver,
+    shard: int = 0,
+    jobs: int = 1,
+    annotations: Optional[AtomicAnnotations] = None,
+) -> Iterable[object]:
+    """What an offline check of *source* feeds *checker*, in source order.
+
+    The one choice behind every offline path: a ``jobs=1`` check of a
+    :class:`Trace` or a :class:`~repro.trace.serialize.TraceReader`,
+    each ``jobs>1`` shard (in memory or read from the file), and
+    :func:`replay_trace`.  *source* may also be a plain event iterable.
+
+    A checker that sets ``requires_full_stream`` (the interleaving
+    explorer, which keeps critical sections whole) gets every event.
+    Every other checker gets the memory events and the task ends: a task
+    end lets the optimized checker free the finished task's local
+    metadata, and since it carries no location it reaches every shard.
+    With ``jobs > 1`` only shard *shard*'s memory events are kept, keyed
+    on ``annotations.metadata_key`` when the annotations group locations
+    (a group shares one metadata cell, so it must share a shard).
+    """
+    if isinstance(source, Trace):
+        source = source.events
+    reader = getattr(source, "checking_events", None)
+    if checker.requires_full_stream:
+        return source.events() if reader is not None else source
+    keyed = annotations is not None and not annotations.trivial
+    if reader is not None:
+        if jobs > 1 and not keyed:
+            # The reader routes by the shard key stored in the file.
+            return reader(shard=shard, jobs=jobs)
+        events = reader()
+    else:
+        events = (
+            event
+            for event in source
+            if isinstance(event, (MemoryEvent, TaskEndEvent))
+        )
+    if jobs <= 1:
+        return events
+    key = annotations.metadata_key if keyed else (lambda location: location)
+    return (
+        event
+        for event in events
+        if not isinstance(event, MemoryEvent)
+        or shard_for_location(key(event.location), jobs) == shard
+    )
+
+
 def replay_memory_events(
     events: Iterable[MemoryEvent],
     checker: RuntimeObserver,
@@ -168,16 +220,14 @@ def replay_events(
 ) -> ViolationReport:
     """Feed a *full* event stream -- memory, task, sync, lock -- to *checker*.
 
-    :func:`replay_memory_events` is the right call for plain checkers,
-    which only consume memory events.  Streaming checkers additionally
-    want the task lifecycle: a ``TaskEndEvent`` proves a task's local
-    metadata dead, letting the windowed compaction sweep reclaim it (see
-    :class:`repro.checker.streaming.StreamingChecker`), and the
+    Every offline check goes through here, with the events
+    :func:`events_to_replay` picks: a ``TaskEndEvent`` proves the task's
+    local metadata dead, so the optimized checker frees it, and the
     interleaving explorer needs lock events to keep critical sections
-    whole.  Each event is
-    dispatched to the matching observer hook; unknown event types are
-    ignored.  ``trace.events.routed`` still counts memory events only, so
-    the counter stays comparable with memory-only replays.
+    whole.  Each event is dispatched to the matching observer hook;
+    unknown event types are ignored.  ``trace.events.routed`` still
+    counts memory events only, so the counter stays comparable with
+    memory-only replays.
     """
     return _replay(
         _drive_all, events, checker, dpst, annotations, lca_cache,
@@ -195,14 +245,12 @@ def replay_trace(
 ) -> ViolationReport:
     """Replay a full :class:`Trace` through *checker*.
 
-    Memory events are all most checkers read (locksets ride on the
-    events themselves), so task and lock events are skipped -- unless the
-    checker sets ``requires_full_stream``, which gets every event.
+    Feeds what :func:`events_to_replay` picks: memory events and task
+    ends (locksets ride on the events themselves), or every event for a
+    checker that sets ``requires_full_stream``.
     """
-    full = checker.requires_full_stream
-    replay = replay_events if full else replay_memory_events
-    return replay(
-        trace.events if full else trace.memory_events(),
+    return replay_events(
+        events_to_replay(trace, checker),
         checker,
         dpst=trace.dpst,
         annotations=annotations,

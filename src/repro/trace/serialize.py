@@ -91,6 +91,21 @@ def location_shard_key(location: Location) -> int:
     return zlib.crc32(repr(location).encode("utf-8"))
 
 
+def shard_for_location(location: Location, jobs: int) -> int:
+    """Deterministic shard index of *location* in ``[0, jobs)``.
+
+    Keys on :func:`location_shard_key` (CRC-32 of the location's
+    ``repr``) rather than Python's builtin ``hash``: string hashing is
+    randomized per process (PYTHONHASHSEED), and every worker process
+    of the sharded driver must agree on the partition.  The same key is
+    stamped on v2 trace lines, so file-streaming workers route lines
+    without decoding them.
+    """
+    if jobs <= 1:
+        return 0
+    return location_shard_key(location) % jobs
+
+
 class LocationTable:
     """The distinct locations of a trace being written, each interned once.
 
@@ -523,14 +538,32 @@ class TraceReader:
         runs over the columnar frames directly (see
         :meth:`repro.trace.columnar.ColumnarTraceReader.memory_events`).
         """
+        return self._select(shard, jobs, ends=False)
+
+    def checking_events(
+        self, shard: Optional[int] = None, jobs: Optional[int] = None
+    ) -> Iterator[object]:
+        """Yield what an offline check replays, in file order: the memory
+        accesses (one shard's worth with ``shard``/``jobs``, filtered as
+        in :meth:`memory_events`) and every task end.  A task end carries
+        no location, so every shard gets it."""
+        return self._select(shard, jobs, ends=True)
+
+    def _select(
+        self, shard: Optional[int], jobs: Optional[int], ends: bool
+    ) -> Iterator[object]:
+        """The memory events (and with *ends*, the task ends),
+        shard-filtered."""
+        if self._closed:
+            raise TraceError(f"TraceReader for {self.path!r} is closed")
         if self._v3 is not None:
-            if self._closed:
-                raise TraceError(f"TraceReader for {self.path!r} is closed")
-            yield from self._v3.memory_events(shard=shard, jobs=jobs)
+            view = self._v3.checking_events if ends else self._v3.memory_events
+            yield from view(shard=shard, jobs=jobs)
             return
+        kinds = (MemoryEvent, TaskEndEvent) if ends else MemoryEvent
         if shard is None or jobs is None or jobs <= 1:
             for event in self.events():
-                if isinstance(event, MemoryEvent):
+                if isinstance(event, kinds):
                     yield event
             return
         # Binary mode: foreign-shard lines are dropped after a bounded
@@ -551,10 +584,11 @@ class TraceReader:
                     if not line.strip():
                         continue
                     event = self._decode_line(line)
+                    if event is _SKIPPED or not isinstance(event, kinds):
+                        continue
                     if (
-                        event is not _SKIPPED
-                        and isinstance(event, MemoryEvent)
-                        and location_shard_key(event.location) % jobs == shard
+                        not isinstance(event, MemoryEvent)
+                        or location_shard_key(event.location) % jobs == shard
                     ):
                         yield event
         finally:

@@ -132,14 +132,14 @@ class TestEntryCount:
 
 class TestLocalSpace:
     def test_fresh_cell(self):
-        local = LocalSpace(task_id=1)
+        local = LocalSpace(step=4)
         cell, had_prior = local.cell_for("X", step=4)
         assert not had_prior
         assert cell.is_empty
-        assert cell.step == 4
+        assert local.step == 4
 
     def test_prior_detected(self):
-        local = LocalSpace(1)
+        local = LocalSpace(4)
         cell, _ = local.cell_for("X", 4)
         cell.read = entry(4)
         cell2, had_prior = local.cell_for("X", 4)
@@ -147,17 +147,27 @@ class TestLocalSpace:
         assert cell2 is cell
 
     def test_stale_cell_replaced_on_new_step(self):
-        """A task's later step is a different atomic region."""
-        local = LocalSpace(1)
+        """A task's later step is a different atomic region: moving to it
+        frees every cell of the earlier step."""
+        local = LocalSpace(4)
         cell, _ = local.cell_for("X", 4)
         cell.read = entry(4)
+        local.cell_for("Y", 4)[0].write = entry(4, WRITE)
         cell2, had_prior = local.cell_for("X", 9)
         assert not had_prior
-        assert cell2.step == 9
-        assert cell2.is_empty
+        assert local.step == 9
+        assert cell2.is_empty and cell2 is not cell
+        assert local.cell_count() == 1  # Y's cell went with step 4
+
+    def test_advance_counts_freed_cells(self):
+        local = LocalSpace(4)
+        local.cell_for("X", 4)
+        local.cell_for("Y", 4)
+        assert local.advance(9) == 2
+        assert local.cell_count() == 0 and local.step == 9
 
     def test_entry_count(self):
-        local = LocalSpace(1)
+        local = LocalSpace(4)
         cell, _ = local.cell_for("X", 4)
         cell.read = entry(4)
         cell.write = entry(4, WRITE)

@@ -14,6 +14,7 @@ from repro.errors import CheckerError
 from repro.report import READ, WRITE
 from repro.runtime import SerialExecutor, TaskProgram, run_program
 from repro.runtime.events import MemoryEvent
+from repro.runtime.observer import RuntimeObserver
 from repro.trace.replay import replay_memory_events
 
 from tests.conftest import build_figure2
@@ -77,10 +78,16 @@ class TestFigure10Walkthrough:
         assert space.RR is None and space.WR is None and space.WW is None
 
     def test_final_local_metadata(self):
-        """Figure 10: T1 holds (S11, W); T2 holds (S2, R) and (S2, W); T3 (S3, W)."""
+        """Figure 10: T2 holds (S2, R) and (S2, W); T3 (S3, W).
+
+        The figure still draws T1's (S11, W).  Here it is freed when T1
+        moves to S12: no check can read an earlier step's cell again.
+        """
         checker = self.run_checker()
-        t1_cell = checker._ls[1]._cells["X"]
-        assert t1_cell.write.step == self.s11 and t1_cell.read is None
+        t1 = checker._ls[1]
+        assert t1.step == self.s12 and "X" not in t1._cells
+        assert t1._cells["Y"].write.step == self.s12
+        assert checker.metrics()["checker.optimized.cells_freed"] == 1
         t2_cell = checker._ls[2]._cells["X"]
         assert t2_cell.read.step == self.s2
         assert t2_cell.write.step == self.s2
@@ -256,9 +263,22 @@ class TestAccounting:
             ctx.spawn(child)
             ctx.sync()
 
+        class Probe(RuntimeObserver):
+            """Samples the checker's live local entries after each access."""
+
+            def __init__(self):
+                self.samples = []
+
+            def on_memory(self, event):
+                self.samples.append(checker.total_local_entries())
+
         checker = OptAtomicityChecker()
-        run_program(TaskProgram(main), observers=[checker])
+        probe = Probe()
+        run_program(TaskProgram(main), observers=[checker, probe])
         assert checker.tracked_locations() == 1
         assert 0 < checker.max_entries_per_location() <= 12
-        assert checker.total_local_entries() > 0
+        # Live mid-run; every task has ended, so all freed after the run.
+        assert max(probe.samples) > 0
+        assert checker.total_local_entries() == 0
+        assert checker.metrics()["checker.optimized.cells_freed"] > 0
         assert checker.total_global_entries() >= checker.max_entries_per_location()

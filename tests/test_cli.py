@@ -672,6 +672,16 @@ class TestExitStatus:
         completed = self.run("check", "cli_targets:deep_chain", cwd=tmp_path)
         self.assert_error_names(completed, "spawn depth")
 
+    def test_compare_long_trace_explores_without_traceback(self, tmp_path):
+        """Velodrome + explorer schedules a 1,000+-event trace: its
+        search must not recurse once per event."""
+        completed = self.run(
+            "compare", "repro.workloads.kmeans:build", cwd=tmp_path
+        )
+        assert completed.returncode in (0, 1, 2), completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert "velodrome + explorer" in completed.stdout
+
     def test_violating_trace_exits_1(self, target_module, tmp_path, capsys):
         main(["record", f"{target_module}:buggy", "-o", str(tmp_path / "t.trc")])
         capsys.readouterr()

@@ -644,6 +644,119 @@ class TestCorruption:
         assert len(list(open_trace(path, strict=False).events())) == 0
 
 
+def racing_on_a():
+    """Two tasks racing on "A", then an access to "B": tables ['A', 'B']."""
+
+    def rmw(ctx):
+        ctx.write("A", ctx.read("A") + 1)
+
+    def main(ctx):
+        ctx.write("A", 0)
+        ctx.spawn(rmw)
+        ctx.spawn(rmw)
+        ctx.sync()
+        ctx.write("B", 1)
+
+    return run_program(TaskProgram(main), record_trace=True).trace
+
+
+class TestNegativeTableIds:
+    """Column ids are signed, and a negative one would index a footer
+    table from its end: -1 as "A"'s location id silently reported "B"."""
+
+    COLUMNS = {"location": 2, "lockset": 4}
+
+    def patched(self, tmp_path, column):
+        """An uncompressed one-frame trace whose accesses to "A" carry -1
+        in *column*; returns the path, the frame offset and the count."""
+        path = str(tmp_path / "neg.trc")
+        dump_trace_columnar(racing_on_a(), path, compress=False)
+        reader = ColumnarTraceReader(path)
+        assert reader._locations == ["A", "B"]
+        ((offset, n),) = reader._frames
+        with open(path, "rb") as handle:
+            payload = reader._frame_payload(handle, offset, n)
+        reader.close()
+        base = 9 * n
+        locations = struct.unpack_from(f"<{n}i", payload, base + 2 * 4 * n)
+        rows = [
+            i for i in range(n) if payload[i] == 4 and locations[i] == 0
+        ]
+        start = offset + struct.calcsize("<BII") + base + self.COLUMNS[column] * 4 * n
+        with open(path, "r+b") as handle:
+            for i in rows:
+                handle.seek(start + 4 * i)
+                handle.write(struct.pack("<i", -1))
+        return path, offset, len(rows)
+
+    @pytest.mark.parametrize("column", sorted(COLUMNS))
+    def test_strict_raises_naming_path_and_offset(self, tmp_path, column):
+        from repro import CheckSession
+
+        path, offset, _ = self.patched(tmp_path, column)
+        checks = [
+            lambda: CheckSession(path).check(),
+            lambda: list(open_trace(path).events()),
+            lambda: list(open_trace(path).memory_events()),
+        ] + [
+            lambda k=k: list(open_trace(path).checking_events(shard=k, jobs=2))
+            for k in range(2)
+        ]
+        for check in checks:
+            with pytest.raises(TraceError) as err:
+                check()
+            assert "neg.trc" in str(err.value)
+            assert f"offset {offset}" in str(err.value)
+
+    @pytest.mark.parametrize("column", sorted(COLUMNS))
+    def test_lenient_skips_and_counts(self, tmp_path, column):
+        from repro import CheckSession
+
+        path, _, patched = self.patched(tmp_path, column)
+        assert patched == 5  # the initial write and two RMWs
+        session = CheckSession(path, strict=False)
+        assert session.check().locations() == []  # never "B"
+        assert session.lines_skipped == patched
+        for view in ("events", "memory_events", "checking_events"):
+            reader = open_trace(path, strict=False)
+            events = list(getattr(reader, view)())
+            assert all(getattr(e, "location", "B") == "B" for e in events)
+            assert reader.lines_skipped == patched
+
+    def test_negative_lock_id_in_lockset_table_rejected(self, trace, tmp_path):
+        path = str(tmp_path / "t.trc")
+        dump_trace_columnar(trace, path)
+
+        def edit(table):
+            table["locksets"][-1] = [-1]
+
+        TestCorruption().rewrite_footer(path, edit)
+        with pytest.raises(TraceError, match="negative lock id") as err:
+            open_trace(path)
+        assert "t.trc" in str(err.value)
+
+    def test_negative_lock_id_rejected(self, tmp_path):
+        path = str(tmp_path / "lock.trc")
+        dump_trace_columnar(recorded_run().trace, path, compress=False)
+        reader = ColumnarTraceReader(path)
+        ((offset, n),) = reader._frames
+        with open(path, "rb") as handle:
+            payload = reader._frame_payload(handle, offset, n)
+        reader.close()
+        first_acquire = payload[:n].index(5)
+        with open(path, "r+b") as handle:
+            handle.seek(
+                offset + struct.calcsize("<BII") + 9 * n + 2 * 4 * n
+                + 4 * first_acquire
+            )
+            handle.write(struct.pack("<i", -1))
+        with pytest.raises(TraceError, match=f"offset {offset}"):
+            list(open_trace(path).events())
+        lenient = open_trace(path, strict=False)
+        assert len(list(lenient.events())) == len(recorded_run().trace.events) - 1
+        assert lenient.lines_skipped == 1
+
+
 class TestStreamingLenientCounting:
     """Streaming must not disturb the skipped-frame accounting.
 

@@ -11,16 +11,15 @@ JSONL trace file.
 import pytest
 
 from repro.checker import OptAtomicityChecker, make_checker
-from repro.checker.sharded import (
-    check_sharded,
-    partition_memory_events,
-    shard_for_location,
-)
+from repro.checker.sharded import check_sharded, shard_for_location
 from repro.errors import CheckerError, TraceError
+from repro.obs import MetricsRecorder
 from repro.report import ViolationReport
 from repro.runtime import TaskProgram, run_program
+from repro.runtime.events import MemoryEvent, TaskEndEvent
 from repro.suite import all_cases
 from repro.trace import GeneratorConfig, TraceGenerator
+from repro.trace.replay import events_to_replay
 from repro.trace.serialize import dump_trace_jsonl
 
 CASES = all_cases()
@@ -48,14 +47,23 @@ class TestShardFunction:
                 assert shard == shard_for_location(location, jobs)
 
     def test_partition_preserves_order_and_events(self):
+        """Each shard replays its own accesses and every task end."""
         trace = TraceGenerator(GeneratorConfig(tasks=6, locations=4, seed=3)).generate_trace()
-        shards = partition_memory_events(trace.events, 4)
+        checker = OptAtomicityChecker()
+        streams = [list(events_to_replay(trace, checker, k, 4)) for k in range(4)]
+        shards = [
+            [e for e in stream if isinstance(e, MemoryEvent)] for stream in streams
+        ]
         flattened = [e for shard in shards for e in shard]
         assert sorted(e.seq for e in flattened) == [
             e.seq for e in trace.memory_events()
         ]
+        ends = [e.seq for e in trace.events if isinstance(e, TaskEndEvent)]
+        assert ends
+        for stream in streams:
+            assert [e.seq for e in stream] == sorted(e.seq for e in stream)
+            assert [e.seq for e in stream if isinstance(e, TaskEndEvent)] == ends
         for shard in shards:
-            assert [e.seq for e in shard] == sorted(e.seq for e in shard)
             locations = {e.location for e in shard}
             for other in shards:
                 if other is not shard:
@@ -162,12 +170,40 @@ class TestMultivarGroups:
     def test_grouped_partition_lands_in_one_shard(self):
         program = self.multivar_program()
         _, trace = record(program)
-        shards = partition_memory_events(trace.events, 4, program.annotations)
-        populated = [shard for shard in shards if shard]
+        checker = OptAtomicityChecker()
+        populated = [
+            k
+            for k in range(4)
+            if any(
+                isinstance(e, MemoryEvent)
+                for e in events_to_replay(
+                    trace, checker, k, 4, program.annotations
+                )
+            )
+        ]
         assert len(populated) == 1  # both members hash via the group key
 
 
 class TestDriverContract:
+    def test_shard_without_accesses_starts_no_worker(self):
+        """Task ends reach every shard, but a shard holding nothing else
+        starts no worker."""
+
+        def body(ctx):
+            def rmw(inner):
+                inner.write("X", inner.read("X") + 1)
+
+            ctx.write("X", 0)
+            ctx.spawn(rmw)
+            ctx.spawn(rmw)
+            ctx.sync()
+
+        _, trace = record(TaskProgram(body))
+        recorder = MetricsRecorder()
+        report = check_sharded(trace, jobs=4, recorder=recorder)
+        assert report.locations() == ["X"]
+        assert recorder.snapshot().counters["sharded.workers"] == 1
+
     def test_trace_order_sensitive_checker_refused(self):
         trace = TraceGenerator(GeneratorConfig(seed=5)).generate_trace()
         with pytest.raises(CheckerError):

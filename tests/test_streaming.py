@@ -187,7 +187,9 @@ class TestCompaction:
         counters = recorder.snapshot().counters
         assert counters["streaming.events"] == len(trace.memory_events())
         assert counters["streaming.compactions"] >= counters["streaming.events"]
-        assert counters["streaming.evicted"] > 0
+        # The checker frees dead cells itself, so the sweeps find none.
+        assert counters["checker.optimized.cells_freed"] > 0
+        assert counters["streaming.evicted"] == 0
 
     def test_unbounded_window_never_sweeps(self):
         trace = recorded_trace()
@@ -196,21 +198,6 @@ class TestCompaction:
         counters = recorder.snapshot().counters
         assert counters["streaming.compactions"] == 0
         assert counters["streaming.evicted"] == 0
-
-    def test_peak_window_bounded_by_window(self):
-        """A tighter window keeps fewer live local entries at sweep time."""
-        trace = run_program(
-            self._many_tasks_program(), executor=SerialExecutor(), record_trace=True
-        ).trace
-
-        def peak(window):
-            recorder = MetricsRecorder()
-            CheckSession(trace, recorder=recorder).check(
-                streaming=True, window=window
-            )
-            return recorder.snapshot().counters["streaming.peak_window"]
-
-        assert peak(1) <= peak(0)
 
     def test_metric_names_registered(self):
         checker = StreamingChecker(window=1)
@@ -227,7 +214,7 @@ class TestCompaction:
     @pytest.mark.parametrize("suffix", [".jsonl", ".trc"])
     def test_every_jobs1_path_releases_ended_tasks(self, tmp_path, suffix):
         """The session, its checkpointed variant and the sharded driver at
-        ``jobs=1`` are one offline path: same report, same evictions."""
+        ``jobs=1`` are one offline path: same report, same cells freed."""
         path = str(tmp_path / ("churn" + suffix))
         dump_trace(churn_trace(tasks=250), path)
 
@@ -237,7 +224,7 @@ class TestCompaction:
             counters = recorder.snapshot().counters
             return (
                 normalize_report(report),
-                counters["streaming.evicted"],
+                counters["checker.optimized.cells_freed"],
                 counters["streaming.peak_window"],
             )
 
