@@ -1,20 +1,22 @@
 """Access-history entries and two-access patterns.
 
-These are the units of the paper's metadata: an :class:`AccessEntry` is one
-``<step node, access type>`` record (optionally with the lockset held, per
-Section 3.3), and a :class:`TwoAccessPattern` is an ordered pair of entries
-performed by the same step node -- the ``A1``/``A3`` of an unserializable
-triple.
+These are the units of the paper's metadata as the basic, RegionTrack and
+race checkers keep them: an :class:`AccessEntry` is one ``<step node,
+access type>`` record (optionally with the lockset held, per Section 3.3),
+and a :class:`TwoAccessPattern` is an ordered pair of entries performed by
+the same step node -- the ``A1``/``A3`` of an unserializable triple.  (The
+optimized checker stores the runtime's
+:class:`~repro.runtime.events.MemoryEvent` itself instead, and a pattern
+as two slots of its global space.)
 
 Both are deliberately plain ``__slots__`` classes rather than dataclasses:
-one is allocated per dynamic memory access on the checker's hottest path,
-and constructor cost is the third-largest line item in the overhead
-profile.  Treat instances as immutable.
+those checkers allocate one per dynamic memory access.  Treat instances as
+immutable.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Optional, Tuple
+from typing import FrozenSet, Hashable
 
 from repro.report import READ, WRITE, AccessInfo
 
@@ -130,12 +132,3 @@ class TwoAccessPattern:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"[{self.first!r},{self.second!r}]"
 
-
-def make_pattern(first: AccessEntry, second: AccessEntry) -> TwoAccessPattern:
-    """Build a pattern, validating that both entries share one step node."""
-    if first.step != second.step:
-        raise ValueError(
-            f"two-access pattern requires one step node, got {first.step} "
-            f"and {second.step}"
-        )
-    return TwoAccessPattern(first, second)

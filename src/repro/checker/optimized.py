@@ -12,7 +12,10 @@ input, from a single observed trace, using fixed-size metadata:
   freed as soon as it is dead: its cells when the task moves to a new
   step, the whole space at the task's end event.
 
-Dispatch follows Figure 6:
+Every entry is the :class:`~repro.runtime.events.MemoryEvent` the checker
+received: an access is stored, never copied.
+
+Dispatch follows Figure 6, in one path per access type:
 
 1. *first access to the location by any task* -- record the single-access
    pattern globally and the first read/write locally (Figure 7);
@@ -24,6 +27,10 @@ Dispatch follows Figure 6:
    triple, so check the candidate pattern against the stored single-access
    entries of parallel steps, then promote it to the global space
    (Figure 9).
+
+Every check and slot update first compares the two steps: a step is in
+series with itself, and the engine answers ``a == b`` without counting a
+query, so the comparison saves a call and changes no counter.
 
 Locks (Section 3.3): a candidate pattern is formed only when the versioned
 locksets of its two accesses are disjoint -- i.e. the accesses lie in
@@ -44,18 +51,47 @@ documented in ``tests/test_opt_corner_cases.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
-from repro.checker.access import EMPTY_LOCKSET, AccessEntry, TwoAccessPattern
 from repro.checker.annotations import AtomicAnnotations
 from repro.checker.metadata import GlobalSpace, LocalCell, LocalSpace
-from repro.checker.patterns import pattern_violated_by, triple_code
+from repro.checker.patterns import triple_code
 from repro.errors import CheckerError
-from repro.report import READ, AtomicityViolation, ViolationReport
+from repro.report import READ, AccessInfo, AtomicityViolation, ViolationReport
 from repro.runtime.events import MemoryEvent, TaskEndEvent
 from repro.runtime.observer import RuntimeObserver
 
 Location = Hashable
+
+#: A two-access pattern: its ``A1`` and ``A3`` events, one step's.
+Pattern = Tuple[MemoryEvent, MemoryEvent]
+
+#: The pattern kinds a write interleaver breaks, in check order (all four;
+#: a read interleaver breaks only ``WW``).
+_WRITE_BREAKS = ("WW", "RW", "RR", "WR")
+
+
+def _locks_disjoint(mine: Tuple[str, ...], theirs: Tuple[str, ...]) -> bool:
+    """No common (versioned) lock in two non-empty locksets: the accesses
+    are in different critical sections, so an interleaving access can
+    separate them."""
+    if mine is theirs:
+        return False
+    for lock in mine:
+        if lock in theirs:
+            return False
+    return True
+
+
+def _info(event: MemoryEvent) -> AccessInfo:
+    """The report-facing form of a stored access."""
+    return AccessInfo(
+        step=event.step,
+        access_type=event.access_type,
+        location=event.location,
+        task=event.task if event.task >= 0 else None,
+        lockset=tuple(sorted(set(event.lockset))),
+    )
 
 
 class OptAtomicityChecker(RuntimeObserver):
@@ -73,6 +109,9 @@ class OptAtomicityChecker(RuntimeObserver):
         self.report = ViolationReport()
         self._gs: Dict[Location, GlobalSpace] = {}
         self._ls: Dict[int, LocalSpace] = {}
+        #: Thorough mode's extra mutually-parallel patterns: key -> kind ->
+        #: patterns beyond the global space's one slot pair per kind.
+        self._overflow: Dict[Location, Dict[str, List[Pattern]]] = {}
         self._engine = None
         #: ``self._engine.parallel``, bound once per run.
         self._parallel = None
@@ -102,9 +141,6 @@ class OptAtomicityChecker(RuntimeObserver):
         self._annotations_trivial = self._annotations.trivial
 
     def on_memory(self, event: MemoryEvent) -> None:
-        # The per-access hot path: the local-space lookup (with its step
-        # advance) and Figure 7 are inlined, and a task's run of accesses
-        # under one lockset shares one frozenset.
         location = event.location
         if self._annotations_trivial:
             key = location
@@ -114,30 +150,12 @@ class OptAtomicityChecker(RuntimeObserver):
                 return
             key = annotations.metadata_key(location)
         self._accesses += 1
-        task = event.task
         step = event.step
-        # LocalSpace.cell_for, inlined.
-        local = self._ls.get(task)
+        local = self._ls.get(event.task)
         if local is None:
-            local = self._ls[task] = LocalSpace(step)
+            local = self._ls[event.task] = LocalSpace(step)
         elif local.step != step:
             self._cells_freed += local.advance(step)
-        raw_lockset = event.lockset
-        if not raw_lockset:
-            locks = EMPTY_LOCKSET
-        elif raw_lockset == local.raw_lockset:
-            locks = local.lockset
-        else:
-            locks = local.lockset = frozenset(raw_lockset)
-            local.raw_lockset = raw_lockset
-        entry = AccessEntry(step, event.access_type, task, location, locks)
-        cells = local._cells
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = LocalCell()
-            had_prior = False
-        else:
-            had_prior = cell.read is not None or cell.write is not None
         space = self._gs.get(key)
         if space is None:
             # Figure 7 -- very first access to the location: seed the global
@@ -145,212 +163,293 @@ class OptAtomicityChecker(RuntimeObserver):
             # why ``blackscholes``-style programs (no repeated accesses per
             # step) issue zero LCA queries in Table 1.
             space = self._gs[key] = GlobalSpace()
-            if entry.access_type == READ:
-                space.R1 = entry
-                cell.read = entry
+            cell = local._cells[key] = LocalCell()
+            if event.access_type == READ:
+                space.R1 = cell.read = event
             else:
-                space.W1 = entry
-                cell.write = entry
-            space.version += 1
-        elif not had_prior:
-            self._handle_first_access_current_task(key, space, cell, entry)
+                space.W1 = cell.write = event
+            space.version = 1
+        elif event.access_type == READ:
+            self._read(key, event, step, space, local._cells)
         else:
-            self._handle_non_first_access(key, space, cell, entry)
+            self._write(key, event, step, space, local._cells)
 
-    # -- Figure 8 -----------------------------------------------------------------
+    # -- the read path -------------------------------------------------------
 
-    def _handle_first_access_current_task(
-        self, key: Location, space: GlobalSpace, cell: LocalCell, entry: AccessEntry
+    def _read(
+        self,
+        key: Location,
+        event: MemoryEvent,
+        step: int,
+        space: GlobalSpace,
+        cells: Dict[Location, LocalCell],
     ) -> None:
-        """First access by this step: it can only be an interleaver (A2).
-
-        Paper mode reads the one pattern slot per kind directly; thorough
-        mode also walks the overflow lists.
-        """
+        """Figures 8 and 9 for a read of a location already seen."""
         parallel = self._parallel
-        if entry.access_type == READ:
-            cell.read = entry
-            # A read interleaver only breaks a write-write pair (W,R,W).
+        cell = cells.get(key)
+        if cell is None:
+            # Figure 8 -- the step's first access: it can only be an
+            # interleaver (A2), and a read only breaks a write-write pair
+            # (W, R, W).  Paper mode reads the one WW slot pair; thorough
+            # mode also walks the overflow list.
+            cell = cells[key] = LocalCell()
+            cell.read = event
             if self.thorough:
-                self._check_patterns_against(key, space, ("WW",), entry)
-            elif space.WW is not None:
-                self._check_pattern(key, space.WW, entry)
-            space.update_single("R", entry, parallel)
-        else:
-            cell.write = entry
-            # A write interleaver breaks every two-access pattern.
-            if self.thorough:
-                self._check_patterns_against(
-                    key, space, ("WW", "RW", "RR", "WR"), entry
-                )
+                self._check_stored(key, ("WW",), event)
+            elif space.WW1 is not None:
+                self._check_pattern(key, space.WW1, space.WW3, event)
+            slot = space.R1
+            if slot is None or slot.step == step or not parallel(slot.step, step):
+                space.R1 = event
+                space.version += 1
             else:
-                if space.WW is not None:
-                    self._check_pattern(key, space.WW, entry)
-                if space.RW is not None:
-                    self._check_pattern(key, space.RW, entry)
-                if space.RR is not None:
-                    self._check_pattern(key, space.RR, entry)
-                if space.WR is not None:
-                    self._check_pattern(key, space.WR, entry)
-            space.update_single("W", entry, parallel)
+                slot = space.R2
+                if slot is None or slot.step == step or not parallel(slot.step, step):
+                    space.R2 = event
+                    space.version += 1
+            return
+        # Figure 9 -- a repeat by the step: it closes candidate patterns
+        # (A1, A3) with the step's first read and first write.  A cell's
+        # ``ver_*`` stamp skips a branch when the global space is unchanged
+        # since the step last ran it for this access kind: the outcome
+        # depends only on the step, the access types and the space's
+        # contents, so the skip is a pure memoization.
+        held = event.lockset
+        first = cell.read
+        if first is not None:
+            if cell.ver_rr == space.version:
+                self._memo_hits += 1
+            elif not held or not first.lockset or _locks_disjoint(first.lockset, held):
+                # RR candidate: only a write single breaks it (R, W, R).
+                for single in (space.W1, space.W2):
+                    if single is not None and single.step != step:
+                        if parallel(step, single.step):
+                            self._report(key, first, single, event)
+                slot = space.RR1
+                if slot is None or slot.step == step or not parallel(slot.step, step):
+                    space.RR1 = first
+                    space.RR3 = event
+                    space.version += 1
+                    self._promotions += 1
+                else:
+                    self._blocked(key, "RR", first, event)
+                cell.ver_rr = space.version
+        first = cell.write
+        if first is not None:
+            if cell.ver_wr == space.version:
+                self._memo_hits += 1
+            elif not held or not first.lockset or _locks_disjoint(first.lockset, held):
+                # WR candidate: only a write single breaks it (W, W, R).
+                for single in (space.W1, space.W2):
+                    if single is not None and single.step != step:
+                        if parallel(step, single.step):
+                            self._report(key, first, single, event)
+                slot = space.WR1
+                if slot is None or slot.step == step or not parallel(slot.step, step):
+                    space.WR1 = first
+                    space.WR3 = event
+                    space.version += 1
+                    self._promotions += 1
+                else:
+                    self._blocked(key, "WR", first, event)
+                cell.ver_wr = space.version
+        if cell.ver_sr == space.version:
+            self._memo_hits += 1
+        else:
+            slot = space.R1
+            if slot is None or slot.step == step or not parallel(slot.step, step):
+                space.R1 = event
+                space.version += 1
+            else:
+                slot = space.R2
+                if slot is None or slot.step == step or not parallel(slot.step, step):
+                    space.R2 = event
+                    space.version += 1
+            cell.ver_sr = space.version
+        if cell.read is None:
+            cell.read = event
+        if self.thorough:
+            self._check_stored(key, ("WW",), event)
 
-    # -- Figure 9 -----------------------------------------------------------------
+    # -- the write path ------------------------------------------------------
 
-    def _handle_non_first_access(
-        self, key: Location, space: GlobalSpace, cell: LocalCell, entry: AccessEntry
+    def _write(
+        self,
+        key: Location,
+        event: MemoryEvent,
+        step: int,
+        space: GlobalSpace,
+        cells: Dict[Location, LocalCell],
     ) -> None:
-        """Repeated access by this step: it closes two-access patterns (A1/A3).
-
-        The ``cell.ver_*`` stamps skip re-running a check branch when the
-        global space has not changed since this step last ran it with the
-        same access kind -- the outcome is provably identical (the checks
-        depend only on the step, the access types, and the space's
-        contents), so this is a pure memoization (see
-        :class:`repro.checker.metadata.GlobalSpace`).
-        """
+        """Figures 8 and 9 for a write of a location already seen."""
         parallel = self._parallel
-        if entry.access_type == READ:
-            if cell.read is not None:
-                if cell.ver_rr == space.version:
-                    self._memo_hits += 1
-                elif cell.read.locks_disjoint(entry):
-                    candidate = TwoAccessPattern(cell.read, entry)  # read-read
-                    self._check_candidate_against_singles(
-                        key, space, candidate, reads=False
-                    )
-                    self._note_promotion(
-                        space.update_pattern("RR", candidate, parallel, self.thorough)
-                    )
-                    cell.ver_rr = space.version
-            if cell.write is not None:
-                if cell.ver_wr == space.version:
-                    self._memo_hits += 1
-                elif cell.write.locks_disjoint(entry):
-                    candidate = TwoAccessPattern(cell.write, entry)  # write-read
-                    self._check_candidate_against_singles(
-                        key, space, candidate, reads=False
-                    )
-                    self._note_promotion(
-                        space.update_pattern("WR", candidate, parallel, self.thorough)
-                    )
-                    cell.ver_wr = space.version
-            if cell.ver_sr != space.version:
-                space.update_single("R", entry, parallel)
-                cell.ver_sr = space.version
-            else:
-                self._memo_hits += 1
-            if cell.read is None:
-                cell.read = entry
+        cell = cells.get(key)
+        if cell is None:
+            # Figure 8 -- a write interleaver breaks every pattern kind.
+            cell = cells[key] = LocalCell()
+            cell.write = event
             if self.thorough:
-                self._check_patterns_against(key, space, ("WW",), entry)
+                self._check_stored(key, _WRITE_BREAKS, event)
+            else:
+                if space.WW1 is not None:
+                    self._check_pattern(key, space.WW1, space.WW3, event)
+                if space.RW1 is not None:
+                    self._check_pattern(key, space.RW1, space.RW3, event)
+                if space.RR1 is not None:
+                    self._check_pattern(key, space.RR1, space.RR3, event)
+                if space.WR1 is not None:
+                    self._check_pattern(key, space.WR1, space.WR3, event)
+            slot = space.W1
+            if slot is None or slot.step == step or not parallel(slot.step, step):
+                space.W1 = event
+                space.version += 1
+            else:
+                slot = space.W2
+                if slot is None or slot.step == step or not parallel(slot.step, step):
+                    space.W2 = event
+                    space.version += 1
+            return
+        # Figure 9 (see _read).
+        held = event.lockset
+        first = cell.read
+        if first is not None:
+            if cell.ver_rw == space.version:
+                self._memo_hits += 1
+            elif not held or not first.lockset or _locks_disjoint(first.lockset, held):
+                # RW candidate: only a write single breaks it (R, W, W).
+                for single in (space.W1, space.W2):
+                    if single is not None and single.step != step:
+                        if parallel(step, single.step):
+                            self._report(key, first, single, event)
+                slot = space.RW1
+                if slot is None or slot.step == step or not parallel(slot.step, step):
+                    space.RW1 = first
+                    space.RW3 = event
+                    space.version += 1
+                    self._promotions += 1
+                else:
+                    self._blocked(key, "RW", first, event)
+                cell.ver_rw = space.version
+        first = cell.write
+        if first is not None:
+            if cell.ver_ww == space.version:
+                self._memo_hits += 1
+            elif not held or not first.lockset or _locks_disjoint(first.lockset, held):
+                # WW candidate: any single breaks it (W, W, W) / (W, R, W).
+                for single in (space.W1, space.W2, space.R1, space.R2):
+                    if single is not None and single.step != step:
+                        if parallel(step, single.step):
+                            self._report(key, first, single, event)
+                slot = space.WW1
+                if slot is None or slot.step == step or not parallel(slot.step, step):
+                    space.WW1 = first
+                    space.WW3 = event
+                    space.version += 1
+                    self._promotions += 1
+                else:
+                    self._blocked(key, "WW", first, event)
+                cell.ver_ww = space.version
+        if cell.ver_sw == space.version:
+            self._memo_hits += 1
         else:
-            if cell.read is not None:
-                if cell.ver_rw == space.version:
-                    self._memo_hits += 1
-                elif cell.read.locks_disjoint(entry):
-                    candidate = TwoAccessPattern(cell.read, entry)  # read-write
-                    self._check_candidate_against_singles(
-                        key, space, candidate, reads=False
-                    )
-                    self._note_promotion(
-                        space.update_pattern("RW", candidate, parallel, self.thorough)
-                    )
-                    cell.ver_rw = space.version
-            if cell.write is not None:
-                if cell.ver_ww == space.version:
-                    self._memo_hits += 1
-                elif cell.write.locks_disjoint(entry):
-                    candidate = TwoAccessPattern(cell.write, entry)  # write-write
-                    self._check_candidate_against_singles(
-                        key, space, candidate, reads=True
-                    )
-                    self._note_promotion(
-                        space.update_pattern("WW", candidate, parallel, self.thorough)
-                    )
-                    cell.ver_ww = space.version
-            if cell.ver_sw != space.version:
-                space.update_single("W", entry, parallel)
-                cell.ver_sw = space.version
+            slot = space.W1
+            if slot is None or slot.step == step or not parallel(slot.step, step):
+                space.W1 = event
+                space.version += 1
             else:
-                self._memo_hits += 1
-            if cell.write is None:
-                cell.write = entry
-            if self.thorough:
-                self._check_patterns_against(
-                    key, space, ("WW", "RW", "RR", "WR"), entry
-                )
+                slot = space.W2
+                if slot is None or slot.step == step or not parallel(slot.step, step):
+                    space.W2 = event
+                    space.version += 1
+            cell.ver_sw = space.version
+        if cell.write is None:
+            cell.write = event
+        if self.thorough:
+            self._check_stored(key, _WRITE_BREAKS, event)
 
-    def _note_promotion(self, stored: bool) -> None:
-        """Account one candidate's fate: promoted to the global space or
-        dropped because a parallel occupant already covers its kind."""
-        if stored:
+    # -- promotion ------------------------------------------------------------
+
+    def _blocked(
+        self, key: Location, kind: str, first: MemoryEvent, third: MemoryEvent
+    ) -> None:
+        """Account a candidate whose kind's slot pair holds a parallel
+        pattern: paper mode drops it, thorough mode may keep it."""
+        if self.thorough and self._keep_overflow(key, kind, first, third):
             self._promotions += 1
         else:
             self._promotions_blocked += 1
 
-    # -- triple checks ----------------------------------------------------------------
+    def _keep_overflow(
+        self, key: Location, kind: str, first: MemoryEvent, third: MemoryEvent
+    ) -> bool:
+        """Thorough mode: append the candidate to its kind's overflow list,
+        in place of a stored pattern in series with it, unless its step
+        already stored one of this kind.  Returns whether it was kept."""
+        step = first.step
+        extras = self._overflow.setdefault(key, {}).setdefault(kind, [])
+        for index, (stored, _) in enumerate(extras):
+            if stored.step == step:
+                return False
+            if not self._parallel(stored.step, step):
+                del extras[index]
+                break
+        extras.append((first, third))
+        self._gs[key].version += 1
+        return True
 
-    def _check_patterns_against(
-        self, key: Location, space: GlobalSpace, kinds, interleaver: AccessEntry
+    # -- triple checks --------------------------------------------------------
+
+    def patterns(self, key: Location, kind: str) -> Iterator[Pattern]:
+        """Every stored ``(A1, A3)`` pattern of *kind* for *key*: the
+        global space's slot pair, then thorough mode's overflow."""
+        space = self._gs.get(key)
+        if space is None:
+            return
+        first = getattr(space, kind + "1")
+        if first is not None:
+            yield first, getattr(space, kind + "3")
+        yield from self._overflow.get(key, {}).get(kind, ())
+
+    def _check_stored(
+        self, key: Location, kinds: Tuple[str, ...], interleaver: MemoryEvent
     ) -> None:
         """Every stored pattern of *kinds*, overflow included (thorough mode)."""
         for kind in kinds:
-            for pattern in space.patterns(kind):
-                self._check_pattern(key, pattern, interleaver)
+            for first, third in self.patterns(key, kind):
+                self._check_pattern(key, first, third, interleaver)
 
     def _check_pattern(
-        self, key: Location, pattern: TwoAccessPattern, interleaver: AccessEntry
-    ) -> None:
-        """Stored pattern (A1, A3) + current access as interleaver (A2)."""
-        self._pattern_checks += 1
-        step = pattern.first.step
-        if step == interleaver.step:
-            return
-        if not self._parallel(step, interleaver.step):
-            return
-        if pattern_violated_by(pattern, interleaver):
-            self._report(key, pattern, interleaver)
-
-    def _check_candidate_against_singles(
         self,
         key: Location,
-        space: GlobalSpace,
-        candidate: TwoAccessPattern,
-        reads: bool,
+        first: MemoryEvent,
+        third: MemoryEvent,
+        interleaver: MemoryEvent,
     ) -> None:
-        """Candidate pattern (A1, A3) + stored single access as interleaver (A2).
+        """Stored pattern (A1, A3) + current access as interleaver (A2).
 
-        Only write singles can break RR/WR/RW candidates; WW candidates are
-        additionally breakable by read singles (W,R,W) -- the exact checks
-        of Figure 9.
+        Callers pass only the kinds *interleaver*'s type breaks, so a
+        parallel interleaver is always a violation.
         """
-        parallel = self._parallel
-        step = candidate.first.step
-        if reads:
-            singles = (space.W1, space.W2, space.R1, space.R2)
-        else:
-            singles = (space.W1, space.W2)
-        for single in singles:
-            if single is None or single.step == step:
-                continue
-            if not parallel(step, single.step):
-                continue
-            if pattern_violated_by(candidate, single):
-                self._report(key, candidate, single)
+        self._pattern_checks += 1
+        step = first.step
+        if step != interleaver.step and self._parallel(step, interleaver.step):
+            self._report(key, first, interleaver, third)
 
     def _report(
-        self, key: Location, pattern: TwoAccessPattern, interleaver: AccessEntry
+        self,
+        key: Location,
+        first: MemoryEvent,
+        second: MemoryEvent,
+        third: MemoryEvent,
     ) -> None:
         self.report.add(
             AtomicityViolation(
                 location=key,
-                first=pattern.first.info(),
-                second=interleaver.info(),
-                third=pattern.second.info(),
+                first=_info(first),
+                second=_info(second),
+                third=_info(third),
                 pattern=triple_code(
-                    pattern.first.access_type,
-                    interleaver.access_type,
-                    pattern.second.access_type,
+                    first.access_type, second.access_type, third.access_type
                 ),
                 checker=self.checker_name,
             )
@@ -374,15 +473,20 @@ class OptAtomicityChecker(RuntimeObserver):
 
     # -- metadata accounting (ablation ABL-META) ------------------------------------
 
+    def _entries(self, key: Location, space: GlobalSpace) -> int:
+        overflow = self._overflow.get(key)
+        extra = 0 if overflow is None else sum(len(p) for p in overflow.values())
+        return space.entry_count() + 2 * extra
+
     def total_global_entries(self) -> int:
         """Occupied global entries across all locations."""
-        return sum(space.entry_count() for space in self._gs.values())
+        return sum(self._entries(key, space) for key, space in self._gs.items())
 
     def max_entries_per_location(self) -> int:
         """Largest global space; bounded by 12 in ``paper`` mode."""
         if not self._gs:
             return 0
-        return max(space.entry_count() for space in self._gs.values())
+        return max(self._entries(key, space) for key, space in self._gs.items())
 
     def total_local_entries(self) -> int:
         """Occupied local entries across all tasks."""

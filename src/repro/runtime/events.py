@@ -12,12 +12,13 @@ events were observed.  For memory events this is the trace order that a
 trace-sensitive analysis such as Velodrome reasons about.
 
 Events are immutable.  The task-lifecycle and lock events are frozen
-dataclasses; :class:`MemoryEvent`, built once per instrumented access, is
-immutable *by convention* only (like
-:class:`repro.checker.access.AccessEntry`), because a frozen dataclass
-pays one ``object.__setattr__`` per field at construction.  Derive a
-changed event with :func:`dataclasses.replace`; never assign to a field of
-an event that an observer may already hold.
+dataclasses; :class:`MemoryEvent`, built once per instrumented access and
+kept by the optimized checker as its access record, is immutable *by
+convention* only, because a frozen dataclass pays one
+``object.__setattr__`` per field at construction.  It is slotted, so it
+has no ``__dict__``: read its fields through :func:`dataclasses.fields`,
+not ``vars``.  Derive a changed event with :func:`dataclasses.replace`;
+never assign to a field of an event that an observer may already hold.
 """
 
 from __future__ import annotations
@@ -65,13 +66,19 @@ class SyncEvent:
     finish_node: int
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, init=False)
 class MemoryEvent:
     """A shared-memory access.
 
     Not frozen, for construction speed on the per-access path, but treat
     instances as immutable: ``unsafe_hash`` gives them value equality and a
     value hash, which mutating a field would invalidate.
+
+    Slotted by hand, since ``@dataclass(slots=True)`` needs Python 3.10: a
+    slot and a class-level default cannot share a name, so the fields carry
+    no defaults and :meth:`__init__` supplies ``lockset``'s.  An event
+    costs 80 bytes, against 128 with a ``__dict__`` (CPython 3.11), and
+    the optimized checker keeps every event it stores.
 
     Attributes
     ----------
@@ -87,12 +94,30 @@ class MemoryEvent:
         The versioned lock names held by the task at the access, sorted.
     """
 
+    __slots__ = ("seq", "task", "step", "location", "access_type", "lockset")
+
     seq: int
     task: int
     step: int
     location: Location
     access_type: str
-    lockset: Tuple[str, ...] = ()
+    lockset: Tuple[str, ...]
+
+    def __init__(
+        self,
+        seq: int,
+        task: int,
+        step: int,
+        location: Location,
+        access_type: str,
+        lockset: Tuple[str, ...] = (),
+    ) -> None:
+        self.seq = seq
+        self.task = task
+        self.step = step
+        self.location = location
+        self.access_type = access_type
+        self.lockset = lockset
 
     @property
     def is_write(self) -> bool:

@@ -118,6 +118,12 @@ class Executor:
     #: Human-readable name used by benchmarks.
     name = "abstract"
 
+    #: Whether tasks may run on more than one thread.  A fact each
+    #: executor states about itself: the runtime takes its lock around
+    #: every instrumented access unless the executor says ``False``, so
+    #: an executor that does not say stays safe.
+    threaded = True
+
     def run_root(self, runtime: "Runtime", root: Task) -> None:
         """Execute the root task to completion (including descendants)."""
         raise NotImplementedError
@@ -184,6 +190,11 @@ class Runtime:
         if not self.observer.observers and self.dpst is None:
             self.read = self._read_uninstrumented  # type: ignore[assignment]
             self.write = self._write_uninstrumented  # type: ignore[assignment]
+        elif not executor.threaded:
+            # One thread runs every task: no access can race another, so
+            # the lock would guard nothing.
+            self.read = self._read_unlocked  # type: ignore[assignment]
+            self.write = self._write_unlocked  # type: ignore[assignment]
         # Per-access dispatch target, resolved once: a lone observer is
         # called directly, skipping the chain's fan-out loop.
         if len(self.observer.observers) == 1:
@@ -254,8 +265,9 @@ class Runtime:
         finally:
             if task.notify_frame is not None:
                 task.notify_frame.child_finished()
-        # Under the lock, like a memory access: a checker freeing the
-        # task's metadata here never races another task's access.
+        # Under the lock, like a memory access on a threaded executor: a
+        # checker freeing the task's metadata here never races another
+        # task's access.
         with self._lock:
             seq = self._alloc_seq()
             self.observer.on_task_end(TaskEndEvent(seq, task.task_id))
@@ -365,48 +377,55 @@ class Runtime:
             task.current_step = step
         return step
 
-    # read/write inline the common cases of _ensure_step and _alloc_seq:
-    # they run once per instrumented access.
+    # The unlocked read/write inline the common cases of _ensure_step and
+    # _alloc_seq: they run once per instrumented access.  A runtime whose
+    # executor is not threaded binds them as read/write directly.
 
     def read(self, task: Task, location: Location) -> Any:
         """Instrumented shared-memory read."""
         with self._lock:
-            step = task.current_step
-            if step is None:
-                step = self._ensure_step(task)
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            self._on_memory(
-                MemoryEvent(
-                    seq,
-                    task.task_id,
-                    step,
-                    location,
-                    READ,
-                    task.lock_state.lockset_tuple(),
-                )
-            )
-            return self.shadow.load(location)
+            return self._read_unlocked(task, location)
 
     def write(self, task: Task, location: Location, value: Any) -> None:
         """Instrumented shared-memory write."""
         with self._lock:
-            step = task.current_step
-            if step is None:
-                step = self._ensure_step(task)
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            self._on_memory(
-                MemoryEvent(
-                    seq,
-                    task.task_id,
-                    step,
-                    location,
-                    WRITE,
-                    task.lock_state.lockset_tuple(),
-                )
+            self._write_unlocked(task, location, value)
+
+    def _read_unlocked(self, task: Task, location: Location) -> Any:
+        step = task.current_step
+        if step is None:
+            step = self._ensure_step(task)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._on_memory(
+            MemoryEvent(
+                seq,
+                task.task_id,
+                step,
+                location,
+                READ,
+                task.lock_state.lockset_tuple(),
             )
-            self.shadow.store(location, value)
+        )
+        return self.shadow.load(location)
+
+    def _write_unlocked(self, task: Task, location: Location, value: Any) -> None:
+        step = task.current_step
+        if step is None:
+            step = self._ensure_step(task)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._on_memory(
+            MemoryEvent(
+                seq,
+                task.task_id,
+                step,
+                location,
+                WRITE,
+                task.lock_state.lockset_tuple(),
+            )
+        )
+        self.shadow.store(location, value)
 
     # -- instrumented locks -----------------------------------------------------------
 
@@ -463,6 +482,8 @@ class SerialExecutor(Executor):
         (reverse) draining.
     """
 
+    threaded = False
+
     def __init__(self, policy: str = "child_first", order: str = "fifo") -> None:
         if policy not in ("child_first", "help_first"):
             raise ValueError(f"unknown policy {policy!r}")
@@ -499,6 +520,8 @@ class RandomOrderExecutor(Executor):
     shuffled order.  Useful for diversifying observed traces in tests: the
     checker must return the same verdict for every seed.
     """
+
+    threaded = False
 
     def __init__(self, seed: int = 0, eager_probability: float = 0.5) -> None:
         self.rng = random.Random(seed)

@@ -505,7 +505,14 @@ class ColumnarTraceReader:
             self._locations = [
                 decode_location(row) for row in footer["locations"]
             ]
-            self._location_sk = [int(sk) for sk in footer["location_sk"]]
+            # Unsigned machine words: a negative, fractional, textual or
+            # too-large key fails here rather than routing a location.
+            self._location_sk = array("L", footer["location_sk"])
+            if len(self._location_sk) != len(self._locations):
+                raise ValueError(
+                    f"{len(self._location_sk)} shard keys for "
+                    f"{len(self._locations)} locations"
+                )
             self._lock_table = [str(name) for name in footer["locks"]]
             rows = footer["locksets"]
             if any(index < 0 for row in rows for index in row):
@@ -517,7 +524,14 @@ class ColumnarTraceReader:
                 (int(offset), int(n)) for offset, n in footer["frames"]
             ]
             self.count = int(footer["events"])
-        except (KeyError, TypeError, ValueError, IndexError, TraceError) as exc:
+        except (
+            KeyError,
+            TypeError,
+            ValueError,
+            IndexError,
+            OverflowError,
+            TraceError,
+        ) as exc:
             raise TraceError(
                 f"malformed footer of columnar trace {self.path!r}: {exc}"
             ) from exc
@@ -675,7 +689,11 @@ class ColumnarTraceReader:
 
     def _payloads(self, handle) -> Iterator[Tuple[int, int, bytes]]:
         """``(offset, n, payload)`` per frame in file order; a lenient
-        reader skips (and counts) every frame that fails to decode."""
+        reader skips (and counts) every frame that fails to decode.
+
+        Callers drop the payload and every view of it before asking for
+        the next frame, and so does this generator, so one inflated frame
+        is alive at a time."""
         for offset, n in self._frames:
             try:
                 payload = self._frame_payload(handle, offset, n)
@@ -685,6 +703,7 @@ class ColumnarTraceReader:
                 self.lines_skipped += n
                 continue
             yield offset, n, payload
+            del payload
 
     def _corrupt(self, offset: int, what: str) -> TraceError:
         return TraceError(
@@ -705,6 +724,7 @@ class ColumnarTraceReader:
                         self.lines_skipped += 1
                         continue
                     yield event
+                del payload  # before the next frame inflates
         finally:
             self._release(handle)
 
@@ -750,8 +770,10 @@ class ColumnarTraceReader:
             for offset, n, payload in self._payloads(handle):
                 types = payload[:n]
                 if memory_tag not in types and end_tag not in types:
+                    del payload  # before the next frame inflates
                     continue
                 seqs, tasks, steps, locs, writes, sets = _int_columns(payload, n)
+                del payload  # the column views hold the frame from here
                 for tag, seq, task, step, loc, write, held in zip(
                     types, seqs, tasks, steps, locs, writes, sets
                 ):
@@ -777,6 +799,9 @@ class ColumnarTraceReader:
                         )
                     elif tag == end_tag:
                         yield TaskEndEvent(seq, task)
+                # Release the views, and with them the frame, before the
+                # next frame inflates.
+                del seqs, tasks, steps, locs, writes, sets
         finally:
             self._release(handle)
 

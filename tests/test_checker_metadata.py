@@ -1,16 +1,17 @@
-"""GlobalSpace / LocalSpace unit tests: slots, replacement, versions."""
+"""GlobalSpace / LocalSpace unit tests: slots, replacement, versions.
 
-from repro.checker.access import AccessEntry, TwoAccessPattern
-from repro.checker.metadata import GlobalSpace, LocalCell, LocalSpace
+The spaces only hold slots; the optimized checker applies the Figures 8/9
+replacement policy inline.  So these drive the checker with a stub
+parallelism oracle (every pair of distinct steps parallel, or every pair
+in series) and read the slots it leaves behind.
+"""
+
+from types import SimpleNamespace
+
+from repro.checker import OptAtomicityChecker
+from repro.checker.metadata import PATTERN_KINDS, GlobalSpace, LocalCell, LocalSpace
 from repro.report import READ, WRITE
-
-
-def entry(step, access_type=READ):
-    return AccessEntry(step=step, access_type=access_type)
-
-
-def pattern(step, first=READ, second=WRITE):
-    return TwoAccessPattern(entry(step, first), entry(step, second))
+from repro.runtime.events import MemoryEvent
 
 
 def parallel_all(a, b):
@@ -21,156 +22,193 @@ def series_all(a, b):
     return False
 
 
+def checker_with(parallel, mode="paper"):
+    checker = OptAtomicityChecker(mode=mode)
+    engine = SimpleNamespace(parallel=parallel)
+    checker.on_run_begin(SimpleNamespace(engine=engine, annotations=None))
+    return checker
+
+
+def feed(checker, *accesses):
+    """Replay ``(step, access_type)`` accesses to ``"X"``; step *s* runs
+    in task *s*.  Returns the events, in order."""
+    events = []
+    for seq, (step, access_type) in enumerate(accesses):
+        event = MemoryEvent(seq, step, step, "X", access_type)
+        checker.on_memory(event)
+        events.append(event)
+    return events
+
+
 class TestSingleSlots:
     def test_first_entry_fills_r1(self):
-        space = GlobalSpace()
-        space.update_single("R", entry(1), parallel_all)
-        assert space.R1.step == 1
+        checker = checker_with(parallel_all)
+        (first,) = feed(checker, (1, READ))
+        space = checker._gs["X"]
+        assert space.R1 is first
         assert space.R2 is None
 
     def test_parallel_second_fills_r2(self):
-        space = GlobalSpace()
-        space.update_single("R", entry(1), parallel_all)
-        space.update_single("R", entry(2), parallel_all)
+        checker = checker_with(parallel_all)
+        feed(checker, (1, READ), (2, READ))
+        space = checker._gs["X"]
         assert (space.R1.step, space.R2.step) == (1, 2)
 
     def test_series_replaces_r1(self):
-        space = GlobalSpace()
-        space.update_single("R", entry(1), parallel_all)
-        space.update_single("R", entry(2), series_all)
+        checker = checker_with(series_all)
+        feed(checker, (1, READ), (2, READ))
+        space = checker._gs["X"]
         assert space.R1.step == 2
         assert space.R2 is None
 
     def test_third_parallel_entry_dropped(self):
-        space = GlobalSpace()
-        for step in (1, 2, 3):
-            space.update_single("R", entry(step), parallel_all)
+        checker = checker_with(parallel_all)
+        feed(checker, (1, READ), (2, READ), (3, READ))
+        space = checker._gs["X"]
         assert (space.R1.step, space.R2.step) == (1, 2)
 
     def test_write_slots_independent(self):
-        space = GlobalSpace()
-        space.update_single("R", entry(1), parallel_all)
-        space.update_single("W", entry(2, WRITE), parallel_all)
-        assert space.R1.step == 1
-        assert space.W1.step == 2
-        assert list(space.read_singles()) == [space.R1]
-        assert list(space.write_singles()) == [space.W1]
+        checker = checker_with(parallel_all)
+        read, write = feed(checker, (1, READ), (2, WRITE))
+        space = checker._gs["X"]
+        assert space.R1 is read and space.W1 is write
+        assert space.R2 is None and space.W2 is None
 
     def test_singles_accessor(self):
-        space = GlobalSpace()
-        space.update_single("W", entry(5, WRITE), parallel_all)
-        first, second = space.singles("W")
-        assert first.step == 5 and second is None
+        checker = checker_with(parallel_all)
+        feed(checker, (5, WRITE))
+        space = checker._gs["X"]
+        assert space.W1.step == 5 and space.W2 is None
 
 
 class TestPatternSlots:
+    """A pattern is its A1 and A3 events, in one slot pair per kind."""
+
     def test_store_into_empty(self):
-        space = GlobalSpace()
-        assert space.update_pattern("RW", pattern(1), parallel_all)
-        assert space.RW.step == 1
+        checker = checker_with(parallel_all)
+        read, write = feed(checker, (1, READ), (1, WRITE))
+        space = checker._gs["X"]
+        assert (space.RW1, space.RW3) == (read, write)
+        assert checker.metrics()["checker.optimized.promotions"] == 1
 
     def test_parallel_occupant_blocks_in_paper_mode(self):
-        space = GlobalSpace()
-        space.update_pattern("RW", pattern(1), parallel_all)
-        assert not space.update_pattern("RW", pattern(2), parallel_all)
-        assert space.RW.step == 1
+        checker = checker_with(parallel_all)
+        read, write, _, _ = feed(
+            checker, (1, READ), (1, WRITE), (2, READ), (2, WRITE)
+        )
+        space = checker._gs["X"]
+        assert (space.RW1, space.RW3) == (read, write)
+        assert list(checker.patterns("X", "RW")) == [(read, write)]
+        assert checker.metrics()["checker.optimized.promotions_blocked"] == 1
 
     def test_series_occupant_replaced(self):
-        space = GlobalSpace()
-        space.update_pattern("RW", pattern(1), parallel_all)
-        assert space.update_pattern("RW", pattern(2), series_all)
-        assert space.RW.step == 2
+        checker = checker_with(series_all)
+        _, _, read, write = feed(
+            checker, (1, READ), (1, WRITE), (2, READ), (2, WRITE)
+        )
+        space = checker._gs["X"]
+        assert (space.RW1, space.RW3) == (read, write)
 
     def test_thorough_mode_keeps_overflow(self):
-        space = GlobalSpace()
-        space.update_pattern("RW", pattern(1), parallel_all, thorough=True)
-        assert space.update_pattern("RW", pattern(2), parallel_all, thorough=True)
-        stored = list(space.patterns("RW"))
-        assert {p.step for p in stored} == {1, 2}
+        checker = checker_with(parallel_all, mode="thorough")
+        events = feed(checker, (1, READ), (1, WRITE), (2, READ), (2, WRITE))
+        assert list(checker.patterns("X", "RW")) == [
+            (events[0], events[1]),
+            (events[2], events[3]),
+        ]
+        assert checker.metrics()["checker.optimized.promotions"] == 2
 
     def test_thorough_same_step_not_duplicated(self):
-        space = GlobalSpace()
-        space.update_pattern("RW", pattern(1), parallel_all, thorough=True)
-        assert not space.update_pattern("RW", pattern(1), parallel_all, thorough=True)
-        assert len(list(space.patterns("RW"))) == 1
+        checker = checker_with(parallel_all, mode="thorough")
+        feed(checker, (1, READ), (1, WRITE), (2, READ), (2, WRITE), (2, WRITE))
+        assert [first.step for first, _ in checker.patterns("X", "RW")] == [1, 2]
+        assert checker.metrics()["checker.optimized.promotions_blocked"] == 1
 
     def test_all_patterns_iterates_kinds(self):
-        space = GlobalSpace()
-        space.update_pattern("RR", pattern(1, READ, READ), parallel_all)
-        space.update_pattern("WW", pattern(2, WRITE, WRITE), parallel_all)
-        assert {p.kind for p in space.all_patterns()} == {"RR", "WW"}
+        checker = checker_with(parallel_all)
+        feed(checker, (1, READ), (1, READ), (2, WRITE), (2, WRITE))
+        stored = {kind for kind in PATTERN_KINDS if list(checker.patterns("X", kind))}
+        assert stored == {"RR", "WW"}
+        space = checker._gs["X"]
+        assert (space.RR1.step, space.RR3.step) == (1, 1)
+        assert (space.WW1.step, space.WW3.step) == (2, 2)
+        assert space.RW1 is None and space.WR1 is None
+        assert space.RW3 is None and space.WR3 is None
 
 
 class TestEntryCount:
     def test_bounded_by_twelve_in_paper_mode(self):
-        space = GlobalSpace()
+        checker = checker_with(parallel_all)
         for step in range(10):
-            space.update_single("R", entry(step), parallel_all)
-            space.update_single("W", entry(step, WRITE), parallel_all)
-            for kind, (a, b) in {
-                "RR": (READ, READ),
-                "RW": (READ, WRITE),
-                "WR": (WRITE, READ),
-                "WW": (WRITE, WRITE),
-            }.items():
-                space.update_pattern(kind, pattern(step, a, b), parallel_all)
+            # R, W, R, W forms all four pattern kinds.
+            feed(checker, (step, READ), (step, WRITE), (step, READ), (step, WRITE))
+        space = checker._gs["X"]
+        assert all(getattr(space, slot) is not None for slot in space.__slots__)
         assert space.entry_count() == 12
+        assert checker.max_entries_per_location() == 12
 
     def test_version_bumps_on_mutation(self):
-        space = GlobalSpace()
-        v0 = space.version
-        space.update_single("R", entry(1), parallel_all)
+        checker = checker_with(parallel_all)
+        feed(checker, (1, READ))
+        space = checker._gs["X"]
         v1 = space.version
-        assert v1 > v0
-        space.update_single("R", entry(2), parallel_all)
+        assert v1 > 0
+        feed(checker, (2, READ))
         assert space.version > v1
         # Dropped entry (both slots parallel) must NOT bump.
         v2 = space.version
-        space.update_single("R", entry(3), parallel_all)
+        feed(checker, (3, READ))
         assert space.version == v2
+
+    def test_fresh_space_is_empty(self):
+        space = GlobalSpace()
+        assert space.entry_count() == 0 and space.version == 0
 
 
 class TestLocalSpace:
     def test_fresh_cell(self):
         local = LocalSpace(step=4)
-        cell, had_prior = local.cell_for("X", step=4)
-        assert not had_prior
-        assert cell.is_empty
         assert local.step == 4
+        assert local.cell_count() == 0 and local.entry_count() == 0
+        cell = LocalCell()
+        assert cell.read is None and cell.write is None
+        assert cell.ver_rr == cell.ver_sr == cell.ver_sw == -1
 
     def test_prior_detected(self):
-        local = LocalSpace(4)
-        cell, _ = local.cell_for("X", 4)
-        cell.read = entry(4)
-        cell2, had_prior = local.cell_for("X", 4)
-        assert had_prior
-        assert cell2 is cell
+        """A step's second access to a location finds its first in the
+        same cell, and closes a pattern with it."""
+        checker = checker_with(parallel_all)
+        first, second = feed(checker, (4, READ), (4, READ))
+        cell = checker._ls[4]._cells["X"]
+        assert cell.read is first and cell.write is None
+        assert list(checker.patterns("X", "RR")) == [(first, second)]
 
     def test_stale_cell_replaced_on_new_step(self):
         """A task's later step is a different atomic region: moving to it
         frees every cell of the earlier step."""
-        local = LocalSpace(4)
-        cell, _ = local.cell_for("X", 4)
-        cell.read = entry(4)
-        local.cell_for("Y", 4)[0].write = entry(4, WRITE)
-        cell2, had_prior = local.cell_for("X", 9)
-        assert not had_prior
+        checker = checker_with(parallel_all)
+        checker.on_memory(MemoryEvent(0, 1, 4, "X", READ))
+        checker.on_memory(MemoryEvent(1, 1, 4, "Y", WRITE))
+        later = MemoryEvent(2, 1, 9, "X", READ)
+        checker.on_memory(later)
+        local = checker._ls[1]
         assert local.step == 9
-        assert cell2.is_empty and cell2 is not cell
         assert local.cell_count() == 1  # Y's cell went with step 4
+        assert local._cells["X"].read is later
+        assert checker.metrics()["checker.optimized.cells_freed"] == 2
 
     def test_advance_counts_freed_cells(self):
         local = LocalSpace(4)
-        local.cell_for("X", 4)
-        local.cell_for("Y", 4)
+        local._cells["X"] = LocalCell()
+        local._cells["Y"] = LocalCell()
         assert local.advance(9) == 2
         assert local.cell_count() == 0 and local.step == 9
 
     def test_entry_count(self):
         local = LocalSpace(4)
-        cell, _ = local.cell_for("X", 4)
-        cell.read = entry(4)
-        cell.write = entry(4, WRITE)
-        cell_y, _ = local.cell_for("Y", 4)
-        cell_y.read = entry(4)
+        cell = local._cells["X"] = LocalCell()
+        cell.read = MemoryEvent(0, 1, 4, "X", READ)
+        cell.write = MemoryEvent(1, 1, 4, "X", WRITE)
+        cell_y = local._cells["Y"] = LocalCell()
+        cell_y.read = MemoryEvent(2, 1, 4, "Y", READ)
         assert local.entry_count() == 3

@@ -74,8 +74,9 @@ class TestFigure10Walkthrough:
         assert space.W2.step == self.s2 and space.W2.is_write
         assert space.R1.step == self.s2 and space.R1.is_read
         assert space.R2 is None
-        assert space.RW is not None and space.RW.step == self.s2
-        assert space.RR is None and space.WR is None and space.WW is None
+        assert space.RW1.step == self.s2 and space.RW1.is_read
+        assert space.RW3.step == self.s2 and space.RW3.is_write
+        assert space.RR1 is None and space.WR1 is None and space.WW1 is None
 
     def test_final_local_metadata(self):
         """Figure 10: T2 holds (S2, R) and (S2, W); T3 (S3, W).

@@ -1,6 +1,9 @@
 """The columnar (v3) trace format: writer, reader, sniffing, sharding."""
 
+import dataclasses
+import gc
 import hashlib
+import io
 import json
 import os
 import struct
@@ -65,7 +68,10 @@ def trace():
 
 def event_rows(events):
     """Comparable rows: every field of every event, in order."""
-    return [(type(e).__name__,) + tuple(vars(e).values()) for e in events]
+    return [
+        (type(e).__name__,) + tuple(getattr(e, f.name) for f in dataclasses.fields(e))
+        for e in events
+    ]
 
 
 EVENT_KINDS = (
@@ -546,6 +552,33 @@ class TestCorruption:
             handle.write(data[:footer_offset] + struct.pack("<I", len(raw)))
             handle.write(raw + data[-16:])
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, "12", 2**64])
+    def test_bad_location_shard_key_rejected_at_open(self, trace, tmp_path, bad):
+        """A shard key must be an unsigned machine word: ``"12"`` or
+        ``1.5`` used to pass ``int()`` and route a location."""
+        path = self.dump(trace, tmp_path)
+
+        def edit(table):
+            table["location_sk"][0] = bad
+
+        self.rewrite_footer(path, edit)
+        with pytest.raises(TraceError) as err:
+            ColumnarTraceReader(path)
+        assert "malformed footer" in str(err.value)
+        assert "t.trc" in str(err.value)
+
+    def test_shard_key_count_must_match_locations(self, trace, tmp_path):
+        path = self.dump(trace, tmp_path)
+
+        def edit(table):
+            table["location_sk"].pop()
+
+        self.rewrite_footer(path, edit)
+        with pytest.raises(TraceError) as err:
+            ColumnarTraceReader(path)
+        assert "shard keys for" in str(err.value)
+        assert "t.trc" in str(err.value)
+
     def replace_only_frame(self, path, payload, n_events=None):
         """Swap the compressed *payload* into *path*, a one-frame file;
         *n_events* overrides the frame's count in its header and in the
@@ -642,6 +675,66 @@ class TestCorruption:
         with pytest.raises(TraceError, match="truncated"):
             list(open_trace(path).events())
         assert len(list(open_trace(path, strict=False).events())) == 0
+
+
+class TestFrameMemory:
+    """A pass over a v3 trace holds one frame at a time: each frame's
+    payload and column views go before the next frame is read."""
+
+    FRAME = 1024
+    PAYLOAD = FRAME * (1 + 8 + 5 * 4)  # type, seq and f0-f4 columns
+    #: What inflating one frame allocates besides its output: zlib's
+    #: 32 KB window and about 7 KB of state.
+    INFLATER = 40 * 1024
+    #: The pass's own file buffer, plus half a frame for small objects;
+    #: a second frame alive would overrun it.
+    SLACK = io.DEFAULT_BUFFER_SIZE + PAYLOAD // 2
+
+    @pytest.fixture(scope="class")
+    def events(self):
+        return long_run().trace
+
+    def dump(self, events, tmp_path, compress):
+        path = str(tmp_path / "frames.trc")
+        dump_trace_columnar(
+            events, path, frame_events=self.FRAME, compress=compress
+        )
+        with ColumnarTraceReader(path) as reader:
+            assert len(reader._frames) >= 3
+        return path
+
+    def pass_peak(self, path, view):
+        """Peak traced bytes of one pass of *view* over *path*, above
+        what the open reader already holds; the events are dropped."""
+        with ColumnarTraceReader(path) as reader:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in getattr(reader, view)():
+                    pass
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("view", ["events", "memory_events", "checking_events"])
+    def test_uncompressed_pass_holds_one_frame(self, events, tmp_path, view):
+        path = self.dump(events, tmp_path, compress=False)
+        assert self.pass_peak(path, view) < self.PAYLOAD + self.SLACK
+
+    @pytest.mark.parametrize("view", ["events", "memory_events", "checking_events"])
+    def test_compressed_pass_holds_one_inflated_frame(self, events, tmp_path, view):
+        """Inflating a frame holds its compressed bytes, its output and
+        the inflater; nothing of the previous frame may be alive on top
+        of that."""
+        path = self.dump(events, tmp_path, compress=True)
+        with ColumnarTraceReader(path) as reader:
+            offsets = [offset for offset, _ in reader._frames] + [None]
+        compressed = max(
+            end - start for start, end in zip(offsets, offsets[1:]) if end
+        )
+        bound = compressed + self.PAYLOAD + self.INFLATER + self.SLACK
+        assert self.pass_peak(path, view) < bound
 
 
 def racing_on_a():

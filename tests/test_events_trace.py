@@ -76,7 +76,8 @@ class TestRecorder:
 
 class TestMemoryEventContract:
     """What observers, serializers and tests rely on now that
-    :class:`MemoryEvent` is immutable by convention rather than frozen."""
+    :class:`MemoryEvent` is immutable by convention rather than frozen,
+    and slotted by hand rather than through ``dataclass(slots=True)``."""
 
     FIELDS = ("seq", "task", "step", "location", "access_type", "lockset")
 
@@ -100,9 +101,21 @@ class TestMemoryEventContract:
 
     def test_field_order(self):
         event = MemoryEvent(0, 1, 2, "X", READ, ("L",))
+        assert tuple(f.name for f in dataclasses.fields(event)) == self.FIELDS
         assert tuple(event.__dataclass_fields__) == self.FIELDS
-        assert tuple(vars(event)) == self.FIELDS
-        assert tuple(vars(event).values()) == (0, 1, 2, "X", READ, ("L",))
+        assert dataclasses.astuple(event) == (0, 1, 2, "X", READ, ("L",))
+        assert MemoryEvent(0, 1, 2, "X", READ).lockset == ()
+
+    def test_slotted(self):
+        """No ``__dict__``: ``vars(event)`` fails and no attribute outside
+        the six fields can be set."""
+        event = MemoryEvent(0, 1, 2, "X", READ, ("L",))
+        assert MemoryEvent.__slots__ == self.FIELDS
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(TypeError):
+            vars(event)
+        with pytest.raises(AttributeError):
+            event.extra = 1
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".trc"])
     def test_round_trip(self, recorded, tmp_path, suffix):
@@ -115,7 +128,9 @@ class TestMemoryEventContract:
         assert decoded == original
         assert [hash(e) for e in decoded] == [hash(e) for e in original]
         assert all(type(e) is MemoryEvent for e in decoded)
-        assert all(tuple(vars(e)) == self.FIELDS for e in decoded)
+        assert [dataclasses.astuple(e) for e in decoded] == [
+            dataclasses.astuple(e) for e in original
+        ]
 
 
 class TestTraceViews:

@@ -6,9 +6,13 @@ whose shared accesses commute or are ordered) and basic liveness of the
 work-stealing pool.
 """
 
+import sys
+import time
+
 import pytest
 
 from repro.checker import OptAtomicityChecker
+from repro.report import normalized_locations
 from repro.runtime import (
     RandomOrderExecutor,
     SerialExecutor,
@@ -16,6 +20,8 @@ from repro.runtime import (
     WorkStealingExecutor,
     run_program,
 )
+from repro.runtime.executor import Executor, Runtime
+from repro.runtime.observer import RuntimeObserver
 
 ALL_EXECUTORS = [
     lambda: SerialExecutor(),
@@ -251,3 +257,120 @@ class TestWorkStealing:
             TaskProgram(main), executor=WorkStealingExecutor(workers=4)
         )
         assert result.value == 16
+
+
+class TestRuntimeLock:
+    """An instrumented access takes the runtime's lock only where tasks
+    may run on several threads: each executor states ``threaded``."""
+
+    @staticmethod
+    def lock_probe():
+        """An observer noting whether the runtime's lock is held by the
+        thread delivering each access."""
+
+        class Probe(RuntimeObserver):
+            runtime = None
+            held = []
+
+            def on_memory(self, event):
+                self.held.append(self.runtime._lock._is_owned())
+
+        return Probe()
+
+    def run_probed(self, executor):
+        probe = self.lock_probe()
+        runtime = Runtime(executor, observers=[probe])
+        probe.runtime = runtime
+        probe.held = []
+        runtime.run(fanout_program().body)
+        assert probe.held
+        return runtime, set(probe.held)
+
+    @pytest.mark.parametrize(
+        "make_executor",
+        [SerialExecutor, lambda: SerialExecutor("help_first", "lifo"),
+         lambda: RandomOrderExecutor(seed=3)],
+    )
+    def test_single_threaded_executors_take_no_lock(self, make_executor):
+        executor = make_executor()
+        assert executor.threaded is False
+        runtime, held = self.run_probed(executor)
+        assert held == {False}
+        assert runtime.read == runtime._read_unlocked
+
+    def test_work_stealing_takes_the_lock(self):
+        executor = WorkStealingExecutor(workers=2)
+        assert executor.threaded is True
+        _, held = self.run_probed(executor)
+        assert held == {True}
+
+    def test_unknown_executor_keeps_the_lock(self):
+        """A third-party executor that does not say it is single-threaded
+        gets the locked methods."""
+
+        class InlineExecutor(Executor):
+            name = "inline"
+
+            def run_root(self, runtime, root):
+                runtime.execute_task(root)
+
+            def submit(self, runtime, parent, child):
+                runtime.execute_task(child)
+
+            def wait_frame(self, runtime, task, frame):
+                pass
+
+        assert InlineExecutor.threaded is True
+        runtime, held = self.run_probed(InlineExecutor())
+        assert held == {True}
+        assert "read" not in vars(runtime) and "write" not in vars(runtime)
+
+    def stress_program(self):
+        """64 tasks of racy, locked and private accesses."""
+
+        def worker(ctx, i):
+            for k in range(8):
+                ctx.write(("racy", i % 4), ctx.read(("racy", i % 4)) + 1)
+                with ctx.lock("m"):
+                    ctx.add("counter", 1)
+                ctx.write(("own", i, k), k)
+
+        def main(ctx):
+            for i in range(64):
+                ctx.spawn(worker, i)
+            ctx.sync()
+
+        memory = {("racy", k): 0 for k in range(4)}
+        memory["counter"] = 0
+        return TaskProgram(main, initial_memory=memory)
+
+    def test_work_stealing_stress_keeps_seqs_and_verdict(self):
+        """Eight workers on a tiny GIL switch interval: every event still
+        gets its own seq, with none skipped, the accesses reach the
+        observers in seq order, and the verdict is the serial run's.
+        Repeats for about two seconds."""
+        serial = run_program(self.stress_program(), checkers=["optimized"])
+        expected = normalized_locations(serial.reports["optimized"])
+        assert expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            runs = 0
+            while runs < 2 or time.monotonic() < deadline:
+                result = run_program(
+                    self.stress_program(),
+                    executor=WorkStealingExecutor(workers=8, seed=runs),
+                    checkers=["optimized"],
+                    record_trace=True,
+                )
+                memory = [e.seq for e in result.trace.memory_events()]
+                assert len(set(memory)) == len(memory)
+                assert memory == sorted(memory)
+                seqs = sorted(e.seq for e in result.trace.events)
+                assert seqs == list(range(len(seqs)))
+                report = result.reports["optimized"]
+                assert normalized_locations(report) == expected
+                runs += 1
+        finally:
+            sys.setswitchinterval(interval)

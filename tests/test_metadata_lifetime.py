@@ -110,9 +110,12 @@ class TestLiveEntriesBound:
 
 
 def reachable_locksets(checker):
-    """The non-empty frozensets reachable from *checker* through its own
-    state: containers and ``repro.checker`` objects (not the engine, the
-    report or functions, which hold no lockset of the checker's)."""
+    """The distinct non-empty lockset tuples of the events reachable from
+    *checker* through its own state: containers, ``repro.checker``
+    objects and the events they hold (not the engine, the report or
+    functions, which hold no event of the checker's).  The runtime builds
+    one tuple per lock version a task holds, so a checker that kept an
+    event per version would show one tuple per version here."""
     found = {}
     seen = set()
     stack = [checker]
@@ -121,9 +124,9 @@ def reachable_locksets(checker):
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, frozenset):
-            if obj:
-                found[id(obj)] = obj
+        if isinstance(obj, MemoryEvent):
+            if obj.lockset:
+                found[id(obj.lockset)] = obj.lockset
             continue
         if isinstance(obj, (dict, list, tuple, set)) or type(
             obj
@@ -151,7 +154,9 @@ class TestLocksetCache:
     def assert_none_retained(self, checker):
         # The one location's global entries may hold a lockset each; the
         # 10^4 versions the task read under are gone with the task.
-        assert len(reachable_locksets(checker)) <= checker.total_global_entries()
+        locksets = reachable_locksets(checker)
+        assert locksets, "the probe must see the stored events' locksets"
+        assert len(locksets) <= checker.total_global_entries()
         assert checker.total_local_entries() == 0
 
     def test_online(self):

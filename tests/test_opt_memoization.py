@@ -132,13 +132,15 @@ class TestVersionCounterSemantics:
     def test_version_survives_dropped_updates(self):
         """An access that changes nothing must not bump the version (else
         gating would degrade to never-skip)."""
-        from repro.checker.metadata import GlobalSpace
-        from repro.checker.access import AccessEntry
+        from types import SimpleNamespace
 
-        space = GlobalSpace()
-        parallel = lambda x, y: True
-        space.update_single("R", AccessEntry(1, READ), parallel)
-        space.update_single("R", AccessEntry(2, READ), parallel)
+        checker = OptAtomicityChecker()
+        engine = SimpleNamespace(parallel=lambda x, y: True)
+        checker.on_run_begin(SimpleNamespace(engine=engine, annotations=None))
+        for step in (1, 2):
+            checker.on_memory(MemoryEvent(step, step, step, "X", READ))
+        space = checker._gs["X"]
         version = space.version
-        space.update_single("R", AccessEntry(3, READ), parallel)  # dropped
+        checker.on_memory(MemoryEvent(3, 3, 3, "X", READ))  # dropped
+        assert space.R2.step == 2
         assert space.version == version

@@ -223,8 +223,10 @@ class TestFigure9CandidateChecks:
 class TestFigure9PatternPromotion:
     def test_candidate_promoted_into_empty_slot(self):
         tree, (a, b) = parallel_steps(2)
-        checker = run(tree, [mem(0, 1, a, "X", READ), mem(1, 1, a, "X", WRITE)])
-        assert checker._gs["X"].RW.step == a
+        events = [mem(0, 1, a, "X", READ), mem(1, 1, a, "X", WRITE)]
+        checker = run(tree, events)
+        space = checker._gs["X"]
+        assert (space.RW1, space.RW3) == (events[0], events[1])
 
     def test_parallel_occupant_blocks_in_paper_mode(self):
         tree, (a, b) = parallel_steps(2)
@@ -235,7 +237,7 @@ class TestFigure9PatternPromotion:
             mem(3, 2, b, "X", WRITE),
         ]
         checker = run(tree, events)
-        assert checker._gs["X"].RW.step == a  # b's candidate dropped
+        assert checker._gs["X"].RW1.step == a  # b's candidate dropped
 
     def test_series_occupant_replaced(self):
         tree, s0, s1, s2 = serial_then_parallel()
@@ -246,7 +248,7 @@ class TestFigure9PatternPromotion:
             mem(3, 2, s1, "X", WRITE),  # s1 in series with s0: replaces
         ]
         checker = run(tree, events)
-        assert checker._gs["X"].RW.step == s1
+        assert checker._gs["X"].RW1.step == s1
 
     def test_thorough_keeps_both(self):
         tree, (a, b) = parallel_steps(2)
@@ -257,8 +259,9 @@ class TestFigure9PatternPromotion:
             mem(3, 2, b, "X", WRITE),
         ]
         checker = run(tree, events, mode="thorough")
-        stored = {p.step for p in checker._gs["X"].patterns("RW")}
-        assert stored == {a, b}
+        stored = list(checker.patterns("X", "RW"))
+        assert stored == [(events[0], events[1]), (events[2], events[3])]
+        assert {first.step for first, _ in stored} == {a, b}
 
 
 class TestLocalSpaceMaintenance:
@@ -277,4 +280,5 @@ class TestLocalSpaceMaintenance:
         ]
         checker = run(tree, events)
         cell = checker._ls[1]._cells["X"]
-        assert cell.read.lockset == frozenset({"L"})
+        assert cell.read is events[0]
+        assert cell.read.lockset == ("L",)
