@@ -45,8 +45,8 @@ The package layers:
 * :mod:`repro.workloads` -- task-parallel kernels of the paper's 13
   benchmarks;
 * :mod:`repro.bench` -- harnesses regenerating Table 1 and Figures 13/14;
-* :mod:`repro.obs` -- the observability layer: counters, gauges,
-  histograms and phase spans behind one :class:`~repro.obs.Recorder`;
+* :mod:`repro.obs` -- the observability layer: counters, gauges and
+  phase spans behind one :class:`~repro.obs.Recorder`;
 * :mod:`repro.static` -- static analysis: access-set over-approximation,
   trace-coverage validation, and the ``repro lint`` pass (static MHP +
   locksets + Figure 4 candidate triples).

@@ -1,7 +1,10 @@
 """Atomicity checkers.
 
-Three analyses, all consuming runtime events as
-:class:`~repro.runtime.observer.RuntimeObserver` subclasses:
+Six analyses and a streaming wrapper, all consuming runtime events as
+:class:`~repro.runtime.observer.RuntimeObserver` subclasses.  Each stores
+the :class:`~repro.runtime.events.MemoryEvent` it receives as its access
+record, and reports an access as
+:meth:`AccessInfo.of(event) <repro.report.AccessInfo.of>`:
 
 * :class:`~repro.checker.basic.BasicAtomicityChecker` -- the paper's
   Figure 3 algorithm: unbounded per-location access histories, checked on
@@ -17,6 +20,12 @@ Three analyses, all consuming runtime events as
   builds the transactional happens-before graph of the *observed trace*
   and reports cycles.  Trace-sensitive by design, which is exactly the
   contrast the paper's Figure 13 draws.
+* :class:`~repro.checker.exploring.ExploringVelodrome` -- Velodrome over
+  every schedule an interleaving explorer enumerates from the recorded
+  trace: the paper's Section 4 strawman.
+* :class:`~repro.checker.racedetector.RaceDetector` -- SPD3-style data
+  race detection over the same DPST: pairs of parallel, conflicting,
+  unprotected accesses rather than triples.
 * :class:`~repro.checker.regiontrack.RegionTrackChecker` -- sound *and*
   complete trace-level baseline (RegionTrack, arXiv:2008.04479):
   constant-size per-region summaries instead of full histories; the
@@ -30,7 +39,6 @@ Three analyses, all consuming runtime events as
 from repro.errors import CheckerError
 from repro.runtime.observer import RuntimeObserver
 
-from repro.checker.access import AccessEntry, TwoAccessPattern
 from repro.checker.annotations import AtomicAnnotations
 from repro.checker.patterns import (
     UNSERIALIZABLE_PATTERNS,
@@ -47,8 +55,6 @@ from repro.checker.regiontrack import RegionTrackChecker
 from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
 
 __all__ = [
-    "AccessEntry",
-    "TwoAccessPattern",
     "AtomicAnnotations",
     "UNSERIALIZABLE_PATTERNS",
     "is_unserializable_triple",

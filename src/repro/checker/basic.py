@@ -1,8 +1,10 @@
 """The basic atomicity checker (paper Figure 3, made symmetric).
 
 Maintains, for every checked location, the *complete* history of dynamic
-accesses as ``<step, type, lockset>`` entries.  On each access it searches
-for an unserializable triple involving the current access in either role:
+accesses: the ``<step, type, lockset>`` entries of Figure 3, stored as the
+:class:`~repro.runtime.events.MemoryEvent` the checker receives, grouped
+by step.  On each access it searches for an unserializable triple
+involving the current access in either role:
 
 1. **current as A3** (the literal Figure 3 check): a prior access ``p`` by
    the same step plus a prior access ``q`` by a logically parallel step,
@@ -32,32 +34,25 @@ motivation for the fixed-size metadata of
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.checker.access import EMPTY_LOCKSET, AccessEntry
 from repro.checker.annotations import AtomicAnnotations
 from repro.checker.patterns import is_unserializable_triple, triple_code
 from repro.errors import CheckerError
-from repro.report import AtomicityViolation, ViolationReport
+from repro.report import AccessInfo, AtomicityViolation, ViolationReport
 from repro.runtime.events import MemoryEvent
 from repro.runtime.observer import RuntimeObserver
 
 Location = Hashable
 
+#: One location's history: step -> the step's accesses, in trace order.
+_History = Dict[int, List[MemoryEvent]]
 
-class _History:
-    """Per-location access history, indexed flat and by step."""
 
-    __slots__ = ("entries", "by_step")
-
-    def __init__(self) -> None:
-        self.entries: List[AccessEntry] = []
-        self.by_step: Dict[int, List[AccessEntry]] = defaultdict(list)
-
-    def append(self, entry: AccessEntry) -> None:
-        self.entries.append(entry)
-        self.by_step[entry.step].append(entry)
+def _locks_disjoint(mine: Tuple[str, ...], theirs: Tuple[str, ...]) -> bool:
+    """No common (versioned) lock: the accesses are in different critical
+    sections, so an interleaving access can separate them."""
+    return not mine or not theirs or set(mine).isdisjoint(theirs)
 
 
 class BasicAtomicityChecker(RuntimeObserver):
@@ -97,38 +92,29 @@ class BasicAtomicityChecker(RuntimeObserver):
                 return
             key = annotations.metadata_key(event.location)
         self._accesses += 1
-        raw_lockset = event.lockset
-        entry = AccessEntry(
-            event.step,
-            event.access_type,
-            event.task,
-            event.location,
-            frozenset(raw_lockset) if raw_lockset else EMPTY_LOCKSET,
-        )
         history = self._history.get(key)
         if history is None:
-            history = _History()
-            self._history[key] = history
-        self._check_current_as_pair_end(key, history, entry)
-        self._check_current_as_interleaver(key, history, entry)
-        history.append(entry)
+            history = self._history[key] = {}
+        self._check_current_as_pair_end(key, history, event)
+        self._check_current_as_interleaver(key, history, event)
+        history.setdefault(event.step, []).append(event)
 
     # -- the two triple searches ---------------------------------------------------
 
     def _check_current_as_pair_end(
-        self, key: Location, history: _History, current: AccessEntry
+        self, key: Location, history: _History, current: MemoryEvent
     ) -> None:
         """Current access closes a same-step pair (Figure 3 literal)."""
-        same_step = history.by_step.get(current.step)
+        same_step = history.get(current.step)
         if not same_step:
             return
         parallel = self._engine.parallel
-        for step, others in history.by_step.items():
+        for step, others in history.items():
             if step == current.step or not parallel(current.step, step):
                 continue
             for q in others:
                 for p in same_step:
-                    if not p.locks_disjoint(current):
+                    if not _locks_disjoint(p.lockset, current.lockset):
                         continue
                     if is_unserializable_triple(
                         p.access_type, q.access_type, current.access_type
@@ -136,18 +122,18 @@ class BasicAtomicityChecker(RuntimeObserver):
                         self._report(key, p, q, current)
 
     def _check_current_as_interleaver(
-        self, key: Location, history: _History, current: AccessEntry
+        self, key: Location, history: _History, current: MemoryEvent
     ) -> None:
         """Current access interleaves a previously completed pair."""
         parallel = self._engine.parallel
-        for step, others in history.by_step.items():
+        for step, others in history.items():
             if step == current.step or len(others) < 2:
                 continue
             if not parallel(current.step, step):
                 continue
             for i, p in enumerate(others):
                 for r in others[i + 1 :]:
-                    if not p.locks_disjoint(r):
+                    if not _locks_disjoint(p.lockset, r.lockset):
                         continue
                     if is_unserializable_triple(
                         p.access_type, current.access_type, r.access_type
@@ -157,16 +143,16 @@ class BasicAtomicityChecker(RuntimeObserver):
     def _report(
         self,
         key: Location,
-        first: AccessEntry,
-        second: AccessEntry,
-        third: AccessEntry,
+        first: MemoryEvent,
+        second: MemoryEvent,
+        third: MemoryEvent,
     ) -> None:
         self.report.add(
             AtomicityViolation(
                 location=key,
-                first=first.info(),
-                second=second.info(),
-                third=third.info(),
+                first=AccessInfo.of(first),
+                second=AccessInfo.of(second),
+                third=AccessInfo.of(third),
                 pattern=triple_code(
                     first.access_type, second.access_type, third.access_type
                 ),
@@ -179,7 +165,7 @@ class BasicAtomicityChecker(RuntimeObserver):
     def history_size(self, location: Location) -> int:
         """Number of stored entries for *location* (metadata-growth metric)."""
         history = self._history.get(location)
-        return 0 if history is None else len(history.entries)
+        return 0 if history is None else sum(map(len, history.values()))
 
     def total_history_entries(self) -> int:
         """Total stored entries across all locations.
@@ -187,15 +173,12 @@ class BasicAtomicityChecker(RuntimeObserver):
         Grows linearly with dynamic accesses -- the quantity the optimized
         checker's 12+2 fixed entries replace (ablation ABL-META).
         """
-        return sum(len(history.entries) for history in self._history.values())
+        return sum(map(self.history_size, self._history))
 
     def metrics(self) -> Dict[str, int]:
         """Canonical ``repro.obs`` counters; shard-summable (see the
         optimized checker's ``metrics`` for the invariant)."""
-        peak = max(
-            (len(history.entries) for history in self._history.values()),
-            default=0,
-        )
+        peak = max(map(self.history_size, self._history), default=0)
         return {
             "checker.accesses_checked": self._accesses,
             "checker.basic.history_entries": self.total_history_entries(),

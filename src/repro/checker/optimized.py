@@ -55,16 +55,13 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.checker.annotations import AtomicAnnotations
 from repro.checker.metadata import GlobalSpace, LocalCell, LocalSpace
-from repro.checker.patterns import triple_code
+from repro.checker.patterns import Pattern, triple_code
 from repro.errors import CheckerError
 from repro.report import READ, AccessInfo, AtomicityViolation, ViolationReport
 from repro.runtime.events import MemoryEvent, TaskEndEvent
 from repro.runtime.observer import RuntimeObserver
 
 Location = Hashable
-
-#: A two-access pattern: its ``A1`` and ``A3`` events, one step's.
-Pattern = Tuple[MemoryEvent, MemoryEvent]
 
 #: The pattern kinds a write interleaver breaks, in check order (all four;
 #: a read interleaver breaks only ``WW``).
@@ -81,17 +78,6 @@ def _locks_disjoint(mine: Tuple[str, ...], theirs: Tuple[str, ...]) -> bool:
         if lock in theirs:
             return False
     return True
-
-
-def _info(event: MemoryEvent) -> AccessInfo:
-    """The report-facing form of a stored access."""
-    return AccessInfo(
-        step=event.step,
-        access_type=event.access_type,
-        location=event.location,
-        task=event.task if event.task >= 0 else None,
-        lockset=tuple(sorted(set(event.lockset))),
-    )
 
 
 class OptAtomicityChecker(RuntimeObserver):
@@ -445,9 +431,9 @@ class OptAtomicityChecker(RuntimeObserver):
         self.report.add(
             AtomicityViolation(
                 location=key,
-                first=_info(first),
-                second=_info(second),
-                third=_info(third),
+                first=AccessInfo.of(first),
+                second=AccessInfo.of(second),
+                third=AccessInfo.of(third),
                 pattern=triple_code(
                     first.access_type, second.access_type, third.access_type
                 ),

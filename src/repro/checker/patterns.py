@@ -37,7 +37,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from repro.report import READ, WRITE
-from repro.checker.access import AccessEntry, TwoAccessPattern
+from repro.runtime.events import MemoryEvent
+
+#: A two-access pattern: its ``A1`` and ``A3`` events, performed in that
+#: order by one step node.
+Pattern = Tuple[MemoryEvent, MemoryEvent]
 
 #: The eight triples in pattern-code form, mapping to ``True`` when the
 #: interleaving is conflict serializable.
@@ -82,16 +86,15 @@ def is_unserializable_triple(a1_type: str, a2_type: str, a3_type: str) -> bool:
     return not _TABLE[triple_code(a1_type, a2_type, a3_type)]
 
 
-def pattern_violated_by(pattern: TwoAccessPattern, interleaver: AccessEntry) -> bool:
+def pattern_violated_by(pattern: Pattern, interleaver: MemoryEvent) -> bool:
     """Would *interleaver* between the pattern's accesses be unserializable?
 
     Only the access *types* are consulted; callers are responsible for the
     structural side conditions (distinct tasks, logical parallelism).
     """
+    first, third = pattern
     return is_unserializable_triple(
-        pattern.first.access_type,
-        interleaver.access_type,
-        pattern.second.access_type,
+        first.access_type, interleaver.access_type, third.access_type
     )
 
 

@@ -28,9 +28,8 @@ the detector composes with harnesses that merge checker reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.checker.access import EMPTY_LOCKSET, AccessEntry
 from repro.checker.annotations import AtomicAnnotations
 from repro.errors import CheckerError
 from repro.report import AccessInfo, ViolationReport
@@ -40,15 +39,16 @@ from repro.runtime.observer import RuntimeObserver
 Location = Hashable
 
 
-def _bases(lockset: FrozenSet[str]) -> FrozenSet[str]:
-    """Base lock names (version suffixes stripped).
+def _share_base_lock(mine: Tuple[str, ...], theirs: Tuple[str, ...]) -> bool:
+    """Do two locksets hold a common base lock (version suffix stripped)?
 
     Mutual exclusion is by base lock: two critical sections of ``L`` can
     never overlap even though versioning gives them distinct names.
     """
-    if not lockset:
-        return lockset
-    return frozenset(name.split("#", 1)[0] for name in lockset)
+    if not mine or not theirs:
+        return False
+    bases = {name.split("#", 1)[0] for name in mine}
+    return any(name.split("#", 1)[0] in bases for name in theirs)
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,9 @@ class _RaceCell:
     __slots__ = ("writer", "reader1", "reader2")
 
     def __init__(self) -> None:
-        self.writer: Optional[AccessEntry] = None
-        self.reader1: Optional[AccessEntry] = None
-        self.reader2: Optional[AccessEntry] = None
+        self.writer: Optional[MemoryEvent] = None
+        self.reader1: Optional[MemoryEvent] = None
+        self.reader2: Optional[MemoryEvent] = None
 
 
 class RaceDetector(RuntimeObserver):
@@ -124,65 +124,59 @@ class RaceDetector(RuntimeObserver):
                 return
             key = annotations.metadata_key(event.location)
         self._accesses += 1
-        raw_lockset = event.lockset
-        entry = AccessEntry(
-            event.step,
-            event.access_type,
-            event.task,
-            event.location,
-            frozenset(raw_lockset) if raw_lockset else EMPTY_LOCKSET,
-        )
         cell = self._cells.get(key)
         if cell is None:
             cell = _RaceCell()
             self._cells[key] = cell
-        if entry.is_read:
-            self._on_read(key, cell, entry)
+        if event.is_read:
+            self._on_read(key, cell, event)
         else:
-            self._on_write(key, cell, entry)
+            self._on_write(key, cell, event)
 
     # -- SPD3 logic ------------------------------------------------------------
 
-    def _racy(self, a: AccessEntry, b: AccessEntry) -> bool:
+    def _racy(self, a: MemoryEvent, b: MemoryEvent) -> bool:
         """Parallel, conflicting, and not commonly locked."""
         if a.step == b.step:
             return False
         if not self._engine.parallel(a.step, b.step):
             return False
-        if _bases(a.lockset) & _bases(b.lockset):
+        if _share_base_lock(a.lockset, b.lockset):
             return False  # a common base lock orders the accesses
         return True
 
-    def _on_read(self, key: Location, cell: _RaceCell, entry: AccessEntry) -> None:
+    def _on_read(self, key: Location, cell: _RaceCell, event: MemoryEvent) -> None:
         writer = cell.writer
-        if writer is not None and self._racy(writer, entry):
-            self._record(key, writer, entry)
+        if writer is not None and self._racy(writer, event):
+            self._record(key, writer, event)
         # Maintain up to two parallel readers (SPD3's reader pair); keep
         # the slot if its occupant is parallel with the newcomer.
         if cell.reader1 is None or not self._engine.parallel(
-            cell.reader1.step, entry.step
+            cell.reader1.step, event.step
         ):
-            cell.reader1 = entry
+            cell.reader1 = event
         elif cell.reader2 is None or not self._engine.parallel(
-            cell.reader2.step, entry.step
+            cell.reader2.step, event.step
         ):
-            cell.reader2 = entry
+            cell.reader2 = event
 
-    def _on_write(self, key: Location, cell: _RaceCell, entry: AccessEntry) -> None:
+    def _on_write(self, key: Location, cell: _RaceCell, event: MemoryEvent) -> None:
         writer = cell.writer
-        if writer is not None and self._racy(writer, entry):
-            self._record(key, writer, entry)
+        if writer is not None and self._racy(writer, event):
+            self._record(key, writer, event)
         for reader in (cell.reader1, cell.reader2):
-            if reader is not None and self._racy(reader, entry):
-                self._record(key, reader, entry)
+            if reader is not None and self._racy(reader, event):
+                self._record(key, reader, event)
         # Keep the existing writer if it runs in parallel with the new
         # one (it can still race with future accesses the new writer is
         # ordered with); otherwise the new write supersedes it.
-        if writer is None or not self._engine.parallel(writer.step, entry.step):
-            cell.writer = entry
+        if writer is None or not self._engine.parallel(writer.step, event.step):
+            cell.writer = event
 
-    def _record(self, key: Location, a: AccessEntry, b: AccessEntry) -> None:
-        race = RaceReport(location=key, first=a.info(), second=b.info())
+    def _record(self, key: Location, a: MemoryEvent, b: MemoryEvent) -> None:
+        race = RaceReport(
+            location=key, first=AccessInfo.of(a), second=AccessInfo.of(b)
+        )
         if race.key in self._seen:
             return
         self._seen.add(race.key)

@@ -14,9 +14,13 @@ per ``(location, step)`` region suffices:
   later access pairs with an earlier same-region access iff their locksets
   are disjoint, and all accesses sharing a lockset are interchangeable as
   the pair's first element);
-* one witness :class:`~repro.checker.access.TwoAccessPattern` per kind
-  (``RR``/``RW``/``WR``/``WW`` -- a second pair of a kind can never flag a
-  location its first witness does not).
+* one witness pattern per kind (``RR``/``RW``/``WR``/``WW`` -- a second
+  pair of a kind can never flag a location its first witness does not),
+  held as its ``(A1, A3)`` events.
+
+Every witness is the :class:`~repro.runtime.events.MemoryEvent` the
+checker received, and the per-lockset firsts are keyed on the event's
+lockset tuple, which the runtime records sorted.
 
 Each access then (1) probes the pair witnesses of parallel regions as an
 interleaver and (2) probes the single witnesses of parallel regions with
@@ -35,13 +39,12 @@ the *complete* side of the oracle sandwich
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.checker.access import EMPTY_LOCKSET, AccessEntry, TwoAccessPattern
 from repro.checker.annotations import AtomicAnnotations
-from repro.checker.patterns import pattern_violated_by, triple_code
+from repro.checker.patterns import Pattern, pattern_violated_by, triple_code
 from repro.errors import CheckerError
-from repro.report import AtomicityViolation, ViolationReport
+from repro.report import AccessInfo, AtomicityViolation, ViolationReport
 from repro.runtime.events import MemoryEvent
 from repro.runtime.observer import RuntimeObserver
 
@@ -62,11 +65,11 @@ class _Region:
     )
 
     def __init__(self) -> None:
-        self.read_witness: Optional[AccessEntry] = None
-        self.write_witness: Optional[AccessEntry] = None
-        self.reads_by_lockset: Dict[FrozenSet[str], AccessEntry] = {}
-        self.writes_by_lockset: Dict[FrozenSet[str], AccessEntry] = {}
-        self.pairs: Dict[str, TwoAccessPattern] = {}
+        self.read_witness: Optional[MemoryEvent] = None
+        self.write_witness: Optional[MemoryEvent] = None
+        self.reads_by_lockset: Dict[Tuple[str, ...], MemoryEvent] = {}
+        self.writes_by_lockset: Dict[Tuple[str, ...], MemoryEvent] = {}
+        self.pairs: Dict[str, Pattern] = {}
         # Location pair-generation stamps: a repeat access of the same
         # type probes the (unchanged) parallel pair witnesses identically,
         # so it can be skipped -- the regiontrack analogue of the
@@ -129,27 +132,19 @@ class RegionTrackChecker(RuntimeObserver):
                 return
             key = annotations.metadata_key(event.location)
         self._accesses += 1
-        raw_lockset = event.lockset
-        entry = AccessEntry(
-            event.step,
-            event.access_type,
-            event.task,
-            event.location,
-            frozenset(raw_lockset) if raw_lockset else EMPTY_LOCKSET,
-        )
         location = self._regions.get(key)
         if location is None:
             location = _LocationRegions()
             self._regions[key] = location
-        region = location.by_step.get(entry.step)
+        region = location.by_step.get(event.step)
         if region is None:
             region = _Region()
-            location.by_step[entry.step] = region
-        self._probe_as_interleaver(key, location, region, entry)
-        new_pairs = self._form_pairs(location, region, entry)
+            location.by_step[event.step] = region
+        self._probe_as_interleaver(key, location, region, event)
+        new_pairs = self._form_pairs(location, region, event)
         for pattern in new_pairs:
             self._probe_pair_against_singles(key, location, pattern)
-        self._record(region, entry)
+        self._record(region, event)
 
     # -- the two symmetric probes -------------------------------------------------
 
@@ -158,10 +153,10 @@ class RegionTrackChecker(RuntimeObserver):
         key: Location,
         location: _LocationRegions,
         region: _Region,
-        entry: AccessEntry,
+        event: MemoryEvent,
     ) -> None:
         """Current access as ``A2`` against parallel regions' pair witnesses."""
-        if entry.is_read:
+        if event.is_read:
             if region.probed_read_gen == location.pair_gen:
                 self._memo_hits += 1
                 return
@@ -173,31 +168,34 @@ class RegionTrackChecker(RuntimeObserver):
             region.probed_write_gen = location.pair_gen
         parallel = self._engine.parallel
         for step, other in location.by_step.items():
-            if step == entry.step or not other.pairs:
+            if step == event.step or not other.pairs:
                 continue
-            if not parallel(step, entry.step):
+            if not parallel(step, event.step):
                 continue
             for pattern in other.pairs.values():
                 self._triple_checks += 1
-                if pattern_violated_by(pattern, entry):
-                    self._report(key, pattern, entry)
+                if pattern_violated_by(pattern, event):
+                    self._report(key, pattern, event)
 
     def _form_pairs(
-        self, location: _LocationRegions, region: _Region, entry: AccessEntry
-    ) -> List[TwoAccessPattern]:
+        self, location: _LocationRegions, region: _Region, event: MemoryEvent
+    ) -> List[Pattern]:
         """New pair witnesses ending at the current access.
 
         A pair needs disjoint locksets (Section 3.3 lock rule), hence the
         scan over the distinct-lockset firsts; the first disjoint witness
         of each kind is stored, later ones add nothing per location.
         """
-        second_letter = "R" if entry.is_read else "W"
-        formed: List[TwoAccessPattern] = []
+        second_letter = "R" if event.is_read else "W"
+        held = event.lockset
+        formed: List[Pattern] = []
 
-        def try_form(first: AccessEntry, kind: str) -> None:
-            if kind in region.pairs or not first.locks_disjoint(entry):
+        def try_form(first: MemoryEvent, kind: str) -> None:
+            if kind in region.pairs:
                 return
-            pattern = TwoAccessPattern(first, entry)
+            if held and first.lockset and not set(held).isdisjoint(first.lockset):
+                return  # a common lock: one critical section
+            pattern = (first, event)
             region.pairs[kind] = pattern
             location.pair_gen += 1
             self._pair_witnesses += 1
@@ -210,11 +208,11 @@ class RegionTrackChecker(RuntimeObserver):
         return formed
 
     def _probe_pair_against_singles(
-        self, key: Location, location: _LocationRegions, pattern: TwoAccessPattern
+        self, key: Location, location: _LocationRegions, pattern: Pattern
     ) -> None:
         """New pair as ``(A1, A3)`` against parallel regions' witnesses."""
         parallel = self._engine.parallel
-        step = pattern.step
+        step = pattern[0].step
         for other_step, other in location.by_step.items():
             if other_step == step or not parallel(other_step, step):
                 continue
@@ -225,33 +223,34 @@ class RegionTrackChecker(RuntimeObserver):
                 if pattern_violated_by(pattern, single):
                     self._report(key, pattern, single)
 
-    def _record(self, region: _Region, entry: AccessEntry) -> None:
-        if entry.is_read:
+    def _record(self, region: _Region, event: MemoryEvent) -> None:
+        if event.is_read:
             if region.read_witness is None:
-                region.read_witness = entry
-            if entry.lockset not in region.reads_by_lockset:
-                region.reads_by_lockset[entry.lockset] = entry
+                region.read_witness = event
+            if event.lockset not in region.reads_by_lockset:
+                region.reads_by_lockset[event.lockset] = event
                 self._lockset_entries += 1
         else:
             if region.write_witness is None:
-                region.write_witness = entry
-            if entry.lockset not in region.writes_by_lockset:
-                region.writes_by_lockset[entry.lockset] = entry
+                region.write_witness = event
+            if event.lockset not in region.writes_by_lockset:
+                region.writes_by_lockset[event.lockset] = event
                 self._lockset_entries += 1
 
     def _report(
-        self, key: Location, pattern: TwoAccessPattern, interleaver: AccessEntry
+        self, key: Location, pattern: Pattern, interleaver: MemoryEvent
     ) -> None:
+        first, third = pattern
         self.report.add(
             AtomicityViolation(
                 location=key,
-                first=pattern.first.info(),
-                second=interleaver.info(),
-                third=pattern.second.info(),
+                first=AccessInfo.of(first),
+                second=AccessInfo.of(interleaver),
+                third=AccessInfo.of(third),
                 pattern=triple_code(
-                    pattern.first.access_type,
+                    first.access_type,
                     interleaver.access_type,
-                    pattern.second.access_type,
+                    third.access_type,
                 ),
                 checker=self.checker_name,
             )

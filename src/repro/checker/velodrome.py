@@ -138,13 +138,7 @@ class VelodromeChecker(RuntimeObserver):
                 TraceCycleViolation(
                     location=key,
                     cycle=cycle,
-                    closing_access=AccessInfo(
-                        step=event.step,
-                        access_type=event.access_type,
-                        location=event.location,
-                        task=event.task,
-                        lockset=tuple(event.lockset),
-                    ),
+                    closing_access=AccessInfo.of(event),
                     checker=self.checker_name,
                 )
             )

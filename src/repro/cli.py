@@ -510,14 +510,6 @@ def _print_metrics_stats(data: dict) -> int:
         print("\ngauges:")
         for name in sorted(snapshot.gauges):
             print(f"  {name:<42} {snapshot.gauges[name]:g}")
-    if snapshot.histograms:
-        print("\nhistograms:")
-        for name in sorted(snapshot.histograms):
-            hist = snapshot.histograms[name]
-            print(
-                f"  {name:<42} n={hist.count} mean={hist.mean:g} "
-                f"min={hist.min:g} max={hist.max:g}"
-            )
     if snapshot.spans:
         print("\nspans:")
         for path in sorted(snapshot.spans):

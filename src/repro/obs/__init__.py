@@ -6,7 +6,7 @@ footprint, per-phase overhead.  This package gives the reproduction one
 surface for all of it:
 
 * :class:`~repro.obs.recorder.Recorder` -- the collection protocol:
-  counters, gauges, histograms and nestable phase spans.  The default
+  counters, gauges and nestable phase spans.  The default
   everywhere is :data:`~repro.obs.recorder.NULL_RECORDER`, a no-op whose
   cost on the hot paths is held under 2% by
   ``benchmarks/bench_obs_overhead.py``.
@@ -44,7 +44,6 @@ from typing import Any, Dict, Optional
 
 from repro.obs.metrics import (
     METRICS_SCHEMA,
-    Histogram,
     MetricsSnapshot,
     SpanStats,
     is_metrics_dict,
@@ -68,7 +67,6 @@ __all__ = [
     "SPAN_RECORD",
     "SPAN_REPLAY",
     "SPAN_SHARDED",
-    "Histogram",
     "MetricsRecorder",
     "MetricsSnapshot",
     "NULL_RECORDER",

@@ -2,8 +2,8 @@
 
 The observability layer (:mod:`repro.obs`) separates *collection* (the
 :class:`~repro.obs.recorder.Recorder` protocol, called from the checking
-pipeline) from *values* (this module): counters, gauges, histograms and
-aggregated phase spans, all of which can be snapshotted into one plain
+pipeline) from *values* (this module): counters, gauges and aggregated
+phase spans, all of which can be snapshotted into one plain
 JSON-serializable object and merged across worker processes -- the
 metrics analogue of :meth:`repro.report.ViolationReport.merge`.
 
@@ -12,88 +12,17 @@ Merge semantics mirror what the sharded pipeline needs:
 * **counters** sum -- a per-shard event count totals to the run's count;
 * **gauges** keep the maximum -- per-shard footprints (entries, bytes)
   become the peak, which is what capacity planning wants;
-* **histograms** merge bucket-wise (power-of-two buckets, exact for the
-  count/total/min/max moments);
 * **spans** aggregate per path -- total seconds, call count, min/max.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 #: Version stamp of the on-disk JSON layout (``--metrics out.json``).
 METRICS_SCHEMA = "repro-metrics/1"
-
-
-class Histogram:
-    """Power-of-two bucketed distribution with exact moments.
-
-    A value ``v`` lands in the bucket keyed by its binary exponent
-    (``frexp``), so buckets cover ``[2**(e-1), 2**e)``; zero and negative
-    values share the ``0`` bucket.  Count, sum, min and max are exact;
-    the buckets give shape at fixed memory cost.
-    """
-
-    __slots__ = ("count", "total", "min", "max", "buckets")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.buckets: Dict[int, int] = {}
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        exponent = math.frexp(value)[1] if value > 0 else 0
-        self.buckets[exponent] = self.buckets.get(exponent, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        for exponent, count in other.buckets.items():
-            self.buckets[exponent] = self.buckets.get(exponent, 0) + count
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "buckets": {str(exp): n for exp, n in sorted(self.buckets.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Histogram":
-        hist = cls()
-        hist.count = int(data.get("count", 0))
-        hist.total = float(data.get("total", 0.0))
-        hist.min = data.get("min")
-        hist.max = data.get("max")
-        hist.buckets = {
-            int(exp): int(n) for exp, n in data.get("buckets", {}).items()
-        }
-        return hist
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<Histogram n={self.count} mean={self.mean:.4g}>"
 
 
 @dataclass
@@ -154,7 +83,6 @@ class MetricsSnapshot:
 
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, Histogram] = field(default_factory=dict)
     spans: Dict[str, SpanStats] = field(default_factory=dict)
     shards: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -167,12 +95,6 @@ class MetricsSnapshot:
         for name, value in other.gauges.items():
             current = self.gauges.get(name)
             self.gauges[name] = value if current is None else max(current, value)
-        for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = Histogram()
-                self.histograms[name] = mine
-            mine.merge(hist)
         for path, span in other.spans.items():
             mine_span = self.spans.get(path)
             if mine_span is None:
@@ -199,10 +121,6 @@ class MetricsSnapshot:
             "schema": METRICS_SCHEMA,
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {
-                name: hist.to_dict()
-                for name, hist in sorted(self.histograms.items())
-            },
             "spans": [self.spans[path].to_dict() for path in sorted(self.spans)],
         }
         if self.shards:
@@ -214,10 +132,6 @@ class MetricsSnapshot:
         snapshot = cls()
         snapshot.counters = dict(data.get("counters", {}))
         snapshot.gauges = dict(data.get("gauges", {}))
-        snapshot.histograms = {
-            name: Histogram.from_dict(hist)
-            for name, hist in data.get("histograms", {}).items()
-        }
         for span in data.get("spans", []):
             stats = SpanStats.from_dict(span)
             snapshot.spans[stats.path] = stats
@@ -236,9 +150,7 @@ class MetricsSnapshot:
             return cls.from_dict(json.load(handle))
 
     def __bool__(self) -> bool:
-        return bool(
-            self.counters or self.gauges or self.histograms or self.spans
-        )
+        return bool(self.counters or self.gauges or self.spans)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

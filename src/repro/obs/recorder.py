@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import Histogram, MetricsSnapshot, SpanStats
+from repro.obs.metrics import MetricsSnapshot, SpanStats
 
 
 class _NullSpan:
@@ -60,9 +60,6 @@ class Recorder:
     def gauge(self, name: str, value: float) -> None:
         """Set gauge *name* (point-in-time level, merged by max)."""
 
-    def observe(self, name: str, value: float) -> None:
-        """Record *value* into histogram *name*."""
-
     def span(self, name: str) -> Any:
         """A timing context manager; nested spans build ``a/b`` paths."""
         return NULL_SPAN
@@ -80,7 +77,7 @@ class Recorder:
 
     def add_shard(self, index: int, snapshot_dict: Dict[str, Any]) -> None:
         """Attach one worker's snapshot (dict form) to this recorder,
-        merging its counters/gauges/histograms into the parent totals and
+        merging its counters and gauges into the parent totals and
         keeping the per-shard spans addressable in the output."""
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -113,42 +110,33 @@ class _Span:
 
 
 class MetricsRecorder(Recorder):
-    """Collecting recorder: counters, gauges, histograms, nested spans.
+    """Collecting recorder: counters, gauges and nested spans.
 
-    Thread-safe for concurrent ``count``/``gauge``/``observe`` calls
-    (the work-stealing executor runs observers from worker threads);
-    spans track nesting per recorder, so keep span usage on the driving
-    thread -- which is where all pipeline phases run.
+    Its state is one :class:`MetricsSnapshot`, so recording and merging
+    follow the snapshot's rules (:meth:`MetricsSnapshot.absorb`).
+    Thread-safe for concurrent ``count``/``gauge`` calls (the
+    work-stealing executor runs observers from worker threads); spans
+    track nesting per recorder, so keep span usage on the driving thread
+    -- which is where all pipeline phases run.
     """
 
     enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._spans: Dict[str, SpanStats] = {}
+        self._state = MetricsSnapshot()
         self._span_stack: List[str] = []
-        self._shards: List[Dict[str, Any]] = []
 
     # -- recording ---------------------------------------------------------
 
     def count(self, name: str, value: float = 1) -> None:
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
+            counters = self._state.counters
+            counters[name] = counters.get(name, 0) + value
 
     def gauge(self, name: str, value: float) -> None:
         with self._lock:
-            self._gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = Histogram()
-                self._histograms[name] = hist
-            hist.observe(value)
+            self._state.gauges[name] = value
 
     def span(self, name: str) -> _Span:
         return _Span(self, name)
@@ -162,69 +150,35 @@ class MetricsRecorder(Recorder):
         if self._span_stack:
             self._span_stack.pop()
         with self._lock:
-            stats = self._spans.get(path)
+            stats = self._state.spans.get(path)
             if stats is None:
-                stats = SpanStats(path)
-                self._spans[path] = stats
+                stats = self._state.spans[path] = SpanStats(path)
             stats.record(elapsed)
 
     # -- access / combination ----------------------------------------------
 
     def counter_value(self, name: str) -> float:
         with self._lock:
-            return self._counters.get(name, 0)
+            return self._state.counters.get(name, 0)
 
     def snapshot(self) -> MetricsSnapshot:
         with self._lock:
-            snapshot = MetricsSnapshot()
-            snapshot.counters = dict(self._counters)
-            snapshot.gauges = dict(self._gauges)
-            for name, hist in self._histograms.items():
-                copy = Histogram()
-                copy.merge(hist)
-                snapshot.histograms[name] = copy
-            for path, span in self._spans.items():
-                snapshot.spans[path] = SpanStats(
-                    path, span.count, span.total_s, span.min_s, span.max_s
-                )
-            snapshot.shards = list(self._shards)
-            return snapshot
+            return MetricsSnapshot.merge([self._state])
 
     def absorb(self, snapshot: MetricsSnapshot) -> None:
         with self._lock:
-            for name, value in snapshot.counters.items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            for name, value in snapshot.gauges.items():
-                current = self._gauges.get(name)
-                self._gauges[name] = (
-                    value if current is None else max(current, value)
-                )
-            for name, hist in snapshot.histograms.items():
-                mine = self._histograms.get(name)
-                if mine is None:
-                    mine = Histogram()
-                    self._histograms[name] = mine
-                mine.merge(hist)
-            for path, span in snapshot.spans.items():
-                mine_span = self._spans.get(path)
-                if mine_span is None:
-                    self._spans[path] = SpanStats(
-                        path, span.count, span.total_s, span.min_s, span.max_s
-                    )
-                else:
-                    mine_span.merge(span)
-            self._shards.extend(snapshot.shards)
+            self._state.absorb(snapshot)
 
     def add_shard(self, index: int, snapshot_dict: Dict[str, Any]) -> None:
         shard_snapshot = MetricsSnapshot.from_dict(snapshot_dict)
         shard_snapshot.shards = []  # workers never nest further
         spans = shard_snapshot.spans
         shard_snapshot.spans = {}  # totals merge; spans stay per-shard
-        self.absorb(shard_snapshot)
         entry = dict(snapshot_dict)
         entry.pop("schema", None)
         entry["shard"] = index
         entry["spans"] = [spans[path].to_dict() for path in sorted(spans)]
         with self._lock:
-            self._shards.append(entry)
-            self._shards.sort(key=lambda shard: shard.get("shard", 0))
+            self._state.absorb(shard_snapshot)
+            self._state.shards.append(entry)
+            self._state.shards.sort(key=lambda shard: shard.get("shard", 0))

@@ -58,6 +58,19 @@ class AccessInfo:
     task: Optional[int] = None
     lockset: Tuple[str, ...] = ()
 
+    @classmethod
+    def of(cls, event: Any) -> "AccessInfo":
+        """The report form of a stored access, a
+        :class:`~repro.runtime.events.MemoryEvent`: a negative task id
+        reads as unknown, and the lockset is sorted and deduplicated."""
+        return cls(
+            step=event.step,
+            access_type=event.access_type,
+            location=event.location,
+            task=event.task if event.task >= 0 else None,
+            lockset=tuple(sorted(set(event.lockset))),
+        )
+
     def describe(self) -> str:
         """Render the access as e.g. ``W(x) by step 4 [task 2] {L}``."""
         parts = [f"{_short(self.access_type)}({self.location!r}) by step {self.step}"]

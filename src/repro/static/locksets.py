@@ -88,10 +88,10 @@ def locks_disjoint(first: FrozenSet[str], second: FrozenSet[str]) -> bool:
     """No common versioned lock: the accesses lie in different critical
     sections, so a parallel access can interleave between them.
 
-    The same predicate the dynamic checkers apply to same-step pairs
-    (:meth:`repro.checker.access.AccessEntry.locks_disjoint`); the
-    interleaver's own lockset is never consulted -- it can always slot
-    between two critical sections.
+    The same predicate the dynamic checkers apply to the lockset tuples of
+    a same-step pair of events (for instance ``_locks_disjoint`` in
+    :mod:`repro.checker.basic`); the interleaver's own lockset is never
+    consulted -- it can always slot between two critical sections.
     """
     if not first or not second:
         return True

@@ -76,8 +76,8 @@ from repro.runtime.events import (
 from repro.trace.serialize import (
     JSONL_FORMAT,
     LocationTable,
+    _header_dpst,
     decode_location,
-    dpst_from_dict,
     dpst_to_dict,
 )
 from repro.trace.trace import Trace
@@ -473,9 +473,8 @@ class ColumnarTraceReader:
                     f"unsupported columnar trace header in {self.path!r}: "
                     f"{header!r}"
                 )
-            raw_dpst = header.get("dpst")
-            self.dpst: Optional[DPSTBase] = (
-                None if raw_dpst is None else dpst_from_dict(raw_dpst)
+            self.dpst: Optional[DPSTBase] = _header_dpst(
+                header.get("dpst"), self.path
             )
             header_end = handle.tell()
             handle.seek(0, os.SEEK_END)
@@ -654,14 +653,26 @@ class ColumnarTraceReader:
             )
         return payload
 
+    def _access_fault(self, step: int, loc: int, held: int) -> Optional[str]:
+        """Why an access's columns cannot be decoded, or ``None``: its
+        location or lockset id must index its footer table (a negative id
+        would index from the end), and when the trace carries a DPST its
+        step must be one of the tree's nodes."""
+        if not (0 <= loc < len(self._locations) and 0 <= held < len(self._locksets)):
+            return f"location id {loc} or lockset id {held} out of range"
+        if self.dpst is not None and not 0 <= step < len(self.dpst):
+            return f"step {step} outside the DPST's {len(self.dpst)} nodes"
+        return None
+
     def _build_event(
         self, tag: int, seq: int, f0: int, f1: int, f2: int, f3: int, f4: int
     ) -> object:
-        """One event from its column values; a bad tag or table id raises
-        :class:`TraceError` (a negative id would index from the end)."""
+        """One event from its column values; a bad tag, table id or step
+        raises :class:`TraceError`."""
         if tag == _MEMORY_TAG:
-            if f2 < 0 or f4 < 0:
-                raise TraceError(f"negative table id ({f2}, {f4})")
+            fault = self._access_fault(f1, f2, f4)
+            if fault is not None:
+                raise TraceError(fault)
             return MemoryEvent(
                 seq,
                 f0,
@@ -756,12 +767,17 @@ class ColumnarTraceReader:
         location decode, no JSON -- and builds no object for a foreign
         access.  An access whose location or lockset id lies outside its
         table is rejected in every shard, before routing, so a lenient
-        reader counts it the same way at any ``jobs``.
+        reader counts it the same way at any ``jobs``.  So is a step
+        outside the DPST, when the trace carries one.
         """
         filtering = shard is not None and jobs is not None and jobs > 1
         locations, locksets = self._locations, self._locksets
         sk = self._location_sk
         n_locations, n_locksets = len(locations), len(locksets)
+        # The step column is i32: without a DPST every step passes.
+        low, n_nodes = (
+            (0, len(self.dpst)) if self.dpst is not None else (-(1 << 31), 1 << 31)
+        )
         memory_tag = _MEMORY_TAG
         # Without ends, the elif below can never fire.
         end_tag = _END_TAG if ends else memory_tag
@@ -778,12 +794,14 @@ class ColumnarTraceReader:
                     types, seqs, tasks, steps, locs, writes, sets
                 ):
                     if tag == memory_tag:
-                        if not (0 <= loc < n_locations and 0 <= held < n_locksets):
+                        if not (
+                            0 <= loc < n_locations
+                            and 0 <= held < n_locksets
+                            and low <= step < n_nodes
+                        ):
                             if self.strict:
                                 raise self._corrupt(
-                                    offset,
-                                    f"location id {loc} or lockset id {held} "
-                                    "out of range",
+                                    offset, self._access_fault(step, loc, held)
                                 )
                             self.lines_skipped += 1
                             continue

@@ -42,7 +42,8 @@ from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional
 
 from repro.dpst import ArrayDPST, NodeKind, ROOT_ID
 from repro.dpst.base import DPSTBase
-from repro.errors import TraceError
+from repro.errors import DPSTError, TraceError
+from repro.report import READ, WRITE
 from repro.runtime.events import (
     AcquireEvent,
     MemoryEvent,
@@ -165,17 +166,40 @@ def dpst_to_dict(tree: DPSTBase) -> Dict[str, Any]:
 
 
 def dpst_from_dict(data: Dict[str, Any]) -> DPSTBase:
-    """Rebuild a DPST (always as the array layout) from its arrays."""
-    kinds = data["kinds"]
-    parents = data["parents"]
-    if not kinds or NodeKind(kinds[ROOT_ID]) is not NodeKind.FINISH:
+    """Rebuild a DPST (always as the array layout) from its arrays.
+
+    Damaged arrays raise :class:`TraceError`: ``kinds`` and ``parents``
+    must be lists of one length, every kind a :class:`NodeKind`, and every
+    parent an earlier internal node (insertion order).
+    """
+    kinds = data.get("kinds") if isinstance(data, dict) else None
+    parents = data.get("parents") if isinstance(data, dict) else None
+    if not isinstance(kinds, list) or not isinstance(parents, list):
+        raise TraceError("serialized DPST needs 'kinds' and 'parents' lists")
+    if len(parents) != len(kinds):
+        raise TraceError(
+            f"serialized DPST has {len(kinds)} kinds but {len(parents)} parents"
+        )
+    if not kinds or kinds[ROOT_ID] != NodeKind.FINISH:
         raise TraceError("serialized DPST must start with a finish root")
     tree = ArrayDPST()
     for node in range(1, len(kinds)):
-        created = tree.add_node(parents[node], NodeKind(kinds[node]))
-        if created != node:
-            raise TraceError("serialized DPST nodes must be in insertion order")
+        try:
+            tree.add_node(parents[node], NodeKind(kinds[node]))
+        except (ValueError, TypeError, IndexError, DPSTError) as exc:
+            raise TraceError(f"serialized DPST node {node}: {exc}") from exc
     return tree
+
+
+def _header_dpst(raw: Any, path: str) -> Optional[DPSTBase]:
+    """The DPST of a trace file's header (``None`` when it has none); a
+    damaged one raises :class:`TraceError` naming *path*."""
+    if raw is None:
+        return None
+    try:
+        return dpst_from_dict(raw)
+    except TraceError as exc:
+        raise TraceError(f"bad DPST in the header of {path!r}: {exc}") from exc
 
 
 def event_to_dict(event: object) -> Dict[str, Any]:
@@ -415,8 +439,7 @@ class TraceReader:
                     f"unsupported trace header in {self.path!r}: {header!r}"
                 )
             self.version = version
-            raw_dpst = header.get("dpst")
-            self.dpst = None if raw_dpst is None else dpst_from_dict(raw_dpst)
+            self.dpst = _header_dpst(header.get("dpst"), self.path)
         else:
             # Empty files, truncated headers, binary garbage and v1
             # monolithic JSON alike: a TraceError with the path, never a
@@ -486,11 +509,22 @@ class TraceReader:
     # -- streaming views ---------------------------------------------------
 
     def _decode_line(self, line) -> object:
-        """Decode one event line.  A bad line raises a :class:`TraceError`
-        naming the file; in lenient mode it becomes :data:`_SKIPPED` (and
-        is counted) instead."""
+        """Decode one event line.  A bad line -- including an access of
+        unknown type or, when the trace carries a DPST, one whose step is
+        outside the tree -- raises a :class:`TraceError` naming the file;
+        in lenient mode it becomes :data:`_SKIPPED` (and is counted)
+        instead."""
         try:
-            return event_from_dict(json.loads(line))
+            event = event_from_dict(json.loads(line))
+            if isinstance(event, MemoryEvent):
+                if event.access_type not in (READ, WRITE):
+                    raise TraceError(f"unknown access type {event.access_type!r}")
+                dpst = self.dpst
+                if dpst is not None and not 0 <= event.step < len(dpst):
+                    raise TraceError(
+                        f"step {event.step} outside the DPST's {len(dpst)} nodes"
+                    )
+            return event
         except (ValueError, TypeError, KeyError, TraceError) as exc:
             if self.strict:
                 raise TraceError(

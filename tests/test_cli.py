@@ -691,25 +691,6 @@ class TestExitStatus:
         assert not completed.stderr
 
 
-class TestStatsHistograms:
-    def test_stats_renders_histograms(self, tmp_path, capsys):
-        # Regression: Histogram.mean is a property; the stats renderer
-        # used to call it and crash on any snapshot with histograms.
-        from repro.obs import MetricsRecorder
-
-        recorder = MetricsRecorder()
-        recorder.count("fuzz.runs", 3)
-        recorder.observe("worker.elapsed_s", 0.25)
-        recorder.observe("worker.elapsed_s", 0.75)
-        path = tmp_path / "metrics.json"
-        recorder.snapshot().dump(str(path))
-
-        code = main(["stats", str(path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "mean=0.5" in out
-
-
 class TestFuzzCommand:
     def test_clean_campaign_exit_0(self, tmp_path, capsys):
         import json

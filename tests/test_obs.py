@@ -1,6 +1,6 @@
 """Unit and integration tests for :mod:`repro.obs`.
 
-Covers the value types (Histogram, SpanStats, MetricsSnapshot merge
+Covers the value types (SpanStats, MetricsSnapshot merge
 semantics), the Recorder protocol (no-op default vs the collecting
 MetricsRecorder, span path nesting, shard attachment), the pipeline
 integration points (replay, CheckSession, RunResult), the metric name
@@ -19,7 +19,6 @@ from repro.obs import (
     METRICS_SCHEMA,
     NULL_RECORDER,
     SHARD_SENSITIVE_METRICS,
-    Histogram,
     MetricsRecorder,
     MetricsSnapshot,
     Recorder,
@@ -53,41 +52,6 @@ def counter_program():
 # -- value types -------------------------------------------------------------
 
 
-class TestHistogram:
-    def test_moments_are_exact(self):
-        hist = Histogram()
-        for value in (1.0, 2.0, 7.0, 0.5):
-            hist.observe(value)
-        assert hist.count == 4
-        assert hist.total == pytest.approx(10.5)
-        assert hist.min == 0.5
-        assert hist.max == 7.0
-        assert hist.mean == pytest.approx(10.5 / 4)
-
-    def test_merge_is_bucketwise(self):
-        left, right = Histogram(), Histogram()
-        left.observe(1.0)
-        left.observe(3.0)
-        right.observe(3.5)
-        right.observe(100.0)
-        left.merge(right)
-        assert left.count == 4
-        assert left.min == 1.0 and left.max == 100.0
-        # 3.0 and 3.5 share the [2, 4) bucket.
-        assert sum(left.buckets.values()) == 4
-        assert max(left.buckets.values()) == 2
-
-    def test_dict_round_trip(self):
-        hist = Histogram()
-        for value in (0.0, 0.25, 8.0):
-            hist.observe(value)
-        clone = Histogram.from_dict(hist.to_dict())
-        assert clone.to_dict() == hist.to_dict()
-
-    def test_empty_histogram_mean(self):
-        assert Histogram().mean == 0.0
-
-
 class TestSpanStats:
     def test_record_and_merge(self):
         span = SpanStats("check/replay")
@@ -111,9 +75,6 @@ class TestMetricsSnapshot:
         snapshot = MetricsSnapshot()
         snapshot.counters["trace.events.routed"] = counter
         snapshot.gauges["dpst.nodes"] = gauge
-        hist = Histogram()
-        hist.observe(2.0)
-        snapshot.histograms["lat"] = hist
         span = SpanStats("replay")
         span.record(0.5)
         snapshot.spans["replay"] = span
@@ -125,7 +86,6 @@ class TestMetricsSnapshot:
         )
         assert merged.counters["trace.events.routed"] == 7
         assert merged.gauges["dpst.nodes"] == 5.0
-        assert merged.histograms["lat"].count == 2
         assert merged.spans["replay"].count == 2
 
     def test_json_round_trip(self, tmp_path):
@@ -158,7 +118,6 @@ class TestNullRecorder:
         assert NULL_RECORDER.enabled is False
         NULL_RECORDER.count("x")
         NULL_RECORDER.gauge("x", 1.0)
-        NULL_RECORDER.observe("x", 1.0)
         NULL_RECORDER.add_shard(0, {})
         with NULL_RECORDER.span("phase"):
             pass
@@ -184,12 +143,13 @@ class TestMetricsRecorder:
         recorder.count("c", 4)
         recorder.gauge("g", 2.0)
         recorder.gauge("g", 9.0)
-        recorder.observe("h", 1.0)
         assert recorder.counter_value("c") == 5
         snapshot = recorder.snapshot()
         assert snapshot.counters == {"c": 5}
         assert snapshot.gauges == {"g": 9.0}  # gauge keeps last set value
-        assert snapshot.histograms["h"].count == 1
+        # Histograms are gone: nothing recorded one, and the JSON has no key.
+        assert not hasattr(recorder, "observe")
+        assert set(snapshot.to_dict()) == {"schema", "counters", "gauges", "spans"}
 
     def test_span_paths_nest(self):
         recorder = MetricsRecorder()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.checker.access import AccessEntry, TwoAccessPattern
 from repro.checker.patterns import (
     SERIALIZABLE_PATTERNS,
     UNSERIALIZABLE_PATTERNS,
@@ -15,6 +14,7 @@ from repro.checker.patterns import (
     triple_code,
 )
 from repro.report import READ, WRITE
+from repro.runtime.events import MemoryEvent
 
 
 class TestTable:
@@ -55,35 +55,38 @@ class TestTripleCode:
 
 
 class TestPatternViolatedBy:
-    def _entry(self, step, access_type):
-        return AccessEntry(step=step, access_type=access_type)
+    """A pattern is the ``(A1, A3)`` pair of one step's events."""
+
+    def _event(self, step, access_type):
+        return MemoryEvent(seq=0, task=step, step=step, location="x",
+                           access_type=access_type)
+
+    def _pattern(self, first, second):
+        return (self._event(1, first), self._event(1, second))
 
     def test_write_breaks_read_read(self):
-        pattern = TwoAccessPattern(self._entry(1, READ), self._entry(1, READ))
-        assert pattern_violated_by(pattern, self._entry(2, WRITE))
-        assert not pattern_violated_by(pattern, self._entry(2, READ))
+        pattern = self._pattern(READ, READ)
+        assert pattern_violated_by(pattern, self._event(2, WRITE))
+        assert not pattern_violated_by(pattern, self._event(2, READ))
 
     def test_read_breaks_only_write_write(self):
-        reader = self._entry(2, READ)
-        ww = TwoAccessPattern(self._entry(1, WRITE), self._entry(1, WRITE))
-        rw = TwoAccessPattern(self._entry(1, READ), self._entry(1, WRITE))
-        wr = TwoAccessPattern(self._entry(1, WRITE), self._entry(1, READ))
-        rr = TwoAccessPattern(self._entry(1, READ), self._entry(1, READ))
-        assert pattern_violated_by(ww, reader)
-        assert not pattern_violated_by(rw, reader)
-        assert not pattern_violated_by(wr, reader)
-        assert not pattern_violated_by(rr, reader)
+        reader = self._event(2, READ)
+        assert pattern_violated_by(self._pattern(WRITE, WRITE), reader)
+        assert not pattern_violated_by(self._pattern(READ, WRITE), reader)
+        assert not pattern_violated_by(self._pattern(WRITE, READ), reader)
+        assert not pattern_violated_by(self._pattern(READ, READ), reader)
 
     def test_write_breaks_every_pattern(self):
-        writer = self._entry(2, WRITE)
+        writer = self._event(2, WRITE)
         for first in (READ, WRITE):
             for second in (READ, WRITE):
-                pattern = TwoAccessPattern(
-                    self._entry(1, first), self._entry(1, second)
-                )
-                assert pattern_violated_by(pattern, writer)
+                assert pattern_violated_by(self._pattern(first, second), writer)
 
     def test_kind_codes(self):
-        pattern = TwoAccessPattern(self._entry(1, WRITE), self._entry(1, READ))
-        assert pattern.kind == "WR"
-        assert pattern.step == 1
+        # The pattern's events are A1 and A3, in that order: the verdict
+        # is the Figure 4 row of A1, the interleaver and A3.
+        for a1, a2, a3 in all_triples():
+            pattern = self._pattern(a1, a3)
+            assert pattern_violated_by(pattern, self._event(2, a2)) == (
+                triple_code(a1, a2, a3) in UNSERIALIZABLE_PATTERNS
+            )

@@ -109,6 +109,19 @@ class TestRendering:
         assert "task 2" in text
         assert "L, M" in text
 
+    def test_access_info_of_event(self):
+        from repro.runtime.events import MemoryEvent
+
+        event = MemoryEvent(7, 2, 4, "X", WRITE, ("M#1", "L#0"))
+        assert AccessInfo.of(event) == AccessInfo(
+            step=4, access_type=WRITE, location="X", task=2,
+            lockset=("L#0", "M#1"),
+        )
+        # A negative task id reads as unknown; repeated locks collapse.
+        unknown = MemoryEvent(8, -1, 4, "X", READ, ("L#0", "L#0"))
+        assert AccessInfo.of(unknown).task is None
+        assert AccessInfo.of(unknown).lockset == ("L#0",)
+
     def test_cycle_describe(self):
         closing = AccessInfo(step=3, access_type=WRITE, location="X")
         cycle = TraceCycleViolation("X", (1, 2, 3), closing)
