@@ -116,14 +116,13 @@ def _replay_shard(
     runs it over its own slice -- a reader it filters to *shard*, or the
     events the parent picked for it.  The events come from
     :func:`~repro.trace.replay.events_to_replay`.  The lines the lenient
-    reader *lines_from* skips meanwhile are counted here.  Every worker
-    scans the same unstamped garbage lines, so only shard 0 passes its
-    reader: then ``jobs=1`` and ``jobs=N`` totals agree.  Worker
-    processes each get their own unpickled copy of an instance *spec*,
-    so every shard replays into private state.
+    reader *lines_from* skips meanwhile are counted here
+    (:func:`_charged_skips`), so ``jobs=1`` and ``jobs=N`` totals agree.
+    Worker processes each get their own unpickled copy of an instance
+    *spec*, so every shard replays into private state.
     """
     checker = make_checker(spec)
-    skipped_before = lines_from.lines_skipped if lines_from is not None else 0
+    skipped_before = _charged_skips(lines_from, shard)
     report = replay_events(
         events_to_replay(source, checker, shard, jobs, annotations),
         checker,
@@ -134,10 +133,23 @@ def _replay_shard(
         recorder=recorder,
     )
     if lines_from is not None and recorder is not None and recorder.enabled:
-        skipped = lines_from.lines_skipped - skipped_before
+        skipped = _charged_skips(lines_from, shard) - skipped_before
         if skipped:
             recorder.count("trace.lines_skipped", skipped)
     return report
+
+
+def _charged_skips(reader: Optional[TraceReader], shard: int) -> int:
+    """The lenient skips of *reader* that shard *shard* counts.
+
+    Every shard's pass decodes each unstamped v2 line and every v3 event,
+    so their skips are counted on shard 0 alone; a v2 line routed by its
+    ``"sk"`` stamp is decoded by the one shard that owns it, which counts
+    its skip (:attr:`TraceReader.stamped_lines_skipped`).
+    """
+    if reader is None:
+        return 0
+    return reader.lines_skipped if shard == 0 else reader.stamped_lines_skipped
 
 
 # -- worker body (top level so multiprocessing can pickle it) ---------------
@@ -172,10 +184,9 @@ def _check_shard(
         report = _replay_shard(events, dpst, recorder, **options)
     else:
         with TraceReader(source, strict=strict) as reader:
-            lines_from = reader if shard_id == 0 else None
             report = _replay_shard(
                 reader, reader.dpst, recorder, shard=shard_id, jobs=jobs,
-                lines_from=lines_from, **options,
+                lines_from=reader, **options,
             )
     if recorder is None:
         return report, None

@@ -33,6 +33,7 @@ lossless for the location vocabulary the runtime produces.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -147,12 +148,36 @@ class LocationTable:
         return ident
 
 
+#: The types a ``{"v": ...}`` location may hold (:func:`encode_location`).
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
 def decode_location(encoded: Dict[str, Any]) -> Location:
-    """Inverse of :func:`encode_location`."""
-    if "t" in encoded:
-        return tuple(decode_location(item) for item in encoded["t"])
-    if "v" in encoded:
-        return encoded["v"]
+    """Inverse of :func:`encode_location`.
+
+    A tuple of scalars, the common array-cell location, decodes in one
+    loop; nested tuples recurse.  Anything :func:`encode_location` cannot
+    produce -- not a tagged dict, a ``"t"`` that is not a list, a ``"v"``
+    that is not a scalar (a list would make an unhashable location) --
+    raises :class:`TraceError`.
+    """
+    if encoded.__class__ is dict:
+        if "t" in encoded:
+            items = encoded["t"]
+            if items.__class__ is list:
+                parts = []
+                for item in items:
+                    if item.__class__ is dict and len(item) == 1 and "v" in item:
+                        value = item["v"]
+                        if value.__class__ not in _SCALAR_TYPES:
+                            break
+                        parts.append(value)
+                    else:
+                        parts.append(decode_location(item))
+                else:
+                    return tuple(parts)
+        elif "v" in encoded and encoded["v"].__class__ in _SCALAR_TYPES:
+            return encoded["v"]
     raise TraceError(f"malformed encoded location {encoded!r}")
 
 
@@ -379,8 +404,22 @@ class TraceWriter:
             self.close()
 
 
-#: Sentinel yielded internally for lines the lenient reader skipped.
-_SKIPPED = object()
+#: The keys a v2 memory line may carry; ``"lockset"`` and ``"sk"`` are
+#: optional.
+_MEMORY_KEYS = frozenset(
+    ("type", "seq", "task", "step", "location", "access_type", "lockset", "sk")
+)
+
+#: json's C scanner, minus :func:`json.loads`'s two whitespace regexes:
+#: ``(value, end)`` of the JSON value at the start of a string.
+_parse_json = json.JSONDecoder().raw_decode
+
+#: A memory line's lockset when it has none.
+_NO_LOCKS: List[str] = []
+
+#: The event classes each streaming view yields.
+_MEMORY_KINDS = frozenset((MemoryEvent,))
+_CHECKING_KINDS = frozenset((MemoryEvent, TaskEndEvent))
 
 
 class TraceReader:
@@ -413,7 +452,11 @@ class TraceReader:
         self.path = os.fspath(path)
         #: ``False`` skips (and counts) undecodable event lines.
         self.strict = bool(strict)
+        #: How event lines decode from UTF-8: a lenient reader replaces
+        #: a bad byte and parses the rest of its line.
+        self._errors = "strict" if self.strict else "replace"
         self._lines_skipped = 0
+        self._stamped_skipped = 0
         self._closed = False
         self._live_handles: set = set()
         self._v3 = None
@@ -425,7 +468,9 @@ class TraceReader:
             self.version = self._v3.version
             self.dpst: Optional[DPSTBase] = self._v3.dpst
         elif is_jsonl_trace(self.path):
-            with open(self.path, "r", encoding="utf-8") as handle:
+            # Binary: a text handle would decode a whole chunk past the
+            # header line, and fail on a bad byte in an event line.
+            with open(self.path, "rb") as handle:
                 first = handle.readline()
             try:
                 header = json.loads(first)
@@ -440,6 +485,8 @@ class TraceReader:
                 )
             self.version = version
             self.dpst = _header_dpst(header.get("dpst"), self.path)
+            #: Steps must lie in ``[0, _nodes)``; ``None``: no DPST, no bound.
+            self._nodes = None if self.dpst is None else len(self.dpst)
         else:
             # Empty files, truncated headers, binary garbage and v1
             # monolithic JSON alike: a TraceError with the path, never a
@@ -460,6 +507,17 @@ class TraceReader:
             return self._v3.lines_skipped
         return self._lines_skipped
 
+    @property
+    def stamped_lines_skipped(self) -> int:
+        """Of :attr:`lines_skipped`, the v2 lines a shard-filtered pass
+        (``jobs > 1``) decoded only because their ``"sk"`` stamp routed
+        them to its shard, so no other shard's pass read them.  Every
+        shard's pass decodes the other skipped lines (and, on v3, every
+        event), which is why
+        :func:`~repro.checker.sharded.check_sharded` counts those on
+        shard 0 alone."""
+        return 0 if self._v3 is not None else self._stamped_skipped
+
     # -- lifecycle ---------------------------------------------------------
 
     def _open_stream(self, binary: bool = False):
@@ -469,12 +527,7 @@ class TraceReader:
         if binary:
             handle = open(self.path, "rb")
         else:
-            handle = open(
-                self.path,
-                "r",
-                encoding="utf-8",
-                errors="strict" if self.strict else "replace",
-            )
+            handle = open(self.path, "r", encoding="utf-8", errors=self._errors)
         self._live_handles.add(handle)
         return handle
 
@@ -508,30 +561,93 @@ class TraceReader:
 
     # -- streaming views ---------------------------------------------------
 
-    def _decode_line(self, line) -> object:
-        """Decode one event line.  A bad line -- including an access of
-        unknown type or, when the trace carries a DPST, one whose step is
-        outside the tree -- raises a :class:`TraceError` naming the file;
-        in lenient mode it becomes :data:`_SKIPPED` (and is counted)
-        instead."""
+    def _decode_line(self, line) -> Optional[object]:
+        """The event on one line, or ``None`` for a blank or skipped line.
+
+        *line* is text, or bytes from the sharded scan (decoded like the
+        text passes: a lenient reader replaces a byte that is not UTF-8).
+        A memory line becomes its :class:`MemoryEvent` straight from the
+        parsed row, checked in order: its keys are among
+        :data:`_MEMORY_KEYS`; ``seq``, ``task`` and ``step`` are ints, not
+        bools, and ``step`` is a node of the DPST when the trace carries
+        one; ``access_type`` is ``"read"`` or ``"write"``; the lockset is
+        a list of strings; the location decodes (:func:`decode_location`).
+        Any other line goes through :func:`event_from_dict`.  A bad line
+        -- not one JSON object, or failing a check -- raises a
+        :class:`TraceError` naming the file; in lenient mode it is counted
+        in :attr:`lines_skipped` instead.
+        """
         try:
-            event = event_from_dict(json.loads(line))
-            if isinstance(event, MemoryEvent):
-                if event.access_type not in (READ, WRITE):
-                    raise TraceError(f"unknown access type {event.access_type!r}")
-                dpst = self.dpst
-                if dpst is not None and not 0 <= event.step < len(dpst):
-                    raise TraceError(
-                        f"step {event.step} outside the DPST's {len(dpst)} nodes"
-                    )
-            return event
-        except (ValueError, TypeError, KeyError, TraceError) as exc:
-            if self.strict:
+            if line.__class__ is bytes:
+                line = line.decode("utf-8", self._errors)
+            line = line.strip()
+            if not line:
+                return None
+            row, end = _parse_json(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            if row.__class__ is not dict:
                 raise TraceError(
-                    f"undecodable event line in {self.path!r}: {exc}"
-                ) from exc
+                    f"expected an event object, not {type(row).__name__}"
+                )
+            if row.get("type") != "MemoryEvent":
+                return event_from_dict(row)
+            if not _MEMORY_KEYS.issuperset(row):
+                raise TraceError(
+                    f"unknown memory event keys {sorted(set(row) - _MEMORY_KEYS)}"
+                )
+            seq, task, step = row["seq"], row["task"], row["step"]
+            if (
+                seq.__class__ is not int
+                or task.__class__ is not int
+                or step.__class__ is not int
+            ):
+                name = next(
+                    key for key in ("seq", "task", "step")
+                    if row[key].__class__ is not int
+                )
+                raise TraceError(f"{name} {row[name]!r} is not an int")
+            nodes = self._nodes
+            if nodes is not None and not 0 <= step < nodes:
+                raise TraceError(f"step {step} outside the DPST's {nodes} nodes")
+            access = row["access_type"]
+            if access != READ and access != WRITE:
+                raise TraceError(f"unknown access type {access!r}")
+            locks = row.get("lockset", _NO_LOCKS)
+            if locks.__class__ is not list:
+                raise TraceError(f"lockset {locks!r} is not a list")
+            for lock in locks:
+                if lock.__class__ is not str:
+                    raise TraceError(f"lock {lock!r} is not a string")
+            return MemoryEvent(
+                seq, task, step, decode_location(row["location"]), access,
+                tuple(locks),
+            )
+        except (ValueError, TypeError, KeyError, RecursionError, TraceError) as exc:
+            if self.strict:
+                raise self._undecodable(exc) from exc
             self._lines_skipped += 1
-            return _SKIPPED
+            return None
+
+    def _undecodable(self, exc: BaseException) -> TraceError:
+        """The strict reader's error for a line it cannot decode."""
+        return TraceError(f"undecodable event line in {self.path!r}: {exc}")
+
+    @contextlib.contextmanager
+    def _event_lines(self, binary: bool = False) -> Iterator[Any]:
+        """One streaming pass: the open handle, past the header line.
+
+        A strict text handle that meets a byte that is not UTF-8 while it
+        reads ahead raises a :class:`TraceError` naming the file.
+        """
+        handle = self._open_stream(binary)
+        try:
+            handle.readline()  # header
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise self._undecodable(exc) from exc
+        finally:
+            self._release(handle)
 
     def events(self) -> Iterator[object]:
         """Yield every event in file order (a fresh pass per call)."""
@@ -540,18 +656,12 @@ class TraceReader:
         if self._v3 is not None:
             yield from self._v3.events()
             return
-        handle = self._open_stream()
-        try:
-            handle.readline()  # header
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                event = self._decode_line(line)
-                if event is not _SKIPPED:
+        decode = self._decode_line
+        with self._event_lines() as lines:
+            for line in lines:
+                event = decode(line)
+                if event is not None:
                     yield event
-        finally:
-            self._release(handle)
 
     def __iter__(self) -> Iterator[object]:
         return self.events()
@@ -587,46 +697,45 @@ class TraceReader:
         self, shard: Optional[int], jobs: Optional[int], ends: bool
     ) -> Iterator[object]:
         """The memory events (and with *ends*, the task ends),
-        shard-filtered."""
+        shard-filtered, in one loop over the file's lines."""
         if self._closed:
             raise TraceError(f"TraceReader for {self.path!r} is closed")
         if self._v3 is not None:
             view = self._v3.checking_events if ends else self._v3.memory_events
             yield from view(shard=shard, jobs=jobs)
             return
-        kinds = (MemoryEvent, TaskEndEvent) if ends else MemoryEvent
+        kinds = _CHECKING_KINDS if ends else _MEMORY_KINDS
+        decode = self._decode_line
         if shard is None or jobs is None or jobs <= 1:
-            for event in self.events():
-                if isinstance(event, kinds):
-                    yield event
+            with self._event_lines() as lines:
+                for line in lines:
+                    event = decode(line)
+                    if event.__class__ in kinds:
+                        yield event
             return
         # Binary mode: foreign-shard lines are dropped after a bounded
         # bytes scan, without UTF-8 decoding or JSON parsing them.
-        handle = self._open_stream(binary=True)
-        try:
-            handle.readline()  # header
-            for line in handle:
+        with self._event_lines(binary=True) as lines:
+            for line in lines:
                 # The stamp sits in the last ~20 bytes; bound the scan.
                 match = _SK_TAIL.search(line, max(0, len(line) - 32))
-                if match is not None:
-                    if int(match.group(1)) % jobs != shard:
-                        continue
-                    event = self._decode_line(line)
-                    if event is not _SKIPPED:
-                        yield event
-                else:
-                    if not line.strip():
-                        continue
-                    event = self._decode_line(line)
-                    if event is _SKIPPED or not isinstance(event, kinds):
-                        continue
-                    if (
-                        not isinstance(event, MemoryEvent)
+                if match is None:
+                    # Unstamped: every shard decodes it, then routes an
+                    # access by its location.
+                    event = decode(line)
+                    if event.__class__ in kinds and (
+                        event.__class__ is not MemoryEvent
                         or location_shard_key(event.location) % jobs == shard
                     ):
                         yield event
-        finally:
-            self._release(handle)
+                elif int(match.group(1)) % jobs == shard:
+                    event = decode(line)
+                    if event is None:
+                        # Skipped (a stamped line is never blank), and
+                        # decoded by no other shard.
+                        self._stamped_skipped += 1
+                    elif event.__class__ in kinds:
+                        yield event
 
     def read(self) -> Trace:
         """Materialize the full :class:`Trace` (events + DPST) in memory."""

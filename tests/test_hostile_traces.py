@@ -7,9 +7,13 @@ Two kinds of damage, each on v2 (JSONL) and v3 (columnar) files:
 * a DPST header whose arrays do not describe a tree;
 * a memory access the DPST cannot place (a step outside ``[0, nodes)``),
   and on v2 an access of unknown type.
+
+v2 alone also spells out each field, so a line may be valid JSON but not
+an event object, or a memory line may hold a field of the wrong type.
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +23,7 @@ import pytest
 
 from repro import CheckSession
 from repro.errors import TraceError
+from repro.obs import MetricsRecorder
 from repro.runtime import TaskProgram, run_program
 from repro.runtime.events import MemoryEvent
 from repro.trace import columnar, serialize
@@ -205,3 +210,118 @@ class TestUnknownAccessType:
         assert session.lines_skipped == 1
         # Never reported as a read pattern: the event is gone.
         assert "exec" not in report.describe()
+
+
+#: v2 event lines no writer produces, each put in place of the first
+#: memory line (its row given): the line, and what the strict error says.
+BAD_LINES = {
+    # Valid JSON, but not an event object.
+    "int": (lambda row: "5", "expected an event object, not int"),
+    "list": (lambda row: "[1, 2]", "expected an event object, not list"),
+    "null": (lambda row: "null", "expected an event object, not NoneType"),
+    # Nested past the interpreter's recursion limit.
+    "deep": (
+        lambda row: "[" * 100_000 + "]" * 100_000, "maximum recursion depth",
+    ),
+    # A memory line with a field of the wrong type.
+    "step_float": (
+        lambda row: json.dumps({**row, "step": 3.0}), "step 3.0 is not an int",
+    ),
+    "step_bool": (
+        lambda row: json.dumps({**row, "step": True}), "step True is not an int",
+    ),
+    "location_list": (
+        lambda row: json.dumps({**row, "location": {"v": [1, 2]}}),
+        "malformed encoded location",
+    ),
+    "lockset_string": (
+        lambda row: json.dumps({**row, "lockset": "ab"}),
+        "lockset 'ab' is not a list",
+    ),
+}
+
+
+class TestBadV2Line:
+    """A bad line is refused or counted once, never checked: a non-object
+    line used to end in an ``AttributeError``, a deep one in a
+    ``RecursionError``, a float step in the DPST walk's ``TypeError``, a
+    list location as unhashable; a bool step was read as step 1 and a
+    string lockset as one lock per character."""
+
+    def dump(self, tmp_path, case):
+        path = tmp_path / "t.jsonl"
+        dump_trace(recorded(), str(path))
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if '"MemoryEvent"' in line)
+        lines[index] = BAD_LINES[case][0](json.loads(lines[index]))
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_strict_raises_naming_the_file(self, tmp_path, case):
+        path = self.dump(tmp_path, case)
+        with pytest.raises(TraceError) as err:
+            CheckSession(path).check()
+        assert "undecodable event line in" in str(err.value)
+        assert "t.jsonl" in str(err.value)
+        assert BAD_LINES[case][1] in str(err.value)
+        for view in ("events", "memory_events", "checking_events"):
+            with pytest.raises(TraceError, match="t.jsonl"):
+                list(getattr(open_trace(path), view)())
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_lenient_counts_the_line_once_at_every_job_count(self, tmp_path, case):
+        path = self.dump(tmp_path, case)
+        for view in ("events", "memory_events", "checking_events"):
+            reader = open_trace(path, strict=False)
+            kept = [e for e in getattr(reader, view)() if isinstance(e, MemoryEvent)]
+            assert len(kept) == 3
+            assert reader.lines_skipped == 1
+        for jobs in (1, 2, 4):
+            recorder = MetricsRecorder()
+            session = CheckSession(path, jobs=jobs, recorder=recorder, strict=False)
+            assert session.check().patterns() == ["RWW"]
+            assert recorder.snapshot().counters["trace.lines_skipped"] == 1
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_cli_exits_2_strict_and_skips_lenient(self, tmp_path, case):
+        self.dump(tmp_path, case)
+        completed = run_cli("check-trace", "t.jsonl", cwd=tmp_path)
+        assert_one_error_line(completed, "t.jsonl")
+        lenient = run_cli("check-trace", "t.jsonl", "--lenient", cwd=tmp_path)
+        assert lenient.returncode == 1, lenient.stderr
+        assert "skipped 1" in lenient.stdout
+
+
+class TestInvalidUTF8:
+    """A byte that is not UTF-8 in an event line used to end in a
+    ``UnicodeDecodeError`` traceback, at open when it sat in the first
+    text chunk."""
+
+    def dump(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        dump_trace(recorded(), str(path))
+        data = path.read_bytes().split(b"\n")
+        index = next(i for i, line in enumerate(data) if b'"MemoryEvent"' in line)
+        data[index] = data[index].replace(b'"X"', b'"\xff"')
+        path.write_bytes(b"\n".join(data))
+        return str(path)
+
+    def test_strict_raises_naming_the_file(self, tmp_path):
+        path = self.dump(tmp_path)
+        with pytest.raises(TraceError, match="t.jsonl"):
+            CheckSession(path).check()
+
+    def test_cli_exits_2_with_one_line(self, tmp_path):
+        self.dump(tmp_path)
+        completed = run_cli("check-trace", "t.jsonl", cwd=tmp_path)
+        assert_one_error_line(completed, "t.jsonl")
+
+    def test_lenient_replaces_the_byte_alike_at_every_job_count(self, tmp_path):
+        path = self.dump(tmp_path)
+        for jobs in (1, 2):
+            session = CheckSession(path, jobs=jobs, strict=False)
+            # The access moved to location U+FFFD; the other three still
+            # interleave on X.
+            assert session.check().patterns() == ["RWW"]
+            assert session.lines_skipped == 0

@@ -319,6 +319,62 @@ class TestStreamingLenientCounting:
         assert normalize_report(report_four) == normalize_report(report_one)
 
 
+class TestStampedLines:
+    """At ``jobs>1`` a line's ``"sk"`` stamp routes it undecoded.  A bad
+    line stamped for a shard other than 0 is counted by that shard:
+    ``trace.lines_skipped`` and the CLI line read 1 at every job count
+    (they used to read nothing at ``jobs>1``).
+    """
+
+    def damaged(self, trace, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        dump_trace_jsonl(trace, str(path))
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if '"MemoryEvent"' in line)
+        row = json.loads(lines[index])
+        row.update(step=999, sk=5)  # shard 1 at jobs 2 and at jobs 4
+        lines[index] = json.dumps(row)
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_only_the_owning_shard_reads_it(self, trace, tmp_path):
+        path = self.damaged(trace, tmp_path)
+        for shard, skipped in ((0, 0), (1, 1)):
+            reader = open_trace(path, strict=False)
+            list(reader.checking_events(shard=shard, jobs=2))
+            assert reader.lines_skipped == skipped
+            assert reader.stamped_lines_skipped == skipped
+        reader = open_trace(path, strict=False)
+        list(reader.checking_events())
+        assert (reader.lines_skipped, reader.stamped_lines_skipped) == (1, 0)
+
+    def test_views_still_filter_a_stamped_line_by_type(self, trace, tmp_path):
+        # The writer stamps memory lines only; a stamp on a sync line
+        # routes it like any other, but it is no memory event.
+        path = tmp_path / "trace.jsonl"
+        dump_trace_jsonl(trace, str(path))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "SyncEvent", "seq": 99, "task": 0, '
+                         '"finish_node": 0, "sk": 1}\n')
+        reader = open_trace(str(path))
+        for view in (reader.memory_events, reader.checking_events):
+            kinds = {type(e).__name__ for e in view(shard=1, jobs=2)}
+            assert kinds <= {"MemoryEvent", "TaskEndEvent"}
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_counted_once_at_every_job_count(self, trace, tmp_path, capsys, jobs):
+        from repro import CheckSession
+        from repro.cli import main
+        from repro.obs import MetricsRecorder
+
+        path = self.damaged(trace, tmp_path)
+        recorder = MetricsRecorder()
+        CheckSession(path, jobs=jobs, recorder=recorder, strict=False).check()
+        assert recorder.snapshot().counters["trace.lines_skipped"] == 1
+        main(["check-trace", path, "--lenient", "--jobs", str(jobs)])
+        assert "lenient mode: skipped 1 undecodable" in capsys.readouterr().out
+
+
 class TestSniffingRobustness:
     """Sniffing parses the header, never matches an exact byte rendering."""
 
