@@ -28,7 +28,10 @@ column    type    content
 
 Variable-width values never appear in the columns: locations, lock
 names, and locksets are interned once into footer tables and referenced
-by index.  The footer also carries each interned location's
+by index.  The location table is plain JSON (``"plain_locations"``: a
+scalar as itself, a tuple as an array); files written before it hold
+tagged rows under ``"locations"`` instead, and still read.  The footer
+also carries each interned location's
 :func:`~repro.trace.serialize.location_shard_key`, so a shard worker
 filters a frame by comparing small ints -- no location decode, no JSON,
 no regex.  The DPST lives in the *header* (as in v2) because every
@@ -78,6 +81,7 @@ from repro.trace.serialize import (
     LocationTable,
     _header_dpst,
     decode_location,
+    decode_plain_locations,
     dpst_to_dict,
 )
 from repro.trace.trace import Trace
@@ -186,7 +190,7 @@ def _read_block(handle, path: str, what: str) -> Dict[str, Any]:
         )
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise TraceError(
             f"cannot parse {what} of columnar trace {path!r}: {exc}"
         ) from exc
@@ -240,7 +244,7 @@ class ColumnarTraceWriter:
             }
         )
         # Interned tables.
-        self._locations = LocationTable()
+        self._locations = LocationTable(tagged=False)
         self._lock_ids: Dict[str, int] = {}
         self._lock_names: List[str] = []
         self._lockset_ids: Dict[Tuple[str, ...], int] = {}
@@ -393,7 +397,7 @@ class ColumnarTraceWriter:
             self._handle.write(
                 _dump_block(
                     {
-                        "locations": self._locations.encoded,
+                        "plain_locations": self._locations.encoded,
                         "location_sk": self._locations.shard_keys,
                         "locks": self._lock_names,
                         "locksets": self._lockset_rows,
@@ -501,9 +505,7 @@ class ColumnarTraceReader:
             handle.seek(footer_offset)
             footer = _read_block(handle, self.path, "footer")
         try:
-            self._locations = [
-                decode_location(row) for row in footer["locations"]
-            ]
+            self._locations = self._location_table(footer)
             # Unsigned machine words: a negative, fractional, textual or
             # too-large key fails here rather than routing a location.
             self._location_sk = array("L", footer["location_sk"])
@@ -535,6 +537,20 @@ class ColumnarTraceReader:
                 f"malformed footer of columnar trace {self.path!r}: {exc}"
             ) from exc
         self._frame_end = self._check_frame_index(header_end, footer_offset)
+
+    @staticmethod
+    def _location_table(footer: Dict[str, Any]) -> List[Any]:
+        """The footer's locations, from whichever of the two layouts it
+        holds: ``"plain_locations"`` (:func:`plain_location` rows, what
+        the writer stores) or ``"locations"`` (:func:`encode_location`
+        rows, what files written before the plain table hold)."""
+        if ("plain_locations" in footer) == ("locations" in footer):
+            raise ValueError(
+                "expected exactly one of 'plain_locations' and 'locations'"
+            )
+        if "plain_locations" in footer:
+            return decode_plain_locations(footer["plain_locations"])
+        return [decode_location(row) for row in footer["locations"]]
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -26,9 +26,14 @@ v2 by *parsing* the first line's JSON (never by matching an exact byte
 rendering, which would break on compact separators or reordered keys).
 
 Location encoding: locations are hashable Python values (strings, ints,
-or tuples thereof).  JSON has no tuples, so locations are wrapped as
-``{"t": [...]}`` for tuples and ``{"v": scalar}`` otherwise, recursively —
-lossless for the location vocabulary the runtime produces.
+or tuples thereof).  JSON has no tuples, so v2 lines (and reports) wrap
+locations as ``{"t": [...]}`` for tuples and ``{"v": scalar}`` otherwise,
+recursively.  The v3 footer stores them plain: a scalar as itself and a
+tuple as an array, which is unambiguous because a hashable location never
+holds a list.  Both are lossless for the location vocabulary the runtime
+produces.  A subclass of a scalar or of ``tuple`` (an ``IntEnum``, a
+namedtuple) is written, read back and shard-keyed as its base value
+(:func:`plain_location`).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import re
 import zlib
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional
 
-from repro.dpst import ArrayDPST, NodeKind, ROOT_ID
+from repro.dpst import ArrayDPST
 from repro.dpst.base import DPSTBase
 from repro.errors import DPSTError, TraceError
 from repro.report import READ, WRITE
@@ -72,13 +77,60 @@ _EVENT_TYPES = {
 }
 
 
-def encode_location(location: Location) -> Dict[str, Any]:
-    """Encode a location value as a JSON-safe tagged dict."""
+#: The scalar types of a location: what a ``{"v": ...}`` wraps
+#: (:func:`encode_location`) and what a plain row may be
+#: (:func:`plain_location`).
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+#: Each scalar type that has subclasses, with the method that copies a
+#: subclass's value out as the base type (``bool`` and ``NoneType`` have
+#: no subclasses).
+_SCALAR_COPIES = ((str, str.__str__), (int, int.__int__), (float, float.__float__))
+
+
+def plain_location(location: Location) -> Location:
+    """*location* as a trace reader decodes it, or :class:`TraceError`.
+
+    The one rule of what a trace can hold, for both writers and for
+    reports: a ``str``, ``int``, ``float``, ``bool`` or ``None``, or a
+    tuple of such values (tuples nest).  :func:`json.dumps` writes a
+    subclass as its base value, so that is what comes back: a namedtuple
+    as a tuple, an ``IntEnum`` member as its ``int``, a ``str``-based
+    ``Enum`` member as its ``str``.  A location already in that form is returned
+    as itself.  The v3 footer stores this value, which
+    :func:`json.dumps` writes as a scalar or, for a tuple, an array.
+    """
+    kind = location.__class__
+    if kind in _SCALAR_TYPES or (
+        kind is tuple and _SCALAR_TYPES.issuperset(map(type, location))
+    ):
+        return location
     if isinstance(location, tuple):
-        return {"t": [encode_location(item) for item in location]}
-    if location is None or isinstance(location, (str, int, float, bool)):
-        return {"v": location}
+        # Nested, or a tuple subclass.  A loop, not a comprehension, so
+        # each level of nesting costs one frame, as in _plain_tuple: what
+        # a writer accepts, a reader reads back.
+        parts = []
+        for item in location:
+            parts.append(plain_location(item))
+        return tuple(parts)
+    for base, copy in _SCALAR_COPIES:
+        if isinstance(location, base):
+            return copy(location)
     raise TraceError(f"unserializable location {location!r}")
+
+
+def encode_location(location: Location) -> Dict[str, Any]:
+    """Encode a location value as a JSON-safe tagged dict: its
+    :func:`plain_location` value, a tuple as ``{"t": [...]}`` and a
+    scalar as ``{"v": scalar}``."""
+    return _tag_location(plain_location(location))
+
+
+def _tag_location(plain: Location) -> Dict[str, Any]:
+    """The tagged dict of a :func:`plain_location` value."""
+    if plain.__class__ is tuple:
+        return {"t": [_tag_location(item) for item in plain]}
+    return {"v": plain}
 
 
 def location_shard_key(location: Location) -> int:
@@ -88,7 +140,9 @@ def location_shard_key(location: Location) -> int:
     hashing is randomized per process (PYTHONHASHSEED), and the sharded
     driver's worker processes must all agree on the partition.  The v2
     writer stamps this key on every memory-event line (``"sk"``) so readers
-    can route a line to its shard without decoding the JSON.
+    can route a line to its shard without decoding the JSON; both writers
+    key the :func:`plain_location` value, which is what a reader decodes
+    and keys again.
     """
     return zlib.crc32(repr(location).encode("utf-8"))
 
@@ -101,10 +155,18 @@ def shard_for_location(location: Location, jobs: int) -> int:
     randomized per process (PYTHONHASHSEED), and every worker process
     of the sharded driver must agree on the partition.  The same key is
     stamped on v2 trace lines, so file-streaming workers route lines
-    without decoding them.
+    without decoding them.  Like the writers, it keys a location's
+    :func:`plain_location` value, so a namedtuple location in an
+    in-memory trace shares a shard with the equal tuple, and with its
+    own accesses once they are written and read back.
     """
     if jobs <= 1:
         return 0
+    try:
+        location = plain_location(location)
+    except TraceError:
+        # No file can hold it, so only an in-memory trace routes it.
+        pass
     return location_shard_key(location) % jobs
 
 
@@ -114,28 +176,35 @@ class LocationTable:
     Both writers key locations on ``repr``: ``1``, ``1.0`` and ``True``
     compare and hash alike but must round-trip as themselves, and
     ``repr`` is injective over the serializable location vocabulary.  A
-    location is encoded (rejecting unserializable values) and given its
-    :func:`location_shard_key` when first seen; every later occurrence
+    location is checked when first seen (:func:`plain_location`, which
+    rejects unserializable values), stored as the value a reader will
+    decode -- as its tagged dict for v2 lines (*tagged*), as itself for
+    the v3 footer -- and given the :func:`location_shard_key` of that
+    value, which is the key a reader recomputes.  Every later occurrence
     costs one ``repr`` and one dict lookup.
 
     ``ids`` maps the ``repr`` key to an index into the parallel lists
     ``encoded`` and ``shard_keys``.
     """
 
-    __slots__ = ("ids", "encoded", "shard_keys")
+    __slots__ = ("ids", "encoded", "shard_keys", "_tagged")
 
-    def __init__(self) -> None:
+    def __init__(self, tagged: bool = True) -> None:
         self.ids: Dict[str, int] = {}
-        self.encoded: List[Dict[str, Any]] = []
+        self.encoded: List[Any] = []
         self.shard_keys: List[int] = []
+        self._tagged = tagged
 
     def add(self, key: str, location: Location) -> int:
         """Intern *location*, not yet seen, whose ``repr`` is *key*."""
-        encoded = encode_location(location)
+        plain = plain_location(location)
         ident = len(self.encoded)
-        self.encoded.append(encoded)
-        # location_shard_key, from the repr already in hand.
-        self.shard_keys.append(zlib.crc32(key.encode("utf-8")))
+        self.encoded.append(_tag_location(plain) if self._tagged else plain)
+        # location_shard_key of what a reader decodes: the repr already
+        # in hand, unless plain_location rebuilt the location (a
+        # namedtuple, an IntEnum, a nested tuple).
+        decoded = key if plain is location else repr(plain)
+        self.shard_keys.append(zlib.crc32(decoded.encode("utf-8")))
         self.ids[key] = ident
         return ident
 
@@ -146,10 +215,6 @@ class LocationTable:
         if ident is None:
             ident = self.add(key, location)
         return ident
-
-
-#: The types a ``{"v": ...}`` location may hold (:func:`encode_location`).
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
 def decode_location(encoded: Dict[str, Any]) -> Location:
@@ -181,6 +246,43 @@ def decode_location(encoded: Dict[str, Any]) -> Location:
     raise TraceError(f"malformed encoded location {encoded!r}")
 
 
+def decode_plain_locations(rows: Any) -> List[Location]:
+    """The locations of a v3 footer's plain table (:func:`plain_location`
+    rows): a JSON scalar is itself, an array a tuple.  Anything else -- a
+    table that is not a list, an object anywhere in a row -- raises
+    :class:`TraceError`, and so does a row nested past the recursion
+    limit."""
+    if rows.__class__ is not list:
+        raise TraceError(f"plain location table is a {type(rows).__name__}")
+    scalars = _SCALAR_TYPES
+    flat = scalars.issuperset
+    try:
+        return [
+            row if row.__class__ in scalars
+            # A tuple of scalars, the common array-cell location, is
+            # checked and built without a Python-level loop.
+            else tuple(row) if row.__class__ is list and flat(map(type, row))
+            else _plain_tuple(row)
+            for row in rows
+        ]
+    except RecursionError as exc:
+        raise TraceError(f"plain location nested too deeply: {exc}") from exc
+
+
+def _plain_tuple(row: Any) -> tuple:
+    """The tuple a plain location array stands for (arrays nest).
+
+    A loop, not a comprehension, so each level of nesting costs one
+    frame, as in :func:`plain_location`: what the writer accepts, the
+    reader reads back."""
+    if row.__class__ is not list:
+        raise TraceError(f"malformed plain location {row!r}")
+    parts = []
+    for item in row:
+        parts.append(item if item.__class__ in _SCALAR_TYPES else _plain_tuple(item))
+    return tuple(parts)
+
+
 def dpst_to_dict(tree: DPSTBase) -> Dict[str, Any]:
     """Flatten a DPST to its defining arrays (kind + parent per node)."""
     return {
@@ -191,29 +293,23 @@ def dpst_to_dict(tree: DPSTBase) -> Dict[str, Any]:
 
 
 def dpst_from_dict(data: Dict[str, Any]) -> DPSTBase:
-    """Rebuild a DPST (always as the array layout) from its arrays.
+    """Rebuild a DPST (always as the array layout) from its arrays, in one
+    pass (:meth:`ArrayDPST.from_arrays`).
 
     Damaged arrays raise :class:`TraceError`: ``kinds`` and ``parents``
-    must be lists of one length, every kind a :class:`NodeKind`, and every
-    parent an earlier internal node (insertion order).
+    must be lists of one length; the root is a finish node with parent
+    ``-1``; every kind is a :class:`NodeKind` and every parent an earlier
+    internal node (insertion order), each an ``int`` (not a bool or a
+    float).
     """
     kinds = data.get("kinds") if isinstance(data, dict) else None
     parents = data.get("parents") if isinstance(data, dict) else None
     if not isinstance(kinds, list) or not isinstance(parents, list):
         raise TraceError("serialized DPST needs 'kinds' and 'parents' lists")
-    if len(parents) != len(kinds):
-        raise TraceError(
-            f"serialized DPST has {len(kinds)} kinds but {len(parents)} parents"
-        )
-    if not kinds or kinds[ROOT_ID] != NodeKind.FINISH:
-        raise TraceError("serialized DPST must start with a finish root")
-    tree = ArrayDPST()
-    for node in range(1, len(kinds)):
-        try:
-            tree.add_node(parents[node], NodeKind(kinds[node]))
-        except (ValueError, TypeError, IndexError, DPSTError) as exc:
-            raise TraceError(f"serialized DPST node {node}: {exc}") from exc
-    return tree
+    try:
+        return ArrayDPST.from_arrays(kinds, parents)
+    except DPSTError as exc:
+        raise TraceError(f"serialized DPST: {exc}") from exc
 
 
 def _header_dpst(raw: Any, path: str) -> Optional[DPSTBase]:
@@ -474,7 +570,7 @@ class TraceReader:
                 first = handle.readline()
             try:
                 header = json.loads(first)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TraceError(
                     f"cannot parse trace header of {self.path!r}: {exc}"
                 ) from exc
@@ -629,6 +725,22 @@ class TraceReader:
             self._lines_skipped += 1
             return None
 
+    def _misstamped(self, event: MemoryEvent, stamp: int) -> None:
+        """Refuse an access whose ``"sk"`` stamp is not its location's
+        shard key (strict), or count it as a skipped line (lenient).
+
+        Besides a damaged line, this is how a file from a writer that
+        keyed a namedtuple or ``IntEnum`` location on its own ``repr``
+        reads; such a file still checks at ``jobs=1``, which reads no
+        stamps."""
+        if self.strict:
+            raise TraceError(
+                f"undecodable event line in {self.path!r}: shard stamp "
+                f"{stamp} is not the key of location {event.location!r} "
+                "(--jobs 1 reads no stamps)"
+            )
+        self._lines_skipped += 1
+
     def _undecodable(self, exc: BaseException) -> TraceError:
         """The strict reader's error for a line it cannot decode."""
         return TraceError(f"undecodable event line in {self.path!r}: {exc}")
@@ -678,7 +790,9 @@ class TraceReader:
         this is what lets N streaming workers split the parse cost of one
         file instead of each paying it in full.  Lines without a stamp
         (externally produced v2 files) fall back to decode-then-filter,
-        so the result is identical either way.  On v3 files the filter
+        so the result is identical either way.  A kept access whose stamp
+        is not its location's key is refused (strict) or counted in
+        :attr:`stamped_lines_skipped` (lenient).  On v3 files the filter
         runs over the columnar frames directly (see
         :meth:`repro.trace.columnar.ColumnarTraceReader.memory_events`).
         """
@@ -728,8 +842,17 @@ class TraceReader:
                         or location_shard_key(event.location) % jobs == shard
                     ):
                         yield event
-                elif int(match.group(1)) % jobs == shard:
+                else:
+                    stamp = int(match.group(1))
+                    if stamp % jobs != shard:
+                        continue
                     event = decode(line)
+                    if event.__class__ is MemoryEvent and (
+                        location_shard_key(event.location) != stamp
+                    ):
+                        # The stamp routed it away from the shard that
+                        # checks the rest of its location's accesses.
+                        event = self._misstamped(event, stamp)
                     if event is None:
                         # Skipped (a stamped line is never blank), and
                         # decoded by no other shard.
@@ -792,6 +915,10 @@ def is_jsonl_trace(path: str) -> bool:
         return _HEADER_PREFIX.match(stripped) is not None
     try:
         header = json.loads(first.decode("utf-8"))
+    except RecursionError:
+        # Too deep to parse here: the prefix decides, and a v2 reader's
+        # own parse then names the file.
+        return _HEADER_PREFIX.match(stripped) is not None
     except (ValueError, UnicodeDecodeError):
         return False
     return isinstance(header, dict) and header.get("format") == JSONL_FORMAT

@@ -1,6 +1,8 @@
 """The columnar (v3) trace format: writer, reader, sniffing, sharding."""
 
+import collections
 import dataclasses
+import enum
 import gc
 import hashlib
 import io
@@ -12,6 +14,7 @@ import zlib
 
 import pytest
 
+from repro import CheckSession
 from repro.errors import TraceError
 from repro.runtime import TaskProgram, run_program
 from repro.runtime.events import (
@@ -35,14 +38,18 @@ from repro.trace.columnar import (
 from repro.trace.serialize import (
     LocationTable,
     TraceReader,
+    encode_location,
+    plain_location,
     dump_trace,
     dump_trace_jsonl,
     is_jsonl_trace,
     load_trace,
     location_shard_key,
+    shard_for_location,
     open_trace,
 )
 from repro.trace.trace import Trace
+from tests.v3_files import footer_table, rewrite_to_tagged, rewrite_v3
 
 
 def recorded_run():
@@ -328,7 +335,9 @@ class TestPinnedBytes:
     Uncompressed v3 files and v2 files are determined by the events
     alone; compressed v3 frames also depend on the zlib level, so they
     are not pinned.  If the runtime's event stream for
-    :func:`recorded_run` changes on purpose, re-pin.
+    :func:`recorded_run` or the format changes on purpose, re-pin.  The
+    v3 digests last moved when the footer's location table became plain
+    JSON; every byte before the footer stayed the same.
     """
 
     def digest(self, path):
@@ -338,14 +347,14 @@ class TestPinnedBytes:
         path = str(tmp_path / "t.trc")
         dump_trace_columnar(trace, path, compress=False)
         assert self.digest(path) == (
-            "21b946be77dd03e70f9e98d42811be9200640a3e42b14770f774e0805f2b68cc"
+            "c70f71fe9dfaa642127df90e16ede1f5eedd3d7382e967b35c1957b963dbc524"
         )
 
     def test_uncompressed_v3_small_frames(self, trace, tmp_path):
         path = str(tmp_path / "t.trc")
         dump_trace_columnar(trace, path, frame_events=7, compress=False)
         assert self.digest(path) == (
-            "09c172a9be2d19acff250c9dccacd8d4c816ec2a970ac823ab2b5f072b94dea5"
+            "380f17db13b64f8a23c10c1fbdff7a0e2e40490f8d4db13613a5008ec25e3643"
         )
 
     def test_v2(self, trace, tmp_path):
@@ -356,7 +365,90 @@ class TestPinnedBytes:
         )
 
 
+Cell = collections.namedtuple("Cell", "grid x")
+
+
+class Color(enum.IntEnum):
+    RED = 1
+
+
+class Name(str, enum.Enum):
+    TOTAL = "total"
+
+
+class Tag(str):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+#: (location, the value a reader decodes, test id): what a trace holds.
+ACCEPTED = [
+    ("X", "X", "str"),
+    (("grid", 2, 3), ("grid", 2, 3), "tuple"),
+    ((("deep", 1), "x"), (("deep", 1), "x"), "nested-tuple"),
+    (Cell("g", 3), ("g", 3), "namedtuple"),
+    (Color.RED, 1, "IntEnum"),
+    (Name.TOTAL, "total", "str-Enum"),
+    (Tag("t"), "t", "str-subclass"),
+    (Ratio(0.5), 0.5, "float-subclass"),
+    ((Cell("g", Color.RED), Name.TOTAL), (("g", 1), "total"), "nested-subclasses"),
+]
+
+#: (location, test id): what no trace can hold.
+REFUSED = [
+    (frozenset(), "frozenset"),
+    (object(), "object"),
+    (b"x", "bytes"),
+    (("a", frozenset()), "frozenset-in-tuple"),
+    (Cell("g", object()), "object-in-namedtuple"),
+]
+
+
 class TestLocationTable:
+    @pytest.mark.parametrize(
+        "location, decoded", [case[:2] for case in ACCEPTED], ids=[case[2] for case in ACCEPTED]
+    )
+    def test_one_rule_for_every_writer(self, location, decoded):
+        # plain_location is the value a reader decodes, exact types and all.
+        assert repr(plain_location(location)) == repr(decoded)
+        assert repr(encode_location(location)) == repr(encode_location(decoded))
+        for tagged in (True, False):
+            table = LocationTable(tagged=tagged)
+            table.index(location)
+            assert repr(table.encoded) == repr(
+                [encode_location(decoded) if tagged else decoded]
+            )
+            # The key a reader recomputes from the decoded location.
+            assert table.shard_keys == [location_shard_key(decoded)]
+
+    @pytest.mark.parametrize(
+        "location", [case[0] for case in REFUSED], ids=[case[1] for case in REFUSED]
+    )
+    def test_one_rule_refuses_for_every_writer(self, location):
+        for encode in (
+            plain_location,
+            encode_location,
+            LocationTable(tagged=True).index,
+            LocationTable(tagged=False).index,
+        ):
+            with pytest.raises(TraceError, match="unserializable location"):
+                encode(location)
+
+    def test_shards_key_the_plain_value(self):
+        for jobs in (2, 3, 5):
+            for location, decoded, _ in ACCEPTED:
+                assert shard_for_location(location, jobs) == (
+                    location_shard_key(decoded) % jobs
+                )
+            # An in-memory trace may hold what no file can.
+            for location, _ in REFUSED:
+                assert shard_for_location(location, jobs) == (
+                    location_shard_key(location) % jobs
+                )
+
     def test_interns_by_repr(self):
         table = LocationTable()
         ids = [table.index(loc) for loc in (1, 1.0, True, 1, ("a", 1))]
@@ -371,12 +463,13 @@ class TestLocationTable:
         ]
 
     def test_unserializable_location_leaves_table_unchanged(self):
-        table = LocationTable()
-        table.index("x")
-        with pytest.raises(TraceError):
-            table.index(("x", object()))
-        assert list(table.ids) == ["'x'"]
-        assert len(table.encoded) == len(table.shard_keys) == 1
+        for tagged in (True, False):
+            table = LocationTable(tagged=tagged)
+            table.index("x")
+            with pytest.raises(TraceError):
+                table.index(("x", object()))
+            assert list(table.ids) == ["'x'"]
+            assert len(table.encoded) == len(table.shard_keys) == 1
 
 
 class TestSharding:
@@ -540,18 +633,6 @@ class TestCorruption:
         list(reader.memory_events(shard=0, jobs=2))
         assert reader.lines_skipped == 4
 
-    def rewrite_footer(self, path, edit):
-        """Pass the footer table of *path* through *edit* in place."""
-        data = open(path, "rb").read()
-        (footer_offset,) = struct.unpack("<Q", data[-16:-8])
-        (length,) = struct.unpack_from("<I", data, footer_offset)
-        table = json.loads(data[footer_offset + 4 : footer_offset + 4 + length])
-        edit(table)
-        raw = json.dumps(table, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(data[:footer_offset] + struct.pack("<I", len(raw)))
-            handle.write(raw + data[-16:])
-
     @pytest.mark.parametrize("bad", [-1, 1.5, "12", 2**64])
     def test_bad_location_shard_key_rejected_at_open(self, trace, tmp_path, bad):
         """A shard key must be an unsigned machine word: ``"12"`` or
@@ -561,7 +642,7 @@ class TestCorruption:
         def edit(table):
             table["location_sk"][0] = bad
 
-        self.rewrite_footer(path, edit)
+        rewrite_v3(path, footer=edit)
         with pytest.raises(TraceError) as err:
             ColumnarTraceReader(path)
         assert "malformed footer" in str(err.value)
@@ -573,11 +654,39 @@ class TestCorruption:
         def edit(table):
             table["location_sk"].pop()
 
-        self.rewrite_footer(path, edit)
+        rewrite_v3(path, footer=edit)
         with pytest.raises(TraceError) as err:
             ColumnarTraceReader(path)
         assert "shard keys for" in str(err.value)
         assert "t.trc" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda t: t["plain_locations"].__setitem__(0, {"v": "x"}),
+                "malformed plain location",
+            ),
+            (
+                lambda t: t["plain_locations"].__setitem__(0, ["cell", {"v": 0}]),
+                "malformed plain location",
+            ),
+            (lambda t: t.update(plain_locations="ab"), "plain location table is a str"),
+            (lambda t: t.update(locations=[{"v": "x"}, {"v": "y"}]), "exactly one of"),
+            (lambda t: t.pop("plain_locations"), "exactly one of"),
+        ],
+        ids=["object-row", "object-in-array", "string-table", "both-keys", "neither-key"],
+    )
+    def test_malformed_location_table_rejected_at_open(
+        self, trace, tmp_path, edit, message
+    ):
+        path = self.dump(trace, tmp_path)
+        rewrite_v3(path, footer=edit)
+        for strict in (True, False):
+            with pytest.raises(TraceError, match=message) as err:
+                ColumnarTraceReader(path, strict=strict)
+            assert "malformed footer" in str(err.value)
+            assert "t.trc" in str(err.value)
 
     def replace_only_frame(self, path, payload, n_events=None):
         """Swap the compressed *payload* into *path*, a one-frame file;
@@ -588,7 +697,7 @@ class TestCorruption:
         reader.close()
         if n_events is not None:
             n = n_events
-            self.rewrite_footer(path, set_frame(0, n=n))
+            rewrite_v3(path, footer=set_frame(0, n=n))
         data = open(path, "rb").read()
         (footer_offset,) = struct.unpack("<Q", data[-16:-8])
         head = data[:offset] + struct.pack("<BII", 1, n, len(payload))
@@ -658,7 +767,7 @@ class TestCorruption:
         self, trace, tmp_path, edit, message
     ):
         path = self.dump(trace, tmp_path)
-        self.rewrite_footer(path, edit)
+        rewrite_v3(path, footer=edit)
         with pytest.raises(TraceError, match=message) as err:
             open_trace(path)
         assert "t.trc" in str(err.value)
@@ -823,7 +932,7 @@ class TestNegativeTableIds:
         def edit(table):
             table["locksets"][-1] = [-1]
 
-        TestCorruption().rewrite_footer(path, edit)
+        rewrite_v3(path, footer=edit)
         with pytest.raises(TraceError, match="negative lock id") as err:
             open_trace(path)
         assert "t.trc" in str(err.value)
@@ -882,6 +991,89 @@ class TestStreamingLenientCounting:
         assert counters_one["trace.lines_skipped"] == 4
         assert counters_four["trace.lines_skipped"] == 4
         assert normalize_report(report_four) == normalize_report(report_one)
+
+
+#: Locations of every shape the serializable vocabulary allows: scalars
+#: that compare equal but differ in type, and tuples empty and nested.
+LOCATION_SHAPES = [
+    "X", "", "[", 7, 1, 1.0, True, False, None, 3.5, -0.0, float("inf"),
+    (), ((),), ("a", 1), ("a", True), ("grid", 2, 3), (("deep", 1), "x"),
+]
+
+
+def shapes_trace():
+    """One access to each of :data:`LOCATION_SHAPES`, then a repeat."""
+    base = recorded_run().trace
+    access = next(iter(base.memory_events()))
+    locations = LOCATION_SHAPES + LOCATION_SHAPES[::-1]
+    return Trace(
+        [
+            dataclasses.replace(access, seq=seq, location=location)
+            for seq, location in enumerate(locations)
+        ],
+        dpst=base.dpst,
+    )
+
+
+class TestFooterLayouts:
+    """The footer stores locations as plain JSON; a file whose footer
+    holds the tagged rows of earlier writers still reads."""
+
+    def test_plain_table_round_trips_every_shape(self, tmp_path):
+        path = str(tmp_path / "t.trc")
+        dump_trace_columnar(shapes_trace(), path)
+        table = footer_table(path)
+        assert "locations" not in table
+        # Each distinct location once, a scalar as itself and a tuple as
+        # an array.
+        assert json.dumps(table["plain_locations"]) == json.dumps(LOCATION_SHAPES)
+        read = [e.location for e in open_trace(path).memory_events()]
+        assert [repr(location) for location in read] == [
+            repr(location) for location in LOCATION_SHAPES + LOCATION_SHAPES[::-1]
+        ]
+
+    def test_location_nested_600_deep_round_trips(self, tmp_path):
+        # Writer and reader each spend one frame per level of nesting, so
+        # what one accepts the other reads back.
+        location = "x"
+        for _ in range(600):
+            location = (location,)
+        access = next(iter(recorded_run().trace.memory_events()))
+        path = str(tmp_path / "t.trc")
+        dump_trace_columnar(
+            Trace([dataclasses.replace(access, location=location)]), path
+        )
+        (read,) = open_trace(path).memory_events()
+        assert read.location == location
+
+    @pytest.mark.parametrize("frame_events", [7, 4096])
+    def test_tagged_table_reads_the_same_events(self, tmp_path, frame_events):
+        plain = str(tmp_path / "plain.trc")
+        tagged = str(tmp_path / "tagged.trc")
+        for path in (plain, tagged):
+            dump_trace_columnar(shapes_trace(), path, frame_events=frame_events)
+        rewrite_to_tagged(tagged)
+        assert "plain_locations" not in footer_table(tagged)
+        assert repr(event_rows(load_trace(tagged).events)) == repr(
+            event_rows(load_trace(plain).events)
+        )
+        for jobs in (2, 3):
+            for shard in range(jobs):
+                assert repr(list(open_trace(tagged).checking_events(shard, jobs))) == repr(
+                    list(open_trace(plain).checking_events(shard, jobs))
+                )
+
+    @pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.name)
+    def test_tagged_table_gives_the_same_report(self, tmp_path, case):
+        trace = run_program(case.build(), record_trace=True).trace
+        plain = str(tmp_path / "plain.trc")
+        tagged = str(tmp_path / "tagged.trc")
+        for path in (plain, tagged):
+            dump_trace_columnar(trace, path)
+        rewrite_to_tagged(tagged)
+        assert CheckSession(tagged).check().describe() == (
+            CheckSession(plain).check().describe()
+        )
 
 
 class TestDumpTraceDispatch:

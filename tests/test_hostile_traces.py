@@ -2,17 +2,21 @@
 counted lenient skip -- never in a bare ``ValueError``/``IndexError``
 traceback or a silently wrong verdict.
 
-Two kinds of damage, each on v2 (JSONL) and v3 (columnar) files:
+Three kinds of damage, each on v2 (JSONL) and v3 (columnar) files:
 
-* a DPST header whose arrays do not describe a tree;
+* a DPST header whose arrays do not describe a tree, or hold a kind or
+  parent that is not an int;
 * a memory access the DPST cannot place (a step outside ``[0, nodes)``),
-  and on v2 an access of unknown type.
+  and on v2 an access of unknown type;
+* a header (or v3 footer) nested past the interpreter's recursion limit.
 
 v2 alone also spells out each field, so a line may be valid JSON but not
-an event object, or a memory line may hold a field of the wrong type.
+an event object, or a memory line may hold a field of the wrong type, or
+a shard-key stamp that is not its location's.
 """
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -22,13 +26,16 @@ from pathlib import Path
 import pytest
 
 from repro import CheckSession
-from repro.errors import TraceError
+from repro.checker.supervisor import WorkerPolicy
+from repro.errors import CheckerError, TraceError
 from repro.obs import MetricsRecorder
+from repro.report import normalize_report
 from repro.runtime import TaskProgram, run_program
 from repro.runtime.events import MemoryEvent
 from repro.trace import columnar, serialize
 from repro.trace.serialize import dump_trace, open_trace
 from repro.trace.trace import Trace
+from tests.v3_files import rewrite_v3
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -93,6 +100,15 @@ HEADER_DAMAGE = {
     "parent_past_the_tree": lambda d: _replace(
         d, "parents", d["parents"][:-1] + [len(d["parents"]) + 7]
     ),
+    # Equal to a valid value, but not an int: each used to be read as
+    # that value (True as ASYNC or as node 1, 2.0 as the finish root).
+    "kind_true": lambda d: _replace(d, "kinds", d["kinds"][:1] + [True] + d["kinds"][2:]),
+    "kind_float": lambda d: _replace(d, "kinds", d["kinds"][:1] + [1.0] + d["kinds"][2:]),
+    "root_kind_float": lambda d: _replace(d, "kinds", [2.0] + d["kinds"][1:]),
+    # Node 2's parent is node 1, a finish node.
+    "parent_true": lambda d: _replace(d, "parents", d["parents"][:2] + [True] + d["parents"][3:]),
+    # The root's parent used to go unread.
+    "root_parent_5": lambda d: _replace(d, "parents", [5] + d["parents"][1:]),
 }
 
 
@@ -126,6 +142,213 @@ class TestDamagedDPSTHeader:
         dump_with_damaged_header(tmp_path, monkeypatch, fmt, "kind_9")
         completed = run_cli("check-trace", FORMATS[fmt], cwd=tmp_path)
         assert_one_error_line(completed, FORMATS[fmt])
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_cli_refuses_a_bool_kind(self, tmp_path, monkeypatch, fmt):
+        dump_with_damaged_header(tmp_path, monkeypatch, fmt, "kind_true")
+        completed = run_cli("check-trace", FORMATS[fmt], cwd=tmp_path)
+        assert_one_error_line(completed, FORMATS[fmt])
+        assert "kind True" in completed.stderr
+
+
+#: JSON nested past any recursion limit the interpreter allows.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def dump_deep(tmp_path, case):
+    """A trace whose header (v2, v3) or footer (v3) nests :data:`DEEP`."""
+    fmt = "v2" if case == "v2-header" else "v3"
+    path = tmp_path / FORMATS[fmt]
+    dump_trace(recorded(), str(path))
+    deep_header = f'{{"format": "repro-trace", "version": {fmt[1]}, "dpst": {DEEP}}}'
+    if case == "v2-header":
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([deep_header, *lines[1:]]) + "\n", encoding="utf-8")
+    elif case == "v3-header":
+        rewrite_v3(str(path), header=deep_header)
+    else:
+        rewrite_v3(str(path), footer=lambda table: json.dumps(
+            {**table, "plain_locations": "DEEP"}, sort_keys=True
+        ).replace('"DEEP"', DEEP))
+    return str(path)
+
+
+class TestOverDeepJSON:
+    """A header or footer nested past the recursion limit used to end in
+    a ``RecursionError`` traceback (exit 1)."""
+
+    CASES = ["v2-header", "v3-footer", "v3-header"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_trace_error_names_the_file(self, tmp_path, case):
+        path = dump_deep(tmp_path, case)
+        for strict in (True, False):
+            with pytest.raises(TraceError, match="recursion") as err:
+                open_trace(path, strict=strict)
+            assert os.path.basename(path) in str(err.value)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cli_exits_2_with_one_line(self, tmp_path, case):
+        name = os.path.basename(dump_deep(tmp_path, case))
+        for extra in ((), ("--lenient",)):
+            completed = run_cli("check-trace", name, *extra, cwd=tmp_path)
+            assert_one_error_line(completed, name)
+
+
+class TestMisstampedLine:
+    """At ``jobs > 1`` a v2 line's ``"sk"`` stamp alone routes it.  A
+    stamp that is not its location's key used to check the access in the
+    wrong shard: with the second access moved away, ``--jobs 2`` printed
+    no violations where ``--jobs 1`` reports the RWW triple."""
+
+    def dump(self, tmp_path):
+        """The v2 trace of :func:`buggy` with the second access's stamp
+        one past its key, which moves it to the other shard of 2."""
+        path = tmp_path / "t.jsonl"
+        dump_trace(recorded(), str(path))
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        index = [i for i, line in enumerate(lines) if '"MemoryEvent"' in line][1]
+        row = json.loads(lines[index])
+        row["sk"] += 1
+        lines[index] = json.dumps(row)
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_strict_raises_naming_the_file(self, tmp_path, jobs):
+        path = self.dump(tmp_path)
+        reader = open_trace(path)
+        with pytest.raises(TraceError, match="shard stamp") as err:
+            for shard in range(jobs):
+                list(reader.checking_events(shard=shard, jobs=jobs))
+        assert "t.jsonl" in str(err.value)
+        # A check's worker fails on it like on any other bad line.
+        with pytest.raises(CheckerError, match="TraceError: .*shard stamp") as err:
+            CheckSession(path, jobs=jobs).check(policy=WorkerPolicy(max_retries=0))
+        assert "t.jsonl" in str(err.value)
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_lenient_counts_the_line_once(self, tmp_path, jobs):
+        path = self.dump(tmp_path)
+        recorder = MetricsRecorder()
+        CheckSession(path, jobs=jobs, recorder=recorder, strict=False).check()
+        assert recorder.snapshot().counters["trace.lines_skipped"] == 1
+
+    def test_only_the_stamped_shard_reads_it(self, tmp_path):
+        path = self.dump(tmp_path)
+        reader = open_trace(path, strict=False)
+        key = serialize.location_shard_key("X")
+        kept = [
+            len(list(reader.memory_events(shard=shard, jobs=2)))
+            for shard in range(2)
+        ]
+        # Three accesses in the key's shard; the misstamped one is
+        # skipped by the other shard, the only one that decodes it.
+        assert kept[key % 2] == 3 and kept[1 - key % 2] == 0
+        assert reader.stamped_lines_skipped == 1
+
+    def test_cli_exits_2_strict_and_skips_lenient(self, tmp_path):
+        self.dump(tmp_path)
+        # --jobs 1 reads no stamp, and reports the triple.
+        assert run_cli("check-trace", "t.jsonl", cwd=tmp_path).returncode == 1
+        completed = run_cli("check-trace", "t.jsonl", "--jobs", "2", cwd=tmp_path)
+        assert_one_error_line(completed, "t.jsonl")
+        lenient = run_cli(
+            "check-trace", "t.jsonl", "--lenient", "--jobs", "2", cwd=tmp_path
+        )
+        assert lenient.returncode == 0, lenient.stderr
+        assert "skipped 1" in lenient.stdout
+
+    def test_v3_moves_a_location_whole(self, tmp_path):
+        # v3 keys a location, not an access: a wrong key moves all of its
+        # accesses to one shard, which still sees the triple.
+        path = str(tmp_path / "t.trc")
+        dump_trace(recorded(), path)
+
+        def edit(table):
+            table["location_sk"][0] += 1
+
+        rewrite_v3(path, footer=edit)
+        for jobs in (1, 2):
+            assert CheckSession(path, jobs=jobs).check().patterns() == ["RWW"]
+
+
+#: A target module whose two tasks read-modify-write the same three
+#: locations, one task through subclass values and the other through the
+#: equal plain values a trace reader decodes.
+SUBCLASS_TARGET = """
+import collections
+import enum
+
+Cell = collections.namedtuple("Cell", "grid x")
+
+
+class Color(enum.IntEnum):
+    RED = 1
+
+
+class Name(str, enum.Enum):
+    TOTAL = "total"
+
+
+def mixed(ctx):
+    def rmw(locations):
+        def body(inner):
+            for location in locations:
+                inner.write(location, (inner.read(location) or 0) + 1)
+        return body
+
+    ctx.spawn(rmw([Cell("g", 3), Color.RED, Name.TOTAL]))
+    ctx.spawn(rmw([("g", 3), 1, "total"]))
+    ctx.sync()
+"""
+
+
+class TestSubclassLocations:
+    """A namedtuple, ``IntEnum`` or ``(str, Enum)`` location is written
+    as its base value and read back so.  Both writers key its shard on
+    that value, the key a reader recomputes: keyed on the subclass's own
+    ``repr``, every access to it was refused at ``jobs > 1`` by the stamp
+    check, and an equal plain location could land in another shard."""
+
+    @pytest.mark.parametrize("name", sorted(FORMATS.values()))
+    def test_check_trace_gives_one_verdict_at_every_job_count(self, tmp_path, name):
+        (tmp_path / "subclass_target.py").write_text(SUBCLASS_TARGET, encoding="utf-8")
+        recorded = run_cli("record", "subclass_target:mixed", "-o", name, cwd=tmp_path)
+        assert recorded.returncode == 0, recorded.stderr
+        runs = [
+            run_cli("check-trace", name, "--jobs", str(jobs), cwd=tmp_path)
+            for jobs in (1, 2)
+        ]
+        for completed in runs:
+            assert completed.returncode == 1, completed.stderr
+        # Shards report in their own order.
+        assert sorted(runs[0].stdout.splitlines()) == sorted(runs[1].stdout.splitlines())
+        assert runs[0].stdout.startswith("3 distinct violation(s)")
+        path = str(tmp_path / name)
+        for jobs in (3, 4):
+            assert normalize_report(CheckSession(path, jobs=jobs).check()) == (
+                normalize_report(CheckSession(path).check())
+            )
+
+    def test_in_memory_check_gives_one_verdict_at_every_job_count(
+        self, tmp_path, monkeypatch
+    ):
+        # No file: shards are picked from the live subclass values.  The
+        # target is a module on sys.path, so workers can unpickle them.
+        (tmp_path / "subclass_target.py").write_text(SUBCLASS_TARGET, encoding="utf-8")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        spec = importlib.util.spec_from_file_location(
+            "subclass_target", tmp_path / "subclass_target.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "subclass_target", module)
+        spec.loader.exec_module(module)
+        program = TaskProgram(module.mixed)
+        serial = normalize_report(CheckSession(program).check())
+        assert len(serial[0]) == 3
+        for jobs in (2, 3, 4):
+            assert normalize_report(CheckSession(program, jobs=jobs).check()) == serial
 
 
 class TestUnplaceableAccess:

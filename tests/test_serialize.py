@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.checker import OptAtomicityChecker
+from repro.dpst import ArrayDPST, NodeKind
 from repro.errors import TraceError
 from repro.runtime import TaskProgram, run_program
 from repro.trace.replay import replay_trace
@@ -73,6 +74,44 @@ class TestDpstRoundtrip:
     def test_bad_root_rejected(self):
         with pytest.raises(TraceError):
             dpst_from_dict({"layout": "array", "kinds": [0], "parents": [-1]})
+
+    def test_one_pass_build_matches_node_by_node(self):
+        # from_arrays must leave the tree add_node would: same kinds (the
+        # NodeKind members themselves), depths, ranks, and child counts,
+        # so the rebuilt tree keeps growing the same way.
+        data = dpst_to_dict(recorded_run().dpst)
+        rebuilt = dpst_from_dict(data)
+        grown = ArrayDPST()
+        for kind, parent in zip(data["kinds"][1:], data["parents"][1:]):
+            grown.add_node(parent, NodeKind(kind))
+        rebuilt.validate()
+        internal = [n for n in grown.nodes() if not grown.is_step(n)]
+        for tree in (rebuilt, grown):
+            for parent in internal:
+                tree.add_node(parent, NodeKind.STEP)
+        assert len(rebuilt) == len(grown)
+        for node in grown.nodes():
+            assert rebuilt.kind(node) is grown.kind(node)
+            assert rebuilt.parent(node) == grown.parent(node)
+            assert rebuilt.depth(node) == grown.depth(node)
+            assert rebuilt.sibling_rank(node) == grown.sibling_rank(node)
+
+    @pytest.mark.parametrize(
+        "kinds, parents, message",
+        [
+            ([2, 1, True], [-1, 0, 1], "node 2 has kind True"),
+            ([2, 1.0], [-1, 0], "node 1 has kind 1.0"),
+            ([2, 3], [-1, 0], "node 1 has kind 3"),
+            ([2.0], [-1], "finish root"),
+            ([2], [5], "finish root"),
+            ([2], [True], "finish root"),
+            ([2, 2, 0], [-1, 0, True], "unknown parent node id True"),
+            ([2, 0, 0], [-1, 0, 1], "child of step node 1"),
+        ],
+    )
+    def test_typed_arrays(self, kinds, parents, message):
+        with pytest.raises(TraceError, match=message):
+            dpst_from_dict({"kinds": kinds, "parents": parents})
 
 
 class TestEventRoundtrip:
