@@ -2,7 +2,7 @@
 
 Measures, over one synthetic trace serialized in both formats:
 
-* **full decode** -- iterating every event (``TraceReader.events()``);
+* **full decode** -- iterating every event (``open_trace(path).events()``);
 * **sharded read** -- the hot path of the sharded pipeline: each of N
   shard workers streaming just its own memory events
   (``memory_events(shard=k, jobs=N)``, summed over all shards in one
@@ -29,11 +29,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from bench_sharded_pipeline import synthetic_trace  # noqa: E402
 
-from repro.trace.serialize import TraceReader, dump_trace  # noqa: E402
+from repro.trace.serialize import dump_trace, open_trace  # noqa: E402
 
 
 def _time_full_decode(path: str) -> float:
-    reader = TraceReader(path)
+    reader = open_trace(path)
     started = time.perf_counter()
     count = 0
     for _ in reader.events():
@@ -46,7 +46,7 @@ def _time_full_decode(path: str) -> float:
 
 def _time_sharded_read(path: str, jobs: int) -> float:
     """Sum of all shard workers' streaming passes, single-process."""
-    reader = TraceReader(path)
+    reader = open_trace(path)
     started = time.perf_counter()
     count = 0
     for shard in range(jobs):

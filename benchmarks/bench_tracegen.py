@@ -10,23 +10,30 @@ demonstration as a repeatable benchmark.
 import pytest
 
 from repro.checker import OptAtomicityChecker
+from repro.fuzz.generate import FuzzConfig, ProgramGenerator
 from repro.runtime import run_program
 from repro.trace.explore import explore_violation_locations
-from repro.trace.generator import GeneratorConfig, TraceGenerator
 from repro.trace.replay import replay_trace
 
 CONFIGS = {
-    "small-lockfree": GeneratorConfig(tasks=4, accesses_per_task=3, locations=2),
-    "medium-locked": GeneratorConfig(
-        tasks=8, accesses_per_task=4, locations=3, locks=2
+    "small-lockfree": FuzzConfig(
+        tasks=4, accesses_per_task=3, locations=2, depth=2, locks=0,
+        lock_density=0.5, finish_probability=0.2, template_probability=0.0,
     ),
-    "wide": GeneratorConfig(tasks=16, accesses_per_task=3, locations=4, max_depth=3),
+    "medium-locked": FuzzConfig(
+        tasks=8, accesses_per_task=4, locations=3, locks=2, depth=2,
+        lock_density=0.5, finish_probability=0.2, template_probability=0.0,
+    ),
+    "wide": FuzzConfig(
+        tasks=16, accesses_per_task=3, locations=4, depth=3, locks=0,
+        lock_density=0.5, finish_probability=0.2, template_probability=0.0,
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_generate_and_check(benchmark, name):
-    generator = TraceGenerator(CONFIGS[name])
+    generator = ProgramGenerator(CONFIGS[name])
     seeds = iter(range(10_000))
 
     def run():
@@ -40,8 +47,11 @@ def test_generate_and_check(benchmark, name):
 
 def test_checker_matches_explorer_on_generated_traces(benchmark):
     """One-trace completeness against the schedule-enumeration oracle."""
-    generator = TraceGenerator(
-        GeneratorConfig(tasks=3, accesses_per_task=2, locations=1, locks=1)
+    generator = ProgramGenerator(
+        FuzzConfig(
+            tasks=3, accesses_per_task=2, locations=1, locks=1, depth=2,
+            lock_density=0.5, finish_probability=0.2, template_probability=0.0,
+        )
     )
 
     def run():

@@ -183,7 +183,7 @@ def _check_shard(
         dpst = None if dpst_dict is None else dpst_from_dict(dpst_dict)
         report = _replay_shard(events, dpst, recorder, **options)
     else:
-        with TraceReader(source, strict=strict) as reader:
+        with open_trace(source, strict=strict) as reader:
             report = _replay_shard(
                 reader, reader.dpst, recorder, shard=shard_id, jobs=jobs,
                 lines_from=reader, **options,

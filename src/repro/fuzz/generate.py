@@ -1,8 +1,17 @@
-"""Seeded random task-parallel program generator for differential fuzzing.
+"""Seeded random task-parallel program generator (paper Section 4).
 
-Programs are emitted as *spec trees* -- the same plain-tuple language the
-trace generator (:mod:`repro.trace.generator`) and the static lint pass
-(:func:`repro.static.lint.lint_spec`) already speak::
+The paper's evaluation mentions "a trace generator that takes the number
+of tasks and memory accesses as parameter and generates execution traces",
+used to demonstrate that the prototype detects all atomicity violations
+for a given input from a *single* trace.  :class:`ProgramGenerator` is
+that tool, and the program source of differential fuzzing: running a
+generated program under any executor yields an execution trace of the
+configured shape (:meth:`ProgramGenerator.generate_trace`), and the same
+program can be re-run under other schedules to cross-check schedule
+insensitivity.
+
+Programs are emitted as *spec trees* -- the plain-tuple language the
+static lint pass (:func:`repro.static.lint.lint_spec`) also speaks::
 
     ("task", (items...))                    the root task
     ("access", location, "read"|"write")    an instrumented access
@@ -31,19 +40,23 @@ the :class:`FuzzConfig` -- the property the oracle's provenance and the
 shrinker's reproducers rely on.  Locks only ever appear as balanced
 ``locked`` blocks that contain no ``spawn``, so generated programs can
 never self-deadlock under the child-first serial executor.
+``template_probability=0.0`` generates programs of primitive moves only.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.checker.annotations import AtomicAnnotations
-from repro.runtime.program import TaskProgram
-from repro.trace.generator import Spec, _run_items
+from repro.runtime.program import TaskProgram, run_program
+from repro.runtime.task import TaskContext
 
 Location = Hashable
+
+#: A spec tree or item, in the plain-tuple language above.
+Spec = Tuple[Any, ...]
 
 
 @dataclass
@@ -107,6 +120,12 @@ class ProgramGenerator:
         return program_from_spec(
             self.generate_spec(actual), name=f"fuzz(seed={actual})"
         )
+
+    def generate_trace(self, seed: Optional[int] = None, executor=None):
+        """Generate a program, run it under *executor*, and return the
+        recorded :class:`~repro.trace.trace.Trace`."""
+        program = self.generate_program(seed)
+        return run_program(program, executor=executor, record_trace=True).trace
 
     # -- internals ---------------------------------------------------------
 
@@ -303,8 +322,7 @@ def spec_task_count(spec: Spec) -> int:
 def program_from_spec(spec: Spec, name: str = "fuzzed") -> TaskProgram:
     """Wrap a spec tree in a runnable :class:`TaskProgram`.
 
-    Unlike :meth:`repro.trace.generator.TraceGenerator.program_from_spec`,
-    the initial memory is derived from the spec itself (every accessed
+    The initial memory is derived from the spec itself (every accessed
     location starts at ``0``), so shrunk specs -- which may touch fewer
     locations than the config that bred them -- stay self-contained.
     """
@@ -322,6 +340,33 @@ def program_from_spec(spec: Spec, name: str = "fuzzed") -> TaskProgram:
         initial_memory=initial,
         annotations=AtomicAnnotations(),
     )
+
+
+def _run_items(ctx: TaskContext, items: Sequence[Spec]) -> None:
+    """Interpret a spec item list against the TaskContext API."""
+    for item in items:
+        kind = item[0]
+        if kind == "access":
+            _, location, access_type = item
+            if access_type == "read":
+                ctx.read(location)
+            else:
+                ctx.write(location, ctx.task_id)
+        elif kind == "locked":
+            _, lock_name, inner = item
+            with ctx.lock(lock_name):
+                _run_items(ctx, inner)
+        elif kind == "spawn":
+            _, child_items = item
+            ctx.spawn(_run_items, child_items)
+        elif kind == "sync":
+            ctx.sync()
+        elif kind == "finish":
+            _, inner = item
+            with ctx.finish():
+                _run_items(ctx, inner)
+        else:
+            raise ValueError(f"unknown spec item {kind!r}")
 
 
 def _has_access(items: Sequence[Spec]) -> bool:

@@ -66,6 +66,7 @@ from repro.dpst.engines import available_engines
 from repro.fuzz.generate import (
     FuzzConfig,
     ProgramGenerator,
+    Spec,
     program_from_spec,
     spec_access_count,
 )
@@ -77,7 +78,6 @@ from repro.report import (
 from repro.runtime.executor import RandomOrderExecutor, SerialExecutor
 from repro.runtime.program import run_program
 from repro.session import CheckSession
-from repro.trace.generator import Spec
 from repro.trace.replay import replay_trace
 from repro.trace.serialize import dump_trace
 

@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.fuzz.generate import spec_access_count, spec_task_count
-from repro.trace.generator import Spec
+from repro.fuzz.generate import Spec, spec_access_count, spec_task_count
 
 Predicate = Callable[[Spec], bool]
 

@@ -157,3 +157,16 @@ class ReleaseEvent:
     step: int
     name: str
     versioned_name: str
+
+
+#: Every event class, in the order of the v3 trace format's type tags (a
+#: tag is an index into this tuple).
+EVENT_TYPES: Tuple[type, ...] = (
+    TaskSpawnEvent,
+    TaskBeginEvent,
+    TaskEndEvent,
+    SyncEvent,
+    MemoryEvent,
+    AcquireEvent,
+    ReleaseEvent,
+)

@@ -5,7 +5,7 @@ executes; this module builds its *static* counterpart from the program
 text alone, for both front ends:
 
 :func:`skeleton_from_spec`
-    Exact skeleton of a :mod:`repro.trace.generator` spec tree.  Specs are
+    Exact skeleton of a :mod:`repro.fuzz.generate` spec tree.  Specs are
     straight-line, so the construction mirrors the runtime's scope-frame
     rules verbatim and the resulting tree is isomorphic to the DPST any
     execution of the spec would build.
@@ -466,9 +466,10 @@ class _TaskCursor:
 def skeleton_from_spec(spec: Sequence[Any], source: str = "<spec>") -> StaticSkeleton:
     """Exact static skeleton of a generator spec tree.
 
-    Accepts the tuple form produced by :class:`repro.trace.generator.
-    TraceGenerator` and the list form a JSON round-trip yields (locations
-    that were tuples come back as lists and are re-tupled).
+    Accepts the tuple form produced by
+    :class:`repro.fuzz.generate.ProgramGenerator` and the list form a JSON
+    round-trip yields (locations that were tuples come back as lists and
+    are re-tupled).
     """
     skeleton = StaticSkeleton(source=source)
 

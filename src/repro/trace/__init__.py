@@ -1,29 +1,35 @@
-"""Traces: recording, generation, replay, and interleaving exploration.
+"""Traces: recording, serialization, replay, and interleaving exploration.
 
 * :class:`~repro.trace.trace.Trace` -- an ordered list of runtime events,
   optionally paired with the DPST of the execution that produced it;
+* :mod:`~repro.trace.serialize` and :mod:`~repro.trace.columnar` -- the
+  v2 JSONL and v3 columnar trace files: one crash-safe writer base, and
+  one :class:`~repro.trace.serialize.TraceReader` base with a reader per
+  format, which :func:`~repro.trace.serialize.open_trace` picks;
 * :mod:`~repro.trace.replay` -- feed a recorded trace to any checker
   offline, including permuted variants;
-* :mod:`~repro.trace.generator` -- the paper's "trace generator that takes
-  the number of tasks and memory accesses as parameter": produces random
-  task-parallel programs/traces with controlled shape;
 * :mod:`~repro.trace.explore` -- ground truth: exhaustively enumerate the
   legal schedules of a recorded execution (respecting series-parallel
   structure and lock mutual exclusion) and report which locations exhibit
   an atomicity violation in *some* schedule.  The paper's checker is
   validated against this oracle: it must find, from one trace, everything
   the explorer finds across all traces.
+
+The paper's "trace generator that takes the number of tasks and memory
+accesses as parameter" is :class:`repro.fuzz.generate.ProgramGenerator`:
+it produces random task-parallel programs, and their traces, of a
+controlled shape.
 """
 
 from repro.trace.trace import Trace
 from repro.trace.replay import replay_trace, replay_memory_events, replay_events
-from repro.trace.generator import GeneratorConfig, TraceGenerator
 from repro.trace.explore import (
     InterleavingExplorer,
     analytic_violation_locations,
     explore_violation_locations,
 )
 from repro.trace.serialize import (
+    JsonlTraceReader,
     TraceReader,
     TraceWriter,
     dump_trace,
@@ -48,11 +54,10 @@ __all__ = [
     "replay_trace",
     "replay_memory_events",
     "replay_events",
-    "GeneratorConfig",
-    "TraceGenerator",
     "InterleavingExplorer",
     "analytic_violation_locations",
     "explore_violation_locations",
+    "JsonlTraceReader",
     "TraceReader",
     "TraceWriter",
     "ColumnarTraceReader",

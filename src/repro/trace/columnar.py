@@ -46,11 +46,14 @@ frame region, counts at most :data:`MAX_FRAME_EVENTS` and summing to the
 footer's total), and a frame's ``payload_len`` must end before the next
 frame starts, so no header field can size a read past the file.
 
-Writers follow the crash-safe discipline of the shard checkpoint store:
-the header is built *before* any file is opened, all bytes go to a
-temporary sibling, and :meth:`ColumnarTraceWriter.close` publishes the
-finished file with :func:`os.replace` -- an interrupted write never
-leaves a half-trace at the target path.
+The writer publishes like the v2 one
+(:class:`~repro.trace.serialize.CrashSafeWriter`): the header is built
+*before* any file is opened, all bytes go to a temporary sibling, and
+``close()`` publishes the finished file with :func:`os.replace` -- an
+interrupted write never leaves a half-trace at the target path.  The
+reader is one of the two :class:`~repro.trace.serialize.TraceReader`
+formats; :func:`~repro.trace.serialize.open_trace` builds it for a file
+that starts with :data:`COLUMNAR_MAGIC`.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from repro.dpst.base import DPSTBase
 from repro.errors import TraceError
 from repro.report import READ, WRITE
 from repro.runtime.events import (
+    EVENT_TYPES,
     AcquireEvent,
     MemoryEvent,
     ReleaseEvent,
@@ -78,7 +82,9 @@ from repro.runtime.events import (
 )
 from repro.trace.serialize import (
     JSONL_FORMAT,
+    CrashSafeWriter,
     LocationTable,
+    TraceReader,
     _header_dpst,
     decode_location,
     decode_plain_locations,
@@ -112,15 +118,7 @@ MAX_FRAME_EVENTS = 1 << 16
 COMPRESS_LEVEL = 3
 
 #: Event classes in tag order; a tag is an index into this tuple.
-EVENT_TAGS: Tuple[type, ...] = (
-    TaskSpawnEvent,
-    TaskBeginEvent,
-    TaskEndEvent,
-    SyncEvent,
-    MemoryEvent,
-    AcquireEvent,
-    ReleaseEvent,
-)
+EVENT_TAGS: Tuple[type, ...] = EVENT_TYPES
 _TAG_OF = {cls: tag for tag, cls in enumerate(EVENT_TAGS)}
 _MEMORY_TAG = _TAG_OF[MemoryEvent]
 _END_TAG = _TAG_OF[TaskEndEvent]
@@ -202,16 +200,14 @@ def _read_block(handle, path: str, what: str) -> Dict[str, Any]:
     return data
 
 
-class ColumnarTraceWriter:
+class ColumnarTraceWriter(CrashSafeWriter):
     """Streaming columnar (v3) trace writer.
 
     Mirrors :class:`~repro.trace.serialize.TraceWriter`: supply the DPST
     up front, append events one at a time (buffered into frames of
-    ``frame_events``), and ``close()`` -- or use as a context manager,
-    which *discards* the temporary file if the body raised, so failed
-    recordings never publish a truncated trace.  A ``close()`` that fails
-    (a field value that does not fit its column, a full disk) discards
-    the temporary file too, and raises.
+    ``frame_events``), and ``close()`` -- or use as a context manager;
+    publication is crash-safe
+    (:class:`~repro.trace.serialize.CrashSafeWriter`).
 
     Recording pays per event only for the columns: a memory access costs
     one ``repr`` (its location's intern key), one lockset dict hit and
@@ -231,11 +227,8 @@ class ColumnarTraceWriter:
                 f"frame_events must be in [1, {MAX_FRAME_EVENTS}], "
                 f"got {frame_events}"
             )
-        self.path = os.fspath(path)
         self.frame_events = frame_events
         self.compress = bool(compress)
-        # Header bytes are built *before* any file is opened: a DPST that
-        # fails to flatten raises here with nothing on disk.
         header = _dump_block(
             {
                 "format": JSONL_FORMAT,
@@ -256,10 +249,7 @@ class ColumnarTraceWriter:
         self._cols: Tuple[List[int], ...] = ([], [], [], [], [])
         self._frames: List[List[int]] = []  # [offset, n_events]
         self._flushed = 0  # events in frames already written
-        self._tmp_path: Optional[str] = f"{self.path}.tmp.{os.getpid()}"
-        self._handle = open(self._tmp_path, "wb")
-        self._handle.write(COLUMNAR_MAGIC)
-        self._handle.write(header)
+        super().__init__(path, COLUMNAR_MAGIC + header)
 
     # -- interning ---------------------------------------------------------
 
@@ -381,74 +371,32 @@ class ColumnarTraceWriter:
         for column in self._cols:
             column.clear()
 
-    def close(self) -> None:
-        """Flush, write footer + trailer, and publish the file (idempotent).
-
-        Publication is atomic: the bytes move from the temporary sibling
-        to :attr:`path` with :func:`os.replace`, so readers only ever see
-        a complete trace or no trace at all.  If anything here fails, the
-        write is discarded before the error propagates.
-        """
-        if self._handle is None:
-            return
-        try:
-            self._flush_frame()
-            footer_offset = self._handle.tell()
-            self._handle.write(
-                _dump_block(
-                    {
-                        "plain_locations": self._locations.encoded,
-                        "location_sk": self._locations.shard_keys,
-                        "locks": self._lock_names,
-                        "locksets": self._lockset_rows,
-                        "frames": self._frames,
-                        "events": self.count,
-                    }
-                )
+    def _finish(self) -> None:
+        """Write the last frame, the footer and the trailer."""
+        self._flush_frame()
+        footer_offset = self._handle.tell()
+        self._handle.write(
+            _dump_block(
+                {
+                    "plain_locations": self._locations.encoded,
+                    "location_sk": self._locations.shard_keys,
+                    "locks": self._lock_names,
+                    "locksets": self._lockset_rows,
+                    "frames": self._frames,
+                    "events": self.count,
+                }
             )
-            self._handle.write(
-                _TRAILER_OFFSET.pack(footer_offset) + _TAIL_MAGIC
-            )
-            self._handle.close()
-            os.replace(self._tmp_path, self.path)
-        except BaseException:
-            self.discard()
-            raise
-        self._handle = None
-        self._tmp_path = None
-
-    def discard(self) -> None:
-        """Abandon the write: close and delete the temporary file
-        without touching :attr:`path` (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        if self._tmp_path is not None:
-            try:
-                os.unlink(self._tmp_path)
-            except OSError:
-                pass
-            self._tmp_path = None
-
-    def __enter__(self) -> "ColumnarTraceWriter":
-        return self
-
-    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
-        if exc_type is not None:
-            self.discard()
-        else:
-            self.close()
+        )
+        self._handle.write(_TRAILER_OFFSET.pack(footer_offset) + _TAIL_MAGIC)
 
 
-class ColumnarTraceReader:
+class ColumnarTraceReader(TraceReader):
     """Streaming reader over one v3 columnar trace file.
 
     Construction parses the header (DPST) and the footer (interned
     tables + frame index); :meth:`events`, :meth:`memory_events` and
     :meth:`checking_events` then stream frames with a fresh tracked
-    handle per pass, exactly like
-    :class:`~repro.trace.serialize.TraceReader` -- which wraps this class
-    for v3 files, so most callers never see it directly.
+    handle per pass (:class:`~repro.trace.serialize.TraceReader`).
 
     Lenient mode (``strict=False``): a frame that fails to decode is
     skipped as a unit and its event count (known from the frame index)
@@ -457,14 +405,10 @@ class ColumnarTraceReader:
     decode (the DPST and the tables live there).
     """
 
+    version = COLUMNAR_VERSION
+
     def __init__(self, path: str, strict: bool = True) -> None:
-        self.path = os.fspath(path)
-        self.strict = bool(strict)
-        #: Events lost to undecodable frames or bad ids (lenient mode only).
-        self.lines_skipped = 0
-        self._closed = False
-        self._live_handles: set = set()
-        self.version = COLUMNAR_VERSION
+        super().__init__(path, strict)
         with open(self.path, "rb") as handle:
             if handle.read(len(COLUMNAR_MAGIC)) != COLUMNAR_MAGIC:
                 raise TraceError(f"{self.path!r} is not a columnar trace")
@@ -477,9 +421,7 @@ class ColumnarTraceReader:
                     f"unsupported columnar trace header in {self.path!r}: "
                     f"{header!r}"
                 )
-            self.dpst: Optional[DPSTBase] = _header_dpst(
-                header.get("dpst"), self.path
-            )
+            self.dpst = _header_dpst(header.get("dpst"), self.path)
             header_end = handle.tell()
             handle.seek(0, os.SEEK_END)
             size = handle.tell()
@@ -551,38 +493,6 @@ class ColumnarTraceReader:
         if "plain_locations" in footer:
             return decode_plain_locations(footer["plain_locations"])
         return [decode_location(row) for row in footer["locations"]]
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _open_stream(self):
-        if self._closed:
-            raise TraceError(
-                f"ColumnarTraceReader for {self.path!r} is closed"
-            )
-        handle = open(self.path, "rb")
-        self._live_handles.add(handle)
-        return handle
-
-    def _release(self, handle) -> None:
-        self._live_handles.discard(handle)
-        if not handle.closed:
-            handle.close()
-
-    def close(self) -> None:
-        """Close every handle still open from streaming passes."""
-        self._closed = True
-        for handle in list(self._live_handles):
-            self._release(handle)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "ColumnarTraceReader":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     # -- frame decode ------------------------------------------------------
 
@@ -755,23 +665,6 @@ class ColumnarTraceReader:
         finally:
             self._release(handle)
 
-    def __iter__(self) -> Iterator[object]:
-        return self.events()
-
-    def memory_events(
-        self, shard: Optional[int] = None, jobs: Optional[int] = None
-    ) -> Iterator[MemoryEvent]:
-        """Yield the memory accesses, optionally one shard's worth."""
-        return self._select(shard, jobs, ends=False)
-
-    def checking_events(
-        self, shard: Optional[int] = None, jobs: Optional[int] = None
-    ) -> Iterator[object]:
-        """Yield what an offline check replays: the memory accesses
-        (optionally one shard's worth) and every task end, in file order.
-        A task end carries no location, so every shard gets it."""
-        return self._select(shard, jobs, ends=True)
-
     def _select(
         self, shard: Optional[int], jobs: Optional[int], ends: bool
     ) -> Iterator[object]:
@@ -838,13 +731,6 @@ class ColumnarTraceReader:
                 del seqs, tasks, steps, locs, writes, sets
         finally:
             self._release(handle)
-
-    def read(self) -> Trace:
-        """Materialize the full :class:`Trace` (events + DPST)."""
-        return Trace(list(self.events()), dpst=self.dpst)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<ColumnarTraceReader {self.path!r} v{self.version}>"
 
 
 def dump_trace_columnar(

@@ -5,25 +5,25 @@ record once, then replay through different checkers, permute orders, or
 archive as regression goldens.  This module round-trips a
 :class:`~repro.trace.trace.Trace` *including its DPST* to disk.
 
-Two on-disk formats are supported:
+Two on-disk formats are supported, each with one writer and one reader:
 
 * **v2 (streaming JSONL)** -- a one-line header
   ``{"format": "repro-trace", "version": 2, "dpst": ...}`` followed
   by one event per line.  :class:`TraceWriter` appends events with bounded
-  buffering and :class:`TraceReader` yields them as a generator, so traces
-  larger than RAM can be produced and checked.  The DPST lives in the
-  header because every checker needs the *complete* tree before the first
-  event is replayed.
+  buffering and :class:`JsonlTraceReader` yields them as a generator, so
+  traces larger than RAM can be produced and checked.  The DPST lives in
+  the header because every checker needs the *complete* tree before the
+  first event is replayed.
 * **v3 (binary columnar)** -- struct-packed parallel arrays per event
   field with interned location/lock tables and optional zlib frames; the
   sharded pipeline's fast path.  See :mod:`repro.trace.columnar`.
-  :class:`TraceReader` transparently wraps v3 files, so downstream code
-  is format-agnostic.
 
-:func:`load_trace` / :func:`open_trace` sniff the format, so callers never
-care which variant a file uses: v3 is detected by a magic byte prefix and
-v2 by *parsing* the first line's JSON (never by matching an exact byte
-rendering, which would break on compact separators or reordered keys).
+Both writers publish through :class:`CrashSafeWriter`, and both readers
+share the :class:`TraceReader` base, so downstream code is
+format-agnostic.  :func:`open_trace` picks the reader: v3 by a magic byte
+prefix, v2 by *parsing* the first line's JSON (never by matching an exact
+byte rendering, which would break on compact separators or reordered
+keys).
 
 Location encoding: locations are hashable Python values (strings, ints,
 or tuples thereof).  JSON has no tuples, so v2 lines (and reports) wrap
@@ -39,7 +39,6 @@ namedtuple) is written, read back and shard-keyed as its base value
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import os
 import re
@@ -50,31 +49,13 @@ from repro.dpst import ArrayDPST
 from repro.dpst.base import DPSTBase
 from repro.errors import DPSTError, TraceError
 from repro.report import READ, WRITE
-from repro.runtime.events import (
-    AcquireEvent,
-    MemoryEvent,
-    ReleaseEvent,
-    SyncEvent,
-    TaskBeginEvent,
-    TaskEndEvent,
-    TaskSpawnEvent,
-)
+from repro.runtime.events import EVENT_TYPES, MemoryEvent, TaskEndEvent
 from repro.trace.trace import Trace
 
 Location = Hashable
 
-_EVENT_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        TaskSpawnEvent,
-        TaskBeginEvent,
-        TaskEndEvent,
-        SyncEvent,
-        MemoryEvent,
-        AcquireEvent,
-        ReleaseEvent,
-    )
-}
+#: The event classes by name, as a v2 line's ``"type"`` spells them.
+_EVENT_TYPES = {cls.__name__: cls for cls in EVENT_TYPES}
 
 
 #: The scalar types of a location: what a ``{"v": ...}`` wraps
@@ -133,32 +114,67 @@ def _tag_location(plain: Location) -> Dict[str, Any]:
     return {"v": plain}
 
 
-def location_shard_key(location: Location) -> int:
+#: The scalar types that a shard key takes as they are.
+_KEYED_TYPES = frozenset((str, int, type(None)))
+
+
+def _keyed_as_itself(location: Location) -> bool:
+    """Is *location* a ``str``, ``int`` or ``None``, or a flat tuple of
+    them?  Such a location is its own :func:`plain_location` value and its
+    own shard-key value, which one type scan tells."""
+    kind = location.__class__
+    return kind in _KEYED_TYPES or (
+        kind is tuple and _KEYED_TYPES.issuperset(map(type, location))
+    )
+
+
+def _key_value(location: Location) -> Location:
+    """*location* with each bool and each integral float as its int,
+    inside tuples too.  A loop, not a comprehension, so each level of
+    nesting costs one frame, as in :func:`plain_location`."""
+    kind = location.__class__
+    if kind is tuple:
+        parts = []
+        for item in location:
+            parts.append(_key_value(item))
+        return tuple(parts)
+    if kind is bool or (kind is float and location.is_integer()):
+        return int(location)
+    return location
+
+
+def location_shard_key(location: Location, text: Optional[str] = None) -> int:
     """Process-stable integer key of *location* for shard partitioning.
 
-    CRC-32 of the location's ``repr`` rather than builtin ``hash``: string
-    hashing is randomized per process (PYTHONHASHSEED), and the sharded
-    driver's worker processes must all agree on the partition.  The v2
-    writer stamps this key on every memory-event line (``"sk"``) so readers
-    can route a line to its shard without decoding the JSON; both writers
-    key the :func:`plain_location` value, which is what a reader decodes
-    and keys again.
+    The CRC-32 of the ``repr`` of the location's key value: the location
+    with each bool and each integral float taken as its int, inside tuples
+    too.  ``1``, ``1.0`` and ``True`` are one location to the shadow
+    memory and to every checker, so they must share a shard.  CRC-32
+    rather than builtin ``hash``: string hashing is randomized per process
+    (PYTHONHASHSEED), and the sharded driver's worker processes must all
+    agree on the partition.
+
+    The v2 writer stamps this key on every memory-event line (``"sk"``)
+    so readers can route a line to its shard without decoding the JSON;
+    both writers key the :func:`plain_location` value, which is what a
+    reader decodes and keys again.  A caller that holds the ``repr`` of a
+    location it has found to be its own key value
+    (:func:`_keyed_as_itself`) passes it as *text*.
     """
-    return zlib.crc32(repr(location).encode("utf-8"))
+    if text is None:
+        text = repr(location if _keyed_as_itself(location) else _key_value(location))
+    return zlib.crc32(text.encode("utf-8"))
 
 
 def shard_for_location(location: Location, jobs: int) -> int:
     """Deterministic shard index of *location* in ``[0, jobs)``.
 
-    Keys on :func:`location_shard_key` (CRC-32 of the location's
-    ``repr``) rather than Python's builtin ``hash``: string hashing is
-    randomized per process (PYTHONHASHSEED), and every worker process
-    of the sharded driver must agree on the partition.  The same key is
-    stamped on v2 trace lines, so file-streaming workers route lines
-    without decoding them.  Like the writers, it keys a location's
-    :func:`plain_location` value, so a namedtuple location in an
-    in-memory trace shares a shard with the equal tuple, and with its
-    own accesses once they are written and read back.
+    Keys on :func:`location_shard_key`, the key stamped on v2 trace lines,
+    so file-streaming workers route lines without decoding them.  Like the
+    writers, it keys a location's :func:`plain_location` value, so a
+    namedtuple location in an in-memory trace shares a shard with the
+    equal tuple, and with its own accesses once they are written and read
+    back.
     """
     if jobs <= 1:
         return 0
@@ -173,7 +189,7 @@ def shard_for_location(location: Location, jobs: int) -> int:
 class LocationTable:
     """The distinct locations of a trace being written, each interned once.
 
-    Both writers key locations on ``repr``: ``1``, ``1.0`` and ``True``
+    Both writers intern locations on ``repr``: ``1``, ``1.0`` and ``True``
     compare and hash alike but must round-trip as themselves, and
     ``repr`` is injective over the serializable location vocabulary.  A
     location is checked when first seen (:func:`plain_location`, which
@@ -197,14 +213,15 @@ class LocationTable:
 
     def add(self, key: str, location: Location) -> int:
         """Intern *location*, not yet seen, whose ``repr`` is *key*."""
-        plain = plain_location(location)
+        if _keyed_as_itself(location):
+            # The common case, with the one type scan it needs: already
+            # plain, and keyed by the repr in hand.
+            plain, text = location, key
+        else:
+            plain, text = plain_location(location), None
         ident = len(self.encoded)
         self.encoded.append(_tag_location(plain) if self._tagged else plain)
-        # location_shard_key of what a reader decodes: the repr already
-        # in hand, unless plain_location rebuilt the location (a
-        # namedtuple, an IntEnum, a nested tuple).
-        decoded = key if plain is location else repr(plain)
-        self.shard_keys.append(zlib.crc32(decoded.encode("utf-8")))
+        self.shard_keys.append(location_shard_key(plain, text))
         self.ids[key] = ident
         return ident
 
@@ -366,7 +383,72 @@ DEFAULT_CHUNK_SIZE = 4096
 _SK_TAIL = re.compile(rb'"sk": (\d+)\}\s*$')
 
 
-class TraceWriter:
+class CrashSafeWriter:
+    """Crash-safe publication of one trace file, the base of both writers.
+
+    All bytes go to a temporary sibling of :attr:`path`; :meth:`close`
+    writes what the format ends with (:meth:`_finish`) and publishes the
+    file with :func:`os.replace`, so readers only ever see a complete
+    trace or none.  A ``close()`` that fails (a value that does not fit
+    its column, a full disk) discards the temporary file and raises, and
+    a ``with`` block that exits on an exception discards it too.  A
+    writer renders its header *before* calling ``__init__``, so a DPST
+    that fails to flatten raises with nothing on disk.
+    """
+
+    def __init__(self, path: str, head: Any) -> None:
+        """Open the temporary sibling of *path* and write *head* (a str
+        opens a UTF-8 text file, bytes a binary one)."""
+        self.path = os.fspath(path)
+        self._tmp_path: Optional[str] = f"{self.path}.tmp.{os.getpid()}"
+        if isinstance(head, str):
+            self._handle = open(self._tmp_path, "w", encoding="utf-8")
+        else:
+            self._handle = open(self._tmp_path, "wb")
+        self._handle.write(head)
+
+    def _finish(self) -> None:
+        """Write what the file ends with (buffered events, a footer)."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Finish the file and publish it at :attr:`path` (idempotent)."""
+        if self._handle is None:
+            return
+        try:
+            self._finish()
+            self._handle.close()
+            os.replace(self._tmp_path, self.path)
+        except BaseException:
+            self.discard()
+            raise
+        self._handle = None
+        self._tmp_path = None
+
+    def discard(self) -> None:
+        """Abandon the write: close and delete the temporary file without
+        touching :attr:`path` (idempotent; a no-op after :meth:`close`)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+        if self._tmp_path is not None:
+            try:
+                os.unlink(self._tmp_path)
+            except OSError:
+                pass
+            self._tmp_path = None
+
+    def __enter__(self) -> "CrashSafeWriter":
+        return self
+
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
+        if exc_type is not None:
+            self.discard()
+        else:
+            self.close()
+
+
+class TraceWriter(CrashSafeWriter):
     """Streaming JSONL trace writer (v2 format).
 
     Writes the header line at construction, then appends one JSON line per
@@ -382,11 +464,6 @@ class TraceWriter:
     can rebuild the tree before streaming any event); pass ``None`` for
     DPST-free traces.
 
-    Crash safety: all bytes go to a temporary sibling of :attr:`path`;
-    :meth:`close` publishes the finished file with :func:`os.replace`.  A
-    write that dies mid-stream (or exits a ``with`` block on an exception,
-    which calls :meth:`discard`) never leaves a half-trace at the target.
-
     Each distinct location is encoded and shard-keyed once
     (:class:`LocationTable`), so the writer also holds O(locations).
     """
@@ -399,14 +476,11 @@ class TraceWriter:
     ) -> None:
         if chunk_size < 1:
             raise TraceError(f"chunk_size must be positive, got {chunk_size}")
-        self.path = os.fspath(path)
         self.chunk_size = chunk_size
         #: Number of events written so far.
         self.count = 0
         self._buffer: List[str] = []
         self._locations = LocationTable()
-        # The header is rendered *before* any file is opened: a DPST that
-        # fails to flatten raises with nothing on disk and no open handle.
         header = json.dumps(
             {
                 "format": JSONL_FORMAT,
@@ -414,11 +488,7 @@ class TraceWriter:
                 "dpst": None if dpst is None else dpst_to_dict(dpst),
             }
         )
-        self._tmp_path: Optional[str] = f"{self.path}.tmp.{os.getpid()}"
-        self._handle: Optional[io.TextIOWrapper] = open(
-            self._tmp_path, "w", encoding="utf-8"
-        )
-        self._handle.write(header + "\n")
+        super().__init__(path, header + "\n")
 
     def write(self, event: object) -> None:
         """Append one event."""
@@ -429,7 +499,7 @@ class TraceWriter:
             ident = locations.index(event.location)
             # event_to_dict's row, with the shard key stamped last so
             # readers can shard-filter the raw line tail without decoding
-            # the JSON (see TraceReader.memory_events).
+            # the JSON (see JsonlTraceReader._select).
             row = {
                 "type": "MemoryEvent",
                 "seq": event.seq,
@@ -457,47 +527,8 @@ class TraceWriter:
             self._handle.write("\n".join(self._buffer) + "\n")
             self._buffer = []
 
-    def close(self) -> None:
-        """Flush buffered events and publish the file (idempotent).
-
-        Publication is atomic: the temporary sibling moves to
-        :attr:`path` via :func:`os.replace`, so readers only ever see a
-        complete trace or no trace at all.  If anything here fails, the
-        write is discarded before the error propagates.
-        """
-        if self._handle is None:
-            return
-        try:
-            self._flush()
-            self._handle.close()
-            os.replace(self._tmp_path, self.path)
-        except BaseException:
-            self.discard()
-            raise
-        self._handle = None
-        self._tmp_path = None
-
-    def discard(self) -> None:
-        """Abandon the write: delete the temporary file without touching
-        :attr:`path` (idempotent; a no-op after :meth:`close`)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        if self._tmp_path is not None:
-            try:
-                os.unlink(self._tmp_path)
-            except OSError:
-                pass
-            self._tmp_path = None
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
-        if exc_type is not None:
-            self.discard()
-        else:
-            self.close()
+    #: A v2 file ends with its buffered lines.
+    _finish = _flush
 
 
 #: The keys a v2 memory line may carry; ``"lockset"`` and ``"sk"`` are
@@ -519,107 +550,61 @@ _CHECKING_KINDS = frozenset((MemoryEvent, TaskEndEvent))
 
 
 class TraceReader:
-    """Streaming reader over a serialized trace file (v2 or v3).
+    """Streaming reader over a trace file: the base of one reader per
+    format, :class:`JsonlTraceReader` (v2) and
+    :class:`~repro.trace.columnar.ColumnarTraceReader` (v3), which add
+    their header parse, :meth:`events` and :meth:`_select`.  Build one
+    with :func:`open_trace`.
 
-    Construction parses only the header (v2) or the header + footer tables
-    (v3, which it wraps transparently via
-    :class:`repro.trace.columnar.ColumnarTraceReader`); :meth:`events` then
-    yields decoded events as a generator.  Each call to :meth:`events` opens a fresh
-    handle, so a reader supports any number of passes -- exactly what the
-    sharded pipeline's workers need when each filters out its own shard.
+    Each pass opens a fresh handle, so a reader supports any number of
+    passes -- exactly what the sharded pipeline's workers need when each
+    filters out its own shard.  The reader tracks every handle its passes
+    open, and :meth:`close` (or use as a context manager) closes any that
+    an abandoned generator left behind, so a checker raising mid-replay
+    never leaks a file descriptor; a pass started after it raises
+    :class:`TraceError`.
 
-    Lifecycle: the reader tracks every handle its streaming passes open,
-    and :meth:`close` (or use as a context manager) closes any that an
-    abandoned generator left behind -- so a checker raising mid-replay
-    never leaks a file descriptor.
-
-    Lenient mode (``strict=False``): undecodable or truncated JSONL event
-    lines are *counted and skipped* (:attr:`lines_skipped`) instead of
-    raising mid-stream -- never silently; callers surface the count as
-    the ``trace.lines_skipped`` metric.  The header must always decode
-    (the DPST lives there), so a damaged header still raises.  Files in
-    neither format -- including the retired v1 monolithic JSON -- raise a
-    :class:`TraceError` naming the path.  Soundness caveat: a skipped line is
-    a memory access the checker never sees, so a lenient run can miss
-    violations on the affected locations; it can never invent them.
+    Lenient mode (``strict=False``): undecodable events are *counted and
+    skipped* (:attr:`lines_skipped`) instead of raising mid-stream;
+    callers surface the count as the ``trace.lines_skipped`` metric.  The
+    header (and v3 footer) must always decode, as the DPST lives there.
+    Soundness caveat: a skipped event is a memory access the checker never
+    sees, so a lenient run can miss violations; it can never invent them.
     """
 
+    #: The format version the class reads.
+    version: int
+
     def __init__(self, path: str, strict: bool = True) -> None:
+        if type(self) is TraceReader:
+            raise TypeError(
+                "TraceReader is the base of the per-format trace readers; "
+                "open a trace file with open_trace(path, strict=...)"
+            )
         self.path = os.fspath(path)
-        #: ``False`` skips (and counts) undecodable event lines.
+        #: ``False`` skips (and counts) undecodable events.
         self.strict = bool(strict)
-        #: How event lines decode from UTF-8: a lenient reader replaces
-        #: a bad byte and parses the rest of its line.
+        #: How text passes decode UTF-8: a lenient reader replaces a bad
+        #: byte and parses the rest of its line.
         self._errors = "strict" if self.strict else "replace"
-        self._lines_skipped = 0
-        self._stamped_skipped = 0
+        #: Undecodable v2 lines or v3 events skipped, over all passes.
+        self.lines_skipped = 0
+        #: Of those, the v2 lines a ``jobs > 1`` pass decoded only because
+        #: their ``"sk"`` stamp routed them to its shard.  Every shard's
+        #: pass decodes the others (and every v3 event), so
+        #: :func:`~repro.checker.sharded.check_sharded` counts those on
+        #: shard 0 alone.
+        self.stamped_lines_skipped = 0
+        self.dpst: Optional[DPSTBase] = None
         self._closed = False
         self._live_handles: set = set()
-        self._v3 = None
-        # Imported lazily: columnar.py builds on this module's primitives.
-        from repro.trace.columnar import ColumnarTraceReader, is_columnar_trace
-
-        if is_columnar_trace(self.path):
-            self._v3 = ColumnarTraceReader(self.path, strict=self.strict)
-            self.version = self._v3.version
-            self.dpst: Optional[DPSTBase] = self._v3.dpst
-        elif is_jsonl_trace(self.path):
-            # Binary: a text handle would decode a whole chunk past the
-            # header line, and fail on a bad byte in an event line.
-            with open(self.path, "rb") as handle:
-                first = handle.readline()
-            try:
-                header = json.loads(first)
-            except (ValueError, RecursionError) as exc:
-                raise TraceError(
-                    f"cannot parse trace header of {self.path!r}: {exc}"
-                ) from exc
-            version = header.get("version")
-            if header.get("format") != JSONL_FORMAT or version != JSONL_VERSION:
-                raise TraceError(
-                    f"unsupported trace header in {self.path!r}: {header!r}"
-                )
-            self.version = version
-            self.dpst = _header_dpst(header.get("dpst"), self.path)
-            #: Steps must lie in ``[0, _nodes)``; ``None``: no DPST, no bound.
-            self._nodes = None if self.dpst is None else len(self.dpst)
-        else:
-            # Empty files, truncated headers, binary garbage and v1
-            # monolithic JSON alike: a TraceError with the path, never a
-            # bare json.JSONDecodeError.
-            if not os.path.isfile(self.path):
-                raise TraceError(f"no trace file at {self.path!r}")
-            raise TraceError(
-                f"cannot parse {self.path!r} as a trace: not a v2 JSONL or "
-                "v3 columnar trace file (the v1 monolithic-JSON format is "
-                "no longer read; re-record the trace)"
-            )
-
-    @property
-    def lines_skipped(self) -> int:
-        """Undecodable lines (v2) or frame events (v3) skipped so far,
-        cumulative across passes (lenient mode only)."""
-        if self._v3 is not None:
-            return self._v3.lines_skipped
-        return self._lines_skipped
-
-    @property
-    def stamped_lines_skipped(self) -> int:
-        """Of :attr:`lines_skipped`, the v2 lines a shard-filtered pass
-        (``jobs > 1``) decoded only because their ``"sk"`` stamp routed
-        them to its shard, so no other shard's pass read them.  Every
-        shard's pass decodes the other skipped lines (and, on v3, every
-        event), which is why
-        :func:`~repro.checker.sharded.check_sharded` counts those on
-        shard 0 alone."""
-        return 0 if self._v3 is not None else self._stamped_skipped
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _open_stream(self, binary: bool = False):
+    def _open_stream(self, binary: bool = True):
         """Open (and track) one streaming pass over the file."""
         if self._closed:
-            raise TraceError(f"TraceReader for {self.path!r} is closed")
+            raise TraceError(f"{type(self).__name__} for {self.path!r} is closed")
         if binary:
             handle = open(self.path, "rb")
         else:
@@ -640,8 +625,6 @@ class TraceReader:
         them deterministically.  Further passes raise :class:`TraceError`.
         """
         self._closed = True
-        if self._v3 is not None:
-            self._v3.close()
         for handle in list(self._live_handles):
             self._release(handle)
 
@@ -656,6 +639,93 @@ class TraceReader:
         self.close()
 
     # -- streaming views ---------------------------------------------------
+
+    def events(self) -> Iterator[object]:
+        """Yield every event in file order (a fresh pass per call)."""
+        raise NotImplementedError
+
+    def _select(
+        self, shard: Optional[int], jobs: Optional[int], ends: bool
+    ) -> Iterator[object]:
+        """The memory events (with *ends*, and the task ends) in file
+        order; at ``jobs > 1`` only *shard*'s accesses."""
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator[object]:
+        return self.events()
+
+    def memory_events(
+        self, shard: Optional[int] = None, jobs: Optional[int] = None
+    ) -> Iterator[MemoryEvent]:
+        """Yield just the memory accesses, in file order.
+
+        With ``shard``/``jobs``, yield only events whose location falls in
+        that shard (``location_shard_key(location) % jobs == shard``),
+        filtered without decoding what is dropped: v2 reads each raw
+        line's ``"sk"`` stamp, v3 the footer's per-location keys.
+        """
+        return self._select(shard, jobs, ends=False)
+
+    def checking_events(
+        self, shard: Optional[int] = None, jobs: Optional[int] = None
+    ) -> Iterator[object]:
+        """Yield what an offline check replays, in file order: the memory
+        accesses (one shard's worth with ``shard``/``jobs``, filtered as
+        in :meth:`memory_events`) and every task end.  A task end carries
+        no location, so every shard gets it."""
+        return self._select(shard, jobs, ends=True)
+
+    def read(self) -> Trace:
+        """Materialize the full :class:`Trace` (events + DPST) in memory."""
+        return Trace(list(self.events()), dpst=self.dpst)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return f"<{type(self).__name__} {self.path!r} v{self.version}>"
+
+
+class JsonlTraceReader(TraceReader):
+    """Streaming reader over one v2 JSONL trace file.
+
+    Construction parses only the header line.  A file that is not v2 --
+    including the retired v1 monolithic JSON -- raises a
+    :class:`TraceError` naming the path.
+    """
+
+    version = JSONL_VERSION
+
+    def __init__(self, path: str, strict: bool = True) -> None:
+        super().__init__(path, strict)
+        if not is_jsonl_trace(self.path):
+            # Empty files, truncated headers, binary garbage and v1
+            # monolithic JSON alike: a TraceError with the path, never a
+            # bare json.JSONDecodeError.
+            if not os.path.isfile(self.path):
+                raise TraceError(f"no trace file at {self.path!r}")
+            raise TraceError(
+                f"cannot parse {self.path!r} as a trace: not a v2 JSONL or "
+                "v3 columnar trace file (the v1 monolithic-JSON format is "
+                "no longer read; re-record the trace)"
+            )
+        # Binary: a text handle would decode a whole chunk past the
+        # header line, and fail on a bad byte in an event line.
+        with open(self.path, "rb") as handle:
+            first = handle.readline()
+        try:
+            header = json.loads(first)
+        except (ValueError, RecursionError) as exc:
+            raise TraceError(
+                f"cannot parse trace header of {self.path!r}: {exc}"
+            ) from exc
+        if (
+            header.get("format") != JSONL_FORMAT
+            or header.get("version") != JSONL_VERSION
+        ):
+            raise TraceError(
+                f"unsupported trace header in {self.path!r}: {header!r}"
+            )
+        self.dpst = _header_dpst(header.get("dpst"), self.path)
+        #: Steps must lie in ``[0, _nodes)``; ``None``: no DPST, no bound.
+        self._nodes = None if self.dpst is None else len(self.dpst)
 
     def _decode_line(self, line) -> Optional[object]:
         """The event on one line, or ``None`` for a blank or skipped line.
@@ -722,7 +792,7 @@ class TraceReader:
         except (ValueError, TypeError, KeyError, RecursionError, TraceError) as exc:
             if self.strict:
                 raise self._undecodable(exc) from exc
-            self._lines_skipped += 1
+            self.lines_skipped += 1
             return None
 
     def _misstamped(self, event: MemoryEvent, stamp: int) -> None:
@@ -730,16 +800,16 @@ class TraceReader:
         shard key (strict), or count it as a skipped line (lenient).
 
         Besides a damaged line, this is how a file from a writer that
-        keyed a namedtuple or ``IntEnum`` location on its own ``repr``
-        reads; such a file still checks at ``jobs=1``, which reads no
-        stamps."""
+        keyed a namedtuple, ``IntEnum``, bool or integral-float location
+        on its own ``repr`` reads; such a file still checks at
+        ``jobs=1``, which reads no stamps."""
         if self.strict:
             raise TraceError(
                 f"undecodable event line in {self.path!r}: shard stamp "
                 f"{stamp} is not the key of location {event.location!r} "
                 "(--jobs 1 reads no stamps)"
             )
-        self._lines_skipped += 1
+        self.lines_skipped += 1
 
     def _undecodable(self, exc: BaseException) -> TraceError:
         """The strict reader's error for a line it cannot decode."""
@@ -763,11 +833,6 @@ class TraceReader:
 
     def events(self) -> Iterator[object]:
         """Yield every event in file order (a fresh pass per call)."""
-        if self._closed:
-            raise TraceError(f"TraceReader for {self.path!r} is closed")
-        if self._v3 is not None:
-            yield from self._v3.events()
-            return
         decode = self._decode_line
         with self._event_lines() as lines:
             for line in lines:
@@ -775,49 +840,18 @@ class TraceReader:
                 if event is not None:
                     yield event
 
-    def __iter__(self) -> Iterator[object]:
-        return self.events()
-
-    def memory_events(
-        self, shard: Optional[int] = None, jobs: Optional[int] = None
-    ) -> Iterator[MemoryEvent]:
-        """Yield just the memory accesses, in file order.
-
-        With ``shard``/``jobs``, yield only events whose location falls in
-        that shard (``location_shard_key(location) % jobs == shard``).  On
-        v2 files the filter reads the ``"sk"`` stamp off each raw line's
-        tail, so foreign-shard lines are skipped *without* JSON decoding --
-        this is what lets N streaming workers split the parse cost of one
-        file instead of each paying it in full.  Lines without a stamp
-        (externally produced v2 files) fall back to decode-then-filter,
-        so the result is identical either way.  A kept access whose stamp
-        is not its location's key is refused (strict) or counted in
-        :attr:`stamped_lines_skipped` (lenient).  On v3 files the filter
-        runs over the columnar frames directly (see
-        :meth:`repro.trace.columnar.ColumnarTraceReader.memory_events`).
-        """
-        return self._select(shard, jobs, ends=False)
-
-    def checking_events(
-        self, shard: Optional[int] = None, jobs: Optional[int] = None
-    ) -> Iterator[object]:
-        """Yield what an offline check replays, in file order: the memory
-        accesses (one shard's worth with ``shard``/``jobs``, filtered as
-        in :meth:`memory_events`) and every task end.  A task end carries
-        no location, so every shard gets it."""
-        return self._select(shard, jobs, ends=True)
-
     def _select(
         self, shard: Optional[int], jobs: Optional[int], ends: bool
     ) -> Iterator[object]:
-        """The memory events (and with *ends*, the task ends),
-        shard-filtered, in one loop over the file's lines."""
-        if self._closed:
-            raise TraceError(f"TraceReader for {self.path!r} is closed")
-        if self._v3 is not None:
-            view = self._v3.checking_events if ends else self._v3.memory_events
-            yield from view(shard=shard, jobs=jobs)
-            return
+        """One loop over the file's lines.
+
+        At ``jobs > 1`` foreign-shard lines are dropped by their ``"sk"``
+        stamp *without* JSON decoding, so N streaming workers split the
+        parse cost of one file.  Unstamped lines (externally produced
+        files) are decoded, then routed by location.  A kept access whose
+        stamp is not its location's key is refused (strict) or counted in
+        :attr:`stamped_lines_skipped` (lenient).
+        """
         kinds = _CHECKING_KINDS if ends else _MEMORY_KINDS
         decode = self._decode_line
         if shard is None or jobs is None or jobs <= 1:
@@ -856,18 +890,9 @@ class TraceReader:
                     if event is None:
                         # Skipped (a stamped line is never blank), and
                         # decoded by no other shard.
-                        self._stamped_skipped += 1
+                        self.stamped_lines_skipped += 1
                     elif event.__class__ in kinds:
                         yield event
-
-    def read(self) -> Trace:
-        """Materialize the full :class:`Trace` (events + DPST) in memory."""
-        if self._v3 is not None:
-            return self._v3.read()
-        return Trace(list(self.events()), dpst=self.dpst)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<TraceReader {self.path!r} v{self.version}>"
 
 
 #: Sniff window for format detection: enough for any realistic first line
@@ -925,13 +950,21 @@ def is_jsonl_trace(path: str) -> bool:
 
 
 def open_trace(path: str, strict: bool = True) -> TraceReader:
-    """Open *path* (either format) as a streaming :class:`TraceReader`.
+    """Open *path* as a streaming :class:`TraceReader` of its format: a
+    :class:`~repro.trace.columnar.ColumnarTraceReader` for a file that
+    starts with the v3 magic, a :class:`JsonlTraceReader` for anything
+    else (which refuses a file that is not v2).  The file's extension
+    does not matter.
 
-    ``strict=False`` turns on lenient ingestion: undecodable JSONL event
-    lines are counted on ``reader.lines_skipped`` and skipped instead of
-    raising mid-stream.
+    ``strict=False`` turns on lenient ingestion: undecodable events are
+    counted on ``reader.lines_skipped`` and skipped instead of raising
+    mid-stream.
     """
-    return TraceReader(path, strict=strict)
+    # Imported here: columnar.py builds on this module's primitives.
+    from repro.trace.columnar import ColumnarTraceReader, is_columnar_trace
+
+    reader = ColumnarTraceReader if is_columnar_trace(path) else JsonlTraceReader
+    return reader(path, strict=strict)
 
 
 def dump_trace_jsonl(
@@ -972,4 +1005,5 @@ def dump_trace(trace: Trace, path: str, format: str = "auto") -> None:
 
 def load_trace(path: str) -> Trace:
     """Read a trace previously written by :func:`dump_trace` (either format)."""
-    return TraceReader(path).read()
+    with open_trace(path) as reader:
+        return reader.read()

@@ -16,23 +16,10 @@ from repro.runtime.events import (
     AcquireEvent,
     MemoryEvent,
     ReleaseEvent,
-    SyncEvent,
-    TaskBeginEvent,
-    TaskEndEvent,
     TaskSpawnEvent,
 )
 
 Location = Hashable
-
-_EVENT_TYPES = (
-    TaskSpawnEvent,
-    TaskBeginEvent,
-    TaskEndEvent,
-    SyncEvent,
-    MemoryEvent,
-    AcquireEvent,
-    ReleaseEvent,
-)
 
 
 class Trace:

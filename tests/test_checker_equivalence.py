@@ -19,26 +19,31 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.checker import BasicAtomicityChecker, OptAtomicityChecker
+from repro.fuzz.generate import FuzzConfig, ProgramGenerator
 from repro.report import normalize_locations, normalize_report, normalized_locations
 from repro.runtime import RandomOrderExecutor, SerialExecutor, run_program
 from repro.trace.explore import (
     analytic_violation_locations,
     explore_violation_locations,
 )
-from repro.trace.generator import GeneratorConfig, TraceGenerator
 from repro.trace.replay import replay_trace
 
-SMALL = GeneratorConfig(
-    tasks=3, accesses_per_task=3, locations=2, locks=1, consistent_locking=True
+SMALL = FuzzConfig(
+    tasks=3, accesses_per_task=3, locations=2, locks=1, consistent_locking=True,
+    depth=2, lock_density=0.5, finish_probability=0.2, template_probability=0.0,
 )
-LOCKFREE = GeneratorConfig(tasks=3, accesses_per_task=3, locations=1, locks=0)
-WIDE = GeneratorConfig(
-    tasks=4, accesses_per_task=2, locations=3, locks=2, consistent_locking=True
+LOCKFREE = FuzzConfig(
+    tasks=3, accesses_per_task=3, locations=1, locks=0,
+    depth=2, lock_density=0.5, finish_probability=0.2, template_probability=0.0,
+)
+WIDE = FuzzConfig(
+    tasks=4, accesses_per_task=2, locations=3, locks=2, consistent_locking=True,
+    depth=2, lock_density=0.5, finish_probability=0.2, template_probability=0.0,
 )
 
 
 def trace_for(config, seed):
-    return TraceGenerator(config).generate_trace(seed=seed)
+    return ProgramGenerator(config).generate_trace(seed=seed)
 
 
 def checker_locations(trace, checker):
@@ -111,7 +116,7 @@ def test_verdict_schedule_insensitive(seed):
     seed 155 doing exactly that), so for it we assert only that every
     schedule's verdict is a subset of the complete one.
     """
-    generator = TraceGenerator(SMALL)
+    generator = ProgramGenerator(SMALL)
     program = generator.generate_program(seed=seed)
     thorough_verdicts = []
     for executor in (

@@ -37,7 +37,6 @@ from repro.trace.columnar import (
 )
 from repro.trace.serialize import (
     LocationTable,
-    TraceReader,
     encode_location,
     plain_location,
     dump_trace,
@@ -526,7 +525,7 @@ class TestSniffing:
         path = str(tmp_path / "mislabeled.jsonl")
         dump_trace(trace, path, format="columnar")
         assert is_columnar_trace(path)
-        assert TraceReader(path).version == 3
+        assert open_trace(path).version == 3
 
     def test_trc_extension_selects_columnar_automatically(self, trace, tmp_path):
         path = str(tmp_path / "t.trc")
@@ -535,12 +534,12 @@ class TestSniffing:
 
 
 class TestFrontDoor:
-    """v3 files flow through the same TraceReader facade as v1/v2."""
+    """v3 files flow through the same TraceReader views as v2."""
 
     def test_reader_delegates(self, trace, tmp_path):
         path = str(tmp_path / "t.trc")
         dump_trace_columnar(trace, path)
-        reader = TraceReader(path)
+        reader = open_trace(path)
         assert reader.version == 3
         assert len(reader.dpst) == len(trace.dpst)
         assert len(reader.read()) == len(trace)

@@ -21,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,60 @@ class TestSubclassLocations:
         assert len(serial[0]) == 3
         for jobs in (2, 3, 4):
             assert normalize_report(CheckSession(program, jobs=jobs).check()) == serial
+
+
+def mixed_types(ctx):
+    """Two parallel read-modify-writes of one location spelled ``1``,
+    ``1.0`` and ``True``: one RWW violation on ``1``."""
+
+    def rmw(read_at, write_at):
+        def body(inner):
+            inner.write(write_at, (inner.read(read_at) or 0) + 1)
+
+        return body
+
+    ctx.spawn(rmw(1, 1.0))
+    ctx.spawn(rmw(True, 1))
+    ctx.sync()
+
+
+class TestMixedTypeLocations:
+    """``1``, ``1.0`` and ``True`` are one location to the shadow memory
+    and every checker, so they share a shard key.  Keyed on their own
+    ``repr``, they split across shards: ``jobs`` 3 and 4 printed no
+    violations where ``jobs`` 1 and 2 report the triple."""
+
+    @pytest.mark.parametrize("source", ["v2", "v3", "in-memory"])
+    def test_one_verdict_at_every_job_count(self, tmp_path, source):
+        trace = run_program(TaskProgram(mixed_types), record_trace=True).trace
+        if source != "in-memory":
+            path = str(tmp_path / FORMATS[source])
+            dump_trace(trace, path)
+            trace = path
+        reports = [CheckSession(trace, jobs=jobs).check() for jobs in (1, 2, 3, 4)]
+        assert reports[0].patterns() == ["RWW"]
+        assert [repr(loc) for loc in reports[0].locations()] == ["1"]
+        for report in reports[1:]:
+            assert report.describe() == reports[0].describe()
+
+    def test_earlier_writers_stamp_is_refused_above_one_job(self, tmp_path):
+        # Earlier writers stamped 1.0 and True with the CRC of their own
+        # repr, so the shard each stamp names is no longer theirs.
+        path = tmp_path / "t.jsonl"
+        trace = run_program(TaskProgram(mixed_types), record_trace=True).trace
+        dump_trace(trace, str(path))
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        for index, line in enumerate(lines):
+            row = json.loads(line)
+            if row["type"] == "MemoryEvent":
+                location = serialize.decode_location(row["location"])
+                row["sk"] = zlib.crc32(repr(location).encode("utf-8"))
+                lines[index] = json.dumps(row)
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        assert CheckSession(str(path)).check().patterns() == ["RWW"]
+        with pytest.raises(TraceError, match="shard stamp"):
+            for shard in range(2):
+                list(open_trace(str(path)).checking_events(shard=shard, jobs=2))
 
 
 class TestUnplaceableAccess:

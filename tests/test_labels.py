@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.checker import OptAtomicityChecker
 from repro.dpst import ArrayDPST, LCAEngine, NodeKind, ROOT_ID, relation
 from repro.dpst.labels import LabelEngine, compute_label, labels_parallel
+from repro.fuzz.generate import FuzzConfig, ProgramGenerator
 from repro.runtime import TaskProgram, run_program
-from repro.trace.generator import GeneratorConfig, TraceGenerator
 
 from tests.conftest import build_figure2
 from tests.test_dpst_property import insertion_scripts, replay
@@ -114,8 +114,12 @@ class TestCheckerUnderLabelEngine:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_same_verdicts_as_lca_on_generated_programs(self, seed):
-        generator = TraceGenerator(
-            GeneratorConfig(tasks=4, accesses_per_task=3, locations=2, locks=1)
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=4, accesses_per_task=3, locations=2, locks=1, depth=2,
+                lock_density=0.5, finish_probability=0.2,
+                template_probability=0.0,
+            )
         )
         program = generator.generate_program(seed=seed)
         with_lca = OptAtomicityChecker(mode="thorough")

@@ -17,20 +17,21 @@ from collections import defaultdict
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.fuzz.generate import FuzzConfig, ProgramGenerator
 from repro.runtime import (
     RandomOrderExecutor,
     SerialExecutor,
     run_program,
 )
-from repro.trace.generator import GeneratorConfig, TraceGenerator
 
-CONFIG = GeneratorConfig(
-    tasks=5, accesses_per_task=4, locations=3, locks=2, max_depth=3, seed=0
+CONFIG = FuzzConfig(
+    tasks=5, accesses_per_task=4, locations=3, locks=2, depth=3,
+    lock_density=0.5, finish_probability=0.2, template_probability=0.0, seed=0,
 )
 
 
 def generated(seed):
-    return TraceGenerator(CONFIG).generate_program(seed=seed)
+    return ProgramGenerator(CONFIG).generate_program(seed=seed)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -1,6 +1,7 @@
 """Trace serialization round-trips and format guards."""
 
 import json
+import os
 
 import pytest
 
@@ -8,8 +9,12 @@ from repro.checker import OptAtomicityChecker
 from repro.dpst import ArrayDPST, NodeKind
 from repro.errors import TraceError
 from repro.runtime import TaskProgram, run_program
+from repro.trace.columnar import ColumnarTraceReader, ColumnarTraceWriter
 from repro.trace.replay import replay_trace
 from repro.trace.serialize import (
+    JsonlTraceReader,
+    TraceReader,
+    TraceWriter,
     decode_location,
     dpst_from_dict,
     dpst_to_dict,
@@ -18,6 +23,7 @@ from repro.trace.serialize import (
     event_from_dict,
     event_to_dict,
     load_trace,
+    open_trace,
 )
 
 #: The retired v1 monolithic-JSON layout, which readers now refuse.
@@ -158,3 +164,59 @@ class TestTraceRoundtrip:
         path.write_text(V1_TRACE)
         with pytest.raises(TraceError, match="old.json"):
             load_trace(str(path))
+
+
+class TestReaderClasses:
+    """One reader class per format under one :class:`TraceReader` base,
+    and one crash-safe publication for both writers."""
+
+    @pytest.mark.parametrize(
+        "fmt, reader_class, writer_class",
+        [
+            ("jsonl", JsonlTraceReader, TraceWriter),
+            ("columnar", ColumnarTraceReader, ColumnarTraceWriter),
+        ],
+        ids=["v2", "v3"],
+    )
+    def test_one_lifecycle_for_both_formats(
+        self, tmp_path, fmt, reader_class, writer_class
+    ):
+        trace = recorded_run().trace
+        # open_trace picks the class from the file, whatever its name.
+        for name in ("t.jsonl", "t.trc", "t.dat"):
+            path = str(tmp_path / name)
+            dump_trace(trace, path, format=fmt)
+            reader = open_trace(path)
+            assert type(reader) is reader_class
+            assert isinstance(reader, TraceReader)
+        # close() releases the handle of an abandoned pass ...
+        abandoned = reader.events()
+        next(abandoned)
+        (handle,) = reader._live_handles
+        reader.close()
+        assert handle.closed and not reader._live_handles
+        # ... and a pass started after it raises.
+        for view in (
+            reader.events,
+            reader.memory_events,
+            reader.checking_events,
+            lambda: reader.checking_events(shard=1, jobs=2),
+        ):
+            with pytest.raises(TraceError, match="closed"):
+                next(view())
+        # A writer whose with body raises leaves neither the file nor a
+        # temporary sibling.
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(RuntimeError):
+            with writer_class(str(out / "t"), dpst=trace.dpst) as writer:
+                writer.write_all(trace.events)
+                assert os.listdir(out)
+                raise RuntimeError("recording failed")
+        assert os.listdir(out) == []
+
+    def test_base_class_names_open_trace(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        dump_trace(recorded_run().trace, path)
+        with pytest.raises(TypeError, match=r"open_trace\(path"):
+            TraceReader(path)

@@ -8,7 +8,7 @@ from repro.errors import TraceError
 from repro.runtime import TaskProgram, run_program
 from repro.runtime.events import MemoryEvent
 from repro.trace.serialize import (
-    TraceReader,
+    LocationTable,
     TraceWriter,
     decode_location,
     dump_trace,
@@ -197,7 +197,7 @@ class TestFormatSelection:
         path = str(tmp_path / "mislabeled.json")
         dump_trace(trace, path, format="jsonl")
         assert is_jsonl_trace(path)
-        assert TraceReader(path).version == 2
+        assert open_trace(path).version == 2
         assert len(load_trace(path)) == len(trace)
 
     def test_explicit_format_override(self, trace, tmp_path):
@@ -456,7 +456,7 @@ class TestUnparsableFiles:
         path = tmp_path / name
         path.write_bytes(content)
         with pytest.raises(TraceError) as err:
-            TraceReader(str(path))
+            open_trace(str(path))
         assert name in str(err.value)
 
     def test_load_trace_wraps_too(self, tmp_path):
@@ -470,7 +470,7 @@ class TestUnparsableFiles:
         path = tmp_path / "torn.jsonl"
         path.write_text('{"format": "repro-trace", "version": 2, "dp')
         with pytest.raises(TraceError) as err:
-            TraceReader(str(path))
+            open_trace(str(path))
         assert "torn.jsonl" in str(err.value)
 
 
@@ -545,18 +545,33 @@ class TestLocationRoundTrip:
         assert repr(decoded) == repr(location)  # type-exact, not just ==
 
     def test_shard_key_is_repr_stable(self):
+        # The CRC-32 of the repr of the key value, in which a bool or an
+        # integral float is its int, inside tuples too.
         import zlib as _zlib
 
+        key_values = {
+            "1.0": 1, "True": 1, "False": 0,
+            repr(("f", 0.25, None, False)): ("f", 0.25, None, 0),
+        }
         for location in self.VOCABULARY:
+            value = key_values.get(repr(location), location)
             assert location_shard_key(location) == _zlib.crc32(
-                repr(location).encode("utf-8")
+                repr(value).encode("utf-8")
             )
 
     def test_colliding_locations_get_distinct_keys(self):
-        # 1 == 1.0 == True under Python equality; the shard key (and the
-        # columnar interner) must still tell them apart.
-        keys = {location_shard_key(loc) for loc in (1, 1.0, True)}
-        assert len(keys) == 3
+        # 1 == 1.0 == True under Python equality: one location to the
+        # shadow memory and every checker, so one shard key.  The
+        # interner still keys them apart, so each round-trips as itself.
+        table = LocationTable()
+        assert [table.index(loc) for loc in (1, 1.0, True)] == [0, 1, 2]
+        assert len(set(table.shard_keys)) == 1
+        assert {location_shard_key(loc) for loc in (1, 1.0, True)} == set(
+            table.shard_keys
+        )
+        assert location_shard_key((1, ("a", 2.0))) == location_shard_key(
+            (True, ("a", 2))
+        )
 
     def test_shard_key_agrees_across_formats(self, trace, tmp_path):
         # The stamped "sk" value in v2 files is exactly location_shard_key.

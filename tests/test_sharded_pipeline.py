@@ -13,12 +13,12 @@ import pytest
 from repro.checker import OptAtomicityChecker, make_checker
 from repro.checker.sharded import check_sharded, shard_for_location
 from repro.errors import CheckerError, TraceError
+from repro.fuzz.generate import FuzzConfig, ProgramGenerator
 from repro.obs import MetricsRecorder
 from repro.report import ViolationReport
 from repro.runtime import TaskProgram, run_program
 from repro.runtime.events import MemoryEvent, TaskEndEvent
 from repro.suite import all_cases
-from repro.trace import GeneratorConfig, TraceGenerator
 from repro.trace.replay import events_to_replay
 from repro.trace.serialize import dump_trace_jsonl
 
@@ -48,7 +48,12 @@ class TestShardFunction:
 
     def test_partition_preserves_order_and_events(self):
         """Each shard replays its own accesses and every task end."""
-        trace = TraceGenerator(GeneratorConfig(tasks=6, locations=4, seed=3)).generate_trace()
+        trace = ProgramGenerator(
+            FuzzConfig(
+                tasks=6, locations=4, depth=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0, seed=3,
+            )
+        ).generate_trace()
         checker = OptAtomicityChecker()
         streams = [list(events_to_replay(trace, checker, k, 4)) for k in range(4)]
         shards = [
@@ -91,15 +96,28 @@ class TestSuiteEquivalence:
 
 
 FUZZ_CONFIGS = [
-    GeneratorConfig(tasks=6, accesses_per_task=5, locations=3, seed=seed)
+    FuzzConfig(
+        tasks=6,
+        accesses_per_task=5,
+        locations=3,
+        depth=2,
+        locks=0,
+        lock_density=0.5,
+        finish_probability=0.2,
+        template_probability=0.0,
+        seed=seed,
+    )
     for seed in range(4)
 ] + [
-    GeneratorConfig(
+    FuzzConfig(
         tasks=8,
         accesses_per_task=6,
         locations=5,
         locks=2,
-        max_depth=3,
+        depth=3,
+        lock_density=0.5,
+        finish_probability=0.2,
+        template_probability=0.0,
         seed=seed,
     )
     for seed in (11, 12)
@@ -113,14 +131,14 @@ class TestFuzzEquivalence:
     """Seeded generator corpus: same verdict sharded and unsharded."""
 
     def test_in_memory_sharding(self, config):
-        program = TraceGenerator(config).generate_program()
+        program = ProgramGenerator(config).generate_program()
         live_report, trace = record(program)
         for jobs in (1, 4):
             sharded = check_sharded(trace, checker="optimized", jobs=jobs)
             assert violation_keys(sharded) == violation_keys(live_report)
 
     def test_file_streamed_sharding(self, config, tmp_path):
-        program = TraceGenerator(config).generate_program()
+        program = ProgramGenerator(config).generate_program()
         live_report, trace = record(program)
         path = str(tmp_path / "trace.jsonl")
         dump_trace_jsonl(trace, path)
@@ -205,18 +223,33 @@ class TestDriverContract:
         assert recorder.snapshot().counters["sharded.workers"] == 1
 
     def test_trace_order_sensitive_checker_refused(self):
-        trace = TraceGenerator(GeneratorConfig(seed=5)).generate_trace()
+        trace = ProgramGenerator(
+            FuzzConfig(
+                tasks=4, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0, seed=5,
+            )
+        ).generate_trace()
         with pytest.raises(CheckerError):
             check_sharded(trace, checker="velodrome", jobs=2)
 
     def test_velodrome_allowed_in_process(self):
-        trace = TraceGenerator(GeneratorConfig(seed=5)).generate_trace()
+        trace = ProgramGenerator(
+            FuzzConfig(
+                tasks=4, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0, seed=5,
+            )
+        ).generate_trace()
         report = check_sharded(trace, checker="velodrome", jobs=1)
         assert isinstance(report, ViolationReport)
 
     def test_checker_instance_and_class_specs(self):
         _, trace = record(
-            TraceGenerator(GeneratorConfig(tasks=5, seed=7)).generate_program()
+            ProgramGenerator(
+                FuzzConfig(
+                    tasks=5, depth=2, locations=2, locks=0, lock_density=0.5,
+                    finish_probability=0.2, template_probability=0.0, seed=7,
+                )
+            ).generate_program()
         )
         by_name = check_sharded(trace, checker="optimized", jobs=2)
         by_class = check_sharded(trace, checker=OptAtomicityChecker, jobs=2)
@@ -227,7 +260,12 @@ class TestDriverContract:
         assert violation_keys(by_instance) >= violation_keys(by_name)
 
     def test_bad_jobs_rejected(self):
-        trace = TraceGenerator(GeneratorConfig(seed=1)).generate_trace()
+        trace = ProgramGenerator(
+            FuzzConfig(
+                tasks=4, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0, seed=1,
+            )
+        ).generate_trace()
         with pytest.raises(TraceError):
             check_sharded(trace, jobs=0)
 
@@ -237,7 +275,12 @@ class TestDriverContract:
 
     def test_merge_classmethod_dedupes_and_sums_raw_count(self):
         _, trace = record(
-            TraceGenerator(GeneratorConfig(tasks=5, seed=9)).generate_program()
+            ProgramGenerator(
+                FuzzConfig(
+                    tasks=5, depth=2, locations=2, locks=0, lock_density=0.5,
+                    finish_probability=0.2, template_probability=0.0, seed=9,
+                )
+            ).generate_program()
         )
         report = check_sharded(trace, jobs=1)
         merged = ViolationReport.merge([report, report])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fuzz.generate import FuzzConfig, ProgramGenerator, program_from_spec
 from repro.report import READ, WRITE
 from repro.runtime import TaskProgram, run_program
 from repro.static import (
@@ -11,7 +12,6 @@ from repro.static import (
     check_trace_coverage,
 )
 from repro.static.accesses import EXACT, PREFIX, UNKNOWN
-from repro.trace.generator import GeneratorConfig, TraceGenerator
 
 
 # -- module-level task bodies for the AST front end --------------------------
@@ -44,19 +44,26 @@ def _dynamic_everything(ctx, loc):
 
 class TestSpecFrontEnd:
     def test_exact_from_spec(self):
-        config = GeneratorConfig(tasks=3, accesses_per_task=3, locations=2, seed=4)
-        spec = TraceGenerator(config).generate_spec()
+        config = FuzzConfig(
+            tasks=3, accesses_per_task=3, locations=2, depth=2, locks=0,
+            lock_density=0.5, finish_probability=0.2, template_probability=0.0,
+            seed=4,
+        )
+        spec = ProgramGenerator(config).generate_spec()
         result = analyze_spec(spec)
         assert result.is_precise
         assert all(p.kind == EXACT for p in result.patterns)
 
     def test_spec_matches_trace_exactly(self):
         """Spec analysis + generated trace: full coverage, no surprises."""
-        config = GeneratorConfig(tasks=3, accesses_per_task=3, locations=2, seed=4)
-        generator = TraceGenerator(config)
-        spec = generator.generate_spec(seed=9)
+        config = FuzzConfig(
+            tasks=3, accesses_per_task=3, locations=2, depth=2, locks=0,
+            lock_density=0.5, finish_probability=0.2, template_probability=0.0,
+            seed=4,
+        )
+        spec = ProgramGenerator(config).generate_spec(seed=9)
         static = analyze_spec(spec)
-        program = generator.program_from_spec(spec)
+        program = program_from_spec(spec)
         trace = run_program(program, record_trace=True).trace
         report = check_trace_coverage(static, trace)
         assert report.complete, report.describe()

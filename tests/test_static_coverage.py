@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import suite, workloads
+from repro.fuzz.generate import FuzzConfig, ProgramGenerator
 from repro.report import WRITE
 from repro.runtime import TaskProgram, parallel_reduce, run_program
 from repro.static import (
@@ -25,7 +26,6 @@ from repro.static import (
 )
 from repro.static.accesses import EXACT, PREFIX
 from repro.static.diagnostics import CTX_ESCAPE, INFO, WARNING
-from repro.trace.generator import GeneratorConfig, TraceGenerator
 
 
 def _trace_of(body):
@@ -207,8 +207,12 @@ class TestSkeletonProjection:
 
     def test_json_round_tripped_spec(self):
         """JSON turns tuple locations into lists; the projection re-tuples them."""
-        config = GeneratorConfig(tasks=3, accesses_per_task=3, locations=2, seed=4)
-        spec = TraceGenerator(config).generate_spec()
+        config = FuzzConfig(
+            tasks=3, accesses_per_task=3, locations=2, depth=2, locks=0,
+            lock_density=0.5, finish_probability=0.2, template_probability=0.0,
+            seed=4,
+        )
+        spec = ProgramGenerator(config).generate_spec()
         assert any(isinstance(p.location, tuple) for p in analyze_spec(spec).patterns)
         round_tripped = analyze_spec(json.loads(json.dumps(spec)))
         assert round_tripped.patterns == analyze_spec(spec).patterns

@@ -3,30 +3,48 @@
 The paper's claim for this tool: "Our prototype successfully detects all
 atomicity violations for a given input by examining one execution trace."
 `test_one_trace_suffices` is that claim, verified against the exhaustive
-interleaving explorer.
+interleaving explorer.  The generator is
+:class:`repro.fuzz.generate.ProgramGenerator`; every config here sets
+``template_probability=0.0``, so programs are built from single accesses,
+spawns, syncs and finish scopes only.
 """
 
 import pytest
 
 from repro.checker import OptAtomicityChecker
+from repro.fuzz.generate import FuzzConfig, ProgramGenerator, program_from_spec
 from repro.runtime import SerialExecutor, run_program
 from repro.trace.explore import explore_violation_locations
-from repro.trace.generator import GeneratorConfig, TraceGenerator
 from repro.trace.replay import replay_trace
 
 
 class TestDeterminism:
     def test_same_seed_same_spec(self):
-        generator = TraceGenerator(GeneratorConfig(tasks=4, seed=11))
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=4, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0, seed=11,
+            )
+        )
         assert generator.generate_spec() == generator.generate_spec()
 
     def test_different_seeds_differ_somewhere(self):
-        generator = TraceGenerator(GeneratorConfig(tasks=4))
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=4, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0,
+            )
+        )
         specs = {generator.generate_spec(seed) for seed in range(10)}
         assert len(specs) > 1
 
     def test_same_seed_same_trace(self):
-        generator = TraceGenerator(GeneratorConfig(tasks=3, seed=5))
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=3, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0, seed=5,
+            )
+        )
         first = generator.generate_trace()
         second = generator.generate_trace()
         assert [e.seq for e in first.memory_events()] == [
@@ -39,15 +57,18 @@ class TestDeterminism:
     def test_same_seed_identical_traces_field_for_field(self):
         """Regression: all randomness flows through the injected rng.
 
-        An audit (2026-08) found no unseeded ``random.*`` usage in
-        ``repro.suite`` or ``repro.trace.generator``; this pins that down
-        by requiring two same-seed generate+record runs to produce
-        *identical* event streams -- every field, locksets included --
-        not just matching locations.
+        Two same-seed generate+record runs must produce *identical* event
+        streams -- every field, locksets included -- not just matching
+        locations.
         """
         events = []
         for _ in range(2):
-            generator = TraceGenerator(GeneratorConfig(tasks=5, seed=23))
+            generator = ProgramGenerator(
+                FuzzConfig(
+                    tasks=5, depth=2, locations=2, locks=0, lock_density=0.5,
+                    finish_probability=0.2, template_probability=0.0, seed=23,
+                )
+            )
             trace = generator.generate_trace()
             events.append(
                 [
@@ -61,17 +82,21 @@ class TestDeterminism:
     def test_same_seed_identical_traces_under_random_executor(self):
         from repro.runtime import RandomOrderExecutor
 
-        generator = TraceGenerator(GeneratorConfig(tasks=5, seed=23))
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=5, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0, seed=23,
+            )
+        )
         streams = []
         for _ in range(2):
-            program = generator.generate_program(seed=23)
-            result = run_program(
-                program, executor=RandomOrderExecutor(seed=99), record_trace=True
+            trace = generator.generate_trace(
+                seed=23, executor=RandomOrderExecutor(seed=99)
             )
             streams.append(
                 [
                     (e.seq, e.task, e.location, e.access_type, e.lockset)
-                    for e in result.trace.memory_events()
+                    for e in trace.memory_events()
                 ]
             )
         assert streams[0] == streams[1]
@@ -79,23 +104,35 @@ class TestDeterminism:
 
 class TestShapeControls:
     def test_task_budget_respected(self):
-        config = GeneratorConfig(tasks=5, max_depth=3)
-        generator = TraceGenerator(config)
+        config = FuzzConfig(
+            tasks=5, depth=3, locations=2, locks=0, lock_density=0.5,
+            finish_probability=0.2, template_probability=0.0,
+        )
+        generator = ProgramGenerator(config)
         for seed in range(10):
             trace = generator.generate_trace(seed=seed)
             # root task + at most `tasks` spawned tasks
             assert len(trace.task_ids()) <= config.tasks + 1
 
     def test_locations_drawn_from_pool(self):
-        config = GeneratorConfig(tasks=3, locations=2)
-        generator = TraceGenerator(config)
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=3, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0,
+            )
+        )
         for seed in range(5):
             trace = generator.generate_trace(seed=seed)
             for event in trace.memory_events():
                 assert event.location in {("g", 0), ("g", 1)}
 
     def test_no_locks_when_disabled(self):
-        generator = TraceGenerator(GeneratorConfig(tasks=3, locks=0))
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=3, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0,
+            )
+        )
         for seed in range(5):
             trace = generator.generate_trace(seed=seed)
             for event in trace.memory_events():
@@ -103,11 +140,13 @@ class TestShapeControls:
 
     def test_consistent_locking_discipline(self):
         """Each location's accesses always hold the same base lock (or none)."""
-        config = GeneratorConfig(
-            tasks=4, locations=2, locks=2, lock_probability=1.0,
-            consistent_locking=True,
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=4, depth=2, locations=2, locks=2, lock_density=1.0,
+                finish_probability=0.2, template_probability=0.0,
+                consistent_locking=True,
+            )
         )
-        generator = TraceGenerator(config)
         for seed in range(8):
             trace = generator.generate_trace(seed=seed)
             lock_of = {}
@@ -117,19 +156,22 @@ class TestShapeControls:
                 assert previous == bases
 
     def test_write_probability_extremes(self):
-        reads_only = TraceGenerator(
-            GeneratorConfig(tasks=2, write_probability=0.0)
+        shape = dict(
+            tasks=2, depth=2, locations=2, locks=0, lock_density=0.5,
+            finish_probability=0.2, template_probability=0.0,
+        )
+        reads_only = ProgramGenerator(
+            FuzzConfig(write_probability=0.0, **shape)
         ).generate_trace(seed=1)
         assert all(e.is_read for e in reads_only.memory_events())
-        writes_only = TraceGenerator(
-            GeneratorConfig(tasks=2, write_probability=1.0)
+        writes_only = ProgramGenerator(
+            FuzzConfig(write_probability=1.0, **shape)
         ).generate_trace(seed=1)
         assert all(e.is_write for e in writes_only.memory_events())
 
     def test_invalid_root_spec_rejected(self):
-        generator = TraceGenerator()
         with pytest.raises(ValueError):
-            generator.program_from_spec(("access", ("g", 0), "read"))
+            program_from_spec(("access", ("g", 0), "read"))
 
 
 class TestOneTraceSuffices:
@@ -137,20 +179,25 @@ class TestOneTraceSuffices:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_one_trace_suffices(self, seed):
-        config = GeneratorConfig(
-            tasks=3, accesses_per_task=2, locations=1, locks=1,
-            consistent_locking=True, seed=0,
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=3, accesses_per_task=2, depth=2, locations=1, locks=1,
+                lock_density=0.5, finish_probability=0.2,
+                template_probability=0.0, consistent_locking=True, seed=0,
+            )
         )
-        generator = TraceGenerator(config)
         trace = generator.generate_trace(seed=seed)
-        if len(trace.memory_events()) > 8:
-            pytest.skip("enumeration too large for this seed")
         ground_truth = explore_violation_locations(trace, max_schedules=3_000)
         found = set(replay_trace(trace, OptAtomicityChecker()).locations())
         assert found == ground_truth
 
     def test_program_rerunnable_under_other_executor(self):
-        generator = TraceGenerator(GeneratorConfig(tasks=3, seed=2))
+        generator = ProgramGenerator(
+            FuzzConfig(
+                tasks=3, depth=2, locations=2, locks=0, lock_density=0.5,
+                finish_probability=0.2, template_probability=0.0, seed=2,
+            )
+        )
         program = generator.generate_program(seed=7)
         first = run_program(program, observers=[OptAtomicityChecker()])
         second = run_program(
