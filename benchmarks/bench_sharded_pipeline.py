@@ -1,6 +1,6 @@
 """BENCH-SHARD -- throughput of the location-sharded offline pipeline.
 
-Measures events-checked-per-second of :func:`repro.checker.sharded.check_sharded`
+Measures events-checked-per-second of ``CheckSession(path, jobs=N).check()``
 over a synthetic JSONL trace, in-process (``jobs=1``) versus sharded over
 worker processes (``jobs=2``, ``jobs=4``).  The optimized checker's state
 is per-location, so shards are embarrassingly parallel; on a multi-core
@@ -27,10 +27,10 @@ import time
 
 import pytest
 
-from repro.checker.sharded import check_sharded
 from repro.dpst import ArrayDPST, NodeKind, ROOT_ID
 from repro.report import READ, WRITE
 from repro.runtime.events import MemoryEvent
+from repro.session import CheckSession
 from repro.trace.serialize import dump_trace_jsonl
 from repro.trace.trace import Trace
 
@@ -91,7 +91,7 @@ def test_sharded_throughput(benchmark, trace_file, jobs):
     benchmark.extra_info["jobs"] = jobs
     benchmark.extra_info["events"] = BENCH_EVENTS
 
-    report = benchmark(lambda: check_sharded(trace_file, jobs=jobs))
+    report = benchmark(lambda: CheckSession(trace_file, jobs=jobs).check())
     benchmark.extra_info["violations"] = len(report)
 
 
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
         base = None
         for jobs in jobs_list:
             started = time.perf_counter()
-            report = check_sharded(path, jobs=jobs)
+            report = CheckSession(path, jobs=jobs).check()
             elapsed = time.perf_counter() - started
             base = elapsed if base is None else base
             rows.append(

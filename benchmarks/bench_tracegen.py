@@ -12,8 +12,8 @@ import pytest
 from repro.checker import OptAtomicityChecker
 from repro.fuzz.generate import FuzzConfig, ProgramGenerator
 from repro.runtime import run_program
+from repro.session import CheckSession
 from repro.trace.explore import explore_violation_locations
-from repro.trace.replay import replay_trace
 
 CONFIGS = {
     "small-lockfree": FuzzConfig(
@@ -60,7 +60,8 @@ def test_checker_matches_explorer_on_generated_traces(benchmark):
             trace = generator.generate_trace(seed=seed)
             if len(trace.memory_events()) > 8:
                 continue
-            found = set(replay_trace(trace, OptAtomicityChecker()).locations())
+            report = CheckSession(trace, checker=OptAtomicityChecker()).check()
+            found = set(report.locations())
             truth = explore_violation_locations(trace, max_schedules=2_000)
             assert found == truth
             agreements += 1

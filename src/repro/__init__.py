@@ -99,8 +99,7 @@ from repro.runtime import (
     parallel_reduce,
     run_program,
 )
-from repro.checker.sharded import check_sharded
-from repro.session import CheckSession, check_trace
+from repro.session import CheckSession
 from repro.dpst import EngineStats
 from repro.obs import (
     METRIC_NAMES,
@@ -165,9 +164,7 @@ __all__ = [
     "parallel_pipeline",
     "parallel_reduce",
     "run_program",
-    "check_sharded",
     "CheckSession",
-    "check_trace",
     "EngineStats",
     "METRIC_NAMES",
     "MetricsRecorder",

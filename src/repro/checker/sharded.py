@@ -1,4 +1,5 @@
-"""Location-sharded parallel trace checking.
+"""Location-sharded parallel trace checking: the driver behind
+:meth:`repro.session.CheckSession.check`.
 
 The optimized checker's state (paper Figures 6-9) is keyed entirely by
 location: one :class:`~repro.checker.metadata.GlobalSpace` per location
@@ -21,10 +22,10 @@ Two input shapes:
 
 * an in-memory :class:`~repro.trace.trace.Trace` -- events are partitioned
   in the parent and shipped to workers (with the DPST flattened once);
-* a trace *file path* -- each worker streams the file itself through
-  :class:`~repro.trace.serialize.TraceReader` and keeps only its shard, so
-  the parent never materializes the events and traces larger than RAM can
-  be checked.
+* a :class:`~repro.trace.serialize.TraceReader` -- each worker opens the
+  file itself in the reader's mode and keeps only its shard, so the
+  parent never materializes the events and traces larger than RAM can be
+  checked.
 
 Every offline check -- ``jobs=1`` in-process (the whole run is shard 0),
 each ``jobs>1`` worker, checkpointed or not, streaming or not -- replays
@@ -34,7 +35,8 @@ through one shard body, :func:`_replay_shard`, which returns a
 function, :func:`repro.trace.replay.events_to_replay`: its memory events
 plus every task end, which carries no location and so reaches every
 shard -- each shard frees a finished task's local metadata.
-:class:`repro.session.CheckSession` hands every check of a trace here.
+:class:`repro.session.CheckSession` is the one caller of
+:func:`run_check`; it resolves and checks every setting first.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from typing import Any, List, Optional, Tuple, Union
 
 from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
-from repro.checker.streaming import StreamingChecker, resolve_window
 from repro.checker.supervisor import (
     CheckpointStore,
     ShardOutcome,
@@ -56,7 +57,7 @@ from repro.checker.supervisor import (
     maybe_inject_fault,
     run_supervised,
 )
-from repro.errors import CheckerError, TraceError
+from repro.errors import CheckerError
 from repro.report import ViolationReport
 from repro.runtime.events import MemoryEvent
 from repro.trace.replay import events_to_replay, replay_events
@@ -65,14 +66,11 @@ from repro.trace.serialize import (
     dpst_from_dict,
     dpst_to_dict,
     open_trace,
-    shard_for_location,  # re-exported: the partition every shard agrees on
 )
 from repro.trace.trace import Trace
 
 #: Any form :func:`repro.checker.make_checker` accepts.
 CheckerSpec = Any
-
-TraceSource = Union[Trace, TraceReader, str, "os.PathLike[str]"]
 
 
 def _require_shardable(checker: CheckerSpec) -> None:
@@ -86,17 +84,6 @@ def _require_shardable(checker: CheckerSpec) -> None:
         )
 
 
-def require_checkpoint_to_resume(
-    checkpoint_dir: Optional[str], resume: bool
-) -> None:
-    """Refuse ``resume=True`` when there is no checkpoint to resume from."""
-    if resume and checkpoint_dir is None:
-        raise CheckerError(
-            "resume=True needs checkpoint_dir=: there is no checkpoint "
-            "directory to resume from"
-        )
-
-
 def _replay_shard(
     source,
     dpst,
@@ -107,7 +94,6 @@ def _replay_shard(
     parallel_engine: str,
     shard: int = 0,
     jobs: int = 1,
-    lines_from: Optional[TraceReader] = None,
 ) -> ViolationReport:
     """Replay one shard: the single body behind every offline check.
 
@@ -115,13 +101,14 @@ def _replay_shard(
     :class:`Trace` or a :class:`TraceReader`); each ``jobs>1`` worker
     runs it over its own slice -- a reader it filters to *shard*, or the
     events the parent picked for it.  The events come from
-    :func:`~repro.trace.replay.events_to_replay`.  The lines the lenient
-    reader *lines_from* skips meanwhile are counted here
-    (:func:`_charged_skips`), so ``jobs=1`` and ``jobs=N`` totals agree.
-    Worker processes each get their own unpickled copy of an instance
-    *spec*, so every shard replays into private state.
+    :func:`~repro.trace.replay.events_to_replay`.  The lines a lenient
+    reader skips meanwhile are counted here (:func:`_charged_skips`), so
+    ``jobs=1`` and ``jobs=N`` totals agree.  Worker processes each get
+    their own unpickled copy of an instance *spec*, so every shard
+    replays into private state.
     """
     checker = make_checker(spec)
+    lines_from = source if isinstance(source, TraceReader) else None
     skipped_before = _charged_skips(lines_from, shard)
     report = replay_events(
         events_to_replay(source, checker, shard, jobs, annotations),
@@ -186,7 +173,7 @@ def _check_shard(
         with open_trace(source, strict=strict) as reader:
             report = _replay_shard(
                 reader, reader.dpst, recorder, shard=shard_id, jobs=jobs,
-                lines_from=reader, **options,
+                **options,
             )
     if recorder is None:
         return report, None
@@ -235,123 +222,28 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def check_sharded(
-    source: TraceSource,
-    checker: CheckerSpec = "optimized",
-    jobs: Optional[int] = None,
-    annotations: Optional[AtomicAnnotations] = None,
-    lca_cache: bool = True,
-    parallel_engine: str = "lca",
-    recorder=None,
-    policy: Optional[WorkerPolicy] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    strict: Optional[bool] = None,
-    streaming: bool = False,
-    window: Optional[int] = None,
+def run_check(
+    source: Union[Trace, TraceReader],
+    *,
+    checker: CheckerSpec,
+    jobs: int,
+    annotations: Optional[AtomicAnnotations],
+    lca_cache: bool,
+    parallel_engine: str,
+    recorder,
+    policy: WorkerPolicy,
+    store: Optional[CheckpointStore],
 ) -> ViolationReport:
-    """Check *source* with ``jobs`` parallel per-location shards.
+    """Check *source* in ``jobs`` per-location shards; return the merged,
+    deduplicated report.
 
-    Parameters
-    ----------
-    source:
-        A :class:`Trace`, a :class:`TraceReader`, or a trace file path
-        (either serialization format; the streaming JSONL format keeps
-        memory bounded).
-    checker:
-        Anything :func:`repro.checker.make_checker` accepts -- a name, a
-        checker class, or a pre-built instance.  With ``jobs > 1`` the
-        checker must be ``location_sharded``.
-    jobs:
-        Worker process count; ``None`` means one per usable CPU (cgroup
-        aware); ``1`` checks in-process with no multiprocessing at all.
-    annotations / lca_cache / parallel_engine:
-        Forwarded to replay; *parallel_engine* may be any name in
-        :func:`repro.dpst.engines.available_engines` (each worker builds
-        its own engine over its shard via the registry), and annotations
-        also steer the sharding key so multi-variable groups stay
-        together.
-    recorder:
-        Optional :class:`repro.obs.Recorder`.  When enabled, each worker
-        collects a private per-shard snapshot (counters, gauges, spans)
-        that the driver folds back in with
-        :meth:`~repro.obs.MetricsRecorder.add_shard`: counters sum into
-        the parent totals while each shard's spans stay listed under the
-        snapshot's ``shards`` array.  Disabled or ``None`` costs nothing.
-    policy:
-        The worker fault policy, a
-        :class:`~repro.checker.supervisor.WorkerPolicy` (default
-        ``WorkerPolicy()``): a crashed, erroring, or timed-out worker is
-        retried with exponential backoff (``"retry"``), degraded to
-        in-process checking after the retries (``"inline"``), or aborts
-        the run immediately (``"raise"``); it also carries the
-        per-attempt timeout and the multiprocessing start method.  Only
-        ``jobs > 1`` starts workers.
-    checkpoint_dir / resume:
-        With *checkpoint_dir*, every completed shard's report (+ metrics
-        snapshot) is persisted as JSON under that directory; with
-        ``resume=True`` shards already checkpointed by a compatible
-        earlier run (same jobs count and checker) are merged from disk
-        instead of re-run, reproducing the fresh-run report exactly.
-        ``resume=True`` without *checkpoint_dir* raises
-        :class:`CheckerError`.
-    strict:
-        ``False`` turns on lenient trace ingestion for file sources
-        (undecodable JSONL lines are counted as ``trace.lines_skipped``
-        and skipped, never silently); ``None`` inherits the reader's
-        own mode (``True`` for paths).
-    streaming / window:
-        ``streaming=True`` wraps the checker in a
-        :class:`repro.checker.streaming.StreamingChecker` so every shard
-        checks its event stream incrementally with a compaction sweep
-        each *window* events (mapped by
-        :func:`~repro.checker.streaming.resolve_window`: ``None`` -> the
-        default window, ``0`` -> never sweep).  Every shard at every
-        ``jobs`` replays task ends, so the optimized checker frees a
-        finished task's metadata with or without the wrapper.  Reports
-        stay identical to the offline run at every window.
-
-    Returns the merged, deduplicated :class:`ViolationReport`.
+    Every setting arrives resolved and checked by
+    :meth:`repro.session.CheckSession.check`, which documents them: a
+    ``jobs >= 1``, a checker spec (already wrapped for streaming), an
+    open :class:`CheckpointStore` or ``None``.  A reader's workers open
+    its path in the reader's own mode; the reader stays the caller's.
     """
-    jobs = default_jobs() if jobs is None else jobs
-    if jobs < 1:
-        raise TraceError(f"jobs must be >= 1, got {jobs}")
-    require_checkpoint_to_resume(checkpoint_dir, resume)
-    window = resolve_window(window, streaming)
-    if streaming and not isinstance(checker, StreamingChecker):
-        checker = StreamingChecker(window=window, checker=checker)
-    collect = recorder is not None and recorder.enabled
-
-    owned_reader: Optional[TraceReader] = None
-    if isinstance(source, (str, os.PathLike)):
-        source = owned_reader = open_trace(
-            source, strict=True if strict is None else strict
-        )
-    reader: Optional[TraceReader] = None
-    trace: Optional[Trace] = None
-    if isinstance(source, TraceReader):
-        reader = source
-    elif isinstance(source, Trace):
-        trace = source
-    else:
-        raise TraceError(
-            f"cannot check {type(source).__name__}: expected a Trace, "
-            "a TraceReader, or a trace file path"
-        )
-    if strict is None:
-        strict = reader.strict if reader is not None else True
-    path = reader.path if reader is not None else None
-
-    store: Optional[CheckpointStore] = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(
-            checkpoint_dir,
-            jobs=jobs,
-            checker=checker_name_of(checker),
-            source=path,
-            resume=resume,
-        )
-
+    collect = recorder.enabled
     # What every shard replays with (see _replay_shard).
     options = dict(
         spec=checker,
@@ -359,27 +251,19 @@ def check_sharded(
         lca_cache=lca_cache,
         parallel_engine=parallel_engine,
     )
-    try:
-        if jobs == 1:
-            return _check_single(trace, reader, recorder, store, collect, options)
-        _require_shardable(checker)
-        policy = WorkerPolicy() if policy is None else policy
-        return _check_supervised(
-            trace, path, jobs, recorder, strict, policy,
-            store, _mp_context(policy.start_method), collect, options,
-        )
-    finally:
-        # A worker raising must not leak the handles of a reader this
-        # driver opened; readers passed in stay the caller's to close.
-        if owned_reader is not None:
-            owned_reader.close()
+    if jobs == 1:
+        return _check_single(source, recorder, store, collect, options)
+    _require_shardable(checker)
+    return _check_supervised(
+        source, jobs, recorder, policy, store,
+        _mp_context(policy.start_method), collect, options,
+    )
 
 
 def _check_single(
-    trace: Optional[Trace],
-    reader: Optional[TraceReader],
+    source: Union[Trace, TraceReader],
     recorder,
-    store,
+    store: Optional[CheckpointStore],
     collect: bool,
     options: dict,
 ) -> ViolationReport:
@@ -395,23 +279,18 @@ def _check_single(
             if collect:
                 recorder.count("sharded.resumed_shards")
             return cached[0]
-    source = trace if trace is not None else reader
-    report = _replay_shard(
-        source, source.dpst, recorder, lines_from=reader, **options
-    )
+    report = _replay_shard(source, source.dpst, recorder, **options)
     if store is not None:
         store.store(0, report, None)
     return report
 
 
 def _check_supervised(
-    trace: Optional[Trace],
-    path: Optional[str],
+    source: Union[Trace, TraceReader],
     jobs: int,
     recorder,
-    strict: bool,
     policy: WorkerPolicy,
-    store,
+    store: Optional[CheckpointStore],
     context,
     collect: bool,
     options: dict,
@@ -422,26 +301,21 @@ def _check_supervised(
     spans and counters are per-phase, so gating them on *collect* keeps
     the disabled path free of measurable overhead.
     """
-    if collect:
-        from repro.obs import SPAN_MAP, SPAN_MERGE, SPAN_PARTITION, SPAN_SHARDED
-
-        sharded_span = recorder.span(SPAN_SHARDED)
-    else:
-        SPAN_MAP = SPAN_MERGE = SPAN_PARTITION = None
-        sharded_span = contextlib.nullcontext()
+    from repro.obs import SPAN_MAP, SPAN_MERGE, SPAN_PARTITION, SPAN_SHARDED
 
     def span(name):
         return recorder.span(name) if collect else contextlib.nullcontext()
 
-    with sharded_span:
-        if trace is not None:
+    with span(SPAN_SHARDED):
+        if isinstance(source, Trace):
             with span(SPAN_PARTITION):
-                dpst_dict = None if trace.dpst is None else dpst_to_dict(trace.dpst)
+                dpst = source.dpst
+                dpst_dict = None if dpst is None else dpst_to_dict(dpst)
                 checker = make_checker(options["spec"])
                 tasks = []
                 for index in range(jobs):
                     shard = list(events_to_replay(
-                        trace, checker, index, jobs, options["annotations"]
+                        source, checker, index, jobs, options["annotations"]
                     ))
                     # A shard holding only task ends has nothing to check.
                     if any(isinstance(event, MemoryEvent) for event in shard):
@@ -449,7 +323,7 @@ def _check_supervised(
                             shard_id=index,
                             fn=_check_shard,
                             payload=(
-                                index, jobs, (dpst_dict, shard), strict,
+                                index, jobs, (dpst_dict, shard), True,
                                 collect, options,
                             ),
                         ))
@@ -462,7 +336,10 @@ def _check_supervised(
                 ShardTask(
                     shard_id=shard,
                     fn=_check_shard,
-                    payload=(shard, jobs, path, strict, collect, options),
+                    payload=(
+                        shard, jobs, source.path, source.strict, collect,
+                        options,
+                    ),
                 )
                 for shard in range(jobs)
             ]
@@ -477,14 +354,10 @@ def _check_supervised(
                 if cached is None:
                     remaining.append(task)
                 else:
-                    resumed.append(
-                        ShardOutcome(
-                            shard_id=task.shard_id,
-                            report=cached[0],
-                            snapshot=cached[1],
-                            resumed=True,
-                        )
-                    )
+                    report, snapshot = cached
+                    resumed.append(ShardOutcome(
+                        task.shard_id, report, snapshot, resumed=True
+                    ))
             tasks = remaining
 
         def on_event(kind: str, shard_id: int, detail: str) -> None:

@@ -17,7 +17,7 @@ module supplies the two fault-tolerance primitives the driver builds on:
 * :class:`CheckpointStore` -- persists each completed shard's
   :class:`~repro.report.ViolationReport` (+ optional metrics snapshot)
   as JSON under a run directory, so an interrupted run can be resumed
-  (``check_sharded(..., checkpoint_dir=..., resume=True)`` /
+  (``CheckSession(...).check(checkpoint_dir=..., resume=True)`` /
   ``repro check-trace --checkpoint DIR --resume``) without redoing
   completed shards.  Merging stored and fresh reports in shard order
   reproduces the fresh-run report exactly.

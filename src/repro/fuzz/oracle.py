@@ -78,7 +78,6 @@ from repro.report import (
 from repro.runtime.executor import RandomOrderExecutor, SerialExecutor
 from repro.runtime.program import run_program
 from repro.session import CheckSession
-from repro.trace.replay import replay_trace
 from repro.trace.serialize import dump_trace
 
 def exact_legs(reference: str = "lca") -> Tuple[str, ...]:
@@ -249,14 +248,18 @@ def check_spec(
     # -- same-trace legs: must match triple-for-triple -------------------
     # One leg per registered engine other than the reference: the machine
     # check that LCA = labels = vc = depa (and any third-party engine).
+    # Each setting gets its own session over the recorded trace.
     for other in available_engines():
         if other == engine:
             continue
-        exact(f"{other}-engine", session.check(engine=other, mode="thorough"))
+        exact(
+            f"{other}-engine",
+            CheckSession(trace, engine=other).check(mode="thorough"),
+        )
     if jobs and jobs > 1:
         exact(
             f"sharded-jobs{jobs}",
-            session.check(jobs=jobs, mode="thorough"),
+            CheckSession(trace, jobs=jobs, engine=engine).check(mode="thorough"),
         )
     exact("replay", _replay_roundtrip_leg(trace))
     exact("columnar", _columnar_roundtrip_leg(trace))
@@ -295,7 +298,7 @@ def check_spec(
         )
 
     for name, factory in (extra_checkers or {}).items():
-        by_locations(name, replay_trace(trace, factory()))
+        by_locations(name, CheckSession(trace, checker=factory()).check())
 
     # -- fresh-execution legs: locations are schedule-insensitive --------
     if schedules:

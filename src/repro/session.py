@@ -5,15 +5,16 @@ One entry point for every way of checking something:
 * a live :class:`~repro.runtime.program.TaskProgram` (or a bare body
   function) -- executed once with trace recording, then checked;
 * an in-memory recorded :class:`~repro.trace.trace.Trace`;
-* a trace *file path* (either serialization format; the streaming JSONL
-  format is checked without ever materializing the events).
+* a trace *file path* or an open
+  :class:`~repro.trace.serialize.TraceReader` (either serialization
+  format; a file is checked without ever materializing its events).
 
 and every way of running a checker over it: any :func:`make_checker`
 spec (name, class, or instance), in-process (``jobs=1``) or across
-worker processes (``jobs>1``).  Either way the session hands the check to
-one offline path, :func:`repro.checker.sharded.check_sharded`; it keeps
-only what it alone knows -- source resolution, annotations, the result
-cache, and :attr:`CheckSession.reports`.
+worker processes (``jobs>1``).  Each setting has one owner: ``jobs``, the
+engine and the trace mode are the session's, and each
+:meth:`CheckSession.check` call checks its own options once, then hands
+the check to the driver in :mod:`repro.checker.sharded`.
 
 ::
 
@@ -27,8 +28,6 @@ cache, and :attr:`CheckSession.reports`.
     session.check("racedetector")
     session.reports          # {"optimized": ..., "racedetector": ...}
     session.first_violation  # first finding across every check so far
-
-:func:`check_trace` is the one-call convenience wrapper.
 """
 
 from __future__ import annotations
@@ -38,14 +37,10 @@ from typing import Any, Dict, Optional, Union
 
 from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
-from repro.checker.sharded import (
-    CheckerSpec,
-    check_sharded,
-    require_checkpoint_to_resume,
-)
+from repro.checker.sharded import CheckerSpec, default_jobs, run_check
 from repro.checker.streaming import StreamingChecker, resolve_window
-from repro.checker.supervisor import WorkerPolicy
-from repro.errors import TraceError
+from repro.checker.supervisor import CheckpointStore, WorkerPolicy
+from repro.errors import CheckerError, TraceError
 from repro.report import ViolationReport
 from repro.runtime.program import TaskProgram, run_program
 from repro.trace.serialize import TraceReader, open_trace
@@ -68,15 +63,18 @@ class CheckSession:
         Default checker spec for :meth:`check` -- a registered name, a
         checker class, or a pre-built instance.
     jobs:
-        Default worker count for :meth:`check`.  ``1`` (default) checks
-        in-process; ``N > 1`` runs the location-sharded pipeline;
-        ``None`` uses one worker per CPU.
+        Worker count of every :meth:`check`.  ``1`` (default) checks
+        in-process; ``N > 1`` runs the location-sharded pipeline (a
+        ``location_sharded`` checker only: Velodrome is refused);
+        ``None`` uses one worker per usable CPU; below ``1``,
+        :meth:`check` raises :class:`~repro.errors.TraceError`.
     engine:
-        Parallelism-query engine: any registered name in
+        Parallelism-query engine of every check: any registered name in
         :func:`repro.dpst.engines.available_engines` (built-ins:
         ``"lca"``, ``"labels"``, ``"vc"``, ``"depa"``).  Unknown names
         raise :class:`repro.dpst.engines.UnknownEngineError` at check
-        time, naming the valid engines.
+        time, naming the valid engines.  To compare engines, build one
+        session per engine over the recorded :class:`Trace`.
     executor:
         Scheduling strategy when *source* is a program.
     annotations:
@@ -92,11 +90,12 @@ class CheckSession:
         :class:`repro.obs.MetricsRecorder` and read :attr:`metrics`
         afterwards.
     strict:
-        ``False`` opens file sources in lenient mode: undecodable or
-        truncated JSONL lines are counted (:attr:`lines_skipped`, and
-        the ``trace.lines_skipped`` metric when observed) and skipped
-        instead of aborting the check mid-stream.  Ignored for
-        non-file sources.
+        ``False`` opens a path source in lenient mode: undecodable
+        events are counted (:attr:`lines_skipped`, and the
+        ``trace.lines_skipped`` metric when observed) and skipped
+        instead of aborting the check mid-stream.  A
+        :class:`TraceReader` source keeps its own mode, which becomes
+        the session's :attr:`strict`.  Ignored for in-memory sources.
     """
 
     def __init__(
@@ -120,6 +119,7 @@ class CheckSession:
         self.engine = engine
         self.executor = executor
         self.lca_cache = lca_cache
+        #: The trace mode; a :class:`TraceReader` source's own.
         self.strict = strict
         #: The session's observability sink (a :class:`repro.obs.Recorder`).
         self.recorder = recorder
@@ -145,6 +145,7 @@ class CheckSession:
             self._trace = source
         elif isinstance(source, TraceReader):
             self._reader = source
+            self.strict = source.strict
         elif isinstance(source, (str, os.PathLike)):
             self._reader = open_trace(source, strict=strict)
         else:
@@ -214,8 +215,6 @@ class CheckSession:
     def check(
         self,
         checker: Optional[CheckerSpec] = None,
-        jobs: Optional[int] = None,
-        engine: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
         policy: Optional[WorkerPolicy] = None,
@@ -226,62 +225,55 @@ class CheckSession:
     ) -> ViolationReport:
         """Run one checker over the source; return (and remember) its report.
 
-        *checker* / *jobs* / *engine* default to the session's settings;
-        ``checker_kwargs`` are forwarded to checker construction (names
-        and classes only).  Repeated calls reuse the recorded trace, so a
-        program source executes exactly once per session.  The per-call
-        *engine* override lets one session compare any registered
-        parallelism engines over the same recorded trace (the
-        differential fuzzing oracle runs every
-        :func:`~repro.dpst.engines.available_engines` name this way);
-        it applies to offline replays -- a program source's recording
-        engine stays the session's.
+        *checker* defaults to the session's; ``checker_kwargs`` go to
+        checker construction (names and classes only).  A program source
+        executes once per session.  The options are checked here, once,
+        before any cache lookup.
 
-        ``checkpoint_dir`` / ``resume`` persist (and reuse) per-shard
-        results, and *policy* (a
-        :class:`~repro.checker.supervisor.WorkerPolicy`) configures the
-        worker supervision of the sharded pipeline -- all forwarded to
-        :func:`repro.checker.sharded.check_sharded` (a ``jobs=1``
-        check honors checkpoints too, treating the run as one shard).
-        ``resume=True`` without ``checkpoint_dir`` raises a
-        :class:`~repro.errors.CheckerError`, cache hit or not.
+        ``checkpoint_dir`` persists each completed shard's report (a
+        ``jobs=1`` check is one shard); ``resume=True`` merges the shards a
+        compatible earlier run (same ``jobs`` and checker) stored there
+        instead of re-running them, and without ``checkpoint_dir`` raises
+        a :class:`~repro.errors.CheckerError`, cache hit or not.  *policy*
+        (a :class:`~repro.checker.supervisor.WorkerPolicy`) supervises
+        the ``jobs > 1`` workers: retry, inline fallback or abort on a
+        failed worker, the per-attempt timeout and the start method.
 
         ``cache_dir`` enables the content-addressed result cache
-        (:mod:`repro.cache`): the check becomes a hash lookup when the
-        same trace was already checked under the same checker/engine
-        configuration, and both hits and fresh results are served in
-        canonical (jobs-insensitive) violation order.  The cache is
-        bypassed -- with the reason recorded in :attr:`cache_info`,
-        never silently -- for class/instance checker specs and non-trivial
-        annotations, since those carry state the key cannot see.
+        (:mod:`repro.cache`), keyed on the trace, the checker, the engine
+        and the trace mode; hits and fresh results are served in
+        canonical (jobs-insensitive) order.  Class/instance checker specs
+        and non-trivial annotations bypass it, with the reason recorded
+        in :attr:`cache_info`, never silently.
 
         ``streaming=True`` checks through
-        :class:`repro.checker.streaming.StreamingChecker`, with a
-        compaction sweep every *window* events.  Every check replays task
-        ends and the optimized checker frees dead local metadata itself,
-        so the sweeps find nothing to evict and memory is bounded with or
-        without the wrapper.  ``window`` defaults to
-        :data:`repro.checker.streaming.DEFAULT_WINDOW`; ``0`` disables
-        periodic compaction (the ∞ window).  The report is byte-identical
-        to the offline check at every window.
-        A streaming check is filed under ``"streaming"`` in
-        :attr:`reports`.
-        Requires a compactable checker -- ``velodrome``, ``basic`` and
-        ``regiontrack`` are refused with a
-        :class:`~repro.errors.CheckerError`.
+        :class:`~repro.checker.streaming.StreamingChecker`, sweeping every
+        *window* events (default
+        :data:`~repro.checker.streaming.DEFAULT_WINDOW`; ``0`` never); a
+        window without it raises a :class:`~repro.errors.CheckerError`.
+        The optimized checker frees dead local metadata itself, so the
+        sweeps evict nothing and the report equals the offline one.  It is
+        filed under ``"streaming"`` in :attr:`reports`, bypasses the
+        cache, and refuses ``velodrome``, ``basic`` and ``regiontrack``.
         """
         spec = self.checker if checker is None else checker
-        jobs = self.jobs if jobs is None else jobs
-        engine = self.engine if engine is None else engine
-        # Refuse a stray window= or resume= before any cache lookup.
-        resolve_window(window, streaming)
-        require_checkpoint_to_resume(checkpoint_dir, resume)
+        jobs = default_jobs() if self.jobs is None else self.jobs
+        if jobs < 1:
+            raise TraceError(f"jobs must be >= 1, got {jobs}")
+        window = resolve_window(window, streaming)
+        if resume and checkpoint_dir is None:
+            raise CheckerError(
+                "resume=True needs checkpoint_dir=: there is no checkpoint "
+                "directory to resume from"
+            )
         cache_state = self._resolve_cache(
-            cache_dir, spec, checker_kwargs, engine, streaming
+            cache_dir, spec, checker_kwargs, streaming
         )
         if checker_kwargs:
             spec = make_checker(spec, **checker_kwargs)
-        name = StreamingChecker.checker_name if streaming else checker_name_of(spec)
+        if streaming:
+            spec = StreamingChecker(window=window, checker=spec)
+        name = checker_name_of(spec)
         if cache_state is not None:
             entry = cache_state["cache"].load(cache_state["key"])
             if entry is not None:
@@ -291,22 +283,15 @@ class CheckSession:
                     self.recorder.count("cache.bytes", entry.nbytes)
                 self.reports[name] = entry.report
                 return entry.report
-        options = dict(
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            policy=policy,
-            streaming=streaming,
-            window=window,
-        )
 
         if self.recorder.enabled:
             from repro.obs import SPAN_CHECK
 
             self._span_dpst_build()
             with self.recorder.span(SPAN_CHECK):
-                report = self._dispatch(spec, jobs, engine, options)
+                report = self._run(spec, jobs, policy, checkpoint_dir, resume)
         else:
-            report = self._dispatch(spec, jobs, engine, options)
+            report = self._run(spec, jobs, policy, checkpoint_dir, resume)
         if cache_state is not None:
             from repro.cache import normalized_report_copy
 
@@ -338,8 +323,7 @@ class CheckSession:
         cache_dir: Optional[str],
         spec: CheckerSpec,
         checker_kwargs: Dict[str, Any],
-        engine: str,
-        streaming: bool = False,
+        streaming: bool,
     ) -> Optional[Dict[str, Any]]:
         """Turn a ``cache_dir=`` request into a ready cache lookup.
 
@@ -385,7 +369,7 @@ class CheckSession:
                 self.recorder.count("cache.bypass")
             return None
         digest = self._source_digest()
-        key = result_cache_key(digest, token, engine, self.strict)
+        key = result_cache_key(digest, token, self.engine, self.strict)
         info["applied"] = True
         info["key"] = key
         info["reason"] = "content-addressed lookup enabled"
@@ -396,33 +380,47 @@ class CheckSession:
             "meta": {
                 "trace": digest,
                 "checker": token,
-                "engine": engine,
+                "engine": self.engine,
                 "strict": bool(self.strict),
             },
         }
 
-    def _dispatch(
+    def _run(
         self,
         spec: CheckerSpec,
-        jobs: Optional[int],
-        engine: str,
-        options: Dict[str, Any],
+        jobs: int,
+        policy: Optional[WorkerPolicy],
+        checkpoint_dir: Optional[str],
+        resume: bool,
     ) -> ViolationReport:
-        """Hand the check to the one offline path, :func:`check_sharded`.
+        """Hand the check to the driver, :func:`run_check`.
 
         A file source goes as its reader, so it is never materialized; a
         program source is recorded first (inside the ``check`` span).
         """
-        file_source = self._trace is None and self._reader is not None
-        return check_sharded(
-            self._reader if file_source else self.trace,
+        if self._trace is None and self._reader is not None:
+            source = self._reader
+        else:
+            source = self.trace
+        store = None
+        if checkpoint_dir is not None:
+            store = CheckpointStore(
+                checkpoint_dir,
+                jobs=jobs,
+                checker=checker_name_of(spec),
+                source=source.path if source is self._reader else None,
+                resume=resume,
+            )
+        return run_check(
+            source,
             checker=spec,
             jobs=jobs,
             annotations=self.annotations,
             lca_cache=self.lca_cache,
-            parallel_engine=engine,
+            parallel_engine=self.engine,
             recorder=self.recorder,
-            **options,
+            policy=WorkerPolicy() if policy is None else policy,
+            store=store,
         )
 
     def _span_dpst_build(self) -> None:
@@ -486,14 +484,3 @@ class CheckSession:
             f"checked={sorted(self.reports)}>"
         )
 
-
-def check_trace(
-    source: Source,
-    checker: CheckerSpec = "optimized",
-    jobs: Optional[int] = 1,
-    **session_options: Any,
-) -> ViolationReport:
-    """One-call convenience: check any source through a fresh session."""
-    return CheckSession(
-        source, checker=checker, jobs=jobs, **session_options
-    ).check()

@@ -6,8 +6,9 @@
   v2 JSONL and v3 columnar trace files: one crash-safe writer base, and
   one :class:`~repro.trace.serialize.TraceReader` base with a reader per
   format, which :func:`~repro.trace.serialize.open_trace` picks;
-* :mod:`~repro.trace.replay` -- feed a recorded trace to any checker
-  offline, including permuted variants;
+* :mod:`~repro.trace.replay` -- feed an event stream to any checker
+  offline, including permuted variants (check a whole trace with
+  :class:`repro.session.CheckSession`);
 * :mod:`~repro.trace.explore` -- ground truth: exhaustively enumerate the
   legal schedules of a recorded execution (respecting series-parallel
   structure and lock mutual exclusion) and report which locations exhibit
@@ -22,7 +23,7 @@ controlled shape.
 """
 
 from repro.trace.trace import Trace
-from repro.trace.replay import replay_trace, replay_memory_events, replay_events
+from repro.trace.replay import replay_memory_events, replay_events
 from repro.trace.explore import (
     InterleavingExplorer,
     analytic_violation_locations,
@@ -51,7 +52,6 @@ from repro.trace.visualize import (
 
 __all__ = [
     "Trace",
-    "replay_trace",
     "replay_memory_events",
     "replay_events",
     "InterleavingExplorer",

@@ -30,11 +30,14 @@ Variable-width values never appear in the columns: locations, lock
 names, and locksets are interned once into footer tables and referenced
 by index.  The location table is plain JSON (``"plain_locations"``: a
 scalar as itself, a tuple as an array); files written before it hold
-tagged rows under ``"locations"`` instead, and still read.  The footer
-also carries each interned location's
-:func:`~repro.trace.serialize.location_shard_key`, so a shard worker
-filters a frame by comparing small ints -- no location decode, no JSON,
-no regex.  The DPST lives in the *header* (as in v2) because every
+tagged rows under ``"locations"`` instead, and still read.  A reader
+keys each location of that table with
+:func:`~repro.trace.serialize.location_shard_key` on its first sharded
+pass, so a shard worker filters a frame by comparing small ints -- no
+location decode, no JSON, no regex.  The file stores no keys: the
+``"location_sk"`` list that files written before this rule carry is
+ignored, so a key computed under an older rule cannot misroute a
+location.  The DPST lives in the *header* (as in v2) because every
 checker needs the complete tree before the first event replays.
 
 Frames are optionally zlib-compressed (``compress=True``, the default,
@@ -89,6 +92,7 @@ from repro.trace.serialize import (
     decode_location,
     decode_plain_locations,
     dpst_to_dict,
+    location_shard_key,
 )
 from repro.trace.trace import Trace
 
@@ -379,7 +383,6 @@ class ColumnarTraceWriter(CrashSafeWriter):
             _dump_block(
                 {
                     "plain_locations": self._locations.encoded,
-                    "location_sk": self._locations.shard_keys,
                     "locks": self._lock_names,
                     "locksets": self._lockset_rows,
                     "frames": self._frames,
@@ -448,14 +451,6 @@ class ColumnarTraceReader(TraceReader):
             footer = _read_block(handle, self.path, "footer")
         try:
             self._locations = self._location_table(footer)
-            # Unsigned machine words: a negative, fractional, textual or
-            # too-large key fails here rather than routing a location.
-            self._location_sk = array("L", footer["location_sk"])
-            if len(self._location_sk) != len(self._locations):
-                raise ValueError(
-                    f"{len(self._location_sk)} shard keys for "
-                    f"{len(self._locations)} locations"
-                )
             self._lock_table = [str(name) for name in footer["locks"]]
             rows = footer["locksets"]
             if any(index < 0 for row in rows for index in row):
@@ -479,6 +474,8 @@ class ColumnarTraceReader(TraceReader):
                 f"malformed footer of columnar trace {self.path!r}: {exc}"
             ) from exc
         self._frame_end = self._check_frame_index(header_end, footer_offset)
+        #: Each location's shard key, computed on the first sharded pass.
+        self._location_sk: Optional[List[int]] = None
 
     @staticmethod
     def _location_table(footer: Dict[str, Any]) -> List[Any]:
@@ -671,16 +668,18 @@ class ColumnarTraceReader(TraceReader):
         """One pass per frame over its columns, building only the events
         wanted.
 
-        The shard filter compares the footer's per-location shard keys
-        against interned location *ids* straight out of the column -- no
-        location decode, no JSON -- and builds no object for a foreign
-        access.  An access whose location or lockset id lies outside its
-        table is rejected in every shard, before routing, so a lenient
-        reader counts it the same way at any ``jobs``.  So is a step
-        outside the DPST, when the trace carries one.
+        The shard filter looks up each interned location *id* straight
+        out of the column in the table's shard keys -- no location
+        decode, no JSON -- and builds no object for a foreign access.  An
+        access whose location or lockset id lies outside its table is
+        rejected in every shard, before routing, so a lenient reader
+        counts it the same way at any ``jobs``.  So is a step outside
+        the DPST, when the trace carries one.
         """
         filtering = shard is not None and jobs is not None and jobs > 1
         locations, locksets = self._locations, self._locksets
+        if filtering and self._location_sk is None:
+            self._location_sk = [location_shard_key(loc) for loc in locations]
         sk = self._location_sk
         n_locations, n_locksets = len(locations), len(locksets)
         # The step column is i32: without a DPST every step passes.

@@ -1,4 +1,4 @@
-"""Offline replay of traces through checkers.
+"""Offline replay of event streams through checkers.
 
 The checkers are runtime observers, and most consume only memory events
 plus the DPST -- so any recorded (or generated, or permuted) trace can be
@@ -6,6 +6,12 @@ fed to them without re-executing a program.  Replay is what lets the test
 suite demonstrate the paper's schedule-insensitivity claim: permuting the
 legal order of a trace's events never changes the optimized checker's
 verdict, while it very much changes Velodrome's.
+
+To check a whole :class:`Trace`, use
+:class:`repro.session.CheckSession`, which replays what
+:func:`events_to_replay` picks through :func:`replay_events`;
+:func:`replay_memory_events` and :func:`replay_events` feed a bare event
+stream.
 """
 
 from __future__ import annotations
@@ -138,10 +144,11 @@ def events_to_replay(
 ) -> Iterable[object]:
     """What an offline check of *source* feeds *checker*, in source order.
 
-    The one choice behind every offline path: a ``jobs=1`` check of a
-    :class:`Trace` or a :class:`~repro.trace.serialize.TraceReader`,
-    each ``jobs>1`` shard (in memory or read from the file), and
-    :func:`replay_trace`.  *source* may also be a plain event iterable.
+    The one choice behind every offline check
+    (:meth:`repro.session.CheckSession.check`): ``jobs=1`` over a
+    :class:`Trace` or a :class:`~repro.trace.serialize.TraceReader`, and
+    each ``jobs>1`` shard, in memory or read from the file.  *source*
+    may also be a plain event iterable.
 
     A checker that sets ``requires_full_stream`` (the interleaving
     explorer, which keeps critical sections whole) gets every event.
@@ -234,27 +241,3 @@ def replay_events(
         parallel_engine, recorder,
     )
 
-
-def replay_trace(
-    trace: Trace,
-    checker: RuntimeObserver,
-    annotations: Optional[AtomicAnnotations] = None,
-    lca_cache: bool = True,
-    parallel_engine: str = "lca",
-    recorder=None,
-) -> ViolationReport:
-    """Replay a full :class:`Trace` through *checker*.
-
-    Feeds what :func:`events_to_replay` picks: memory events and task
-    ends (locksets ride on the events themselves), or every event for a
-    checker that sets ``requires_full_stream``.
-    """
-    return replay_events(
-        events_to_replay(trace, checker),
-        checker,
-        dpst=trace.dpst,
-        annotations=annotations,
-        lca_cache=lca_cache,
-        parallel_engine=parallel_engine,
-        recorder=recorder,
-    )

@@ -156,8 +156,9 @@ def location_shard_key(location: Location, text: Optional[str] = None) -> int:
 
     The v2 writer stamps this key on every memory-event line (``"sk"``)
     so readers can route a line to its shard without decoding the JSON;
-    both writers key the :func:`plain_location` value, which is what a
-    reader decodes and keys again.  A caller that holds the ``repr`` of a
+    it keys the :func:`plain_location` value, which is what a reader
+    decodes and keys again.  A v3 reader keys each location of its
+    footer table itself, once.  A caller that holds the ``repr`` of a
     location it has found to be its own key value
     (:func:`_keyed_as_itself`) passes it as *text*.
     """
@@ -193,14 +194,14 @@ class LocationTable:
     compare and hash alike but must round-trip as themselves, and
     ``repr`` is injective over the serializable location vocabulary.  A
     location is checked when first seen (:func:`plain_location`, which
-    rejects unserializable values), stored as the value a reader will
-    decode -- as its tagged dict for v2 lines (*tagged*), as itself for
-    the v3 footer -- and given the :func:`location_shard_key` of that
-    value, which is the key a reader recomputes.  Every later occurrence
-    costs one ``repr`` and one dict lookup.
+    rejects unserializable values) and stored as the value a reader will
+    decode: as itself for the v3 footer, as its tagged dict for v2 lines
+    (*tagged*), with the :func:`location_shard_key` a reader recomputes
+    for their ``"sk"`` stamp.  Every later occurrence costs one ``repr``
+    and one dict lookup.
 
     ``ids`` maps the ``repr`` key to an index into the parallel lists
-    ``encoded`` and ``shard_keys``.
+    ``encoded`` and (v2 only) ``shard_keys``.
     """
 
     __slots__ = ("ids", "encoded", "shard_keys", "_tagged")
@@ -220,8 +221,11 @@ class LocationTable:
         else:
             plain, text = plain_location(location), None
         ident = len(self.encoded)
-        self.encoded.append(_tag_location(plain) if self._tagged else plain)
-        self.shard_keys.append(location_shard_key(plain, text))
+        if self._tagged:
+            self.encoded.append(_tag_location(plain))
+            self.shard_keys.append(location_shard_key(plain, text))
+        else:
+            self.encoded.append(plain)
         self.ids[key] = ident
         return ident
 
@@ -591,9 +595,9 @@ class TraceReader:
         self.lines_skipped = 0
         #: Of those, the v2 lines a ``jobs > 1`` pass decoded only because
         #: their ``"sk"`` stamp routed them to its shard.  Every shard's
-        #: pass decodes the others (and every v3 event), so
-        #: :func:`~repro.checker.sharded.check_sharded` counts those on
-        #: shard 0 alone.
+        #: pass decodes the others (and every v3 event), so the sharded
+        #: driver (:mod:`repro.checker.sharded`) counts those on shard 0
+        #: alone.
         self.stamped_lines_skipped = 0
         self.dpst: Optional[DPSTBase] = None
         self._closed = False
@@ -662,7 +666,8 @@ class TraceReader:
         With ``shard``/``jobs``, yield only events whose location falls in
         that shard (``location_shard_key(location) % jobs == shard``),
         filtered without decoding what is dropped: v2 reads each raw
-        line's ``"sk"`` stamp, v3 the footer's per-location keys.
+        line's ``"sk"`` stamp, v3 keys each location of its footer
+        table once per reader.
         """
         return self._select(shard, jobs, ends=False)
 

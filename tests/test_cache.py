@@ -269,6 +269,39 @@ class TestSessionIntegration:
         assert session.cache_info["applied"]
         assert not session.cache_info["hit"]
 
+    def test_lenient_reader_result_is_keyed_lenient(self, tmp_path):
+        """A session over a lenient :class:`TraceReader` takes the reader's
+        mode.  It used to key its result with its own default
+        ``strict=True``, so a later strict check of the damaged file was a
+        hit that returned no violations instead of raising."""
+        from repro.errors import TraceError
+        from repro.suite import all_cases
+        from repro.trace.serialize import open_trace
+
+        case = next(c for c in all_cases() if c.name == "pattern_rwr")
+        path = tmp_path / "t.jsonl"
+        trace = run_program(case.build(), record_trace=True).trace
+        dump_trace(trace, str(path), format="jsonl")
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        first = next(i for i, line in enumerate(lines) if '"MemoryEvent"' in line)
+        lines[first] = lines[first][:20]
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        cache_dir = str(tmp_path / "rc")
+        with pytest.raises(TraceError):
+            CheckSession(str(path)).check(cache_dir=cache_dir)
+        with open_trace(str(path), strict=False) as reader:
+            session = CheckSession(reader)
+            session.check(cache_dir=cache_dir)
+            assert session.lines_skipped == 1
+            assert not session.cache_info["hit"]
+        # The strict check still refuses the file; a lenient one is a hit.
+        with pytest.raises(TraceError):
+            CheckSession(str(path)).check(cache_dir=cache_dir)
+        lenient = CheckSession(str(path), strict=False)
+        lenient.check(cache_dir=cache_dir)
+        assert lenient.cache_info["hit"]
+        assert session.strict is False
+
     def test_checker_kwargs_are_part_of_the_key(self, trace, tmp_path):
         cache_dir = str(tmp_path / "rc")
         CheckSession(trace).check(cache_dir=cache_dir)

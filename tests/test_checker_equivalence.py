@@ -22,11 +22,11 @@ from repro.checker import BasicAtomicityChecker, OptAtomicityChecker
 from repro.fuzz.generate import FuzzConfig, ProgramGenerator
 from repro.report import normalize_locations, normalize_report, normalized_locations
 from repro.runtime import RandomOrderExecutor, SerialExecutor, run_program
+from repro.session import CheckSession
 from repro.trace.explore import (
     analytic_violation_locations,
     explore_violation_locations,
 )
-from repro.trace.replay import replay_trace
 
 SMALL = FuzzConfig(
     tasks=3, accesses_per_task=3, locations=2, locks=1, consistent_locking=True,
@@ -49,7 +49,7 @@ def trace_for(config, seed):
 def checker_locations(trace, checker):
     # Order-independent canonical form exported by repro.report -- the
     # same normalizer the differential fuzzing oracle compares with.
-    return normalized_locations(replay_trace(trace, checker))
+    return normalized_locations(CheckSession(trace, checker=checker).check())
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -83,8 +83,12 @@ def test_wide_programs_agree(seed):
     assert set(paper) <= set(thorough)
     # Same trace, same checker: the full triple-level normal form must be
     # reproducible, not just the location set.
-    thorough_report = replay_trace(trace, OptAtomicityChecker(mode="thorough"))
-    again = replay_trace(trace, OptAtomicityChecker(mode="thorough"))
+    thorough_report = CheckSession(
+        trace, checker=OptAtomicityChecker(mode="thorough")
+    ).check()
+    again = CheckSession(
+        trace, checker=OptAtomicityChecker(mode="thorough")
+    ).check()
     assert normalize_report(thorough_report) == normalize_report(again)
 
 
@@ -151,5 +155,5 @@ def test_optimized_metadata_bounded(seed):
     """Paper-mode global metadata never exceeds 12 entries per location."""
     trace = trace_for(WIDE, seed)
     checker = OptAtomicityChecker(mode="paper")
-    replay_trace(trace, checker)
+    CheckSession(trace, checker=checker).check()
     assert checker.max_entries_per_location() <= 12

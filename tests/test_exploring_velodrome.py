@@ -138,7 +138,6 @@ class TestOfflineAgreesWithOnline:
     @pytest.mark.parametrize("case", all_cases(), ids=lambda case: case.name)
     def test_suite_verdicts_agree(self, case):
         from repro.session import CheckSession
-        from repro.trace.replay import replay_trace
 
         program = case.build()
         explorer = ExploringVelodrome()
@@ -146,7 +145,9 @@ class TestOfflineAgreesWithOnline:
         online = explorer.violation_locations()
         session = CheckSession(result.trace, annotations=program.annotations)
         assert set(session.check("velodrome+explorer").locations()) == online
-        replayed = replay_trace(
-            result.trace, ExploringVelodrome(), annotations=program.annotations
-        )
+        replayed = CheckSession(
+            result.trace,
+            checker=ExploringVelodrome(),
+            annotations=program.annotations,
+        ).check()
         assert set(replayed.locations()) == online

@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.checker import OptAtomicityChecker
-from repro.checker.sharded import check_sharded, default_jobs
+from repro.checker.sharded import default_jobs
 from repro.checker.supervisor import (
     FAULT_KILL_ENV,
     FAULT_SLEEP_ENV,
@@ -29,6 +29,7 @@ from repro.errors import CheckerError
 from repro.obs import MetricsRecorder, comparable_counters
 from repro.report import ViolationReport
 from repro.runtime import TaskProgram, run_program
+from repro.session import CheckSession
 from repro.suite import all_cases
 from repro.trace.serialize import dump_trace_jsonl
 
@@ -61,7 +62,7 @@ def trace_file(tmp_path):
 
 @pytest.fixture
 def baseline(trace_file):
-    report = check_sharded(trace_file, jobs=1)
+    report = CheckSession(trace_file, jobs=1).check()
     assert report, "fixture program must produce violations"
     return report
 
@@ -102,22 +103,23 @@ class TestWorkerPolicy:
     def test_policy_is_the_only_fault_keyword(self):
         import inspect
 
-        from repro.session import CheckSession
+        from repro.checker.sharded import run_check
 
         check = inspect.signature(CheckSession.check).parameters
-        sharded = inspect.signature(check_sharded).parameters
+        driver = inspect.signature(run_check).parameters
         named = [
             name for name, param in check.items()
             if name != "self" and param.kind is not param.VAR_KEYWORD
         ]
-        assert len(named) == 9
-        assert len(sharded) == 13  # source + 12
+        # checker, checkpoint_dir, resume, policy, cache_dir, streaming,
+        # window: jobs and the engine belong to the session.
+        assert len(named) == 7
         for name in (
             "on_shard_failure", "max_retries", "retry_backoff",
             "shard_timeout", "start_method",
         ):
-            assert name not in check and name not in sharded
-        assert "policy" in check and "policy" in sharded
+            assert name not in check and name not in driver
+        assert "policy" in check and "policy" in driver
 
 
 class TestFailureMatrix:
@@ -127,8 +129,8 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        report = check_sharded(
-            trace_file, jobs=2, policy=WorkerPolicy(on_failure="retry")
+        report = CheckSession(trace_file, jobs=2).check(
+            policy=WorkerPolicy(on_failure="retry")
         )
         assert keys(report) == keys(baseline)
         assert report.raw_count == baseline.raw_count
@@ -137,25 +139,23 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "1@0")
-        report = check_sharded(
-            trace_file, jobs=2,
-            policy=WorkerPolicy(on_failure="inline", max_retries=0),
+        report = CheckSession(trace_file, jobs=2).check(
+            policy=WorkerPolicy(on_failure="inline", max_retries=0)
         )
         assert keys(report) == keys(baseline)
 
     def test_kill_with_raise_policy_aborts(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError, match="shard 0 failed"):
-            check_sharded(
-                trace_file, jobs=2, policy=WorkerPolicy(on_failure="raise")
+            CheckSession(trace_file, jobs=2).check(
+                policy=WorkerPolicy(on_failure="raise")
             )
 
     def test_persistent_crash_exhausts_retries(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError, match="failed after 1 attempt"):
-            check_sharded(
-                trace_file, jobs=2,
-                policy=WorkerPolicy(on_failure="retry", max_retries=0),
+            CheckSession(trace_file, jobs=2).check(
+                policy=WorkerPolicy(on_failure="retry", max_retries=0)
             )
 
     def test_crash_on_every_attempt_exhausts_retries(
@@ -164,9 +164,7 @@ class TestFailureMatrix:
         # "0@*" kills every attempt of shard 0, so all retries fail too.
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
         with pytest.raises(CheckerError, match="failed after 3 attempt"):
-            check_sharded(
-                trace_file,
-                jobs=2,
+            CheckSession(trace_file, jobs=2).check(
                 policy=WorkerPolicy(
                     on_failure="retry", max_retries=2, retry_backoff=0.01
                 ),
@@ -178,9 +176,7 @@ class TestFailureMatrix:
         # Even a shard whose worker *always* dies completes inline (the
         # hooks are suspended for the in-driver call).
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
-        report = check_sharded(
-            trace_file,
-            jobs=2,
+        report = CheckSession(trace_file, jobs=2).check(
             policy=WorkerPolicy(
                 on_failure="inline", max_retries=1, retry_backoff=0.01
             ),
@@ -192,9 +188,7 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_SLEEP_ENV, "0@0:30")
-        report = check_sharded(
-            trace_file,
-            jobs=2,
+        report = CheckSession(trace_file, jobs=2).check(
             policy=WorkerPolicy(
                 on_failure="retry", timeout_s=0.5, retry_backoff=0.01
             ),
@@ -203,10 +197,10 @@ class TestFailureMatrix:
 
     def test_in_memory_source_retries_too(self, baseline, monkeypatch):
         trace = recorded_trace()
-        fresh = check_sharded(trace, jobs=2)
+        fresh = CheckSession(trace, jobs=2).check()
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        report = check_sharded(
-            trace, jobs=2, policy=WorkerPolicy(on_failure="retry")
+        report = CheckSession(trace, jobs=2).check(
+            policy=WorkerPolicy(on_failure="retry")
         )
         assert keys(report) == keys(fresh) == keys(baseline)
 
@@ -215,9 +209,8 @@ class TestFailureMatrix:
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         recorder = MetricsRecorder()
-        report = check_sharded(
-            trace_file, jobs=2, policy=WorkerPolicy(on_failure="retry"),
-            recorder=recorder,
+        report = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            policy=WorkerPolicy(on_failure="retry")
         )
         counters = recorder.snapshot().counters
         assert keys(report) == keys(baseline)
@@ -228,11 +221,8 @@ class TestFailureMatrix:
     def test_inline_fallback_metric(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "1@0")
         recorder = MetricsRecorder()
-        check_sharded(
-            trace_file,
-            jobs=2,
-            policy=WorkerPolicy(on_failure="inline", max_retries=0),
-            recorder=recorder,
+        CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            policy=WorkerPolicy(on_failure="inline", max_retries=0)
         )
         assert recorder.snapshot().counters["sharded.inline_fallbacks"] == 1
 
@@ -240,7 +230,7 @@ class TestFailureMatrix:
 class TestCheckpointResume:
     def test_fresh_run_writes_manifest_and_shards(self, trace_file, tmp_path):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
         names = sorted(os.listdir(ck))
         assert "run.json" in names
         assert [n for n in names if n.startswith("shard-")] == [
@@ -252,11 +242,11 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        fresh = check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        fresh = CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
         # Simulate an interrupt: one shard's checkpoint never landed.
         os.unlink(os.path.join(ck, "shard-00001.json"))
-        resumed = check_sharded(
-            trace_file, jobs=2, checkpoint_dir=ck, resume=True
+        resumed = CheckSession(trace_file, jobs=2).check(
+            checkpoint_dir=ck, resume=True
         )
         assert resumed.describe() == fresh.describe()  # byte-identical
         assert keys(resumed) == keys(baseline)
@@ -266,11 +256,10 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
         recorder = MetricsRecorder()
-        resumed = check_sharded(
-            trace_file, jobs=2, checkpoint_dir=ck, resume=True,
-            recorder=recorder,
+        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            checkpoint_dir=ck, resume=True
         )
         counters = recorder.snapshot().counters
         assert keys(resumed) == keys(baseline)
@@ -281,16 +270,18 @@ class TestCheckpointResume:
         self, trace_file, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
         with pytest.raises(CheckerError, match="incompatible"):
-            check_sharded(trace_file, jobs=4, checkpoint_dir=ck, resume=True)
+            CheckSession(trace_file, jobs=4).check(
+                checkpoint_dir=ck, resume=True
+            )
 
     def test_fresh_run_clears_stale_shards(self, trace_file, tmp_path):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=4, checkpoint_dir=ck)
+        CheckSession(trace_file, jobs=4).check(checkpoint_dir=ck)
         # Same directory, new configuration, no resume: stale shard
         # files from the jobs=4 run must not leak into a jobs=2 merge.
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
         shards = [n for n in os.listdir(ck) if n.startswith("shard-")]
         assert sorted(shards) == ["shard-00000.json", "shard-00001.json"]
 
@@ -298,12 +289,12 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        check_sharded(trace_file, jobs=2, checkpoint_dir=ck)
+        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
         torn = os.path.join(ck, "shard-00000.json")
         with open(torn, "w", encoding="utf-8") as handle:
             handle.write('{"schema": "repro-checkpoint/1", "shard"')
-        resumed = check_sharded(
-            trace_file, jobs=2, checkpoint_dir=ck, resume=True
+        resumed = CheckSession(trace_file, jobs=2).check(
+            checkpoint_dir=ck, resume=True
         )
         assert keys(resumed) == keys(baseline)
 
@@ -311,10 +302,10 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         ck = str(tmp_path / "ck")
-        first = check_sharded(trace_file, jobs=1, checkpoint_dir=ck)
+        first = CheckSession(trace_file, jobs=1).check(checkpoint_dir=ck)
         assert os.path.exists(os.path.join(ck, "shard-00000.json"))
-        resumed = check_sharded(
-            trace_file, jobs=1, checkpoint_dir=ck, resume=True
+        resumed = CheckSession(trace_file, jobs=1).check(
+            checkpoint_dir=ck, resume=True
         )
         assert first.describe() == resumed.describe() == baseline.describe()
 
@@ -327,22 +318,20 @@ class TestCheckpointResume:
         ck = str(tmp_path / "ck")
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
         with pytest.raises(CheckerError):
-            check_sharded(
-                trace_file, jobs=2, checkpoint_dir=ck,
+            CheckSession(trace_file, jobs=2).check(
+                checkpoint_dir=ck,
                 policy=WorkerPolicy(max_retries=2, retry_backoff=0.2),
             )
         assert os.path.exists(os.path.join(ck, "shard-00001.json"))
         monkeypatch.delenv(FAULT_KILL_ENV)
-        resumed = check_sharded(
-            trace_file, jobs=2, checkpoint_dir=ck, resume=True
+        resumed = CheckSession(trace_file, jobs=2).check(
+            checkpoint_dir=ck, resume=True
         )
         assert keys(resumed) == keys(baseline)
 
     def test_resume_without_checkpoint_is_refused(self, trace_file, tmp_path):
-        from repro.session import CheckSession
-
         with pytest.raises(CheckerError, match="resume=True needs checkpoint_dir="):
-            check_sharded(trace_file, jobs=1, resume=True)
+            CheckSession(trace_file, jobs=1).check(resume=True)
         with pytest.raises(CheckerError, match="resume=True needs checkpoint_dir="):
             CheckSession(trace_file, jobs=2).check(resume=True)
         # A cache hit answers without the driver; the refusal still holds.
@@ -372,13 +361,12 @@ class TestSuiteEquivalence:
             result = run_program(case.build(), record_trace=True)
             path = str(tmp_path / f"{case.name}.jsonl")
             dump_trace_jsonl(result.trace, path)
-            base = check_sharded(path, jobs=1)
+            base = CheckSession(path, jobs=1).check()
 
             os.environ[FAULT_KILL_ENV] = f"{index % 2}@0"
             try:
-                faulted = check_sharded(
-                    path, jobs=2,
-                    policy=WorkerPolicy(on_failure="retry", retry_backoff=0.01),
+                faulted = CheckSession(path, jobs=2).check(
+                    policy=WorkerPolicy(on_failure="retry", retry_backoff=0.01)
                 )
             finally:
                 del os.environ[FAULT_KILL_ENV]
@@ -386,10 +374,10 @@ class TestSuiteEquivalence:
             assert faulted.raw_count == base.raw_count, case.name
 
             ck = str(tmp_path / f"ck-{case.name}")
-            fresh = check_sharded(path, jobs=2, checkpoint_dir=ck)
+            fresh = CheckSession(path, jobs=2).check(checkpoint_dir=ck)
             os.unlink(os.path.join(ck, f"shard-{index % 2:05d}.json"))
-            resumed = check_sharded(
-                path, jobs=2, checkpoint_dir=ck, resume=True
+            resumed = CheckSession(path, jobs=2).check(
+                checkpoint_dir=ck, resume=True
             )
             assert resumed.describe() == fresh.describe(), case.name
             assert keys(resumed) == keys(base), case.name
@@ -405,12 +393,12 @@ class TestLenientChecking:
     def test_strict_check_raises_on_garbage(self, trace_file):
         self.corrupt(trace_file)
         with pytest.raises(Exception):
-            check_sharded(trace_file, jobs=1)
+            CheckSession(trace_file, jobs=1).check()
 
     def test_lenient_matches_clean_verdict(self, trace_file, baseline):
         self.corrupt(trace_file)
         for jobs in (1, 2):
-            report = check_sharded(trace_file, jobs=jobs, strict=False)
+            report = CheckSession(trace_file, jobs=jobs, strict=False).check()
             assert keys(report) == keys(baseline), jobs
 
     def test_lenient_skip_count_agrees_across_job_counts(
@@ -420,9 +408,9 @@ class TestLenientChecking:
         totals = {}
         for jobs in (1, 4):
             recorder = MetricsRecorder()
-            report = check_sharded(
+            report = CheckSession(
                 trace_file, jobs=jobs, strict=False, recorder=recorder
-            )
+            ).check()
             assert keys(report) == keys(baseline)
             totals[jobs] = comparable_counters(
                 recorder.snapshot().counters
@@ -435,15 +423,13 @@ class TestLenientChecking:
     ):
         self.corrupt(trace_file)
         solo = MetricsRecorder()
-        check_sharded(trace_file, jobs=1, strict=False, recorder=solo)
+        CheckSession(trace_file, jobs=1, strict=False, recorder=solo).check()
         monkeypatch.setenv(FAULT_KILL_ENV, "2@0")
         sharded = MetricsRecorder()
-        report = check_sharded(
-            trace_file,
-            jobs=4,
-            strict=False,
-            recorder=sharded,
-            policy=WorkerPolicy(retry_backoff=0.01),
+        report = CheckSession(
+            trace_file, jobs=4, strict=False, recorder=sharded
+        ).check(
+            policy=WorkerPolicy(retry_backoff=0.01)
         )
         assert keys(report) == keys(baseline)
         assert comparable_counters(
@@ -453,31 +439,30 @@ class TestLenientChecking:
 
 class TestStartMethods:
     def test_spawn_produces_identical_report(self, trace_file, baseline):
-        forked = check_sharded(trace_file, jobs=2)
-        spawned = check_sharded(
-            trace_file, jobs=2, policy=WorkerPolicy(start_method="spawn")
+        forked = CheckSession(trace_file, jobs=2).check()
+        spawned = CheckSession(trace_file, jobs=2).check(
+            policy=WorkerPolicy(start_method="spawn")
         )
         assert spawned.describe() == forked.describe()  # byte-identical
         assert keys(spawned) == keys(baseline)
 
     def test_unknown_start_method_rejected(self, trace_file):
         with pytest.raises(CheckerError, match="not available"):
-            check_sharded(
-                trace_file, jobs=2, policy=WorkerPolicy(start_method="teleport")
+            CheckSession(trace_file, jobs=2).check(
+                policy=WorkerPolicy(start_method="teleport")
             )
 
     def test_env_override_is_honored(self, trace_file, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "teleport")
         with pytest.raises(CheckerError, match="not available"):
-            check_sharded(trace_file, jobs=2)
+            CheckSession(trace_file, jobs=2).check()
 
     def test_unpicklable_payload_is_a_clear_error(self, trace_file):
         checker = OptAtomicityChecker()
         checker.unpicklable = lambda: None  # closures cannot be pickled
         with pytest.raises(CheckerError, match="picklable"):
-            check_sharded(
-                trace_file, jobs=2, checker=checker,
-                policy=WorkerPolicy(start_method="spawn"),
+            CheckSession(trace_file, jobs=2, checker=checker).check(
+                policy=WorkerPolicy(start_method="spawn")
             )
 
 
@@ -495,37 +480,36 @@ class TestDriverBugfixes:
         assert default_jobs() == 5
 
     def test_owned_reader_closed_after_success(self, trace_file):
-        # check_sharded opens (and must close) readers it creates itself.
-        report = check_sharded(trace_file, jobs=1)
+        # A session over a path opens the reader; each pass closes its
+        # own handle.
+        report = CheckSession(trace_file, jobs=1).check()
         assert isinstance(report, ViolationReport)
         # A second full check re-opens cleanly; nothing holds the file.
-        assert keys(check_sharded(trace_file, jobs=2)) == keys(report)
+        assert keys(CheckSession(trace_file, jobs=2).check()) == keys(report)
 
     def test_owned_reader_closed_on_worker_failure(
         self, trace_file, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError):
-            check_sharded(
-                trace_file, jobs=2, policy=WorkerPolicy(on_failure="raise")
+            CheckSession(trace_file, jobs=2).check(
+                policy=WorkerPolicy(on_failure="raise")
             )
         # The path is still checkable: no leaked handle, no stale state.
         monkeypatch.delenv(FAULT_KILL_ENV)
-        assert check_sharded(trace_file, jobs=2)
+        assert CheckSession(trace_file, jobs=2).check()
 
     def test_caller_reader_left_open(self, trace_file):
         from repro.trace.serialize import open_trace
 
         reader = open_trace(trace_file)
-        check_sharded(reader, jobs=2)
+        CheckSession(reader, jobs=2).check()
         assert not reader.closed  # caller-owned: caller closes
         reader.close()
 
 
 class TestSessionWiring:
     def test_session_checkpoint_resume(self, trace_file, baseline, tmp_path):
-        from repro.session import CheckSession
-
         ck = str(tmp_path / "ck")
         fresh = CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
         os.unlink(os.path.join(ck, "shard-00000.json"))
@@ -538,16 +522,12 @@ class TestSessionWiring:
     def test_session_jobs1_checkpoint_routes_through_driver(
         self, trace_file, baseline, tmp_path
     ):
-        from repro.session import CheckSession
-
         ck = str(tmp_path / "ck")
         report = CheckSession(trace_file, jobs=1).check(checkpoint_dir=ck)
         assert report.describe() == baseline.describe()
         assert os.path.exists(os.path.join(ck, "shard-00000.json"))
 
     def test_session_lenient_counts_lines(self, trace_file, baseline):
-        from repro.session import CheckSession
-
         with open(trace_file, "a", encoding="utf-8") as handle:
             handle.write("{junk\n")
         session = CheckSession(trace_file, strict=False)
@@ -558,8 +538,6 @@ class TestSessionWiring:
     def test_session_fault_policy_forwarded(
         self, trace_file, baseline, monkeypatch
     ):
-        from repro.session import CheckSession
-
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         report = CheckSession(trace_file, jobs=2).check(
             policy=WorkerPolicy(on_failure="retry")

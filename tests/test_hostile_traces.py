@@ -36,7 +36,7 @@ from repro.runtime.events import MemoryEvent
 from repro.trace import columnar, serialize
 from repro.trace.serialize import dump_trace, open_trace
 from repro.trace.trace import Trace
-from tests.v3_files import rewrite_v3
+from tests.v3_files import rewrite_to_older_keys, rewrite_v3
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -261,15 +261,23 @@ class TestMisstampedLine:
         assert "skipped 1" in lenient.stdout
 
     def test_v3_moves_a_location_whole(self, tmp_path):
-        # v3 keys a location, not an access: a wrong key moves all of its
-        # accesses to one shard, which still sees the triple.
+        # v3 keys a location, not an access, and the reader computes the
+        # key from the decoded location: a wrong key stored in the footer
+        # is ignored, and the location's shard sees all of its accesses.
         path = str(tmp_path / "t.trc")
         dump_trace(recorded(), path)
 
         def edit(table):
-            table["location_sk"][0] += 1
+            table["location_sk"] = [serialize.location_shard_key("X") + 1]
 
         rewrite_v3(path, footer=edit)
+        key = serialize.location_shard_key("X")
+        with open_trace(path) as reader:
+            kept = [
+                len(list(reader.memory_events(shard=shard, jobs=2)))
+                for shard in range(2)
+            ]
+        assert kept[key % 2] == 4 and kept[1 - key % 2] == 0
         for jobs in (1, 2):
             assert CheckSession(path, jobs=jobs).check().patterns() == ["RWW"]
 
@@ -371,14 +379,18 @@ class TestMixedTypeLocations:
     """``1``, ``1.0`` and ``True`` are one location to the shadow memory
     and every checker, so they share a shard key.  Keyed on their own
     ``repr``, they split across shards: ``jobs`` 3 and 4 printed no
-    violations where ``jobs`` 1 and 2 report the triple."""
+    violations where ``jobs`` 1 and 2 report the triple.  A v3 file whose
+    footer holds such keys (``v3-older-keys``) did so too, until readers
+    stopped reading stored keys."""
 
-    @pytest.mark.parametrize("source", ["v2", "v3", "in-memory"])
+    @pytest.mark.parametrize("source", ["v2", "v3", "in-memory", "v3-older-keys"])
     def test_one_verdict_at_every_job_count(self, tmp_path, source):
         trace = run_program(TaskProgram(mixed_types), record_trace=True).trace
         if source != "in-memory":
-            path = str(tmp_path / FORMATS[source])
+            path = str(tmp_path / FORMATS[source[:2]])
             dump_trace(trace, path)
+            if source == "v3-older-keys":
+                rewrite_to_older_keys(path)
             trace = path
         reports = [CheckSession(trace, jobs=jobs).check() for jobs in (1, 2, 3, 4)]
         assert reports[0].patterns() == ["RWW"]

@@ -11,12 +11,11 @@ import gc
 
 import pytest
 
-from repro import TaskProgram, run_program
+from repro import CheckSession, TaskProgram, run_program
 from repro.checker import OptAtomicityChecker
-from repro.checker.sharded import check_sharded, shard_for_location
 from repro.obs import MetricsRecorder
 from repro.runtime.events import MemoryEvent, TaskEndEvent
-from repro.trace.serialize import dump_trace, open_trace
+from repro.trace.serialize import dump_trace, open_trace, shard_for_location
 
 TASKS = 200
 
@@ -105,7 +104,9 @@ class TestLiveEntriesBound:
         path = str(tmp_path / ("churn" + suffix))
         dump_trace(run_program(locked_rmw_program(), record_trace=True).trace, path)
         recorder = MetricsRecorder()
-        check_sharded(path, checker=BoundProbe, jobs=jobs, recorder=recorder)
+        CheckSession(
+            path, checker=BoundProbe, jobs=jobs, recorder=recorder
+        ).check()
         self.assert_bounded(recorder.snapshot().counters)
 
 
@@ -168,7 +169,7 @@ class TestLocksetCache:
     def test_offline(self):
         trace = run_program(self.program(), record_trace=True).trace
         checker = OptAtomicityChecker()
-        check_sharded(trace, checker=checker, jobs=1)
+        CheckSession(trace, checker=checker, jobs=1).check()
         self.assert_none_retained(checker)
 
 

@@ -16,7 +16,6 @@ import json
 import pytest
 
 from repro.checker import OptAtomicityChecker
-from repro.checker.sharded import check_sharded
 from repro.obs import (
     METRIC_NAMES,
     MetricsRecorder,
@@ -24,6 +23,7 @@ from repro.obs import (
     is_metrics_dict,
 )
 from repro.runtime import run_program
+from repro.session import CheckSession
 from repro.suite import all_cases
 from repro.trace.serialize import dump_trace_jsonl
 
@@ -40,13 +40,13 @@ def record(program):
 def sharded_counters(source, jobs, annotations=None):
     """Merged counter totals of one observed sharded run."""
     recorder = MetricsRecorder()
-    check_sharded(
+    CheckSession(
         source,
         checker="optimized",
         jobs=jobs,
         annotations=annotations,
         recorder=recorder,
-    )
+    ).check()
     return recorder.snapshot().counters
 
 

@@ -30,7 +30,6 @@ from repro.obs import (
 )
 from repro.runtime import TaskProgram, run_program
 from repro.session import CheckSession
-from repro.trace.replay import replay_trace
 
 
 def counter_program():
@@ -286,24 +285,29 @@ class TestReplayIntegration:
         program = counter_program()
         result = run_program(program, record_trace=True)
         recorder = MetricsRecorder()
-        report = replay_trace(
-            result.trace, OptAtomicityChecker(), recorder=recorder
-        )
+        report = CheckSession(
+            result.trace, checker=OptAtomicityChecker(), recorder=recorder
+        ).check()
         assert len(report) >= 1
         snapshot = recorder.snapshot()
         routed = snapshot.counters["trace.events.routed"]
         assert routed == len(list(result.trace.memory_events()))
         assert snapshot.counters["checker.accesses_checked"] == routed
-        assert "replay" in snapshot.spans
+        # The replay runs inside the session's check.
+        assert "check/replay" in snapshot.spans
         assert snapshot.counters["engine.queries"] >= 1
 
     def test_replay_without_recorder_is_unchanged(self):
         program = counter_program()
         result = run_program(program, record_trace=True)
-        plain = replay_trace(result.trace, OptAtomicityChecker())
-        recorded = replay_trace(
-            result.trace, OptAtomicityChecker(), recorder=MetricsRecorder()
-        )
+        plain = CheckSession(
+            result.trace, checker=OptAtomicityChecker()
+        ).check()
+        recorded = CheckSession(
+            result.trace,
+            checker=OptAtomicityChecker(),
+            recorder=MetricsRecorder(),
+        ).check()
         assert {v.key for v in plain} == {v.key for v in recorded}
 
 

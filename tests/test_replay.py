@@ -11,8 +11,9 @@ import pytest
 from repro.checker import BasicAtomicityChecker, OptAtomicityChecker, VelodromeChecker
 from repro.errors import TraceError
 from repro.runtime import TaskProgram, run_program
+from repro.session import CheckSession
 from repro.trace.explore import InterleavingExplorer
-from repro.trace.replay import replay_memory_events, replay_trace
+from repro.trace.replay import replay_memory_events
 from repro.trace.trace import Trace
 
 
@@ -47,7 +48,7 @@ class TestOfflineEqualsOnline:
         result = run_program(
             TaskProgram(rmw_vs_writer), observers=[live_checker], record_trace=True
         )
-        replayed = replay_trace(result.trace, make_checker())
+        replayed = CheckSession(result.trace, checker=make_checker()).check()
         assert set(replayed.locations()) == set(live_checker.report.locations())
         assert len(replayed) == len(live_checker.report)
 
@@ -80,9 +81,9 @@ class TestReplayGuards:
     def test_dpst_checker_requires_tree(self):
         trace = Trace([], dpst=None)
         with pytest.raises(TraceError):
-            replay_trace(trace, OptAtomicityChecker())
+            CheckSession(trace, checker=OptAtomicityChecker()).check()
 
     def test_velodrome_replays_without_tree(self):
         trace = Trace([], dpst=None)
-        report = replay_trace(trace, VelodromeChecker())
+        report = CheckSession(trace, checker=VelodromeChecker()).check()
         assert not report

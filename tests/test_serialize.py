@@ -9,8 +9,8 @@ from repro.checker import OptAtomicityChecker
 from repro.dpst import ArrayDPST, NodeKind
 from repro.errors import TraceError
 from repro.runtime import TaskProgram, run_program
+from repro.session import CheckSession
 from repro.trace.columnar import ColumnarTraceReader, ColumnarTraceWriter
-from repro.trace.replay import replay_trace
 from repro.trace.serialize import (
     JsonlTraceReader,
     TraceReader,
@@ -155,8 +155,10 @@ class TestTraceRoundtrip:
         path = str(tmp_path / "trace.json")
         dump_trace(result.trace, path)
         loaded = load_trace(path)
-        original = replay_trace(result.trace, OptAtomicityChecker())
-        replayed = replay_trace(loaded, OptAtomicityChecker())
+        original = CheckSession(
+            result.trace, checker=OptAtomicityChecker()
+        ).check()
+        replayed = CheckSession(loaded, checker=OptAtomicityChecker()).check()
         assert set(replayed.locations()) == set(original.locations())
 
     def test_version_guard(self, tmp_path):

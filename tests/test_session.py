@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CheckSession, TaskProgram, check_trace, run_program
+from repro import CheckSession, TaskProgram, run_program
 from repro.checker import BasicAtomicityChecker, OptAtomicityChecker
 from repro.errors import TraceError
 from repro.report import ViolationReport
@@ -174,9 +174,36 @@ class TestConvenienceWrapper:
         path = str(tmp_path / "t.jsonl")
         dump_trace(trace, path)
         for source in (TaskProgram(buggy_body), trace, path):
-            assert set(check_trace(source).locations()) == {"X"}
+            assert set(CheckSession(source).check().locations()) == {"X"}
 
     def test_check_trace_jobs(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         dump_trace(recorded_trace(), path)
-        assert check_trace(path, jobs=2)
+        assert CheckSession(path, jobs=2).check()
+
+
+#: The modules that once exported the removed entry points.
+FRONT_DOOR_MODULES = [
+    "repro",
+    "repro.session",
+    "repro.trace",
+    "repro.trace.replay",
+    "repro.checker.sharded",
+]
+
+
+class TestOneFrontDoor:
+    @pytest.mark.parametrize("module", FRONT_DOOR_MODULES)
+    def test_removed_entry_points_are_gone(self, module):
+        """``CheckSession`` is the only way to run an offline check, and
+        ``jobs`` and the engine are the session's alone."""
+        import importlib
+
+        imported = importlib.import_module(module)
+        for name in ("check_sharded", "check_trace", "replay_trace"):
+            assert not hasattr(imported, name), name
+        session = CheckSession(recorded_trace())
+        for keyword, value in (("jobs", 2), ("engine", "labels")):
+            with pytest.raises(TypeError):
+                session.check(**{keyword: value})
+        assert session.reports == {}

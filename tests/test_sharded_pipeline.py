@@ -11,16 +11,16 @@ JSONL trace file.
 import pytest
 
 from repro.checker import OptAtomicityChecker, make_checker
-from repro.checker.sharded import check_sharded, shard_for_location
 from repro.errors import CheckerError, TraceError
 from repro.fuzz.generate import FuzzConfig, ProgramGenerator
 from repro.obs import MetricsRecorder
 from repro.report import ViolationReport
 from repro.runtime import TaskProgram, run_program
 from repro.runtime.events import MemoryEvent, TaskEndEvent
+from repro.session import CheckSession
 from repro.suite import all_cases
 from repro.trace.replay import events_to_replay
-from repro.trace.serialize import dump_trace_jsonl
+from repro.trace.serialize import dump_trace_jsonl, shard_for_location
 
 CASES = all_cases()
 
@@ -84,12 +84,12 @@ class TestSuiteEquivalence:
         live_report, trace = record(program)
         assert set(live_report.locations()) == set(case.expected)
         for jobs in (1, 4):
-            sharded = check_sharded(
+            sharded = CheckSession(
                 trace,
                 checker="optimized",
                 jobs=jobs,
                 annotations=program.annotations,
-            )
+            ).check()
             assert violation_keys(sharded) == violation_keys(live_report), (
                 f"{case.name}: jobs={jobs} diverged"
             )
@@ -134,7 +134,7 @@ class TestFuzzEquivalence:
         program = ProgramGenerator(config).generate_program()
         live_report, trace = record(program)
         for jobs in (1, 4):
-            sharded = check_sharded(trace, checker="optimized", jobs=jobs)
+            sharded = CheckSession(trace, checker="optimized", jobs=jobs).check()
             assert violation_keys(sharded) == violation_keys(live_report)
 
     def test_file_streamed_sharding(self, config, tmp_path):
@@ -143,7 +143,7 @@ class TestFuzzEquivalence:
         path = str(tmp_path / "trace.jsonl")
         dump_trace_jsonl(trace, path)
         for jobs in (1, 4):
-            sharded = check_sharded(path, checker="optimized", jobs=jobs)
+            sharded = CheckSession(path, checker="optimized", jobs=jobs).check()
             assert violation_keys(sharded) == violation_keys(live_report)
 
 
@@ -180,9 +180,9 @@ class TestMultivarGroups:
         live_report, trace = record(program)
         assert live_report  # the cross-variable violation exists
         for jobs in (2, 3, 4, 5):
-            sharded = check_sharded(
+            sharded = CheckSession(
                 trace, jobs=jobs, annotations=program.annotations
-            )
+            ).check()
             assert violation_keys(sharded) == violation_keys(live_report), jobs
 
     def test_grouped_partition_lands_in_one_shard(self):
@@ -218,7 +218,7 @@ class TestDriverContract:
 
         _, trace = record(TaskProgram(body))
         recorder = MetricsRecorder()
-        report = check_sharded(trace, jobs=4, recorder=recorder)
+        report = CheckSession(trace, jobs=4, recorder=recorder).check()
         assert report.locations() == ["X"]
         assert recorder.snapshot().counters["sharded.workers"] == 1
 
@@ -230,7 +230,7 @@ class TestDriverContract:
             )
         ).generate_trace()
         with pytest.raises(CheckerError):
-            check_sharded(trace, checker="velodrome", jobs=2)
+            CheckSession(trace, checker="velodrome", jobs=2).check()
 
     def test_velodrome_allowed_in_process(self):
         trace = ProgramGenerator(
@@ -239,7 +239,7 @@ class TestDriverContract:
                 finish_probability=0.2, template_probability=0.0, seed=5,
             )
         ).generate_trace()
-        report = check_sharded(trace, checker="velodrome", jobs=1)
+        report = CheckSession(trace, checker="velodrome", jobs=1).check()
         assert isinstance(report, ViolationReport)
 
     def test_checker_instance_and_class_specs(self):
@@ -251,11 +251,11 @@ class TestDriverContract:
                 )
             ).generate_program()
         )
-        by_name = check_sharded(trace, checker="optimized", jobs=2)
-        by_class = check_sharded(trace, checker=OptAtomicityChecker, jobs=2)
-        by_instance = check_sharded(
+        by_name = CheckSession(trace, checker="optimized", jobs=2).check()
+        by_class = CheckSession(trace, checker=OptAtomicityChecker, jobs=2).check()
+        by_instance = CheckSession(
             trace, checker=OptAtomicityChecker(mode="thorough"), jobs=2
-        )
+        ).check()
         assert violation_keys(by_class) == violation_keys(by_name)
         assert violation_keys(by_instance) >= violation_keys(by_name)
 
@@ -267,11 +267,11 @@ class TestDriverContract:
             )
         ).generate_trace()
         with pytest.raises(TraceError):
-            check_sharded(trace, jobs=0)
+            CheckSession(trace, jobs=0).check()
 
     def test_bad_source_rejected(self):
         with pytest.raises(TraceError):
-            check_sharded(12345, jobs=1)
+            CheckSession(12345, jobs=1).check()
 
     def test_merge_classmethod_dedupes_and_sums_raw_count(self):
         _, trace = record(
@@ -282,7 +282,7 @@ class TestDriverContract:
                 )
             ).generate_program()
         )
-        report = check_sharded(trace, jobs=1)
+        report = CheckSession(trace, jobs=1).check()
         merged = ViolationReport.merge([report, report])
         assert violation_keys(merged) == violation_keys(report)
         assert merged.raw_count == 2 * report.raw_count

@@ -12,7 +12,7 @@ it must never change is the verdict.
 
 import pytest
 
-from repro import CheckSession, TaskProgram, check_sharded, run_program
+from repro import CheckSession, TaskProgram, run_program
 from repro.checker import make_checker
 from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
 from repro.dpst import ROOT_ID, ArrayDPST, NodeKind
@@ -22,7 +22,7 @@ from repro.report import READ, WRITE, normalize_report
 from repro.runtime.events import MemoryEvent, TaskEndEvent
 from repro.runtime.executor import SerialExecutor
 from repro.suite import all_cases
-from repro.trace.serialize import dump_trace
+from repro.trace.serialize import dump_trace, open_trace
 from repro.trace.trace import Trace
 
 WINDOWS = (1, 8, 64, 0)  # 0 = unbounded, via the session's window= mapping
@@ -213,8 +213,9 @@ class TestCompaction:
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".trc"])
     def test_every_jobs1_path_releases_ended_tasks(self, tmp_path, suffix):
-        """The session, its checkpointed variant and the sharded driver at
-        ``jobs=1`` are one offline path: same report, same cells freed."""
+        """A session over the path, its checkpointed variant and a session
+        over an open reader at ``jobs=1`` are one offline path: same
+        report, same cells freed."""
         path = str(tmp_path / ("churn" + suffix))
         dump_trace(churn_trace(tasks=250), path)
 
@@ -234,11 +235,12 @@ class TestCompaction:
         checkpointed = streamed(lambda rec: CheckSession(path, recorder=rec).check(
             streaming=True, window=64, checkpoint_dir=str(tmp_path / "ck")
         ))
-        sharded = streamed(lambda rec: check_sharded(
-            path, jobs=1, recorder=rec, streaming=True, window=64
-        ))
+        with open_trace(path) as reader:
+            from_reader = streamed(lambda rec: CheckSession(
+                reader, jobs=1, recorder=rec
+            ).check(streaming=True, window=64))
         assert session[1] > 0
-        assert session == checkpointed == sharded
+        assert session == checkpointed == from_reader
 
     def test_events_counter_partitions_across_shards(self, tmp_path):
         """``streaming.events`` is shard-summable: jobs=4 totals jobs=1."""

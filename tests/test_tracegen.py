@@ -14,8 +14,8 @@ import pytest
 from repro.checker import OptAtomicityChecker
 from repro.fuzz.generate import FuzzConfig, ProgramGenerator, program_from_spec
 from repro.runtime import SerialExecutor, run_program
+from repro.session import CheckSession
 from repro.trace.explore import explore_violation_locations
-from repro.trace.replay import replay_trace
 
 
 class TestDeterminism:
@@ -188,7 +188,8 @@ class TestOneTraceSuffices:
         )
         trace = generator.generate_trace(seed=seed)
         ground_truth = explore_violation_locations(trace, max_schedules=3_000)
-        found = set(replay_trace(trace, OptAtomicityChecker()).locations())
+        report = CheckSession(trace, checker=OptAtomicityChecker()).check()
+        found = set(report.locations())
         assert found == ground_truth
 
     def test_program_rerunnable_under_other_executor(self):

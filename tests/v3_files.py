@@ -1,6 +1,6 @@
 """Rewrite the header or footer block of a v3 (columnar) trace file.
 
-The tests and CI's hostile-trace step build damaged and older-layout
+The tests and CI's check-trace steps build damaged and older-layout
 files from a good one with these helpers.  A rewrite keeps every frame
 byte and moves the footer's frame index and the trailer with the
 header's new length, so the file is otherwise well formed.  From the
@@ -11,6 +11,7 @@ repository root::
 
 import json
 import struct
+import zlib
 
 from repro.trace.columnar import COLUMNAR_MAGIC
 from repro.trace.serialize import decode_plain_locations, encode_location
@@ -58,5 +59,20 @@ def rewrite_to_tagged(path, out=None):
     def edit(table):
         plain = decode_plain_locations(table.pop("plain_locations"))
         table["locations"] = [encode_location(location) for location in plain]
+
+    rewrite_v3(path, footer=edit, out=out)
+
+
+def rewrite_to_older_keys(path, out=None):
+    """Rewrite the v3 file at *path* to carry the footer shard keys that
+    writers before the bool and integral-float key rule stored:
+    ``"location_sk"``, the CRC-32 of each location's own ``repr``, which
+    gives ``1``, ``1.0`` and ``True`` three different keys."""
+
+    def edit(table):
+        table["location_sk"] = [
+            zlib.crc32(repr(location).encode("utf-8"))
+            for location in decode_plain_locations(table["plain_locations"])
+        ]
 
     rewrite_v3(path, footer=edit, out=out)
