@@ -19,8 +19,18 @@ Deliberately **excluded** from the key:
 Storage reuses the shard-checkpoint substrate
 (:func:`repro.checker.supervisor._atomic_write`): one JSON file per key
 under a two-level fan-out directory, written atomically, and any entry
-that fails to decode is treated as a miss and recomputed -- a damaged
-cache can cost time, never correctness.
+that fails to decode (torn, foreign, or nested past the recursion limit)
+is treated as a miss and recomputed -- a damaged cache can cost time,
+never correctness.
+
+A hit on a trace file reads only the file's digest and the entry: the
+file is never opened, so none of the checks its reader makes at open
+(header, DPST, v3 footer) run again.  An entry therefore stands for what
+the readers and checkers of the version that wrote it made of those
+bytes, and :data:`CACHE_SCHEMA`, part of every key, is the version.
+Bump it whenever a reader starts refusing input it accepted or a
+checker's verdict changes on some trace: every older entry then falls
+out of every key, and a hit only serves what today's code computes.
 """
 
 from __future__ import annotations
@@ -42,7 +52,9 @@ from repro.report import (
 from repro.trace.serialize import dpst_to_dict, event_to_dict
 from repro.trace.trace import Trace
 
-CACHE_SCHEMA = "repro-result-cache/1"
+#: Version of every entry and key; bump it by the rule in the module
+#: docstring.
+CACHE_SCHEMA = "repro-result-cache/2"
 
 _HASH_CHUNK = 1 << 20
 
@@ -193,8 +205,9 @@ class ResultCache:
         """Return the entry stored under *key*, or ``None`` on miss.
 
         A present-but-damaged entry (torn by an external process, schema
-        drift, undecodable report or location) is also a miss: the caller
-        recomputes and overwrites it.
+        drift, undecodable report or location, JSON nested past the
+        recursion limit) is also a miss: the caller recomputes and
+        overwrites it.
         """
         path = self._path(key)
         try:
@@ -208,7 +221,9 @@ class ResultCache:
             ):
                 return None
             report = report_from_dict(data["report"])
-        except (OSError, ValueError, KeyError, TypeError, TraceError):
+        except (
+            OSError, ValueError, KeyError, TypeError, TraceError, RecursionError
+        ):
             return None
         return CacheEntry(
             key=key,

@@ -463,10 +463,12 @@ class CheckpointStore:
 
     @staticmethod
     def _read_manifest(path: str) -> Optional[Dict[str, Any]]:
+        """The manifest at *path*, or ``None`` when it is missing or does
+        not decode (nested past the recursion limit too): a fresh run."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None
         return data if isinstance(data, dict) else None
 
@@ -478,8 +480,9 @@ class CheckpointStore:
     ) -> Optional[Tuple[ViolationReport, Optional[dict]]]:
         """The stored result of *shard_id*, or ``None`` to recompute.
 
-        Only serves results when resuming; damaged or mismatched shard
-        files degrade to recomputation, never to a wrong merge.
+        Only serves results when resuming; damaged (nested past the
+        recursion limit too) or mismatched shard files degrade to
+        recomputation, never to a wrong merge.
         """
         if not self.resume:
             return None
@@ -487,7 +490,7 @@ class CheckpointStore:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None
         if (
             not isinstance(data, dict)
@@ -497,7 +500,7 @@ class CheckpointStore:
             return None
         try:
             report = report_from_dict(data["report"])
-        except (KeyError, TypeError, ValueError, TraceError):
+        except (KeyError, TypeError, ValueError, TraceError, RecursionError):
             return None
         return report, data.get("metrics")
 

@@ -58,7 +58,13 @@ class CheckSession:
         What to check.  A :class:`TaskProgram` (or bare callable body) is
         executed once -- lazily, on first use -- with trace recording
         under *executor*; a :class:`Trace` / :class:`TraceReader` / path
-        is checked offline as-is.
+        is checked offline as-is.  A path that is not a file raises
+        :class:`~repro.errors.TraceError` here.  A file is opened (header,
+        DPST rebuild, v3 footer) on first need only: a check that replays
+        its events, or a read of :attr:`trace` or :attr:`dpst`.  So a
+        result-cache hit reads just the file's digest and the entry, and
+        a file that exists but cannot be decoded raises its
+        :class:`~repro.errors.TraceError` from :meth:`check`.
     checker:
         Default checker spec for :meth:`check` -- a registered name, a
         checker class, or a pre-built instance.
@@ -133,6 +139,8 @@ class CheckSession:
 
         self._program: Optional[TaskProgram] = None
         self._trace: Optional[Trace] = None
+        #: A file source's path; its reader opens on first need.
+        self._path: Optional[str] = None
         self._reader: Optional[TraceReader] = None
         self._run_result = None
         self._dpst_spanned = False
@@ -145,9 +153,12 @@ class CheckSession:
             self._trace = source
         elif isinstance(source, TraceReader):
             self._reader = source
+            self._path = source.path
             self.strict = source.strict
         elif isinstance(source, (str, os.PathLike)):
-            self._reader = open_trace(source, strict=strict)
+            self._path = os.fspath(source)
+            if not os.path.isfile(self._path):
+                raise TraceError(f"no trace file at {self._path!r}")
         else:
             raise TraceError(
                 f"cannot check {type(source).__name__}: expected a "
@@ -168,9 +179,15 @@ class CheckSession:
         """``"program"``, ``"trace"``, or ``"file"``."""
         if self._program is not None:
             return "program"
-        if self._reader is not None:
+        if self._path is not None:
             return "file"
         return "trace"
+
+    def _file_reader(self) -> TraceReader:
+        """The file source's reader, opened on first call."""
+        if self._reader is None:
+            self._reader = open_trace(self._path, strict=self.strict)
+        return self._reader
 
     @property
     def run_result(self):
@@ -198,7 +215,7 @@ class CheckSession:
             if self._program is not None:
                 self._trace = self.run_result.trace
             else:
-                self._trace = self._reader.read()
+                self._trace = self._file_reader().read()
         return self._trace
 
     @property
@@ -206,8 +223,8 @@ class CheckSession:
         """The DPST of the execution under check."""
         if self._trace is not None:
             return self._trace.dpst
-        if self._reader is not None:
-            return self._reader.dpst
+        if self._path is not None:
+            return self._file_reader().dpst
         return self.trace.dpst
 
     # -- checking ----------------------------------------------------------
@@ -242,9 +259,10 @@ class CheckSession:
         ``cache_dir`` enables the content-addressed result cache
         (:mod:`repro.cache`), keyed on the trace, the checker, the engine
         and the trace mode; hits and fresh results are served in
-        canonical (jobs-insensitive) order.  Class/instance checker specs
-        and non-trivial annotations bypass it, with the reason recorded
-        in :attr:`cache_info`, never silently.
+        canonical (jobs-insensitive) order.  A file source is keyed on
+        its bytes' digest, so a hit never opens the file.  Class/instance
+        checker specs and non-trivial annotations bypass it, with the
+        reason recorded in :attr:`cache_info`, never silently.
 
         ``streaming=True`` checks through
         :class:`~repro.checker.streaming.StreamingChecker`, sweeping every
@@ -310,10 +328,15 @@ class CheckSession:
         from repro.cache import file_digest, trace_digest
 
         if self._source_digest_memo is None:
-            if self._reader is not None and self._trace is None:
-                self._source_digest_memo = "file:" + file_digest(
-                    self._reader.path
-                )
+            if self._path is not None and self._trace is None:
+                try:
+                    digest = file_digest(self._path)
+                except OSError as exc:
+                    raise TraceError(
+                        f"cannot read trace file {self._path!r}: "
+                        f"{exc.strerror}"
+                    ) from exc
+                self._source_digest_memo = "file:" + digest
             else:
                 self._source_digest_memo = "trace:" + trace_digest(self.trace)
         return self._source_digest_memo
@@ -398,8 +421,8 @@ class CheckSession:
         A file source goes as its reader, so it is never materialized; a
         program source is recorded first (inside the ``check`` span).
         """
-        if self._trace is None and self._reader is not None:
-            source = self._reader
+        if self._trace is None and self._path is not None:
+            source = self._file_reader()
         else:
             source = self.trace
         store = None
@@ -427,8 +450,10 @@ class CheckSession:
         """Time the one-off DPST materialization under ``dpst.build``.
 
         Program sources build their tree inside :func:`run_program`'s
-        ``record`` span, so only offline sources get the explicit span.
-        Subsequent checks reuse the built tree; the span fires once.
+        ``record`` span, so only offline sources get the explicit span; a
+        file source opens here, so the span times its header parse and
+        DPST rebuild.  Subsequent checks reuse the built tree; the span
+        fires once.
         """
         if self._dpst_spanned or self._program is not None:
             return
@@ -464,8 +489,9 @@ class CheckSession:
     def lines_skipped(self) -> int:
         """Undecodable lines skipped so far by a lenient file reader.
 
-        Always ``0`` for strict or non-file sources; never silent --
-        the CLI surfaces a non-zero count after every lenient check.
+        Always ``0`` for strict or non-file sources and for a file not
+        opened yet (a cache hit opens none); never silent -- the CLI
+        surfaces a non-zero count after every lenient check.
         """
         return self._reader.lines_skipped if self._reader is not None else 0
 

@@ -302,6 +302,104 @@ class TestSessionIntegration:
         assert lenient.cache_info["hit"]
         assert session.strict is False
 
+    @pytest.mark.parametrize("suffix", ["jsonl", "trc"])
+    def test_hit_opens_no_trace(self, trace, tmp_path, monkeypatch, suffix):
+        """A hit on a file source reads the file's digest and the entry,
+        never the trace itself (its header, DPST and v3 footer)."""
+        path = str(tmp_path / f"t.{suffix}")
+        dump_trace(trace, path)
+        cache_dir = str(tmp_path / "rc")
+        fresh = CheckSession(path).check(cache_dir=cache_dir)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit opened the trace file")
+
+        monkeypatch.setattr("repro.session.open_trace", refuse)
+        session = CheckSession(path)
+        served = session.check(cache_dir=cache_dir)
+        assert session.cache_info["hit"]
+        assert served.describe() == fresh.describe()
+        assert session.lines_skipped == 0
+
+    def test_miss_opens_once_and_stores(self, trace, tmp_path, monkeypatch):
+        from repro.trace.serialize import open_trace
+
+        path = str(tmp_path / "t.trc")
+        dump_trace(trace, path)
+        cache_dir = str(tmp_path / "rc")
+        opened = []
+
+        def counting(*args, **kwargs):
+            opened.append(args)
+            return open_trace(*args, **kwargs)
+
+        monkeypatch.setattr("repro.session.open_trace", counting)
+        session = CheckSession(path)
+        assert opened == []
+        report = session.check(cache_dir=cache_dir)
+        assert not session.cache_info["hit"]
+        assert len(opened) == 1
+        entry = ResultCache(cache_dir).load(session.cache_info["key"])
+        assert report_bytes(entry.report) == report_bytes(report)
+        session.check("basic", cache_dir=cache_dir)
+        assert len(opened) == 1
+
+    def test_file_gone_before_the_check_is_a_trace_error(self, trace, tmp_path):
+        """The digest is the first read of a path source's file; a file
+        removed after the constructor's check fails it with a
+        :class:`TraceError` naming the path, not an ``OSError``."""
+        from repro.errors import TraceError
+
+        path = str(tmp_path / "t.trc")
+        dump_trace(trace, path)
+        session = CheckSession(path)
+        os.unlink(path)
+        with pytest.raises(TraceError, match="t.trc"):
+            session.check(cache_dir=str(tmp_path / "rc"))
+
+    def test_deeply_nested_entry_is_a_miss(self, trace, tmp_path):
+        """An entry nested past the recursion limit ended the check in a
+        ``RecursionError`` traceback; it is a miss, recomputed and
+        rewritten."""
+        path = str(tmp_path / "t.trc")
+        dump_trace(trace, path)
+        cache_dir = str(tmp_path / "rc")
+        first = CheckSession(path)
+        fresh = first.check(cache_dir=cache_dir)
+        key = first.cache_info["key"]
+        with open(ResultCache(cache_dir)._path(key), "w") as handle:
+            handle.write("[" * 100_000 + "]" * 100_000)
+        assert ResultCache(cache_dir).load(key) is None
+        session = CheckSession(path)
+        served = session.check(cache_dir=cache_dir)
+        assert not session.cache_info["hit"]
+        assert served.describe() == fresh.describe()
+        assert ResultCache(cache_dir).load(key) is not None
+
+    def test_previous_schema_entries_are_not_served(
+        self, trace, tmp_path, monkeypatch
+    ):
+        """A ``/1`` entry predates today's readers: a hit no longer opens
+        the file, and a lenient reader's result could be filed under the
+        strict ``/1`` key, serving "no violations" to a strict check of
+        the damaged file.  No such entry is served."""
+        from repro.errors import TraceError
+        from repro.report import ViolationReport
+
+        path = str(tmp_path / "t.jsonl")
+        dump_trace(trace, path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("{junk\n")
+        cache_dir = str(tmp_path / "rc")
+        monkeypatch.setattr("repro.cache.CACHE_SCHEMA", "repro-result-cache/1")
+        key = result_cache_key("file:" + file_digest(path), "optimized", "lca", True)
+        ResultCache(cache_dir).store(key, ViolationReport())
+        assert ResultCache(cache_dir).load(key) is not None
+        monkeypatch.undo()
+        assert CACHE_SCHEMA != "repro-result-cache/1"
+        with pytest.raises(TraceError):
+            CheckSession(path).check(cache_dir=cache_dir)
+
     def test_checker_kwargs_are_part_of_the_key(self, trace, tmp_path):
         cache_dir = str(tmp_path / "rc")
         CheckSession(trace).check(cache_dir=cache_dir)

@@ -639,6 +639,19 @@ class TestExitStatus:
         completed = self.run("check-trace", "missing.jsonl", cwd=tmp_path)
         self.assert_error_names(completed, "missing.jsonl")
 
+    @pytest.mark.parametrize(
+        "cache", [[], ["--cache-dir", "rc"]], ids=["no-cache", "cache"]
+    )
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_path_that_is_not_a_file_exits_2(self, tmp_path, kind, cache):
+        """A cache lookup digests the file and opens it only on a miss; a
+        path that is not a file still fails first, with one line."""
+        if kind == "directory":
+            (tmp_path / "t.trc").mkdir()
+        completed = self.run("check-trace", "t.trc", *cache, cwd=tmp_path)
+        self.assert_error_names(completed, "t.trc")
+        assert completed.stderr == "repro: error: no trace file at 't.trc'\n"
+
     def test_refused_option_exits_2(self, tmp_path):
         completed = self.run("check-trace", "t.jsonl", "--resume", cwd=tmp_path)
         self.assert_error_names(completed, "--checkpoint")

@@ -71,6 +71,10 @@ def keys(report):
     return {v.key for v in report}
 
 
+#: JSON nested past any recursion limit the interpreter allows.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 class TestFaultHooks:
     def test_noop_without_env(self):
         maybe_inject_fault(0, 0)  # must not raise or kill
@@ -297,6 +301,42 @@ class TestCheckpointResume:
             checkpoint_dir=ck, resume=True
         )
         assert keys(resumed) == keys(baseline)
+
+    def test_deeply_nested_shard_file_is_recomputed(self, trace_file, tmp_path):
+        """A shard file nested past the recursion limit ended the resume
+        in a ``RecursionError`` traceback; that shard is recomputed."""
+        ck = str(tmp_path / "ck")
+        fresh = CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
+        shard = os.path.join(ck, "shard-00000.json")
+        with open(shard, "w", encoding="utf-8") as handle:
+            handle.write(DEEP)
+        recorder = MetricsRecorder()
+        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            checkpoint_dir=ck, resume=True
+        )
+        assert resumed.describe() == fresh.describe()
+        counters = recorder.snapshot().counters
+        assert counters["sharded.resumed_shards"] == 1
+        assert counters["sharded.workers"] == 1
+
+    def test_deeply_nested_manifest_starts_a_fresh_run(self, trace_file, tmp_path):
+        """A manifest nested past the recursion limit reads as no manifest:
+        the resume recomputes every shard and rewrites it."""
+        ck = str(tmp_path / "ck")
+        fresh = CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
+        manifest = os.path.join(ck, "run.json")
+        with open(manifest, "w", encoding="utf-8") as handle:
+            handle.write(DEEP)
+        recorder = MetricsRecorder()
+        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            checkpoint_dir=ck, resume=True
+        )
+        assert resumed.describe() == fresh.describe()
+        counters = recorder.snapshot().counters
+        assert counters.get("sharded.resumed_shards", 0) == 0
+        assert counters["sharded.workers"] == 2
+        with open(manifest, "r", encoding="utf-8") as handle:
+            assert json.load(handle)["jobs"] == 2
 
     def test_jobs1_checkpoints_as_single_shard(
         self, trace_file, baseline, tmp_path

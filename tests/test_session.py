@@ -111,6 +111,40 @@ class TestFileSource:
         assert len(session.trace) == len(trace)
         assert session.dpst is not None
 
+    @pytest.mark.parametrize("suffix", ["jsonl", "trc"])
+    def test_views_open_the_file_on_first_need(self, tmp_path, suffix):
+        path = str(tmp_path / f"trace.{suffix}")
+        trace = recorded_trace()
+        dump_trace(trace, path)
+        session = CheckSession(path)
+        assert session.source_kind == "file"
+        assert session.lines_skipped == 0
+        assert len(session.dpst) == len(trace.dpst)
+        assert len(CheckSession(path).trace) == len(trace)
+        lenient = CheckSession(path, strict=False)
+        assert lenient.lines_skipped == 0
+        assert set(lenient.check().locations()) == {"X"}
+        assert lenient.lines_skipped == 0
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_path_that_is_not_a_file_is_refused(self, tmp_path, kind):
+        path = tmp_path / "trace.trc"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(TraceError, match="no trace file at"):
+            CheckSession(str(path))
+
+    def test_undecodable_file_raises_from_check(self, tmp_path):
+        """The file opens on first need, so its decoding error comes from
+        the check (or :attr:`dpst`), not from the constructor."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text("not json\n")
+        session = CheckSession(str(path))
+        with pytest.raises(TraceError, match="trace.jsonl"):
+            session.check()
+        with pytest.raises(TraceError, match="trace.jsonl"):
+            session.dpst
+
 
 class TestCheckerSpecs:
     def test_class_and_instance_specs(self):
