@@ -11,26 +11,33 @@ originally produced it.
 
 Deliberately **excluded** from the key:
 
-* ``jobs`` / checkpointing / fault policy -- sharding is proven
-  report-equivalent to in-process checking (PR 1/4), so parallelism is an
-  execution detail, not an input.
+* ``jobs`` / fault policy -- sharding is proven report-equivalent to
+  in-process checking, so parallelism is an execution detail, not an
+  input (a shard entry adds the layout to the key; see below).
 * observability -- metrics never feed back into reports.
 
-Storage reuses the shard-checkpoint substrate
-(:func:`repro.checker.supervisor._atomic_write`): one JSON file per key
-under a two-level fan-out directory, written atomically, and any entry
-that fails to decode (torn, foreign, or nested past the recursion limit)
-is treated as a miss and recomputed -- a damaged cache can cost time,
-never correctness.
+Storage: one JSON file per key under a two-level fan-out directory,
+written atomically (:func:`_atomic_write`), and any entry that fails to
+decode (torn, foreign, or nested past the recursion limit) is treated as
+a miss and recomputed -- a damaged cache can cost time, never
+correctness.
+
+A ``jobs > 1`` miss also stores each shard's report the moment the shard
+completes, under the check's key plus the layout (``<key>.2-0`` beside
+``<key>``), so re-running an interrupted check redoes only the shards
+with no entry; a shard entry only serves the check that computed it.
 
 A hit on a trace file reads only the file's digest and the entry: the
 file is never opened, so none of the checks its reader makes at open
 (header, DPST, v3 footer) run again.  An entry therefore stands for what
 the readers and checkers of the version that wrote it made of those
 bytes, and :data:`CACHE_SCHEMA`, part of every key, is the version.
-Bump it whenever a reader starts refusing input it accepted or a
-checker's verdict changes on some trace: every older entry then falls
-out of every key, and a hit only serves what today's code computes.
+Bump it whenever a reader starts refusing input it accepted, a checker's
+verdict changes on some trace, or
+:func:`~repro.trace.serialize.location_shard_key` assigns any location
+to another shard (a shard entry holds the verdict on the locations its
+shard held): every older entry then falls out of every key, and a hit
+only serves what today's code computes.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.checker.supervisor import _atomic_write
 from repro.errors import TraceError
 from repro.report import (
     ViolationReport,
@@ -57,6 +63,16 @@ from repro.trace.trace import Trace
 CACHE_SCHEMA = "repro-result-cache/2"
 
 _HASH_CHUNK = 1 << 20
+
+
+def _atomic_write(path: str, data: Dict[str, Any]) -> None:
+    """Write compact JSON via a temp file + rename, so readers never see a
+    torn entry (an interrupted write leaves the old file or none)."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(data, sort_keys=True, separators=(",", ":")))
+        handle.write("\n")
+    os.replace(tmp, path)
 
 
 def file_digest(path: str) -> str:
@@ -189,9 +205,9 @@ class ResultCache:
 
     Layout: ``<directory>/<key[:2]>/<key>.json`` (two-level fan-out keeps
     directory listings sane at millions of entries).  Writes go through
-    the checkpoint store's atomic temp-file + :func:`os.replace`
-    discipline, so concurrent checkers racing on the same key simply
-    last-write-wins identical bytes.
+    :func:`_atomic_write`'s temp-file + :func:`os.replace` discipline, so
+    concurrent checkers racing on the same key simply last-write-wins
+    identical bytes.
     """
 
     def __init__(self, directory: str) -> None:
@@ -218,6 +234,7 @@ class ResultCache:
                 not isinstance(data, dict)
                 or data.get("schema") != CACHE_SCHEMA
                 or data.get("key") != key
+                or not isinstance(data.get("meta", {}), dict)
             ):
                 return None
             report = report_from_dict(data["report"])

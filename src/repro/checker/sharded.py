@@ -28,10 +28,12 @@ Two input shapes:
   checked.
 
 Every offline check -- ``jobs=1`` in-process (the whole run is shard 0),
-each ``jobs>1`` worker, checkpointed or not, streaming or not -- replays
+each ``jobs>1`` worker, cached or not, streaming or not -- replays
 through one shard body, :func:`_replay_shard`, which returns a
 :class:`~repro.report.ViolationReport`; the driver merges them with
-:meth:`ViolationReport.merge`.  What a shard replays is picked by one
+:meth:`ViolationReport.merge` into canonical order
+(:func:`repro.cache.normalized_report_copy`), the order a cached
+result has.  What a shard replays is picked by one
 function, :func:`repro.trace.replay.events_to_replay`: its memory events
 plus every task end, which carries no location and so reaches every
 shard -- each shard frees a finished task's local metadata.
@@ -45,12 +47,11 @@ import contextlib
 import multiprocessing
 import os
 import time
-from typing import Any, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
 
 from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
 from repro.checker.supervisor import (
-    CheckpointStore,
     ShardOutcome,
     ShardTask,
     WorkerPolicy,
@@ -68,6 +69,9 @@ from repro.trace.serialize import (
     open_trace,
 )
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.cache import ResultCache
 
 #: Any form :func:`repro.checker.make_checker` accepts.
 CheckerSpec = Any
@@ -232,16 +236,19 @@ def run_check(
     parallel_engine: str,
     recorder,
     policy: WorkerPolicy,
-    store: Optional[CheckpointStore],
+    cache: Optional[Tuple[ResultCache, str]],
 ) -> ViolationReport:
     """Check *source* in ``jobs`` per-location shards; return the merged,
     deduplicated report.
 
     Every setting arrives resolved and checked by
     :meth:`repro.session.CheckSession.check`, which documents them: a
-    ``jobs >= 1``, a checker spec (already wrapped for streaming), an
-    open :class:`CheckpointStore` or ``None``.  A reader's workers open
-    its path in the reader's own mode; the reader stays the caller's.
+    ``jobs >= 1``, a checker spec (already wrapped for streaming), and
+    the result cache with the check's key, or ``None``.  At ``jobs > 1``
+    each shard is served from its cache entry, if an earlier run of this
+    check stored one, or run and stored the moment it completes.  A
+    reader's workers open its path in the reader's own mode; the reader
+    stays the caller's.
     """
     collect = recorder.enabled
     # What every shard replays with (see _replay_shard).
@@ -252,37 +259,12 @@ def run_check(
         parallel_engine=parallel_engine,
     )
     if jobs == 1:
-        return _check_single(source, recorder, store, collect, options)
+        return _replay_shard(source, source.dpst, recorder, **options)
     _require_shardable(checker)
     return _check_supervised(
-        source, jobs, recorder, policy, store,
+        source, jobs, recorder, policy, cache,
         _mp_context(policy.start_method), collect, options,
     )
-
-
-def _check_single(
-    source: Union[Trace, TraceReader],
-    recorder,
-    store: Optional[CheckpointStore],
-    collect: bool,
-    options: dict,
-) -> ViolationReport:
-    """``jobs=1``: the whole run is shard 0, replayed in-process.
-
-    Checkpointing treats the run as shard 0 too, so
-    ``--checkpoint/--resume`` behave uniformly across job counts.  File
-    sources are never materialized.
-    """
-    if store is not None:
-        cached = store.load(0)
-        if cached is not None:
-            if collect:
-                recorder.count("sharded.resumed_shards")
-            return cached[0]
-    report = _replay_shard(source, source.dpst, recorder, **options)
-    if store is not None:
-        store.store(0, report, None)
-    return report
 
 
 def _check_supervised(
@@ -290,17 +272,18 @@ def _check_supervised(
     jobs: int,
     recorder,
     policy: WorkerPolicy,
-    store: Optional[CheckpointStore],
+    cache: Optional[Tuple[ResultCache, str]],
     context,
     collect: bool,
     options: dict,
 ) -> ViolationReport:
-    """The ``jobs > 1`` path: supervised workers, checkpoints, metrics.
+    """The ``jobs > 1`` path: supervised workers, shard entries, metrics.
 
     One control flow for the observed and unobserved configurations --
     spans and counters are per-phase, so gating them on *collect* keeps
     the disabled path free of measurable overhead.
     """
+    from repro.cache import normalized_report_copy
     from repro.obs import SPAN_MAP, SPAN_MERGE, SPAN_PARTITION, SPAN_SHARDED
 
     def span(name):
@@ -344,19 +327,26 @@ def _check_supervised(
                 for shard in range(jobs)
             ]
 
-        # Shards already completed by an earlier interrupted run merge
-        # from their checkpoints; only the remainder runs.
+        # Shards an earlier, interrupted run of this check stored merge
+        # from their entries (keyed on the layout too); only the rest runs.
         resumed: List[ShardOutcome] = []
-        if store is not None and store.resume:
+        if cache is not None:
+            results, key = cache
+
+            def entry_key(shard_id: int) -> str:
+                return f"{key}.{jobs}-{shard_id}"
+
             remaining = []
             for task in tasks:
-                cached = store.load(task.shard_id)
-                if cached is None:
+                entry = results.load(entry_key(task.shard_id))
+                if entry is None:
                     remaining.append(task)
                 else:
-                    report, snapshot = cached
+                    snapshot = entry.meta.get("metrics")
                     resumed.append(ShardOutcome(
-                        task.shard_id, report, snapshot, resumed=True
+                        task.shard_id, entry.report,
+                        snapshot if isinstance(snapshot, dict) else None,
+                        resumed=True,
                     ))
             tasks = remaining
 
@@ -371,10 +361,13 @@ def _check_supervised(
                 recorder.count("sharded.inline_fallbacks")
 
         def on_outcome(outcome: ShardOutcome) -> None:
-            # Persist the moment a shard completes, not at the end: a
-            # later shard aborting the run must not lose finished work.
-            if store is not None:
-                store.store(outcome.shard_id, outcome.report, outcome.snapshot)
+            # Store the moment a shard completes, not at the end: a later
+            # shard aborting the run must not lose finished work.
+            if cache is not None:
+                results.store(
+                    entry_key(outcome.shard_id), outcome.report,
+                    meta={"metrics": outcome.snapshot},
+                )
 
         with span(SPAN_MAP):
             fresh = run_supervised(
@@ -403,7 +396,7 @@ def _check_supervised(
                 recorder.count("sharded.shards_nonempty", nonempty)
                 if resumed:
                     recorder.count("sharded.resumed_shards", len(resumed))
-            merged = ViolationReport.merge(
+            merged = normalized_report_copy(ViolationReport.merge(
                 [outcome.report for outcome in outcomes]
-            )
+            ))
     return merged

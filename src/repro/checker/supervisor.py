@@ -1,26 +1,19 @@
-"""Worker supervision and shard checkpointing for the sharded driver.
+"""Worker supervision for the sharded driver.
 
 The sharded pipeline (:mod:`repro.checker.sharded`) originally ran its
 workers through ``multiprocessing.Pool.map``: one crashed worker, one
 OOM-killed shard, or one hung process aborted the whole run and threw
-away every completed shard.  Velodrome-style offline analyses treat the
-driver as infrastructure that must survive partial failure, so this
-module supplies the two fault-tolerance primitives the driver builds on:
-
-* :func:`run_supervised` -- each shard attempt runs in its *own*
-  supervised process with a result pipe.  Worker death (any signal,
-  including SIGKILL) surfaces as pipe EOF, worker exceptions travel back
-  as strings, and a configurable per-shard timeout kills stragglers.
-  Failures are handled per the :class:`WorkerPolicy`: bounded retry with
-  exponential backoff, graceful degradation to in-process checking of
-  the failed shard, or immediate abort.
-* :class:`CheckpointStore` -- persists each completed shard's
-  :class:`~repro.report.ViolationReport` (+ optional metrics snapshot)
-  as JSON under a run directory, so an interrupted run can be resumed
-  (``CheckSession(...).check(checkpoint_dir=..., resume=True)`` /
-  ``repro check-trace --checkpoint DIR --resume``) without redoing
-  completed shards.  Merging stored and fresh reports in shard order
-  reproduces the fresh-run report exactly.
+away every completed shard.  :func:`run_supervised` runs each shard
+attempt in its *own* supervised process with a result pipe instead.
+Worker death (any signal, including SIGKILL) surfaces as pipe EOF,
+worker exceptions travel back as strings, and a configurable per-shard
+timeout kills stragglers.  Failures are handled per the
+:class:`WorkerPolicy`: bounded retry with exponential backoff, graceful
+degradation to in-process checking of the failed shard, or immediate
+abort.  Each shard's outcome is delivered the moment it completes, so
+the driver can store it in the result cache (:mod:`repro.cache`) before
+a later shard aborts the run; re-running the check then redoes only the
+shards with no entry.
 
 Fault injection hooks (tests and the CI smoke job) are environment
 variables so they reach workers under every start method:
@@ -34,7 +27,6 @@ variables so they reach workers under every start method:
 
 from __future__ import annotations
 
-import json
 import multiprocessing.connection
 import os
 import signal
@@ -42,8 +34,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import CheckerError, TraceError
-from repro.report import ViolationReport, report_from_dict, report_to_dict
+from repro.errors import CheckerError
+from repro.report import ViolationReport
 
 #: Legal :attr:`WorkerPolicy.on_failure` values.
 FAILURE_POLICIES = ("retry", "inline", "raise")
@@ -228,7 +220,7 @@ def run_supervised(
     notifications as they happen -- the driver uses it for metrics.
     *on_outcome* fires with each :class:`ShardOutcome` the moment its
     shard completes -- crucially *before* any later shard can abort the
-    run, so checkpoints written from it survive a failed run.
+    run, so cache entries stored from it survive a failed run.
 
     Raises :class:`CheckerError` when a shard is abandoned (policy
     ``"raise"``, or retries exhausted under ``"retry"``), with every
@@ -385,144 +377,3 @@ def run_supervised(
         _drain(running)
         raise
     return [outcomes[task.shard_id] for task in tasks]
-
-
-# ---------------------------------------------------------------------------
-# Shard checkpoints
-# ---------------------------------------------------------------------------
-
-#: Version stamp of the per-shard checkpoint JSON layout.
-CHECKPOINT_SCHEMA = "repro-checkpoint/1"
-
-#: The run manifest file inside a checkpoint directory.
-MANIFEST_NAME = "run.json"
-
-
-def _atomic_write(path: str, data: Dict[str, Any]) -> None:
-    """Write JSON via a temp file + rename so readers never see a torn
-    checkpoint (an interrupted run leaves either the old file or none)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
-
-
-class CheckpointStore:
-    """Per-shard result persistence under one run directory.
-
-    Layout::
-
-        DIR/run.json          manifest: schema, jobs, checker, source hint
-        DIR/shard-00003.json  one completed shard: report + metrics snapshot
-
-    A fresh run writes the manifest and clears stale shard files; a
-    ``resume=True`` run validates the manifest against the current
-    configuration (jobs count and checker name must match -- the shard
-    partition depends on both) and then serves stored shard results via
-    :meth:`load`.  Unreadable or torn shard files are silently recomputed;
-    an *incompatible* manifest is a hard :class:`CheckerError` so results
-    from different configurations can never be mixed.
-    """
-
-    def __init__(
-        self,
-        directory: str,
-        jobs: int,
-        checker: str,
-        source: Optional[str] = None,
-        resume: bool = False,
-    ) -> None:
-        self.directory = os.fspath(directory)
-        self.resume = bool(resume)
-        self.meta: Dict[str, Any] = {
-            "schema": CHECKPOINT_SCHEMA,
-            "jobs": int(jobs),
-            "checker": checker,
-            "source": source,
-        }
-        os.makedirs(self.directory, exist_ok=True)
-        manifest = os.path.join(self.directory, MANIFEST_NAME)
-        stored = self._read_manifest(manifest)
-        if self.resume and stored is not None:
-            for key in ("schema", "jobs", "checker"):
-                if stored.get(key) != self.meta[key]:
-                    raise CheckerError(
-                        f"checkpoint directory {self.directory!r} belongs "
-                        f"to an incompatible run ({key}={stored.get(key)!r}, "
-                        f"this run has {key}={self.meta[key]!r}); use a "
-                        "fresh directory or matching settings"
-                    )
-        else:
-            # Fresh run (or resume of an empty directory): stale shard
-            # files from other configurations must not leak in.
-            for name in os.listdir(self.directory):
-                if name.startswith("shard-") and name.endswith(".json"):
-                    os.unlink(os.path.join(self.directory, name))
-            _atomic_write(manifest, self.meta)
-
-    @staticmethod
-    def _read_manifest(path: str) -> Optional[Dict[str, Any]]:
-        """The manifest at *path*, or ``None`` when it is missing or does
-        not decode (nested past the recursion limit too): a fresh run."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError, RecursionError):
-            return None
-        return data if isinstance(data, dict) else None
-
-    def _shard_path(self, shard_id: int) -> str:
-        return os.path.join(self.directory, f"shard-{shard_id:05d}.json")
-
-    def load(
-        self, shard_id: int
-    ) -> Optional[Tuple[ViolationReport, Optional[dict]]]:
-        """The stored result of *shard_id*, or ``None`` to recompute.
-
-        Only serves results when resuming; damaged (nested past the
-        recursion limit too) or mismatched shard files degrade to
-        recomputation, never to a wrong merge.
-        """
-        if not self.resume:
-            return None
-        path = self._shard_path(shard_id)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError, RecursionError):
-            return None
-        if (
-            not isinstance(data, dict)
-            or data.get("schema") != CHECKPOINT_SCHEMA
-            or data.get("shard") != shard_id
-        ):
-            return None
-        try:
-            report = report_from_dict(data["report"])
-        except (KeyError, TypeError, ValueError, TraceError, RecursionError):
-            return None
-        return report, data.get("metrics")
-
-    def store(
-        self,
-        shard_id: int,
-        report: ViolationReport,
-        snapshot: Optional[dict] = None,
-    ) -> None:
-        """Persist one completed shard's report (+ metrics snapshot)."""
-        _atomic_write(
-            self._shard_path(shard_id),
-            {
-                "schema": CHECKPOINT_SCHEMA,
-                "shard": shard_id,
-                "report": report_to_dict(report),
-                "metrics": snapshot,
-            },
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"<CheckpointStore {self.directory!r} jobs={self.meta['jobs']} "
-            f"resume={self.resume}>"
-        )

@@ -340,8 +340,6 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
 
     jobs = None if args.jobs == 0 else args.jobs
     recorder = _metrics_recorder(args)
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume needs --checkpoint DIR")
     if args.window is not None and not args.streaming:
         raise SystemExit("--window needs --streaming")
     if recorder is None and (args.lenient or args.streaming):
@@ -361,8 +359,6 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         start_method=args.start_method,
     )
     report = session.check(
-        checkpoint_dir=args.checkpoint,
-        resume=args.resume,
         policy=policy,
         cache_dir=args.cache_dir,
         streaming=args.streaming,
@@ -768,16 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_option(check_trace)
     check_trace.add_argument(
-        "--checkpoint", metavar="DIR", default=None,
-        help="persist each completed shard's report under DIR so an "
-        "interrupted run can be resumed",
-    )
-    check_trace.add_argument(
-        "--resume", action="store_true",
-        help="reuse completed shards from --checkpoint DIR (same jobs "
-        "count and checker required); only the rest is re-checked",
-    )
-    check_trace.add_argument(
         "--on-shard-failure", choices=("retry", "inline", "raise"),
         default="retry",
         help="crashed/hung worker handling: bounded retry (default), "
@@ -807,7 +793,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", metavar="DIR", default=None,
         help="content-addressed result cache: serve this check as a hash "
         "lookup when the same trace/checker/engine was seen before "
-        "(bypasses are printed, never silent)",
+        "(bypasses are printed, never silent); at --jobs N>1 each shard "
+        "is stored as it completes, so re-running an interrupted check "
+        "redoes only the missing shards",
     )
     check_trace.add_argument(
         "--streaming", action="store_true",

@@ -149,11 +149,11 @@ METRIC_NAMES: Dict[str, str] = {
     "sharded.workers": "worker processes used by the sharded driver",
     "sharded.shards_nonempty": "shards that received at least one event",
     "sharded.heartbeats": "worker completions observed by the driver",
-    # fault tolerance (worker supervision, checkpoints, lenient reads)
+    # fault tolerance (worker supervision, shard cache entries, lenient reads)
     "sharded.shard_failures": "worker attempts that crashed, errored, or timed out",
     "sharded.retries": "shard attempts relaunched after a failure",
     "sharded.inline_fallbacks": "shards degraded to in-process checking after exhausting retries",
-    "sharded.resumed_shards": "shards merged from checkpoints instead of re-run",
+    "sharded.resumed_shards": "shards merged from result-cache shard entries instead of re-run",
     "trace.lines_skipped": "undecodable trace lines skipped by a lenient reader",
     # per-worker (inside shard snapshots)
     "worker.elapsed_s": "wall seconds one worker spent on its shard",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-#: Version stamp of the report JSON layout (shard checkpoints, tooling).
+#: Version stamp of the report JSON layout (result-cache entries, tooling).
 REPORT_SCHEMA = "repro-report/1"
 
 #: Access types.  Kept as plain strings for cheap comparisons and readable
@@ -354,7 +354,7 @@ def normalized_locations(report: ViolationReport) -> Tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip (shard checkpoints, external tooling)
+# JSON round-trip (result-cache entries, external tooling)
 # ---------------------------------------------------------------------------
 #
 # Locations are arbitrary hashable values (strings, ints, tuples ...);
@@ -392,7 +392,7 @@ def report_to_dict(report: ViolationReport) -> Dict[str, Any]:
 
     First-seen order, ``raw_count`` and both violation kinds survive, so
     ``report_from_dict(report_to_dict(r))`` renders and merges exactly
-    like ``r`` -- the property shard checkpoints rely on.
+    like ``r`` -- the property the result cache's shard entries rely on.
     """
     from repro.trace.serialize import encode_location
 

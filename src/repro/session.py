@@ -39,8 +39,8 @@ from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
 from repro.checker.sharded import CheckerSpec, default_jobs, run_check
 from repro.checker.streaming import StreamingChecker, resolve_window
-from repro.checker.supervisor import CheckpointStore, WorkerPolicy
-from repro.errors import CheckerError, TraceError
+from repro.checker.supervisor import WorkerPolicy
+from repro.errors import TraceError
 from repro.report import ViolationReport
 from repro.runtime.program import TaskProgram, run_program
 from repro.trace.serialize import TraceReader, open_trace
@@ -232,8 +232,6 @@ class CheckSession:
     def check(
         self,
         checker: Optional[CheckerSpec] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
         policy: Optional[WorkerPolicy] = None,
         cache_dir: Optional[str] = None,
         streaming: bool = False,
@@ -245,24 +243,21 @@ class CheckSession:
         *checker* defaults to the session's; ``checker_kwargs`` go to
         checker construction (names and classes only).  A program source
         executes once per session.  The options are checked here, once,
-        before any cache lookup.
-
-        ``checkpoint_dir`` persists each completed shard's report (a
-        ``jobs=1`` check is one shard); ``resume=True`` merges the shards a
-        compatible earlier run (same ``jobs`` and checker) stored there
-        instead of re-running them, and without ``checkpoint_dir`` raises
-        a :class:`~repro.errors.CheckerError`, cache hit or not.  *policy*
-        (a :class:`~repro.checker.supervisor.WorkerPolicy`) supervises
-        the ``jobs > 1`` workers: retry, inline fallback or abort on a
-        failed worker, the per-attempt timeout and the start method.
+        before any cache lookup.  *policy* (a
+        :class:`~repro.checker.supervisor.WorkerPolicy`) supervises the
+        ``jobs > 1`` workers: retry, inline fallback or abort on a failed
+        worker, the per-attempt timeout and the start method.
 
         ``cache_dir`` enables the content-addressed result cache
         (:mod:`repro.cache`), keyed on the trace, the checker, the engine
         and the trace mode; hits and fresh results are served in
         canonical (jobs-insensitive) order.  A file source is keyed on
-        its bytes' digest, so a hit never opens the file.  Class/instance
-        checker specs and non-trivial annotations bypass it, with the
-        reason recorded in :attr:`cache_info`, never silently.
+        its bytes' digest, so a hit never opens the file.  A ``jobs > 1``
+        miss also files each shard's report under the key plus the
+        layout as the shard completes, so re-running an interrupted check
+        redoes only the missing shards.  Class/instance checker specs and
+        non-trivial annotations bypass the cache, with the reason
+        recorded in :attr:`cache_info`, never silently.
 
         ``streaming=True`` checks through
         :class:`~repro.checker.streaming.StreamingChecker`, sweeping every
@@ -279,11 +274,6 @@ class CheckSession:
         if jobs < 1:
             raise TraceError(f"jobs must be >= 1, got {jobs}")
         window = resolve_window(window, streaming)
-        if resume and checkpoint_dir is None:
-            raise CheckerError(
-                "resume=True needs checkpoint_dir=: there is no checkpoint "
-                "directory to resume from"
-            )
         cache_state = self._resolve_cache(
             cache_dir, spec, checker_kwargs, streaming
         )
@@ -307,9 +297,9 @@ class CheckSession:
 
             self._span_dpst_build()
             with self.recorder.span(SPAN_CHECK):
-                report = self._run(spec, jobs, policy, checkpoint_dir, resume)
+                report = self._run(spec, jobs, policy, cache_state)
         else:
-            report = self._run(spec, jobs, policy, checkpoint_dir, resume)
+            report = self._run(spec, jobs, policy, cache_state)
         if cache_state is not None:
             from repro.cache import normalized_report_copy
 
@@ -413,8 +403,7 @@ class CheckSession:
         spec: CheckerSpec,
         jobs: int,
         policy: Optional[WorkerPolicy],
-        checkpoint_dir: Optional[str],
-        resume: bool,
+        cache_state: Optional[Dict[str, Any]],
     ) -> ViolationReport:
         """Hand the check to the driver, :func:`run_check`.
 
@@ -425,15 +414,6 @@ class CheckSession:
             source = self._file_reader()
         else:
             source = self.trace
-        store = None
-        if checkpoint_dir is not None:
-            store = CheckpointStore(
-                checkpoint_dir,
-                jobs=jobs,
-                checker=checker_name_of(spec),
-                source=source.path if source is self._reader else None,
-                resume=resume,
-            )
         return run_check(
             source,
             checker=spec,
@@ -443,7 +423,9 @@ class CheckSession:
             parallel_engine=self.engine,
             recorder=self.recorder,
             policy=WorkerPolicy() if policy is None else policy,
-            store=store,
+            cache=None if cache_state is None else (
+                cache_state["cache"], cache_state["key"]
+            ),
         )
 
     def _span_dpst_build(self) -> None:

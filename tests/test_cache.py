@@ -110,6 +110,19 @@ class TestStore:
         assert entry.meta == {"checker": "optimized"}
         assert report_bytes(entry.report) == report_bytes(report)
 
+    def test_entries_are_compact_and_indented_ones_still_load(
+        self, trace, tmp_path
+    ):
+        report = CheckSession(trace).check()
+        cache = ResultCache(str(tmp_path / "rc"))
+        key = "ab" * 32
+        cache.store(key, report)
+        path = cache._path(key)
+        raw = open(path).read()
+        assert raw.count("\n") == 1 and ", " not in raw
+        open(path, "w").write(json.dumps(json.loads(raw), indent=2))
+        assert report_bytes(cache.load(key).report) == report_bytes(report)
+
     def test_missing_key_is_a_miss(self, tmp_path):
         assert ResultCache(str(tmp_path / "rc")).load("cd" * 32) is None
 
@@ -160,6 +173,18 @@ class TestStore:
         path = cache._path(key)
         data = json.loads(open(path).read())
         data["report"] = {"violations": "not-a-list"}
+        open(path, "w").write(json.dumps(data))
+        assert cache.load(key) is None
+
+    def test_non_dict_meta_is_a_miss(self, trace, tmp_path):
+        """A shard's metrics snapshot is read from ``meta``; a ``meta``
+        that is not an object is damage, not an ``AttributeError``."""
+        cache = ResultCache(str(tmp_path / "rc"))
+        key = "4a" * 32
+        cache.store(key, CheckSession(trace).check())
+        path = cache._path(key)
+        data = json.loads(open(path).read())
+        data["meta"] = [1, 2]
         open(path, "w").write(json.dumps(data))
         assert cache.load(key) is None
 

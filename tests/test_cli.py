@@ -312,28 +312,46 @@ class TestCheckTraceFaultTolerance:
         capsys.readouterr()
         return path
 
-    def test_checkpoint_then_resume(self, trace_file, tmp_path, capsys):
-        import os
+    def test_checkpoint_then_resume(
+        self, trace_file, tmp_path, monkeypatch, capsys
+    ):
+        """An interrupted ``--jobs 2 --cache-dir`` run keeps the shard that
+        finished; re-running it redoes the other and prints the report of
+        a fresh run."""
+        import glob
+        import json
 
-        ck = str(tmp_path / "ck")
-        code = main(
-            ["check-trace", trace_file, "--jobs", "2", "--checkpoint", ck]
-        )
+        from repro.checker.supervisor import FAULT_KILL_ENV
+        from repro.errors import CheckerError
+
+        rc = str(tmp_path / "rc")
+        argv = ["check-trace", trace_file, "--jobs", "2", "--retries", "4"]
+        monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
+        with pytest.raises(CheckerError, match="shard 0 failed"):
+            main([*argv, "--cache-dir", rc])
+        monkeypatch.delenv(FAULT_KILL_ENV)
+        (entry,) = glob.glob(os.path.join(rc, "*", "*.json"))
+        assert entry.endswith(".2-1.json")
+        metrics = str(tmp_path / "m.json")
+        assert main([*argv, "--cache-dir", rc, "--metrics", metrics]) == 1
+        resumed = capsys.readouterr().out
+        assert main(argv) == 1
         fresh = capsys.readouterr().out
-        assert code == 1
-        os.unlink(os.path.join(ck, "shard-00000.json"))
-        code = main(
-            [
-                "check-trace", trace_file, "--jobs", "2",
-                "--checkpoint", ck, "--resume",
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().out == fresh
+        assert [
+            line for line in resumed.splitlines()
+            if not line.startswith(("result cache:", "metrics written"))
+        ] == fresh.splitlines()
+        with open(metrics, "r", encoding="utf-8") as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["sharded.resumed_shards"] == 1
+        assert counters["sharded.workers"] == 1
 
-    def test_resume_requires_checkpoint(self, trace_file):
-        with pytest.raises(SystemExit, match="--checkpoint"):
-            main(["check-trace", trace_file, "--resume"])
+    def test_checkpoint_flags_are_refused(self, trace_file, capsys):
+        for flags in (["--checkpoint", "ck"], ["--resume"]):
+            with pytest.raises(SystemExit) as refused:
+                main(["check-trace", trace_file, *flags])
+            assert refused.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_kill_injection_still_completes(
         self, trace_file, monkeypatch, capsys
@@ -653,8 +671,43 @@ class TestExitStatus:
         assert completed.stderr == "repro: error: no trace file at 't.trc'\n"
 
     def test_refused_option_exits_2(self, tmp_path):
-        completed = self.run("check-trace", "t.jsonl", "--resume", cwd=tmp_path)
-        self.assert_error_names(completed, "--checkpoint")
+        completed = self.run(
+            "check-trace", "t.jsonl", "--window", "8", cwd=tmp_path
+        )
+        self.assert_error_names(completed, "--streaming")
+
+    def test_other_trace_in_the_same_cache_dir_exits_0(self, tmp_path):
+        """A shard stored for one trace answered a check of another: the
+        clean trace printed the buggy one's triple (exit 1)."""
+        (tmp_path / "cli_targets.py").write_text(PROGRAMS_SOURCE)
+        for name in ("buggy", "clean"):
+            self.run(
+                "record", f"cli_targets:{name}", "-o", f"{name}.jsonl",
+                cwd=tmp_path,
+            )
+        argv = ["--jobs", "2", "--cache-dir", "rc"]
+        first = self.run("check-trace", "buggy.jsonl", *argv, cwd=tmp_path)
+        assert first.returncode == 1, first.stderr
+        second = self.run("check-trace", "clean.jsonl", *argv, cwd=tmp_path)
+        assert second.returncode == 0, second.stdout
+        assert second.stdout.startswith("no violations\n")
+
+    def test_strict_after_lenient_in_the_same_cache_dir_exits_2(
+        self, tmp_path
+    ):
+        """A lenient run's shards answered a later strict check of the same
+        damaged file, which on its own refuses the file."""
+        (tmp_path / "cli_targets.py").write_text(PROGRAMS_SOURCE)
+        self.run("record", "cli_targets:buggy", "-o", "t.jsonl", cwd=tmp_path)
+        with open(tmp_path / "t.jsonl", "a", encoding="utf-8") as handle:
+            handle.write("not json\n")
+        argv = ["--jobs", "2", "--cache-dir", "rc"]
+        lenient = self.run(
+            "check-trace", "t.jsonl", "--lenient", *argv, cwd=tmp_path
+        )
+        assert lenient.returncode == 1, lenient.stderr
+        strict = self.run("check-trace", "t.jsonl", *argv, cwd=tmp_path)
+        self.assert_error_names(strict, "t.jsonl")
 
     def test_unimportable_module_exits_2(self, tmp_path):
         completed = self.run("check", "no_such_mod:main", cwd=tmp_path)

@@ -491,8 +491,8 @@ class TestSharding:
         assert merged == [e.seq for e in trace.memory_events()]
 
     def test_v2_and_v3_assign_identical_shards(self, trace, tmp_path):
-        # The footer shard keys must agree with the v2 "sk" stamps --
-        # a checkpointed v2 run must be resumable against a v3 copy.
+        # A v3 reader must key each location as the v2 "sk" stamps do,
+        # so --jobs N splits a v2 file and its v3 copy alike.
         v2 = str(tmp_path / "t.jsonl")
         v3 = str(tmp_path / "t.trc")
         dump_trace_jsonl(trace, v2)

@@ -1,16 +1,18 @@
-"""Fault tolerance of the sharded driver: supervision, checkpoints, resume.
+"""Fault tolerance of the sharded driver: supervision and resume.
 
-The failure matrix of ISSUE 4: a worker SIGKILLed mid-shard under each
+The failure matrix: a worker SIGKILLed mid-shard under each
 ``WorkerPolicy.on_failure`` policy, timeout expiry, resume-after-interrupt
-reproducing the fresh-run report exactly (including across the whole
-36-program suite), spawn-mode equivalence, and the driver bugfixes
-(affinity-aware ``default_jobs``, reader cleanup, picklable payloads).
+through the result cache's shard entries reproducing the fresh-run
+report exactly (including across the whole 36-program suite), spawn-mode
+equivalence, and the driver bugfixes (affinity-aware ``default_jobs``,
+reader cleanup, picklable payloads).
 
 Faults are injected through the ``REPRO_FAULT_KILL`` /
 ``REPRO_FAULT_SLEEP`` environment hooks so they reach worker processes
 under every start method.
 """
 
+import glob
 import json
 import os
 
@@ -21,7 +23,6 @@ from repro.checker.sharded import default_jobs
 from repro.checker.supervisor import (
     FAULT_KILL_ENV,
     FAULT_SLEEP_ENV,
-    CheckpointStore,
     WorkerPolicy,
     maybe_inject_fault,
 )
@@ -75,6 +76,30 @@ def keys(report):
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
+def cache_entries(cache_dir):
+    """The file names of every entry under *cache_dir*, sorted."""
+    return sorted(
+        os.path.basename(path)
+        for path in glob.glob(os.path.join(cache_dir, "*", "*.json"))
+    )
+
+
+def shard_entry(cache_dir, jobs, shard):
+    """The path of the one ``<key>.{jobs}-{shard}.json`` entry."""
+    (path,) = glob.glob(os.path.join(cache_dir, "*", f"*.{jobs}-{shard}.json"))
+    return path
+
+
+def drop_whole_entry(cache_dir):
+    """Delete the whole-result ``<key>.json`` entry, as an interrupted
+    run never stores it, so a re-run consults the shard entries."""
+    (path,) = [
+        path for path in glob.glob(os.path.join(cache_dir, "*", "*.json"))
+        if os.path.basename(path).count(".") == 1
+    ]
+    os.unlink(path)
+
+
 class TestFaultHooks:
     def test_noop_without_env(self):
         maybe_inject_fault(0, 0)  # must not raise or kill
@@ -115,9 +140,9 @@ class TestWorkerPolicy:
             name for name, param in check.items()
             if name != "self" and param.kind is not param.VAR_KEYWORD
         ]
-        # checker, checkpoint_dir, resume, policy, cache_dir, streaming,
-        # window: jobs and the engine belong to the session.
-        assert len(named) == 7
+        # checker, policy, cache_dir, streaming, window: jobs and the
+        # engine belong to the session.
+        assert len(named) == 5
         for name in (
             "on_shard_failure", "max_retries", "retry_backoff",
             "shard_timeout", "start_method",
@@ -232,38 +257,49 @@ class TestFailureMatrix:
 
 
 class TestCheckpointResume:
-    def test_fresh_run_writes_manifest_and_shards(self, trace_file, tmp_path):
-        ck = str(tmp_path / "ck")
-        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
-        names = sorted(os.listdir(ck))
-        assert "run.json" in names
-        assert [n for n in names if n.startswith("shard-")] == [
-            "shard-00000.json",
-            "shard-00001.json",
-        ]
+    """Resuming through the result cache: a ``jobs > 1`` miss stores each
+    shard's report under the check's key plus the layout
+    (``<key>.2-0.json``) as the shard completes, so a re-run of an
+    interrupted check redoes only the shards with no entry."""
+
+    def test_fresh_run_writes_whole_and_shard_entries(
+        self, trace_file, tmp_path
+    ):
+        rc = str(tmp_path / "rc")
+        CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        names = cache_entries(rc)
+        key = names[0].split(".")[0]
+        assert names == [f"{key}.2-0.json", f"{key}.2-1.json", f"{key}.json"]
 
     def test_resume_after_partial_run_matches_fresh(
         self, trace_file, baseline, tmp_path
     ):
-        ck = str(tmp_path / "ck")
-        fresh = CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
-        # Simulate an interrupt: one shard's checkpoint never landed.
-        os.unlink(os.path.join(ck, "shard-00001.json"))
-        resumed = CheckSession(trace_file, jobs=2).check(
-            checkpoint_dir=ck, resume=True
+        rc = str(tmp_path / "rc")
+        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        # Simulate an interrupt: neither the whole result nor shard 1's
+        # entry landed.
+        drop_whole_entry(rc)
+        os.unlink(shard_entry(rc, 2, 1))
+        recorder = MetricsRecorder()
+        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            cache_dir=rc
         )
         assert resumed.describe() == fresh.describe()  # byte-identical
         assert keys(resumed) == keys(baseline)
         assert resumed.raw_count == fresh.raw_count
+        counters = recorder.snapshot().counters
+        assert counters["sharded.resumed_shards"] == 1
+        assert counters["sharded.workers"] == 1
 
     def test_resume_from_complete_run_skips_all_workers(
         self, trace_file, baseline, tmp_path
     ):
-        ck = str(tmp_path / "ck")
-        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
+        rc = str(tmp_path / "rc")
+        CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        drop_whole_entry(rc)
         recorder = MetricsRecorder()
         resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
-            checkpoint_dir=ck, resume=True
+            cache_dir=rc
         )
         counters = recorder.snapshot().counters
         assert keys(resumed) == keys(baseline)
@@ -273,124 +309,178 @@ class TestCheckpointResume:
     def test_resume_with_mismatched_jobs_is_refused(
         self, trace_file, tmp_path
     ):
-        ck = str(tmp_path / "ck")
-        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
-        with pytest.raises(CheckerError, match="incompatible"):
-            CheckSession(trace_file, jobs=4).check(
-                checkpoint_dir=ck, resume=True
-            )
+        """A shard entry names its layout, so a ``jobs=4`` check refuses
+        to resume from an interrupted ``jobs=2`` run: it merges none of
+        its shards, recomputes every shard and equals a fresh run."""
+        rc = str(tmp_path / "rc")
+        CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        drop_whole_entry(rc)
+        recorder = MetricsRecorder()
+        resumed = CheckSession(trace_file, jobs=4, recorder=recorder).check(
+            cache_dir=rc
+        )
+        fresh = CheckSession(trace_file, jobs=4).check()
+        assert resumed.describe() == fresh.describe()
+        assert resumed.raw_count == fresh.raw_count
+        counters = recorder.snapshot().counters
+        assert counters.get("sharded.resumed_shards", 0) == 0
+        assert counters["sharded.workers"] == 4
+        assert len(cache_entries(rc)) == 2 + 4 + 1
 
     def test_fresh_run_clears_stale_shards(self, trace_file, tmp_path):
-        ck = str(tmp_path / "ck")
-        CheckSession(trace_file, jobs=4).check(checkpoint_dir=ck)
-        # Same directory, new configuration, no resume: stale shard
-        # files from the jobs=4 run must not leak into a jobs=2 merge.
-        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
-        shards = [n for n in os.listdir(ck) if n.startswith("shard-")]
-        assert sorted(shards) == ["shard-00000.json", "shard-00001.json"]
+        """Same directory, new configuration: the stale shard entries of
+        a ``jobs=4`` run stay on disk but must not leak into a ``jobs=2``
+        merge, which computes both of its shards afresh."""
+        rc = str(tmp_path / "rc")
+        CheckSession(trace_file, jobs=4).check(cache_dir=rc)
+        drop_whole_entry(rc)
+        recorder = MetricsRecorder()
+        report = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            cache_dir=rc
+        )
+        fresh = CheckSession(trace_file, jobs=2).check()
+        assert report.describe() == fresh.describe()
+        assert report.raw_count == fresh.raw_count
+        counters = recorder.snapshot().counters
+        assert counters.get("sharded.resumed_shards", 0) == 0
+        assert counters["sharded.workers"] == 2
+        key = cache_entries(rc)[0].split(".")[0]
+        assert cache_entries(rc) == sorted(
+            [f"{key}.4-{shard}.json" for shard in range(4)]
+            + [f"{key}.2-0.json", f"{key}.2-1.json", f"{key}.json"]
+        )
 
     def test_damaged_checkpoint_is_recomputed(
         self, trace_file, baseline, tmp_path
     ):
-        ck = str(tmp_path / "ck")
-        CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
-        torn = os.path.join(ck, "shard-00000.json")
-        with open(torn, "w", encoding="utf-8") as handle:
-            handle.write('{"schema": "repro-checkpoint/1", "shard"')
-        resumed = CheckSession(trace_file, jobs=2).check(
-            checkpoint_dir=ck, resume=True
+        rc = str(tmp_path / "rc")
+        CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        drop_whole_entry(rc)
+        with open(shard_entry(rc, 2, 0), "w", encoding="utf-8") as handle:
+            handle.write('{"schema": "repro-result-cache/2", "key"')
+        recorder = MetricsRecorder()
+        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            cache_dir=rc
         )
         assert keys(resumed) == keys(baseline)
+        assert recorder.snapshot().counters["sharded.resumed_shards"] == 1
 
     def test_deeply_nested_shard_file_is_recomputed(self, trace_file, tmp_path):
-        """A shard file nested past the recursion limit ended the resume
-        in a ``RecursionError`` traceback; that shard is recomputed."""
-        ck = str(tmp_path / "ck")
-        fresh = CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
-        shard = os.path.join(ck, "shard-00000.json")
-        with open(shard, "w", encoding="utf-8") as handle:
+        """A shard entry nested past the recursion limit is a miss: that
+        shard is recomputed, not a ``RecursionError`` traceback."""
+        rc = str(tmp_path / "rc")
+        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        drop_whole_entry(rc)
+        with open(shard_entry(rc, 2, 0), "w", encoding="utf-8") as handle:
             handle.write(DEEP)
         recorder = MetricsRecorder()
         resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
-            checkpoint_dir=ck, resume=True
+            cache_dir=rc
         )
         assert resumed.describe() == fresh.describe()
         counters = recorder.snapshot().counters
         assert counters["sharded.resumed_shards"] == 1
         assert counters["sharded.workers"] == 1
 
-    def test_deeply_nested_manifest_starts_a_fresh_run(self, trace_file, tmp_path):
-        """A manifest nested past the recursion limit reads as no manifest:
-        the resume recomputes every shard and rewrites it."""
-        ck = str(tmp_path / "ck")
-        fresh = CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
-        manifest = os.path.join(ck, "run.json")
-        with open(manifest, "w", encoding="utf-8") as handle:
-            handle.write(DEEP)
-        recorder = MetricsRecorder()
-        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
-            checkpoint_dir=ck, resume=True
-        )
-        assert resumed.describe() == fresh.describe()
-        counters = recorder.snapshot().counters
-        assert counters.get("sharded.resumed_shards", 0) == 0
-        assert counters["sharded.workers"] == 2
-        with open(manifest, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["jobs"] == 2
-
     def test_jobs1_checkpoints_as_single_shard(
         self, trace_file, baseline, tmp_path
     ):
-        ck = str(tmp_path / "ck")
-        first = CheckSession(trace_file, jobs=1).check(checkpoint_dir=ck)
-        assert os.path.exists(os.path.join(ck, "shard-00000.json"))
-        resumed = CheckSession(trace_file, jobs=1).check(
-            checkpoint_dir=ck, resume=True
-        )
-        assert first.describe() == resumed.describe() == baseline.describe()
+        """At ``jobs=1`` the whole-result entry is the only entry."""
+        rc = str(tmp_path / "rc")
+        first = CheckSession(trace_file, jobs=1).check(cache_dir=rc)
+        assert len(cache_entries(rc)) == 1
+        assert not cache_entries(rc)[0].endswith("-0.json")
+        session = CheckSession(trace_file, jobs=1)
+        second = session.check(cache_dir=rc)
+        assert session.cache_info["hit"]
+        assert first.describe() == second.describe()
+        assert keys(second) == keys(baseline)
 
     def test_kill_plus_checkpoint_then_resume(
         self, trace_file, baseline, tmp_path, monkeypatch
     ):
         # Interrupted run: shard 0's worker dies on *every* attempt,
         # aborting the run -- but shard 1 finishes during the retries
-        # and its checkpoint survives.
-        ck = str(tmp_path / "ck")
+        # and its entry survives.
+        rc = str(tmp_path / "rc")
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
         with pytest.raises(CheckerError):
             CheckSession(trace_file, jobs=2).check(
-                checkpoint_dir=ck,
+                cache_dir=rc,
                 policy=WorkerPolicy(max_retries=2, retry_backoff=0.2),
             )
-        assert os.path.exists(os.path.join(ck, "shard-00001.json"))
+        assert len(cache_entries(rc)) == 1
+        assert os.path.exists(shard_entry(rc, 2, 1))
         monkeypatch.delenv(FAULT_KILL_ENV)
-        resumed = CheckSession(trace_file, jobs=2).check(
-            checkpoint_dir=ck, resume=True
+        recorder = MetricsRecorder()
+        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            cache_dir=rc
         )
         assert keys(resumed) == keys(baseline)
+        assert resumed.describe() == CheckSession(trace_file, jobs=2).check(
+        ).describe()
+        counters = recorder.snapshot().counters
+        assert counters["sharded.resumed_shards"] == 1
+        assert counters["sharded.workers"] == 1
 
-    def test_resume_without_checkpoint_is_refused(self, trace_file, tmp_path):
-        with pytest.raises(CheckerError, match="resume=True needs checkpoint_dir="):
-            CheckSession(trace_file, jobs=1).check(resume=True)
-        with pytest.raises(CheckerError, match="resume=True needs checkpoint_dir="):
-            CheckSession(trace_file, jobs=2).check(resume=True)
-        # A cache hit answers without the driver; the refusal still holds.
-        cache = str(tmp_path / "rc")
-        CheckSession(trace_file).check(cache_dir=cache)
-        with pytest.raises(CheckerError, match="resume=True needs checkpoint_dir="):
-            CheckSession(trace_file).check(cache_dir=cache, resume=True)
-
-    def test_store_validates_schema(self, tmp_path):
-        ck = str(tmp_path / "ck")
-        CheckpointStore(ck, jobs=2, checker="optimized")
-        manifest = os.path.join(ck, "run.json")
-        with open(manifest, "r", encoding="utf-8") as handle:
+    def test_store_validates_schema(self, trace_file, tmp_path):
+        """A shard entry of another schema is recomputed, not merged."""
+        rc = str(tmp_path / "rc")
+        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        drop_whole_entry(rc)
+        path = shard_entry(rc, 2, 0)
+        with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         data["schema"] = "other/1"
-        with open(manifest, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             json.dump(data, handle)
-        with pytest.raises(CheckerError, match="incompatible"):
-            CheckpointStore(ck, jobs=2, checker="optimized", resume=True)
+        recorder = MetricsRecorder()
+        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            cache_dir=rc
+        )
+        assert resumed.describe() == fresh.describe()
+        assert recorder.snapshot().counters["sharded.resumed_shards"] == 1
+
+    def test_other_trace_is_not_served_from_the_same_dir(self, tmp_path):
+        """A shard entry of one trace was served to another trace checked
+        into the same directory: a safe trace printed the buggy one's
+        triple."""
+
+        def safe(ctx):
+            def rmw(inner):
+                inner.write("X", inner.read("X") + 1)
+
+            ctx.spawn(rmw)
+            ctx.sync()
+            ctx.spawn(rmw)
+            ctx.sync()
+
+        rc = str(tmp_path / "rc")
+        buggy = str(tmp_path / "buggy.jsonl")
+        dump_trace_jsonl(recorded_trace(), buggy)
+        assert CheckSession(buggy, jobs=2).check(cache_dir=rc)
+        path = str(tmp_path / "safe.jsonl")
+        dump_trace_jsonl(run_program(
+            TaskProgram(safe, initial_memory={"X": 0}), record_trace=True
+        ).trace, path)
+        report = CheckSession(path, jobs=2).check(cache_dir=rc)
+        assert report.describe() == "no violations"
+
+    def test_lenient_result_is_not_served_to_a_strict_check(
+        self, trace_file, tmp_path
+    ):
+        """A lenient run's shard entries answered a later strict check of
+        the same damaged file, which on its own refuses the file."""
+        rc = str(tmp_path / "rc")
+        with open(trace_file, "a", encoding="utf-8") as handle:
+            handle.write("{garbage line\n")
+        assert CheckSession(trace_file, jobs=2, strict=False).check(
+            cache_dir=rc
+        )
+        with pytest.raises(CheckerError, match="TraceError"):
+            CheckSession(trace_file, jobs=2).check(
+                cache_dir=rc, policy=WorkerPolicy(retry_backoff=0.01)
+            )
 
 
 class TestSuiteEquivalence:
@@ -413,12 +503,11 @@ class TestSuiteEquivalence:
             assert keys(faulted) == keys(base), case.name
             assert faulted.raw_count == base.raw_count, case.name
 
-            ck = str(tmp_path / f"ck-{case.name}")
-            fresh = CheckSession(path, jobs=2).check(checkpoint_dir=ck)
-            os.unlink(os.path.join(ck, f"shard-{index % 2:05d}.json"))
-            resumed = CheckSession(path, jobs=2).check(
-                checkpoint_dir=ck, resume=True
-            )
+            rc = str(tmp_path / f"rc-{case.name}")
+            fresh = CheckSession(path, jobs=2).check(cache_dir=rc)
+            drop_whole_entry(rc)
+            os.unlink(shard_entry(rc, 2, index % 2))
+            resumed = CheckSession(path, jobs=2).check(cache_dir=rc)
             assert resumed.describe() == fresh.describe(), case.name
             assert keys(resumed) == keys(base), case.name
             assert resumed.raw_count == base.raw_count, case.name
@@ -550,22 +639,34 @@ class TestDriverBugfixes:
 
 class TestSessionWiring:
     def test_session_checkpoint_resume(self, trace_file, baseline, tmp_path):
-        ck = str(tmp_path / "ck")
-        fresh = CheckSession(trace_file, jobs=2).check(checkpoint_dir=ck)
-        os.unlink(os.path.join(ck, "shard-00000.json"))
-        resumed = CheckSession(trace_file, jobs=2).check(
-            checkpoint_dir=ck, resume=True
-        )
+        rc = str(tmp_path / "rc")
+        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        drop_whole_entry(rc)
+        os.unlink(shard_entry(rc, 2, 0))
+        resumed = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
         assert fresh.describe() == resumed.describe()  # byte-identical
         assert keys(resumed) == keys(baseline)
 
     def test_session_jobs1_checkpoint_routes_through_driver(
-        self, trace_file, baseline, tmp_path
+        self, trace_file, baseline, tmp_path, monkeypatch
     ):
-        ck = str(tmp_path / "ck")
-        report = CheckSession(trace_file, jobs=1).check(checkpoint_dir=ck)
-        assert report.describe() == baseline.describe()
-        assert os.path.exists(os.path.join(ck, "shard-00000.json"))
+        """A cached ``jobs=1`` miss is the driver's one shard body, run
+        once; it stores the whole entry and no shard entry."""
+        from repro.checker import sharded
+
+        replays = []
+        replay_shard = sharded._replay_shard
+
+        def counted(*args, **kwargs):
+            replays.append(kwargs.get("shard", 0))
+            return replay_shard(*args, **kwargs)
+
+        monkeypatch.setattr(sharded, "_replay_shard", counted)
+        rc = str(tmp_path / "rc")
+        report = CheckSession(trace_file, jobs=1).check(cache_dir=rc)
+        assert keys(report) == keys(baseline)
+        assert replays == [0]
+        assert [n.count(".") for n in cache_entries(rc)] == [1]
 
     def test_session_lenient_counts_lines(self, trace_file, baseline):
         with open(trace_file, "a", encoding="utf-8") as handle:

@@ -191,7 +191,7 @@ class TestRawCountAccounting:
 
 
 class TestJsonRoundTrip:
-    """``report_to_dict``/``report_from_dict`` (shard checkpoints)."""
+    """``report_to_dict``/``report_from_dict`` (result-cache entries)."""
 
     def restored(self, report):
         import json

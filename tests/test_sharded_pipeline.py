@@ -94,6 +94,14 @@ class TestSuiteEquivalence:
                 f"{case.name}: jobs={jobs} diverged"
             )
 
+    def test_sharded_report_is_in_cached_order(self, case, tmp_path):
+        """``jobs>1`` merges into the canonical order of a cached result,
+        so an uncached ``jobs=4`` check prints what a cached one prints."""
+        _, trace = record(case.build())
+        cached = CheckSession(trace).check(cache_dir=str(tmp_path / "rc"))
+        sharded = CheckSession(trace, jobs=4).check()
+        assert sharded.describe() == cached.describe(), case.name
+
 
 FUZZ_CONFIGS = [
     FuzzConfig(

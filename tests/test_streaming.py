@@ -213,9 +213,9 @@ class TestCompaction:
 
     @pytest.mark.parametrize("suffix", [".jsonl", ".trc"])
     def test_every_jobs1_path_releases_ended_tasks(self, tmp_path, suffix):
-        """A session over the path, its checkpointed variant and a session
-        over an open reader at ``jobs=1`` are one offline path: same
-        report, same cells freed."""
+        """A session over the path, its ``cache_dir=`` variant (which a
+        streaming check bypasses) and a session over an open reader at
+        ``jobs=1`` are one offline path: same report, same cells freed."""
         path = str(tmp_path / ("churn" + suffix))
         dump_trace(churn_trace(tasks=250), path)
 
@@ -232,15 +232,16 @@ class TestCompaction:
         session = streamed(lambda rec: CheckSession(path, recorder=rec).check(
             streaming=True, window=64
         ))
-        checkpointed = streamed(lambda rec: CheckSession(path, recorder=rec).check(
-            streaming=True, window=64, checkpoint_dir=str(tmp_path / "ck")
+        bypassed = streamed(lambda rec: CheckSession(path, recorder=rec).check(
+            streaming=True, window=64, cache_dir=str(tmp_path / "rc")
         ))
         with open_trace(path) as reader:
             from_reader = streamed(lambda rec: CheckSession(
                 reader, jobs=1, recorder=rec
             ).check(streaming=True, window=64))
         assert session[1] > 0
-        assert session == checkpointed == from_reader
+        assert session == bypassed == from_reader
+        assert not (tmp_path / "rc").exists()  # bypassed: nothing stored
 
     def test_events_counter_partitions_across_shards(self, tmp_path):
         """``streaming.events`` is shard-summable: jobs=4 totals jobs=1."""
