@@ -284,7 +284,9 @@ def _check_supervised(
     the disabled path free of measurable overhead.
     """
     from repro.cache import normalized_report_copy
-    from repro.obs import SPAN_MAP, SPAN_MERGE, SPAN_PARTITION, SPAN_SHARDED
+    from repro.obs import (
+        SPAN_MAP, SPAN_MERGE, SPAN_PARTITION, SPAN_SHARDED, MetricsSnapshot,
+    )
 
     def span(name):
         return recorder.span(name) if collect else contextlib.nullcontext()
@@ -339,14 +341,17 @@ def _check_supervised(
             remaining = []
             for task in tasks:
                 entry = results.load(entry_key(task.shard_id))
+                snapshot = None if entry is None else entry.meta.get("metrics")
+                if snapshot is not None:
+                    try:
+                        MetricsSnapshot.from_dict(snapshot)
+                    except ValueError:
+                        entry = None  # metrics no merge can read: a miss
                 if entry is None:
                     remaining.append(task)
                 else:
-                    snapshot = entry.meta.get("metrics")
                     resumed.append(ShardOutcome(
-                        task.shard_id, entry.report,
-                        snapshot if isinstance(snapshot, dict) else None,
-                        resumed=True,
+                        task.shard_id, entry.report, snapshot, resumed=True,
                     ))
             tasks = remaining
 

@@ -489,14 +489,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     except (OSError, ValueError):
         data = None
     if isinstance(data, dict) and is_metrics_dict(data):
-        return _print_metrics_stats(data)
+        return _print_metrics_stats(data, args.file)
     return _print_trace_stats(args.file)
 
 
-def _print_metrics_stats(data: dict) -> int:
+def _print_metrics_stats(data: dict, path: str) -> int:
     from repro.obs import MetricsSnapshot
 
-    snapshot = MetricsSnapshot.from_dict(data)
+    try:
+        snapshot = MetricsSnapshot.from_dict(data)
+    except ValueError as exc:
+        raise SystemExit(f"bad metrics snapshot in {path!r}: {exc}") from exc
     print(f"metrics snapshot ({data.get('schema')})")
     if snapshot.counters:
         print("\ncounters:")

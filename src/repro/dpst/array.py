@@ -11,7 +11,7 @@ reduces checking overhead from 5.1x to 4.2x on their C++ prototype.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.dpst.base import DPSTBase
 from repro.dpst.nodes import NodeKind, NULL_ID, ROOT_ID
@@ -153,3 +153,15 @@ class ArrayDPST(DPSTBase):
         toward_a = a if child_a == -1 else child_a
         toward_b = a if child_b == -1 else child_b
         return a, toward_a, toward_b
+
+    def parallel_walk(self, a: int, b: int) -> Tuple[bool, int]:
+        ancestor, toward_a, toward_b = self.lca_with_children(a, b)
+        depths = self._depths
+        depth_a = depths[a]
+        climb = depth_a - depths[b]
+        hops = (climb if climb > 0 else -climb) + depth_a - depths[ancestor]
+        if toward_a == ancestor or toward_b == ancestor:
+            return False, hops  # ancestor/descendant: strictly ordered
+        ranks = self._ranks
+        left = toward_a if ranks[toward_a] < ranks[toward_b] else toward_b
+        return self._kinds[left] is NodeKind.ASYNC, hops

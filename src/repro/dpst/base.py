@@ -1,10 +1,11 @@
 """Abstract interface shared by the two DPST layouts.
 
-The interface is deliberately minimal -- insertion plus the per-node
-accessors the LCA engine needs (parent, depth, kind, sibling rank).  Keeping
-queries out of the storage classes lets :mod:`repro.dpst.relation` implement
-the series-parallel logic once for both layouts, which is what the paper's
-Figure 14 ablation varies: only the memory layout differs.
+The interface is deliberately minimal -- insertion, the per-node accessors
+(parent, depth, kind, sibling rank) and :meth:`DPSTBase.parallel_walk`, the
+LCA engine's one call per cache miss.  :mod:`repro.dpst.relation` implements
+the series-parallel logic once over the accessors, as the reference the
+walks are tested against; each layout's walk reads its own storage, which is
+what the paper's Figure 14 ablation varies: only the memory layout differs.
 
 Structural invariants enforced at insertion time:
 
@@ -18,7 +19,7 @@ Structural invariants enforced at insertion time:
 from __future__ import annotations
 
 import abc
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.dpst.nodes import NodeKind, NULL_ID, ROOT_ID
 from repro.errors import DPSTError
@@ -67,6 +68,21 @@ class DPSTBase(abc.ABC):
     @abc.abstractmethod
     def __len__(self) -> int:
         """Total number of nodes (including the root)."""
+
+    # -- the engine's walk ---------------------------------------------------
+
+    @abc.abstractmethod
+    def parallel_walk(self, a: int, b: int) -> Tuple[bool, int]:
+        """``(parallel, hops)`` for nodes *a* and *b*, in one call.
+
+        ``parallel`` is :func:`repro.dpst.relation.parallel` for
+        ``a != b``; ``hops`` is the walk's cost in the engine's terms,
+        ``|depth(a) - depth(b)| + depth(a) - depth(lca(a, b))``.  This is
+        the whole miss path of :class:`repro.dpst.lca.LCAEngine`, which
+        passes the smaller id as *a*; each layout builds it on its own
+        ``lca_with_children`` walk.  Ids are not checked: the engine
+        refuses ids outside the tree before it calls.
+        """
 
     # -- shared helpers ------------------------------------------------------
 

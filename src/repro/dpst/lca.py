@@ -16,12 +16,12 @@ of existing nodes is stable for the rest of the execution.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.dpst.base import DPSTBase
-from repro.dpst.nodes import NodeKind
 from repro.dpst import relation
 from repro.dpst.stats import EngineStats
+from repro.errors import DPSTError
 
 
 class LCAEngine:
@@ -43,34 +43,56 @@ class LCAEngine:
         self.tree = tree
         self.cache_enabled = cache
         self.stats = EngineStats()
-        self._parallel_memo: Dict[Tuple[int, int], bool] = {}
+        #: ``hi * hi + lo`` (``0 <= lo < hi``) -> verdict, for pairs of
+        #: nodes of the tree only.  One int per pair and no reference to the
+        #: queried ints.  The pairs with ``hi == h`` take the keys ``h * h``
+        #: to ``h * h + h - 1``, so no two pairs share a key, and below
+        #: ``2**15`` nodes the key is a one-digit int, the cheapest kind to
+        #: build, hash and store.  A pair whose ``hi`` is past the tree has
+        #: a key no pair of nodes has, so it always misses and is refused
+        #: there; a negative ``lo`` is refused before the lookup.
+        self._parallel_memo: Dict[int, bool] = {}
+        #: A lower bound of ``len(tree)`` (the tree only grows), refreshed
+        #: when a miss names a larger id.
+        self._nodes = len(tree)
 
     # -- queries ----------------------------------------------------------
 
     def parallel(self, a: int, b: int) -> bool:
         """May step nodes *a* and *b* logically execute in parallel?
 
-        The memoized hot path of the whole analysis.
+        The memoized hot path of the whole analysis: a hit is one dict
+        lookup; a miss checks the larger id against the tree and makes one
+        layout call, :meth:`~repro.dpst.base.DPSTBase.parallel_walk`.
+        Raises :class:`DPSTError` for an id that is not a node of the tree.
         """
         if a == b:
             return False
-        key = (a, b) if a < b else (b, a)
+        if a > b:
+            a, b = b, a
+        if a < 0:
+            raise self._not_in_tree(a)
+        key = b * b + a
         self.stats.queries += 1
-        if self.cache_enabled:
-            memo = self._parallel_memo
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            self.stats.unique += 1
-            verdict = self._parallel_walk(key[0], key[1])
+        memo = self._parallel_memo
+        cached = memo.get(key)
+        if cached is not None and self.cache_enabled:
+            return cached
+        tree = self.tree
+        if b >= self._nodes:
+            self._nodes = len(tree)
+            if b >= self._nodes:
+                raise self._not_in_tree(b)
+        verdict, hops = tree.parallel_walk(a, b)
+        stats = self.stats
+        stats.hops += hops
+        if cached is None:
+            # A new pair.  Uncached mode files it too, only to count it
+            # (so Table 1 can be produced with the cache disabled); it
+            # walks on every query.
+            stats.unique += 1
             memo[key] = verdict
-            return verdict
-        # Uncached mode still tracks uniqueness so Table 1 can be produced
-        # with the cache disabled.
-        if key not in self._parallel_memo:
-            self.stats.unique += 1
-            self._parallel_memo[key] = True  # presence marker only
-        return self._parallel_walk(key[0], key[1])
+        return verdict
 
     def series(self, a: int, b: int) -> bool:
         """``True`` iff *a* and *b* are distinct and cannot run in parallel."""
@@ -84,21 +106,10 @@ class LCAEngine:
         """``True`` iff step *a* must complete before step *b* starts."""
         return relation.precedes(self.tree, a, b)
 
-    # -- internals ----------------------------------------------------------
-
-    def _parallel_walk(self, a: int, b: int) -> bool:
-        """Uncached SPD3 parallelism test, with hop accounting."""
-        tree = self.tree
-        self.stats.hops += abs(tree.depth(a) - tree.depth(b))
-        ancestor, toward_a, toward_b = relation.lca_with_children(tree, a, b)
-        self.stats.hops += tree.depth(a) - tree.depth(ancestor)
-        if toward_a == ancestor or toward_b == ancestor:
-            return False
-        if tree.sibling_rank(toward_a) < tree.sibling_rank(toward_b):
-            left_child = toward_a
-        else:
-            left_child = toward_b
-        return tree.kind(left_child) is NodeKind.ASYNC
+    def _not_in_tree(self, node: int) -> DPSTError:
+        return DPSTError(
+            f"node id {node} is not in the DPST ({len(self.tree)} nodes)"
+        )
 
     def reset_stats(self) -> None:
         """Zero the counters (the memo table is kept)."""

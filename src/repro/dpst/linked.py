@@ -10,7 +10,7 @@ and allocation time compared to the array overlay of
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.dpst.base import DPSTBase
 from repro.dpst.nodes import NodeKind, NULL_ID, ROOT_ID
@@ -114,3 +114,16 @@ class LinkedDPST(DPSTBase):
         toward_a = lca_id if child_a is None else child_a.node_id
         toward_b = lca_id if child_b is None else child_b.node_id
         return lca_id, toward_a, toward_b
+
+    def parallel_walk(self, a: int, b: int) -> Tuple[bool, int]:
+        ancestor, toward_a, toward_b = self.lca_with_children(a, b)
+        by_id = self._by_id
+        depth_a = by_id[a].depth
+        climb = depth_a - by_id[b].depth
+        hops = (climb if climb > 0 else -climb) + depth_a - by_id[ancestor].depth
+        if toward_a == ancestor or toward_b == ancestor:
+            return False, hops  # ancestor/descendant: strictly ordered
+        node_a = by_id[toward_a]
+        node_b = by_id[toward_b]
+        left = node_a if node_a.rank < node_b.rank else node_b
+        return left.kind is NodeKind.ASYNC, hops

@@ -62,12 +62,20 @@ class SpanStats:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SpanStats":
+        """The span *data* describes; :class:`ValueError` unless it is a
+        dict with a string ``path``, an int ``count``, a number
+        ``total_s`` and ``min_s``/``max_s`` each a number or null."""
+        if not isinstance(data, dict) or not isinstance(data.get("path"), str):
+            raise ValueError(f"a span is a dict with a string path, not {data!r:.60}")
+        count = data.get("count", 0)
+        if count.__class__ is not int:
+            raise ValueError(f"span {data['path']!r} has count {count!r:.60}")
         return cls(
             path=data["path"],
-            count=int(data.get("count", 0)),
-            total_s=float(data.get("total_s", 0.0)),
-            min_s=data.get("min_s"),
-            max_s=data.get("max_s"),
+            count=count,
+            total_s=_number(data.get("total_s", 0.0), "total_s"),
+            min_s=_number(data.get("min_s"), "min_s", optional=True),
+            max_s=_number(data.get("max_s"), "max_s", optional=True),
         )
 
 
@@ -129,13 +137,35 @@ class MetricsSnapshot:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MetricsSnapshot":
+        """The snapshot *data* (a :meth:`to_dict` result) describes.
+
+        Raises :class:`ValueError` for anything :meth:`absorb` could not
+        merge: *data*, ``counters`` or ``gauges`` not a dict, a counter or
+        gauge that is not a number, a malformed span, or ``shards`` not a
+        list of dicts.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a metrics snapshot is a dict, not {data!r:.60}")
         snapshot = cls()
-        snapshot.counters = dict(data.get("counters", {}))
-        snapshot.gauges = dict(data.get("gauges", {}))
-        for span in data.get("spans", []):
+        for name in ("counters", "gauges"):
+            values = data.get(name, {})
+            if not isinstance(values, dict):
+                raise ValueError(f"snapshot {name} is {values!r:.60}, not a dict")
+            for metric, value in values.items():
+                _number(value, metric)
+            setattr(snapshot, name, dict(values))
+        spans = data.get("spans", [])
+        if not isinstance(spans, list):
+            raise ValueError(f"snapshot spans is {spans!r:.60}, not a list")
+        for span in spans:
             stats = SpanStats.from_dict(span)
             snapshot.spans[stats.path] = stats
-        snapshot.shards = list(data.get("shards", []))
+        shards = data.get("shards", [])
+        if not isinstance(shards, list) or not all(
+            isinstance(shard, dict) for shard in shards
+        ):
+            raise ValueError(f"snapshot shards is {shards!r:.60}, not a list of dicts")
+        snapshot.shards = list(shards)
         return snapshot
 
     def dump(self, path: str) -> None:
@@ -157,6 +187,16 @@ class MetricsSnapshot:
             f"<MetricsSnapshot counters={len(self.counters)} "
             f"spans={len(self.spans)} shards={len(self.shards)}>"
         )
+
+
+def _number(value: Any, name: str, optional: bool = False) -> Any:
+    """*value* if it is an int or float (``None`` too when *optional*);
+    else :class:`ValueError`.  A bool is not a number here."""
+    if value is None and optional:
+        return value
+    if value.__class__ not in (int, float):
+        raise ValueError(f"metric {name!r} is {value!r:.60}, not a number")
+    return value
 
 
 def is_metrics_dict(data: Any) -> bool:

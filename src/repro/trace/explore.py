@@ -30,7 +30,7 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.checker.annotations import AtomicAnnotations
-from repro.dpst import relation
+from repro.dpst import LCAEngine, relation
 from repro.dpst.base import DPSTBase
 from repro.errors import TraceError
 from repro.runtime.events import AcquireEvent, MemoryEvent, ReleaseEvent
@@ -282,22 +282,12 @@ def analytic_violation_locations(
     if trace.dpst is None:
         raise TraceError("analytic oracle requires the trace's DPST")
     annotations = annotations or AtomicAnnotations()
-    dpst = trace.dpst
+    parallel = LCAEngine(trace.dpst).parallel
     per_key: Dict[Location, List[MemoryEvent]] = defaultdict(list)
     for event in trace.memory_events():
         if annotations.is_checked(event.location):
             per_key[annotations.metadata_key(event.location)].append(event)
     found: Set[Location] = set()
-    parallel_cache: Dict[Tuple[int, int], bool] = {}
-
-    def parallel(a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        verdict = parallel_cache.get(key)
-        if verdict is None:
-            verdict = relation.parallel(dpst, key[0], key[1])
-            parallel_cache[key] = verdict
-        return verdict
-
     for key, events in per_key.items():
         by_step: Dict[int, List[MemoryEvent]] = defaultdict(list)
         for event in events:

@@ -346,6 +346,42 @@ class TestCheckTraceFaultTolerance:
         assert counters["sharded.resumed_shards"] == 1
         assert counters["sharded.workers"] == 1
 
+    def test_damaged_shard_metrics_resume_recomputes_the_shard(
+        self, trace_file, tmp_path, capsys
+    ):
+        """A ``--metrics`` resume past a shard entry whose stored metrics
+        are damaged recomputes that shard: the status and report of a
+        fresh run, not a ``ValueError`` traceback."""
+        import glob
+        import json
+
+        rc = str(tmp_path / "rc")
+        argv = ["check-trace", trace_file, "--jobs", "2"]
+        assert main(argv) == 1
+        fresh = capsys.readouterr().out
+        assert main([*argv, "--cache-dir", rc]) == 1
+        capsys.readouterr()
+        for path in glob.glob(os.path.join(rc, "*", "*.json")):
+            if path.endswith(".2-1.json"):
+                with open(path, "r", encoding="utf-8") as handle:
+                    entry = json.load(handle)
+                entry["meta"]["metrics"] = {"counters": "garbage"}
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(entry, handle)
+            elif not path.endswith(".2-0.json"):
+                os.unlink(path)  # the whole entry an interrupt never stored
+        metrics = str(tmp_path / "m.json")
+        assert main([*argv, "--cache-dir", rc, "--metrics", metrics]) == 1
+        resumed = capsys.readouterr().out
+        assert [
+            line for line in resumed.splitlines()
+            if not line.startswith(("result cache:", "metrics written"))
+        ] == fresh.splitlines()
+        with open(metrics, "r", encoding="utf-8") as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["sharded.resumed_shards"] == 1
+        assert counters["sharded.workers"] == 1
+
     def test_checkpoint_flags_are_refused(self, trace_file, capsys):
         for flags in (["--checkpoint", "ck"], ["--resume"]):
             with pytest.raises(SystemExit) as refused:

@@ -8,6 +8,8 @@ choice, kind) decisions replayed against both layouts.  Invariants:
 * the LCA walk agrees with a naive path-intersection implementation;
 * ``parallel`` is symmetric and irreflexive; ``precedes`` is a strict
   partial order; distinct steps are exactly one of {parallel, <, >};
+* each layout's ``parallel_walk`` equals ``relation.parallel`` and
+  charges the engine's hop count;
 * the engine's cached verdicts equal the uncached ones.
 """
 
@@ -142,6 +144,24 @@ def test_all_registered_engines_match_relation(script):
                 assert engine.series(a, b) == (
                     a != b and not want_parallel
                 ), (name, a, b)
+
+
+@given(insertion_scripts())
+@settings(max_examples=60, deadline=None)
+def test_parallel_walk_matches_relation(script):
+    """Each layout's one-call walk gives the reference verdict, and the
+    hop count the engine has always charged:
+    ``|d(a) - d(b)| + d(a) - d(lca(a, b))``."""
+    for tree in (replay(script, ArrayDPST()), replay(script, LinkedDPST())):
+        for a in tree.nodes():
+            for b in tree.nodes():
+                parallel, hops = tree.parallel_walk(a, b)
+                assert parallel == relation.parallel(tree, a, b), (a, b)
+                ancestor = relation.lca(tree, a, b)
+                assert hops == (
+                    abs(tree.depth(a) - tree.depth(b))
+                    + tree.depth(a) - tree.depth(ancestor)
+                ), (a, b)
 
 
 @given(insertion_scripts())

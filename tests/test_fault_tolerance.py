@@ -382,6 +382,42 @@ class TestCheckpointResume:
         assert counters["sharded.resumed_shards"] == 1
         assert counters["sharded.workers"] == 1
 
+    @pytest.mark.parametrize("observed", [True, False])
+    @pytest.mark.parametrize("metrics", [
+        {"counters": "garbage"},
+        {"gauges": {"worker.pid": "1"}},
+        {"spans": [{"path": "check", "count": "many"}]},
+        "garbage",
+    ])
+    def test_damaged_shard_metrics_are_recomputed(
+        self, trace_file, tmp_path, metrics, observed
+    ):
+        """A shard entry whose stored metrics no merge can read is a miss:
+        that shard is recomputed and stored again, with or without a
+        recorder, not a ``ValueError`` from the merge."""
+        rc = str(tmp_path / "rc")
+        fresh = CheckSession(
+            trace_file, jobs=2, recorder=MetricsRecorder()
+        ).check(cache_dir=rc)
+        drop_whole_entry(rc)
+        path = shard_entry(rc, 2, 1)
+        with open(path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["meta"]["metrics"] = metrics
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
+        recorder = MetricsRecorder() if observed else None
+        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+            cache_dir=rc
+        )
+        assert resumed.describe() == fresh.describe()
+        with open(path, "r", encoding="utf-8") as handle:
+            assert json.load(handle)["meta"]["metrics"] != metrics
+        if observed:
+            counters = recorder.snapshot().counters
+            assert counters["sharded.resumed_shards"] == 1
+            assert counters["sharded.workers"] == 1
+
     def test_jobs1_checkpoints_as_single_shard(
         self, trace_file, baseline, tmp_path
     ):

@@ -108,6 +108,32 @@ class TestMetricsSnapshot:
         assert not is_metrics_dict({"schema": "something-else"})
         assert not is_metrics_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("data", [
+        "garbage",
+        {"counters": "garbage"},
+        {"counters": [["x", 1]]},
+        {"gauges": {"dpst.nodes": "5"}},
+        {"counters": {"x": True}},
+        {"counters": {"x": None}},
+        {"spans": {"replay": {}}},
+        {"spans": ["replay"]},
+        {"spans": [{"count": 1}]},
+        {"spans": [{"path": "replay", "count": "1"}]},
+        {"spans": [{"path": "replay", "count": 1, "total_s": "0.5"}]},
+        {"spans": [{"path": "replay", "count": 1, "min_s": []}]},
+        {"shards": {"0": {}}},
+        {"shards": [1]},
+    ])
+    def test_from_dict_refuses_what_it_cannot_merge(self, data):
+        with pytest.raises(ValueError):
+            MetricsSnapshot.from_dict(data)
+
+    def test_from_dict_reads_what_to_dict_writes(self):
+        snapshot = self.sample()
+        snapshot.shards = [{"shard": 0, "counters": {"x": 1}}]
+        clone = MetricsSnapshot.from_dict(snapshot.to_dict())
+        assert clone.to_dict() == snapshot.to_dict()
+
 
 # -- the Recorder protocol ---------------------------------------------------
 
@@ -411,6 +437,18 @@ class TestCLI:
         rendered = capsys.readouterr().out
         assert "report.violations" in rendered
         assert "check" in rendered
+
+    def test_stats_refuses_a_damaged_snapshot(self, tmp_path):
+        """A file stamped with the metrics schema whose values no merge
+        can read is a one-line error (exit 2 from ``python -m repro``),
+        not a ``ValueError`` traceback."""
+        from repro.cli import main
+
+        out = str(tmp_path / "m.json")
+        with open(out, "w", encoding="utf-8") as handle:
+            json.dump({"schema": METRICS_SCHEMA, "counters": "garbage"}, handle)
+        with pytest.raises(SystemExit, match="bad metrics snapshot in .*m.json"):
+            main(["stats", out])
 
     def test_stats_falls_back_to_trace_files(self, tmp_path, capsys):
         from repro.cli import main
