@@ -17,14 +17,13 @@ metadata + buffering, not the shared cache):
 * **offline** -- ``CheckSession(path)``: events stream from the file and
   the checker frees each task's local metadata at its step changes and
   at its end;
-* **streaming** -- ``check(streaming=True)`` at windows 1, 64 and
-  unbounded: the same check behind the windowed wrapper, whose sweeps
-  find nothing left to evict.
+* **streaming** -- ``check(streaming=True)``: the same check behind the
+  pass-through wrapper.
 
 Claims enforced (exit 1 otherwise): every scenario reports the same
-violations; the offline peak is within 5% of the streaming-w64 peak
-(the plain check is as bounded as streaming) and below the materialized
-peak; and both the offline and the streaming-w64 peaks stay under
+violations; the offline peak is within 5% of the streaming peak (the
+plain check is as bounded as streaming) and below the materialized
+peak; and both the offline and the streaming peaks stay under
 ``--budget-mb`` however many events the trace holds -- the
 bounded-memory contract itself.
 
@@ -123,10 +122,8 @@ def bench_streaming(events: int, tmp: str) -> dict:
     run("materialized", lambda: CheckSession(
         load_trace(path), lca_cache=False).check())
     run("offline", lambda: CheckSession(path, lca_cache=False).check())
-    for window in (1, 64, 0):
-        label = "streaming-w" + ("inf" if window == 0 else str(window))
-        run(label, lambda window=window: CheckSession(
-            path, lca_cache=False).check(streaming=True, window=window))
+    run("streaming", lambda: CheckSession(
+        path, lca_cache=False).check(streaming=True))
 
     canonical = reports["offline"]
     results["violations"] = len(canonical)
@@ -151,7 +148,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--budget-mb", type=float, default=64.0,
-        help="hard ceiling on the offline and streaming-w64 peaks "
+        help="hard ceiling on the offline and streaming peaks "
         "(default: 64 MB)",
     )
     parser.add_argument("--json", metavar="OUT.json", default=None)
@@ -162,11 +159,11 @@ def main(argv=None) -> int:
         results = bench_streaming(events, tmp)
 
     scenarios = results["scenarios"]
-    streaming = scenarios["streaming-w64"]["peak_bytes"]
+    streaming = scenarios["streaming"]["peak_bytes"]
     offline = scenarios["offline"]["peak_bytes"]
     materialized = scenarios["materialized"]["peak_bytes"]
     print(
-        f"\noffline uses {offline / streaming:.2f}x the streaming-w64 peak, "
+        f"\noffline uses {offline / streaming:.2f}x the streaming peak, "
         f"{offline / materialized:.2f}x the materialized peak "
         f"({results['violations']} violation(s) found by every scenario)"
     )
@@ -184,7 +181,7 @@ def main(argv=None) -> int:
         failed = True
     if not offline <= 1.05 * streaming:
         print(
-            "FAIL: expected the offline peak within 5% of streaming-w64, "
+            "FAIL: expected the offline peak within 5% of streaming, "
             f"got {offline} vs {streaming}",
             file=sys.stderr,
         )
@@ -196,7 +193,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         failed = True
-    for label, peak in (("offline", offline), ("streaming-w64", streaming)):
+    for label, peak in (("offline", offline), ("streaming", streaming)):
         if peak > args.budget_mb * 1e6:
             print(
                 f"FAIL: {label} peak {peak / 1e6:.2f} MB exceeds "

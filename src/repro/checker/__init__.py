@@ -1,6 +1,6 @@
 """Atomicity checkers.
 
-Six analyses and a streaming wrapper, all consuming runtime events as
+Six analyses, all consuming runtime events as
 :class:`~repro.runtime.observer.RuntimeObserver` subclasses.  Each stores
 the :class:`~repro.runtime.events.MemoryEvent` it receives as its access
 record, and reports an access as
@@ -30,10 +30,9 @@ record, and reports an access as
   complete trace-level baseline (RegionTrack, arXiv:2008.04479):
   constant-size per-region summaries instead of full histories; the
   complete anchor of the fuzz oracle's precision sandwich.
-* :class:`~repro.checker.streaming.StreamingChecker` -- windowed online
-  wrapper: consumes events one at a time (live or from a TraceReader
-  stream) and compacts dead metadata every ``window`` events, bounding
-  peak memory by the window instead of the trace.
+
+:class:`~repro.checker.streaming.StreamingChecker` is a pass-through over
+the optimized checker, the handle behind ``check(streaming=True)``.
 """
 
 from repro.errors import CheckerError
@@ -52,7 +51,7 @@ from repro.checker.velodrome import VelodromeChecker
 from repro.checker.racedetector import RaceDetector, RaceReport
 from repro.checker.exploring import ExploringVelodrome
 from repro.checker.regiontrack import RegionTrackChecker
-from repro.checker.streaming import DEFAULT_WINDOW, StreamingChecker
+from repro.checker.streaming import StreamingChecker
 
 __all__ = [
     "AtomicAnnotations",
@@ -70,7 +69,6 @@ __all__ = [
     "ExploringVelodrome",
     "RegionTrackChecker",
     "StreamingChecker",
-    "DEFAULT_WINDOW",
     "CHECKER_FACTORIES",
     "UnknownCheckerError",
     "make_checker",
@@ -86,7 +84,6 @@ CHECKER_FACTORIES = {
     "racedetector": RaceDetector,
     "velodrome+explorer": ExploringVelodrome,
     "regiontrack": RegionTrackChecker,
-    "streaming": StreamingChecker,
 }
 
 
@@ -104,8 +101,7 @@ def make_checker(checker="optimized", **kwargs):
     Accepted forms:
 
     * a registered name -- ``"basic"`` | ``"optimized"`` | ``"velodrome"``
-      | ``"racedetector"`` | ``"velodrome+explorer"`` | ``"regiontrack"``
-      | ``"streaming"``;
+      | ``"racedetector"`` | ``"velodrome+explorer"`` | ``"regiontrack"``;
     * a :class:`~repro.runtime.observer.RuntimeObserver` subclass, which is
       instantiated with ``**kwargs``;
     * a pre-built observer instance, returned as-is (``kwargs`` must then

@@ -447,16 +447,6 @@ class OptAtomicityChecker(RuntimeObserver):
         if local is not None:
             self._cells_freed += local.cell_count()
 
-    def compact(self) -> int:
-        """The compaction protocol of
-        :class:`repro.checker.streaming.StreamingChecker`.
-
-        There is nothing left to evict: :meth:`on_memory` frees a task's
-        cells when its step changes and :meth:`on_task_end` drops the
-        task's space, so this always returns 0 cells.
-        """
-        return 0
-
     # -- metadata accounting (ablation ABL-META) ------------------------------------
 
     def _entries(self, key: Location, space: GlobalSpace) -> int:

@@ -28,7 +28,7 @@ Two input shapes:
   checked.
 
 Every offline check -- ``jobs=1`` in-process (the whole run is shard 0),
-each ``jobs>1`` worker, cached or not, streaming or not -- replays
+each ``jobs>1`` worker, cached or not -- replays
 through one shard body, :func:`_replay_shard`, which returns a
 :class:`~repro.report.ViolationReport`; the driver merges them with
 :meth:`ViolationReport.merge` into canonical order
@@ -331,6 +331,7 @@ def _check_supervised(
 
         # Shards an earlier, interrupted run of this check stored merge
         # from their entries (keyed on the layout too); only the rest runs.
+        # An observed check also reruns a shard stored without metrics.
         resumed: List[ShardOutcome] = []
         if cache is not None:
             results, key = cache
@@ -347,6 +348,8 @@ def _check_supervised(
                         MetricsSnapshot.from_dict(snapshot)
                     except ValueError:
                         entry = None  # metrics no merge can read: a miss
+                elif collect:
+                    entry = None  # stored unobserved: no counters to merge
                 if entry is None:
                     remaining.append(task)
                 else:

@@ -54,7 +54,6 @@ import inspect
 from typing import List, Optional, Sequence
 
 from repro.checker import CHECKER_FACTORIES, make_checker
-from repro.checker.streaming import resolve_window
 from repro.runtime import (
     RandomOrderExecutor,
     SerialExecutor,
@@ -137,10 +136,8 @@ def _add_executor_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_checker_option(parser: argparse.ArgumentParser) -> None:
-    # "streaming" wraps another checker; check-trace spells it --streaming.
-    choices = [name for name in CHECKER_FACTORIES if name != "streaming"]
     parser.add_argument(
-        "--checker", choices=choices, default="optimized",
+        "--checker", choices=list(CHECKER_FACTORIES), default="optimized",
         help="analysis to run (default: optimized)",
     )
 
@@ -340,11 +337,9 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
 
     jobs = None if args.jobs == 0 else args.jobs
     recorder = _metrics_recorder(args)
-    if args.window is not None and not args.streaming:
-        raise SystemExit("--window needs --streaming")
-    if recorder is None and (args.lenient or args.streaming):
-        # A private recorder so skip/sweep counts can be reported even
-        # without --metrics (skipping and compaction are never silent).
+    if recorder is None and args.lenient:
+        # A private recorder so skip counts can be reported even without
+        # --metrics (skipping is never silent).
         from repro.obs import MetricsRecorder
 
         recorder = MetricsRecorder()
@@ -358,12 +353,7 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
         timeout_s=args.shard_timeout,
         start_method=args.start_method,
     )
-    report = session.check(
-        policy=policy,
-        cache_dir=args.cache_dir,
-        streaming=args.streaming,
-        window=args.window,
-    )
+    report = session.check(policy=policy, cache_dir=args.cache_dir)
     print(report.describe())
     skipped = session.lines_skipped
     if not skipped and recorder is not None and recorder.enabled:
@@ -378,35 +368,8 @@ def cmd_check_trace(args: argparse.Namespace) -> int:
             "the verdict covers the decodable events only"
         )
     _print_cache(session)
-    _print_streaming(args, recorder)
     _dump_metrics(recorder if args.metrics else None, args)
     return 1 if report else 0
-
-
-def _print_streaming(args: argparse.Namespace, recorder) -> None:
-    """Render a ``--streaming`` run's window/compaction summary.
-
-    One line with the stable ``streaming:`` prefix (filter it, like the
-    ``result cache:`` lines, when diffing reports across modes).
-    """
-    if not args.streaming:
-        return
-    window = resolve_window(args.window)
-    shown = "unbounded" if window is None else str(window)
-    if recorder is None or not recorder.enabled:
-        print(f"streaming: window={shown}")
-        return
-    counters = recorder.snapshot().counters
-    print(
-        "streaming: window={} -- {} event(s), {} sweep(s), "
-        "{} cell(s) evicted, peak window {}".format(
-            shown,
-            int(counters.get("streaming.events", 0)),
-            int(counters.get("streaming.compactions", 0)),
-            int(counters.get("streaming.evicted", 0)),
-            int(counters.get("streaming.peak_window", 0)),
-        )
-    )
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -799,17 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(bypasses are printed, never silent); at --jobs N>1 each shard "
         "is stored as it completes, so re-running an interrupted check "
         "redoes only the missing shards",
-    )
-    check_trace.add_argument(
-        "--streaming", action="store_true",
-        help="check through the windowed streaming checker (same report "
-        "as offline; every check frees dead metadata as it goes, so the "
-        "wrapper's sweeps evict nothing)",
-    )
-    check_trace.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="events between streaming compaction sweeps (default: 4096; "
-        "0 = never compact); needs --streaming",
     )
     _add_engine_option(check_trace)
     check_trace.set_defaults(handler=cmd_check_trace)

@@ -84,6 +84,14 @@ class DPSTBase(abc.ABC):
         refuses ids outside the tree before it calls.
         """
 
+    def require_node(self, node: int) -> None:
+        """Raise :class:`DPSTError` unless *node* is an id of this tree:
+        what every engine does before it reads an id it has not seen."""
+        if not 0 <= node < len(self):
+            raise DPSTError(
+                f"node id {node} is not in the DPST ({len(self)} nodes)"
+            )
+
     # -- shared helpers ------------------------------------------------------
 
     def _check_parent(self, parent: int, size: int) -> None:

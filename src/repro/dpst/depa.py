@@ -146,10 +146,13 @@ class DePaEngine:
     # -- label maintenance -------------------------------------------------
 
     def _code(self, node: int) -> int:
-        """The (cached) packed dag-path label of *node*."""
+        """The (cached) packed dag-path label of *node*;
+        :class:`~repro.errors.DPSTError` for an id that is not a node of
+        the tree."""
         code = self._codes.get(node)
         if code is not None:
             return code
+        self.tree.require_node(node)
         path = self._collect(node)
         max_rank = 0
         tree = self.tree

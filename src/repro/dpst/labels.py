@@ -93,9 +93,11 @@ class LabelEngine:
         self._seen_pairs: Dict[Tuple[int, int], bool] = {}
 
     def label(self, node: int) -> Label:
-        """The (cached) label of *node*."""
+        """The (cached) label of *node*; :class:`~repro.errors.DPSTError`
+        for an id that is not a node of the tree."""
         cached = self._labels.get(node)
         if cached is None:
+            self.tree.require_node(node)
             cached = compute_label(self.tree, node)
             self._labels[node] = cached
         return cached

@@ -21,7 +21,6 @@ from typing import Dict
 from repro.dpst.base import DPSTBase
 from repro.dpst import relation
 from repro.dpst.stats import EngineStats
-from repro.errors import DPSTError
 
 
 class LCAEngine:
@@ -64,14 +63,15 @@ class LCAEngine:
         The memoized hot path of the whole analysis: a hit is one dict
         lookup; a miss checks the larger id against the tree and makes one
         layout call, :meth:`~repro.dpst.base.DPSTBase.parallel_walk`.
-        Raises :class:`DPSTError` for an id that is not a node of the tree.
+        Raises :class:`~repro.errors.DPSTError` for an id that is not a
+        node of the tree.
         """
         if a == b:
             return False
         if a > b:
             a, b = b, a
         if a < 0:
-            raise self._not_in_tree(a)
+            self.tree.require_node(a)  # raises
         key = b * b + a
         self.stats.queries += 1
         memo = self._parallel_memo
@@ -82,7 +82,7 @@ class LCAEngine:
         if b >= self._nodes:
             self._nodes = len(tree)
             if b >= self._nodes:
-                raise self._not_in_tree(b)
+                tree.require_node(b)  # raises
         verdict, hops = tree.parallel_walk(a, b)
         stats = self.stats
         stats.hops += hops
@@ -105,11 +105,6 @@ class LCAEngine:
     def precedes(self, a: int, b: int) -> bool:
         """``True`` iff step *a* must complete before step *b* starts."""
         return relation.precedes(self.tree, a, b)
-
-    def _not_in_tree(self, node: int) -> DPSTError:
-        return DPSTError(
-            f"node id {node} is not in the DPST ({len(self.tree)} nodes)"
-        )
 
     def reset_stats(self) -> None:
         """Zero the counters (the memo table is kept)."""

@@ -165,10 +165,13 @@ class VectorClockEngine:
             self._scanned += 1
 
     def _clock(self, node: int) -> Clock:
-        """The (cached) clock snapshot of *node*."""
+        """The (cached) clock snapshot of *node*;
+        :class:`~repro.errors.DPSTError` for an id that is not a node of
+        the tree."""
         got = self._clocks.get(node)
         if got is not None:
             return got
+        self.tree.require_node(node)
         self._scan()
         # Descend from the deepest already-clocked ancestor.
         path: List[int] = []

@@ -128,11 +128,6 @@ METRIC_NAMES: Dict[str, str] = {
     "checker.regiontrack.triple_checks": "pair/single witnesses tested for an unserializable triple",
     "checker.regiontrack.memo_hits": "interleaver probes skipped by pair-generation stamps",
     "checker.regiontrack.tracked_locations": "locations with region summaries",
-    # streaming wrapper (repro.checker.streaming)
-    "streaming.events": "memory events consumed by a streaming checker",
-    "streaming.compactions": "compaction sweeps performed",
-    "streaming.evicted": "dead local cells evicted by sweeps (0: the checker frees them first)",
-    "streaming.peak_window": "peak live local entries observed at sweep boundaries",
     # race detector
     "checker.racedetector.races": "distinct data races recorded",
     # findings
@@ -162,7 +157,7 @@ METRIC_NAMES: Dict[str, str] = {
     "cache.hit": "checks served from the content-addressed result cache",
     "cache.miss": "checks computed fresh and stored into the result cache",
     "cache.bytes": "bytes moved through the result cache (stored on miss, read on hit)",
-    "cache.bypass": "cache requests refused (uncacheable checker, annotations, or streaming)",
+    "cache.bypass": "cache requests refused (uncacheable checker or annotations)",
     # differential fuzzing (repro fuzz / repro.fuzz)
     "fuzz.runs": "programs pushed through the differential oracle",
     "fuzz.comparisons": "oracle legs compared against the reference verdict",
@@ -173,22 +168,10 @@ METRIC_NAMES: Dict[str, str] = {
 
 #: Counters whose totals legitimately differ between ``jobs=1`` and
 #: ``jobs=N``: per-process memo tables make uniqueness/hop counts local
-#: to each worker, and streaming compaction cadence is per shard (a shard
-#: holding 1/Nth of the events sweeps at different points than the full
-#: stream, so sweep/eviction/peak totals do not sum -- only
-#: ``streaming.events`` partitions exactly).  Everything else in
-#: :data:`METRIC_NAMES` that the offline pipeline emits must total
-#: identically regardless of sharding (enforced by
-#: ``tests/test_metrics_sharded.py``).
-SHARD_SENSITIVE_METRICS = frozenset(
-    {
-        "engine.unique",
-        "engine.hops",
-        "streaming.compactions",
-        "streaming.evicted",
-        "streaming.peak_window",
-    }
-)
+#: to each worker.  Everything else in :data:`METRIC_NAMES` that the
+#: offline pipeline emits must total identically regardless of sharding
+#: (enforced by ``tests/test_metrics_sharded.py``).
+SHARD_SENSITIVE_METRICS = frozenset({"engine.unique", "engine.hops"})
 
 
 def register_engine_metric_names(engine_name: str) -> None:

@@ -62,11 +62,11 @@ class RuntimeObserver:
     #: ``False``.
     location_sharded = False
 
-    #: Set to ``True`` when the observer needs more than memory events
-    #: offline: the task lifecycle (the streaming checker frees finished
-    #: tasks) or lock events (the interleaving explorer keeps critical
-    #: sections together).  Offline replay then feeds the full event
-    #: stream; every other observer gets the bare memory-event loop.
+    #: Set to ``True`` when the observer needs every event offline: lock
+    #: events keep the interleaving explorer's critical sections
+    #: together.  Offline replay then feeds the full event stream; every
+    #: other observer gets the memory events and the task ends (which
+    #: free a finished task's local metadata in the optimized checker).
     requires_full_stream = False
 
     def on_run_begin(self, run: "RunContext") -> None:

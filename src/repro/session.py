@@ -38,7 +38,7 @@ from typing import Any, Dict, Optional, Union
 from repro.checker import checker_name_of, make_checker
 from repro.checker.annotations import AtomicAnnotations
 from repro.checker.sharded import CheckerSpec, default_jobs, run_check
-from repro.checker.streaming import StreamingChecker, resolve_window
+from repro.checker.streaming import StreamingChecker
 from repro.checker.supervisor import WorkerPolicy
 from repro.errors import TraceError
 from repro.report import ViolationReport
@@ -235,7 +235,6 @@ class CheckSession:
         policy: Optional[WorkerPolicy] = None,
         cache_dir: Optional[str] = None,
         streaming: bool = False,
-        window: Optional[int] = None,
         **checker_kwargs: Any,
     ) -> ViolationReport:
         """Run one checker over the source; return (and remember) its report.
@@ -260,27 +259,22 @@ class CheckSession:
         recorded in :attr:`cache_info`, never silently.
 
         ``streaming=True`` checks through
-        :class:`~repro.checker.streaming.StreamingChecker`, sweeping every
-        *window* events (default
-        :data:`~repro.checker.streaming.DEFAULT_WINDOW`; ``0`` never); a
-        window without it raises a :class:`~repro.errors.CheckerError`.
-        The optimized checker frees dead local metadata itself, so the
-        sweeps evict nothing and the report equals the offline one.  It is
-        filed under ``"streaming"`` in :attr:`reports`, bypasses the
-        cache, and refuses ``velodrome``, ``basic`` and ``regiontrack``.
+        :class:`~repro.checker.streaming.StreamingChecker`, a pass-through
+        over the optimized checker: every check frees dead local metadata
+        as it goes, so the report is the plain check's.  It is filed under
+        ``"streaming"`` in :attr:`reports` and keyed, served and stored
+        in the cache as the plain check; any checker but the optimized one
+        raises a :class:`~repro.errors.CheckerError`.
         """
         spec = self.checker if checker is None else checker
         jobs = default_jobs() if self.jobs is None else self.jobs
         if jobs < 1:
             raise TraceError(f"jobs must be >= 1, got {jobs}")
-        window = resolve_window(window, streaming)
-        cache_state = self._resolve_cache(
-            cache_dir, spec, checker_kwargs, streaming
-        )
+        cache_state = self._resolve_cache(cache_dir, spec, checker_kwargs)
         if checker_kwargs:
             spec = make_checker(spec, **checker_kwargs)
         if streaming:
-            spec = StreamingChecker(window=window, checker=spec)
+            spec = StreamingChecker(checker=spec)
         name = checker_name_of(spec)
         if cache_state is not None:
             entry = cache_state["cache"].load(cache_state["key"])
@@ -336,7 +330,6 @@ class CheckSession:
         cache_dir: Optional[str],
         spec: CheckerSpec,
         checker_kwargs: Dict[str, Any],
-        streaming: bool,
     ) -> Optional[Dict[str, Any]]:
         """Turn a ``cache_dir=`` request into a ready cache lookup.
 
@@ -360,13 +353,7 @@ class CheckSession:
         }
         self.cache_info = info
         token = checker_cache_token(spec, checker_kwargs)
-        if streaming:
-            info["reason"] = (
-                "streaming checks consume the trace incrementally; "
-                "serving (or storing) a cached offline result would "
-                "defeat the bounded-memory contract"
-            )
-        elif token is None:
+        if token is None:
             info["reason"] = (
                 "checker spec is not content-addressable (pass a "
                 "registered name, not a class or instance, with "

@@ -46,6 +46,18 @@ def build_flagged():
 def build_buggy():
     return TaskProgram(buggy)
 
+def racy_abcd(ctx):
+    def rmw(inner, location):
+        value = inner.read(location)
+        inner.write(location, value + 1)
+    for location in "ABCD":
+        ctx.spawn(rmw, location)
+        ctx.spawn(rmw, location)
+    ctx.sync()
+
+def build_racy_abcd():
+    return TaskProgram(racy_abcd, initial_memory=dict.fromkeys("ABCD", 0))
+
 def deep_chain(ctx, depth=0):
     if depth < 10_000:
         ctx.spawn(deep_chain, depth + 1)
@@ -255,55 +267,6 @@ class TestCheckTrace:
         assert "Atomicity violation" in out and "'X'" in out
 
 
-class TestCheckTraceStreaming:
-    @pytest.fixture
-    def trace_file(self, target_module, tmp_path, capsys):
-        path = str(tmp_path / "t.jsonl")
-        main(["record", f"{target_module}:buggy", "-o", path])
-        capsys.readouterr()
-        return path
-
-    def test_streaming_matches_offline_output(self, trace_file, capsys):
-        offline_code = main(["check-trace", trace_file])
-        offline = capsys.readouterr().out
-        code = main(["check-trace", trace_file, "--streaming", "--window", "8"])
-        out = capsys.readouterr().out
-        assert code == offline_code == 1
-        report_lines = [
-            line for line in out.splitlines() if not line.startswith("streaming:")
-        ]
-        assert "\n".join(report_lines) + "\n" == offline
-
-    def test_status_line_shows_window_and_counters(self, trace_file, capsys):
-        main(["check-trace", trace_file, "--streaming", "--window", "2"])
-        out = capsys.readouterr().out
-        assert "streaming: window=2" in out
-        assert "event(s)" in out and "sweep(s)" in out
-
-    def test_default_and_unbounded_windows(self, trace_file, capsys):
-        main(["check-trace", trace_file, "--streaming"])
-        assert "streaming: window=4096" in capsys.readouterr().out
-        main(["check-trace", trace_file, "--streaming", "--window", "0"])
-        assert "streaming: window=unbounded" in capsys.readouterr().out
-
-    def test_streaming_sharded(self, trace_file, capsys):
-        assert main(
-            ["check-trace", trace_file, "--streaming", "--window", "1",
-             "--jobs", "2"]
-        ) == 1
-
-    def test_window_requires_streaming(self, trace_file, capsys):
-        with pytest.raises(SystemExit, match="--window needs --streaming"):
-            main(["check-trace", trace_file, "--window", "8"])
-
-    def test_streaming_velodrome_refused(self, trace_file, capsys):
-        from repro.errors import CheckerError
-
-        with pytest.raises(CheckerError, match="cannot stream"):
-            main(["check-trace", trace_file, "--streaming",
-                  "--checker", "velodrome"])
-
-
 class TestCheckTraceFaultTolerance:
     @pytest.fixture
     def trace_file(self, target_module, tmp_path, capsys):
@@ -328,7 +291,8 @@ class TestCheckTraceFaultTolerance:
         argv = ["check-trace", trace_file, "--jobs", "2", "--retries", "4"]
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
         with pytest.raises(CheckerError, match="shard 0 failed"):
-            main([*argv, "--cache-dir", rc])
+            main([*argv, "--cache-dir", rc,
+                  "--metrics", str(tmp_path / "interrupted.json")])
         monkeypatch.delenv(FAULT_KILL_ENV)
         (entry,) = glob.glob(os.path.join(rc, "*", "*.json"))
         assert entry.endswith(".2-1.json")
@@ -359,7 +323,8 @@ class TestCheckTraceFaultTolerance:
         argv = ["check-trace", trace_file, "--jobs", "2"]
         assert main(argv) == 1
         fresh = capsys.readouterr().out
-        assert main([*argv, "--cache-dir", rc]) == 1
+        first = str(tmp_path / "first.json")
+        assert main([*argv, "--cache-dir", rc, "--metrics", first]) == 1
         capsys.readouterr()
         for path in glob.glob(os.path.join(rc, "*", "*.json")):
             if path.endswith(".2-1.json"):
@@ -382,8 +347,68 @@ class TestCheckTraceFaultTolerance:
         assert counters["sharded.resumed_shards"] == 1
         assert counters["sharded.workers"] == 1
 
+    def test_unobserved_shard_entries_resume_with_fresh_counters(
+        self, target_module, tmp_path, capsys
+    ):
+        """Shard entries stored without ``--metrics`` hold no counters: a
+        ``--metrics`` resume recomputes those shards, so its file counts
+        what a fresh run counts (it used to count half the violations and
+        accesses), and the next resume serves them with their metrics."""
+        import glob
+        import json
+
+        trace = str(tmp_path / "t.trc")
+        main(["record", f"{target_module}:build_racy_abcd", "-o", trace,
+              "--format", "columnar"])
+        capsys.readouterr()
+        argv = ["check-trace", trace, "--jobs", "2"]
+
+        def counters(path):
+            with open(path, "r", encoding="utf-8") as handle:
+                found = json.load(handle)["counters"]
+            return {
+                name: value for name, value in found.items()
+                if not name.startswith("cache.") and name not in (
+                    "sharded.workers", "sharded.heartbeats",
+                    "sharded.resumed_shards",
+                )
+            }, found.get("sharded.resumed_shards", 0)
+
+        def report_lines(out):
+            return [
+                line for line in out.splitlines()
+                if not line.startswith(("result cache:", "metrics written"))
+            ]
+
+        assert main([*argv, "--metrics", str(tmp_path / "f.json")]) == 1
+        fresh = capsys.readouterr().out
+        expected, _ = counters(str(tmp_path / "f.json"))
+        assert expected["report.violations"] == 4
+        assert expected["sharded.shards_nonempty"] == 2
+        rc = str(tmp_path / "rc")
+        assert main([*argv, "--cache-dir", rc]) == 1
+        capsys.readouterr()
+        for resumed_shards in (0, 1):
+            for path in glob.glob(os.path.join(rc, "*", "*.json")):
+                if not path.endswith(".2-0.json"):
+                    os.unlink(path)  # the whole entry and shard 1's
+            metrics = str(tmp_path / "m.json")
+            assert main([*argv, "--cache-dir", rc, "--metrics", metrics]) == 1
+            resumed = capsys.readouterr().out
+            assert report_lines(resumed) == report_lines(fresh)
+            assert counters(metrics) == (expected, resumed_shards)
+
     def test_checkpoint_flags_are_refused(self, trace_file, capsys):
         for flags in (["--checkpoint", "ck"], ["--resume"]):
+            with pytest.raises(SystemExit) as refused:
+                main(["check-trace", trace_file, *flags])
+            assert refused.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_streaming_flags_are_refused(self, trace_file, capsys):
+        """Every check is bounded, so there is no streaming mode to ask
+        for: argparse refuses the flags (status 2)."""
+        for flags in (["--streaming"], ["--window", "8"]):
             with pytest.raises(SystemExit) as refused:
                 main(["check-trace", trace_file, *flags])
             assert refused.value.code == 2
@@ -507,7 +532,7 @@ class TestParser:
     def test_checker_choices_track_registry(self):
         from repro.checker import CHECKER_FACTORIES
 
-        expected = tuple(name for name in CHECKER_FACTORIES if name != "streaming")
+        expected = tuple(CHECKER_FACTORIES)
         with_checker = []
         for name, sub in self.subcommands().items():
             for action in sub._actions:
@@ -708,9 +733,9 @@ class TestExitStatus:
 
     def test_refused_option_exits_2(self, tmp_path):
         completed = self.run(
-            "check-trace", "t.jsonl", "--window", "8", cwd=tmp_path
+            "lint", "--spec", "s.json", "--update-baseline", cwd=tmp_path
         )
-        self.assert_error_names(completed, "--streaming")
+        self.assert_error_names(completed, "--baseline")
 
     def test_other_trace_in_the_same_cache_dir_exits_0(self, tmp_path):
         """A shard stored for one trace answered a check of another: the

@@ -956,7 +956,7 @@ class TestStreamingLenientCounting:
 
         recorder = MetricsRecorder()
         session = CheckSession(path, jobs=jobs, recorder=recorder, strict=False)
-        report = session.check(streaming=True, window=1)
+        report = session.check(streaming=True)
         return report, recorder.snapshot().counters
 
     def test_lines_skipped_equal_across_job_counts(self, trace, tmp_path):

@@ -72,6 +72,17 @@ def keys(report):
     return {v.key for v in report}
 
 
+def resume_counters(recorder):
+    """The counters a resume must share with a fresh run: all but the
+    cache's and the driver's worker bookkeeping."""
+    skip = {"sharded.workers", "sharded.heartbeats", "sharded.resumed_shards"}
+    return {
+        name: value
+        for name, value in recorder.snapshot().counters.items()
+        if name not in skip and not name.startswith("cache.")
+    }
+
+
 #: JSON nested past any recursion limit the interpreter allows.
 DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -140,9 +151,9 @@ class TestWorkerPolicy:
             name for name, param in check.items()
             if name != "self" and param.kind is not param.VAR_KEYWORD
         ]
-        # checker, policy, cache_dir, streaming, window: jobs and the
-        # engine belong to the session.
-        assert len(named) == 5
+        # checker, policy, cache_dir, streaming: jobs and the engine
+        # belong to the session.
+        assert len(named) == 4
         for name in (
             "on_shard_failure", "max_retries", "retry_backoff",
             "shard_timeout", "start_method",
@@ -260,7 +271,9 @@ class TestCheckpointResume:
     """Resuming through the result cache: a ``jobs > 1`` miss stores each
     shard's report under the check's key plus the layout
     (``<key>.2-0.json``) as the shard completes, so a re-run of an
-    interrupted check redoes only the shards with no entry."""
+    interrupted check redoes only the shards with no entry.  A run that
+    seeds an observed resume stores its entries observed: an entry
+    stored without metrics is a miss for a check with a recorder."""
 
     def test_fresh_run_writes_whole_and_shard_entries(
         self, trace_file, tmp_path
@@ -275,7 +288,9 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         rc = str(tmp_path / "rc")
-        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        fresh = CheckSession(
+            trace_file, jobs=2, recorder=MetricsRecorder()
+        ).check(cache_dir=rc)
         # Simulate an interrupt: neither the whole result nor shard 1's
         # entry landed.
         drop_whole_entry(rc)
@@ -295,7 +310,9 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         rc = str(tmp_path / "rc")
-        CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        CheckSession(trace_file, jobs=2, recorder=MetricsRecorder()).check(
+            cache_dir=rc
+        )
         drop_whole_entry(rc)
         recorder = MetricsRecorder()
         resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
@@ -354,7 +371,9 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         rc = str(tmp_path / "rc")
-        CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        CheckSession(trace_file, jobs=2, recorder=MetricsRecorder()).check(
+            cache_dir=rc
+        )
         drop_whole_entry(rc)
         with open(shard_entry(rc, 2, 0), "w", encoding="utf-8") as handle:
             handle.write('{"schema": "repro-result-cache/2", "key"')
@@ -369,7 +388,9 @@ class TestCheckpointResume:
         """A shard entry nested past the recursion limit is a miss: that
         shard is recomputed, not a ``RecursionError`` traceback."""
         rc = str(tmp_path / "rc")
-        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        fresh = CheckSession(
+            trace_file, jobs=2, recorder=MetricsRecorder()
+        ).check(cache_dir=rc)
         drop_whole_entry(rc)
         with open(shard_entry(rc, 2, 0), "w", encoding="utf-8") as handle:
             handle.write(DEEP)
@@ -418,6 +439,51 @@ class TestCheckpointResume:
             assert counters["sharded.resumed_shards"] == 1
             assert counters["sharded.workers"] == 1
 
+    def test_unobserved_shard_entries_resume_with_fresh_counters(
+        self, trace_file, tmp_path
+    ):
+        """A shard entry stored by a check without a recorder holds no
+        metrics.  An observed resume recomputes that shard and stores it
+        again with its metrics, so its counters equal a fresh run's; it
+        used to merge no counters for the shard.  The next resume then
+        serves the entry."""
+        rc = str(tmp_path / "rc")
+        CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        recorder = MetricsRecorder()
+        fresh = CheckSession(trace_file, jobs=2, recorder=recorder).check()
+        expected = resume_counters(recorder)
+        assert expected["sharded.shards_nonempty"] == 2
+        for resumed_shards in (0, 1):
+            drop_whole_entry(rc)
+            os.unlink(shard_entry(rc, 2, 1))
+            recorder = MetricsRecorder()
+            resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
+                cache_dir=rc
+            )
+            assert resumed.describe() == fresh.describe()
+            assert resume_counters(recorder) == expected
+            counters = recorder.snapshot().counters
+            assert counters.get("sharded.resumed_shards", 0) == resumed_shards
+            assert counters["sharded.workers"] == 2 - resumed_shards
+
+    def test_unobserved_resume_serves_entries_without_metrics(
+        self, trace_file, tmp_path
+    ):
+        """Without a recorder a shard entry's metrics are not needed: an
+        entry stored unobserved is served, not recomputed."""
+        rc = str(tmp_path / "rc")
+        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        drop_whole_entry(rc)
+        path = shard_entry(rc, 2, 0)
+        stored = os.stat(path)
+        os.unlink(shard_entry(rc, 2, 1))
+        resumed = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        assert resumed.describe() == fresh.describe()
+        served = os.stat(path)  # a store renames a new file into place
+        assert (served.st_ino, served.st_mtime_ns) == (
+            stored.st_ino, stored.st_mtime_ns
+        )
+
     def test_jobs1_checkpoints_as_single_shard(
         self, trace_file, baseline, tmp_path
     ):
@@ -441,7 +507,7 @@ class TestCheckpointResume:
         rc = str(tmp_path / "rc")
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
         with pytest.raises(CheckerError):
-            CheckSession(trace_file, jobs=2).check(
+            CheckSession(trace_file, jobs=2, recorder=MetricsRecorder()).check(
                 cache_dir=rc,
                 policy=WorkerPolicy(max_retries=2, retry_backoff=0.2),
             )
@@ -462,7 +528,9 @@ class TestCheckpointResume:
     def test_store_validates_schema(self, trace_file, tmp_path):
         """A shard entry of another schema is recomputed, not merged."""
         rc = str(tmp_path / "rc")
-        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        fresh = CheckSession(
+            trace_file, jobs=2, recorder=MetricsRecorder()
+        ).check(cache_dir=rc)
         drop_whole_entry(rc)
         path = shard_entry(rc, 2, 0)
         with open(path, "r", encoding="utf-8") as handle:

@@ -3,15 +3,17 @@
 import pytest
 
 from repro.dpst import ArrayDPST, LCAEngine, NodeKind, ROOT_ID
+from repro.dpst.engines import available_engines
+from repro.dpst.engines import make_engine as build_engine
 from repro.errors import DPSTError
 
 from tests.conftest import build_figure2
 
 
-def make_engine(cache=True):
+def make_engine(cache=True, name="lca"):
     tree = ArrayDPST()
     ids = build_figure2(tree)
-    return LCAEngine(tree, cache=cache), ids
+    return build_engine(name, tree, cache=cache), ids
 
 
 class TestVerdicts:
@@ -158,35 +160,41 @@ class TestLeanMemo:
 
 
 class TestOutOfTreeIds:
-    """An id that is not a node of the tree is refused with a
-    :class:`DPSTError` naming it and the tree's size; it used to index the
-    layout's arrays from their end (a negative id) or raise a bare
-    ``IndexError``."""
+    """An id that is not a node of the tree is refused by every registered
+    engine with a :class:`DPSTError` naming it and the tree's size.  It
+    used to index the layout's arrays from their end (a negative id; the
+    ``labels`` and ``depa`` engines then reported a wrong verdict, ``vc``
+    a bare ``KeyError``) or raise a bare ``IndexError``.  Each test runs
+    every engine of the registry."""
 
     @pytest.mark.parametrize("cache", [True, False])
     @pytest.mark.parametrize("bad", [-1, -1000, 8, 99, 2**32 + 5])
     def test_engine_refuses(self, cache, bad):
-        engine, ids = make_engine(cache=cache)
-        for a in ids:  # fill the memo first: a bad id must not hit it
-            for b in ids:
-                engine.parallel(a, b)
-        size = len(engine.tree)
-        with pytest.raises(DPSTError, match=rf"node id {bad} .*\({size} nodes\)"):
-            engine.parallel(ids[3], bad)
-        with pytest.raises(DPSTError, match=rf"node id {bad} "):
-            engine.parallel(bad, ids[0])
+        for name in available_engines():
+            engine, ids = make_engine(cache=cache, name=name)
+            for a in ids:  # fill the memo first: a bad id must not hit it
+                for b in ids:
+                    engine.parallel(a, b)
+            size = len(engine.tree)
+            with pytest.raises(
+                DPSTError, match=rf"node id {bad} .*\({size} nodes\)"
+            ):
+                engine.parallel(ids[3], bad)
+            with pytest.raises(DPSTError, match=rf"node id {bad} "):
+                engine.parallel(bad, ids[0])
 
     def test_growing_tree_is_rechecked(self):
-        engine, (s11, *_) = make_engine()
-        size = len(engine.tree)
-        with pytest.raises(DPSTError, match=f"node id {size} "):
-            engine.parallel(s11, size)
-        step = engine.tree.add_node(ROOT_ID, NodeKind.STEP)
-        assert step == size
-        assert not engine.parallel(s11, step)
+        for name in available_engines():
+            engine, (s11, *_) = make_engine(name=name)
+            size = len(engine.tree)
+            with pytest.raises(DPSTError, match=f"node id {size} "):
+                engine.parallel(s11, size)
+            step = engine.tree.add_node(ROOT_ID, NodeKind.STEP)
+            assert step == size
+            assert not engine.parallel(s11, step), name
 
     @staticmethod
-    def session_over(step):
+    def session_over(step, engine="lca"):
         """Hand-built 5-node tree: finish 1 holds async 2 (step 3) and
         step 4; task 1 reads and writes X in step 3, task 0 writes X in
         *step* between them."""
@@ -211,13 +219,17 @@ class TestOutOfTreeIds:
             access(1, 0, step, "write"),
             access(2, 1, 3, "write"),
         ]
-        return CheckSession(Trace(events=events, dpst=tree))
+        return CheckSession(Trace(events=events, dpst=tree), engine=engine)
 
     def test_session_in_tree_step_reports(self):
-        report = self.session_over(4).check()
-        assert [v.pattern for v in report] == ["RWW"]
+        for engine in available_engines():
+            report = self.session_over(4, engine).check()
+            assert [v.pattern for v in report] == ["RWW"], engine
 
     @pytest.mark.parametrize("bad", [-1, 99])
     def test_session_refuses(self, bad):
-        with pytest.raises(DPSTError, match=rf"node id {bad} .*\(5 nodes\)"):
-            self.session_over(bad).check()
+        for engine in available_engines():
+            with pytest.raises(
+                DPSTError, match=rf"node id {bad} .*\(5 nodes\)"
+            ):
+                self.session_over(bad, engine).check()

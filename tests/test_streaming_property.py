@@ -1,18 +1,24 @@
-"""Property-based tests for streaming compaction (hypothesis + pinned seeds).
+"""Property-based tests for streaming checks (hypothesis + pinned seeds).
 
-Two properties, over generator-driven programs (the same shapes the
-runtime builds -- spawns, syncs, nested finishes, locks):
+Three properties, over generator-driven programs (the same shapes the
+runtime builds -- spawns, syncs, nested finishes, locks).  A streaming
+check has no window: the optimized checker frees a task's local cells
+at its next step and at its end, so the whole trace is the one window.
 
-* **Window monotonicity**: shrinking the compaction window never loses a
-  verdict.  The implementation earns something stronger -- the normalized
-  report is *identical* at every window -- and the stronger form is what
+* **Window monotonicity**: the streaming check never loses a verdict of
+  the plain check.  The implementation earns something stronger -- the
+  normalized reports are *identical* -- and the stronger form is what
   gets pinned, with the containment stated as an explicit corollary so a
-  future (sound but lossy-metadata) compaction strategy fails the right
+  future (sound but lossy-metadata) streaming strategy fails the right
   assertion first.
 
-* **Compaction invisibility**: sweeping after *every* event (window=1,
-  maximal eviction) reports exactly what never sweeping (unbounded
-  window) reports, and both match the offline optimized checker.
+* **Compaction invisibility**: the inline freeing really runs (cells are
+  freed, and the streaming wrapper frees and checks exactly what the
+  plain check does), and it hides no location that the basic checker,
+  which keeps every access, reports.
+
+* **Any program**: a hypothesis sweep of ``check(streaming=True)`` ==
+  ``check()``; the shrinker hands back a minimal seed.
 
 Seeds are pinned: failures reproduce byte-for-byte.
 """
@@ -22,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CheckSession
 from repro.fuzz import FuzzConfig, ProgramGenerator, program_from_spec
+from repro.obs import MetricsRecorder
 from repro.report import normalize_report, normalized_locations
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.program import run_program
@@ -38,47 +45,49 @@ def _fuzzed_trace(seed):
     return result.trace
 
 
-def _streamed(trace, window):
-    return CheckSession(trace).check(
-        streaming=True, window=window, mode="thorough"
-    )
-
-
 @pytest.mark.parametrize("seed", PINNED_SEEDS)
 def test_window_monotone(seed):
-    """Shrinking the window never adds false negatives vs the ∞ window."""
-    trace = _fuzzed_trace(seed)
-    unbounded = _streamed(trace, 0)
-    reference = normalize_report(unbounded)
-    reference_locations = set(normalized_locations(unbounded))
-    for window in (64, 8, 2, 1):
-        windowed = _streamed(trace, window)
-        # The corollary a lossy compactor would break first:
-        assert reference_locations <= set(
-            normalized_locations(windowed)
-        ), (seed, window)
-        # The stronger invariant this compactor actually provides:
-        assert normalize_report(windowed) == reference, (seed, window)
+    """Streaming never adds false negatives vs the plain check."""
+    session = CheckSession(_fuzzed_trace(seed))
+    offline = session.check(mode="thorough")
+    streamed = session.check(streaming=True, mode="thorough")
+    # The corollary a lossy streaming strategy would break first:
+    assert set(normalized_locations(offline)) <= set(
+        normalized_locations(streamed)
+    ), seed
+    # The stronger invariant this checker actually provides:
+    assert normalize_report(streamed) == normalize_report(offline), seed
 
 
 @pytest.mark.parametrize("seed", PINNED_SEEDS)
 def test_compaction_invisible(seed):
-    """Compact-after-every-event ≡ compact-never ≡ offline."""
+    """Free-as-you-go ≡ keep-everything, at the location level."""
     trace = _fuzzed_trace(seed)
-    offline = normalize_report(CheckSession(trace).check(mode="thorough"))
-    eager = normalize_report(_streamed(trace, 1))
-    never = normalize_report(_streamed(trace, 0))
-    assert eager == never == offline, seed
+
+    def counters(**check_kwargs):
+        recorder = MetricsRecorder()
+        CheckSession(trace, recorder=recorder).check(
+            mode="thorough", **check_kwargs
+        )
+        return recorder.snapshot().counters
+
+    plain = counters()
+    streamed = counters(streaming=True)
+    assert streamed["checker.optimized.cells_freed"] > 0, seed
+    for name in ("checker.optimized.cells_freed", "checker.accesses_checked"):
+        assert streamed[name] == plain[name], (seed, name)
+    session = CheckSession(trace)
+    assert normalized_locations(
+        session.check(streaming=True, mode="thorough")
+    ) == normalized_locations(session.check("basic")), seed
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    window=st.integers(min_value=1, max_value=96),
-)
+@given(seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=25, deadline=None)
-def test_any_window_matches_offline(seed, window):
-    """hypothesis sweep: arbitrary (program, window) pairs agree with
-    the offline check -- the shrinker hands back a minimal seed/window."""
-    trace = _fuzzed_trace(seed)
-    offline = normalize_report(CheckSession(trace).check(mode="thorough"))
-    assert normalize_report(_streamed(trace, window)) == offline
+def test_any_window_matches_offline(seed):
+    """hypothesis sweep: ``check(streaming=True)`` == ``check()`` on any
+    generated program -- the shrinker hands back a minimal seed."""
+    session = CheckSession(_fuzzed_trace(seed))
+    offline = normalize_report(session.check(mode="thorough"))
+    streamed = normalize_report(session.check(streaming=True, mode="thorough"))
+    assert streamed == offline, seed
