@@ -26,6 +26,9 @@ A ``jobs > 1`` miss also stores each shard's report the moment the shard
 completes, under the check's key plus the layout (``<key>.2-0`` beside
 ``<key>``), so re-running an interrupted check redoes only the shards
 with no entry; a shard entry only serves the check that computed it.
+Once the whole-result entry is stored, the shard entries of its key, of
+every layout, are deleted (:meth:`ResultCache.discard_shards`): a
+finished check leaves one entry.
 
 A hit on a trace file reads only the file's digest and the entry: the
 file is never opened, so none of the checks its reader makes at open
@@ -33,15 +36,18 @@ file is never opened, so none of the checks its reader makes at open
 the readers and checkers of the version that wrote it made of those
 bytes, and :data:`CACHE_SCHEMA`, part of every key, is the version.
 Bump it whenever a reader starts refusing input it accepted, a checker's
-verdict changes on some trace, or
+verdict changes on some trace,
 :func:`~repro.trace.serialize.location_shard_key` assigns any location
 to another shard (a shard entry holds the verdict on the locations its
-shard held): every older entry then falls out of every key, and a hit
-only serves what today's code computes.
+shard held), or an entry starts to carry something a hit serves (schema
+3: the report's lenient ``lines_skipped``): every older entry then falls
+out of every key, and a hit only serves what today's code computes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import hashlib
 import json
 import os
@@ -60,7 +66,7 @@ from repro.trace.trace import Trace
 
 #: Version of every entry and key; bump it by the rule in the module
 #: docstring.
-CACHE_SCHEMA = "repro-result-cache/2"
+CACHE_SCHEMA = "repro-result-cache/3"
 
 _HASH_CHUNK = 1 << 20
 
@@ -151,7 +157,7 @@ def normalized_report_copy(report: ViolationReport) -> ViolationReport:
     Checkers record violations in first-seen order, which varies with the
     shard layout; the cache stores and serves this jobs-insensitive form
     so a hit is byte-identical to a fresh normalized run.  ``raw_count``
-    is preserved.
+    and ``lines_skipped`` are preserved.
     """
     def triple_key(violation: Any) -> str:
         return json.dumps(
@@ -187,6 +193,7 @@ def normalized_report_copy(report: ViolationReport) -> ViolationReport:
     for cycle in sorted(report.cycles, key=cycle_key):
         copy.add_cycle(cycle)
     copy.raw_count = report.raw_count
+    copy.lines_skipped = report.lines_skipped
     return copy
 
 
@@ -270,6 +277,14 @@ class ResultCache:
         }
         _atomic_write(path, payload)
         return os.path.getsize(path)
+
+    def discard_shards(self, key: str) -> None:
+        """Delete every shard entry ``<key>.{jobs}-{shard}`` of *key*, of
+        any layout; an entry that is already gone is not an error."""
+        folder = glob.escape(os.path.dirname(self._path(key)))
+        for path in glob.glob(os.path.join(folder, f"{key}.*-*.json")):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<ResultCache {self.directory!r}>"

@@ -44,7 +44,6 @@ shard -- each shard frees a finished task's local metadata.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import time
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
@@ -106,10 +105,11 @@ def _replay_shard(
     runs it over its own slice -- a reader it filters to *shard*, or the
     events the parent picked for it.  The events come from
     :func:`~repro.trace.replay.events_to_replay`.  The lines a lenient
-    reader skips meanwhile are counted here (:func:`_charged_skips`), so
-    ``jobs=1`` and ``jobs=N`` totals agree.  Worker processes each get
-    their own unpickled copy of an instance *spec*, so every shard
-    replays into private state.
+    reader skips meanwhile are charged here (:func:`_charged_skips`) to
+    the report's ``lines_skipped``, and to the ``trace.lines_skipped``
+    metric when observed, so ``jobs=1`` and ``jobs=N`` totals agree.
+    Worker processes each get their own unpickled copy of an instance
+    *spec*, so every shard replays into private state.
     """
     checker = make_checker(spec)
     lines_from = source if isinstance(source, TraceReader) else None
@@ -123,10 +123,9 @@ def _replay_shard(
         parallel_engine=parallel_engine,
         recorder=recorder,
     )
-    if lines_from is not None and recorder is not None and recorder.enabled:
-        skipped = _charged_skips(lines_from, shard) - skipped_before
-        if skipped:
-            recorder.count("trace.lines_skipped", skipped)
+    report.lines_skipped = _charged_skips(lines_from, shard) - skipped_before
+    if report.lines_skipped and recorder is not None and recorder.enabled:
+        recorder.count("trace.lines_skipped", report.lines_skipped)
     return report
 
 
@@ -186,30 +185,6 @@ def _check_shard(
     return report, recorder.snapshot().to_dict()
 
 
-def _mp_context(start_method: Optional[str] = None):
-    """Resolve the multiprocessing context for worker processes.
-
-    Prefers fork (cheap, inherits the already-imported interpreter);
-    an explicit *start_method* (:attr:`WorkerPolicy.start_method`) -- or
-    else the ``REPRO_START_METHOD`` environment variable, which the CI
-    matrix uses to run the test suite under spawn -- overrides.  All
-    worker payloads are picklable, so every start method produces
-    identical reports; an unpicklable *checker instance* surfaces as a
-    :class:`CheckerError` from the supervisor, not a pickle traceback.
-    """
-    if start_method is None:
-        start_method = os.environ.get("REPRO_START_METHOD") or None
-    methods = multiprocessing.get_all_start_methods()
-    if start_method is not None:
-        if start_method not in methods:
-            raise CheckerError(
-                f"start method {start_method!r} is not available on this "
-                f"platform (have: {', '.join(methods)})"
-            )
-        return multiprocessing.get_context(start_method)
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
 def default_jobs() -> int:
     """Default worker count: one per *usable* CPU.
 
@@ -247,10 +222,9 @@ def run_check(
     the result cache with the check's key, or ``None``.  At ``jobs > 1``
     each shard is served from its cache entry, if an earlier run of this
     check stored one, or run and stored the moment it completes.  A
-    reader's workers open its path in the reader's own mode; the reader
-    stays the caller's.
+    reader's workers open its path in the reader's own mode (the
+    session's ``strict``); the reader stays the session's.
     """
-    collect = recorder.enabled
     # What every shard replays with (see _replay_shard).
     options = dict(
         spec=checker,
@@ -261,10 +235,7 @@ def run_check(
     if jobs == 1:
         return _replay_shard(source, source.dpst, recorder, **options)
     _require_shardable(checker)
-    return _check_supervised(
-        source, jobs, recorder, policy, cache,
-        _mp_context(policy.start_method), collect, options,
-    )
+    return _check_supervised(source, jobs, recorder, policy, cache, options)
 
 
 def _check_supervised(
@@ -273,8 +244,6 @@ def _check_supervised(
     recorder,
     policy: WorkerPolicy,
     cache: Optional[Tuple[ResultCache, str]],
-    context,
-    collect: bool,
     options: dict,
 ) -> ViolationReport:
     """The ``jobs > 1`` path: supervised workers, shard entries, metrics.
@@ -287,6 +256,8 @@ def _check_supervised(
     from repro.obs import (
         SPAN_MAP, SPAN_MERGE, SPAN_PARTITION, SPAN_SHARDED, MetricsSnapshot,
     )
+
+    collect = recorder.enabled
 
     def span(name):
         return recorder.span(name) if collect else contextlib.nullcontext()
@@ -358,16 +329,6 @@ def _check_supervised(
                     ))
             tasks = remaining
 
-        def on_event(kind: str, shard_id: int, detail: str) -> None:
-            if not collect:
-                return
-            if kind == "failure":
-                recorder.count("sharded.shard_failures")
-            elif kind == "retry":
-                recorder.count("sharded.retries")
-            elif kind == "inline":
-                recorder.count("sharded.inline_fallbacks")
-
         def on_outcome(outcome: ShardOutcome) -> None:
             # Store the moment a shard completes, not at the end: a later
             # shard aborting the run must not lose finished work.
@@ -378,14 +339,7 @@ def _check_supervised(
                 )
 
         with span(SPAN_MAP):
-            fresh = run_supervised(
-                tasks,
-                jobs=jobs,
-                context=context,
-                policy=policy,
-                on_event=on_event,
-                on_outcome=on_outcome,
-            )
+            fresh = run_supervised(tasks, jobs, policy, recorder, on_outcome)
 
         with span(SPAN_MERGE):
             outcomes = sorted(resumed + fresh, key=lambda o: o.shard_id)

@@ -8,12 +8,17 @@ attempt in its *own* supervised process with a result pipe instead.
 Worker death (any signal, including SIGKILL) surfaces as pipe EOF,
 worker exceptions travel back as strings, and a configurable per-shard
 timeout kills stragglers.  Failures are handled per the
-:class:`WorkerPolicy`: bounded retry with exponential backoff, graceful
-degradation to in-process checking of the failed shard, or immediate
-abort.  Each shard's outcome is delivered the moment it completes, so
+:class:`WorkerPolicy`: bounded retry with exponential backoff, then
+abort or graceful degradation to in-process checking of the failed
+shard.  Each shard's outcome is delivered the moment it completes, so
 the driver can store it in the result cache (:mod:`repro.cache`) before
 a later shard aborts the run; re-running the check then redoes only the
 shards with no entry.
+
+Workers fork where the platform has fork and use its default start
+method elsewhere; the ``REPRO_START_METHOD`` environment variable
+(``spawn``, ``forkserver``, ...) is the one override -- CI runs the
+sharded tests under spawn through it.
 
 Fault injection hooks (tests and the CI smoke job) are environment
 variables so they reach workers under every start method:
@@ -38,7 +43,14 @@ from repro.errors import CheckerError
 from repro.report import ViolationReport
 
 #: Legal :attr:`WorkerPolicy.on_failure` values.
-FAILURE_POLICIES = ("retry", "inline", "raise")
+FAILURE_POLICIES = ("retry", "inline")
+
+#: Base delay in seconds before a retry; attempt *n* waits
+#: ``RETRY_BACKOFF_S * 2**(n-1)``.
+RETRY_BACKOFF_S = 0.05
+
+#: The one start-method setting of the workers (see module docstring).
+START_METHOD_ENV = "REPRO_START_METHOD"
 
 #: Fault-injection environment hooks (see module docstring).
 FAULT_KILL_ENV = "REPRO_FAULT_KILL"
@@ -86,32 +98,22 @@ class WorkerPolicy:
     ----------
     on_failure:
         ``"retry"`` -- retry up to *max_retries* times, then raise
-        :class:`CheckerError`; ``"inline"`` -- retry up to *max_retries*
-        times, then degrade to checking the shard in-process in the
-        driver (the run completes, slower); ``"raise"`` -- abort on the
-        first failure, no retries.
+        :class:`CheckerError` (``max_retries=0`` aborts on the first
+        failure); ``"inline"`` -- retry up to *max_retries* times, then
+        degrade to checking the shard in-process in the driver (the run
+        completes, slower).
     max_retries:
         Extra worker attempts after the first failure (so a shard runs
-        at most ``max_retries + 1`` times in a worker).
-    retry_backoff:
-        Base delay in seconds before a retry; attempt *n* waits
-        ``retry_backoff * 2**(n-1)``.
+        at most ``max_retries + 1`` times in a worker), each after an
+        exponential backoff from :data:`RETRY_BACKOFF_S`.
     timeout_s:
         Per-attempt wall-clock budget; an attempt exceeding it is killed
         and counts as a failure.  ``None`` disables the timeout.
-    start_method:
-        Multiprocessing start method of the workers (``"fork"``,
-        ``"spawn"`` or ``"forkserver"``).  ``None`` takes the
-        ``REPRO_START_METHOD`` environment variable, else prefers fork;
-        an unavailable method raises :class:`CheckerError` when the
-        workers start.
     """
 
     on_failure: str = "retry"
     max_retries: int = 2
-    retry_backoff: float = 0.05
     timeout_s: Optional[float] = None
-    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.on_failure not in FAILURE_POLICIES:
@@ -180,6 +182,26 @@ def _shard_entry(fn, payload, attempt, conn) -> None:
             pass
 
 
+def worker_context():
+    """The multiprocessing context of the workers.
+
+    Fork where the platform has it, else the platform's default; the
+    ``REPRO_START_METHOD`` environment variable overrides both.  Every
+    worker payload is picklable, so each start method gives identical
+    reports; an unpicklable *checker instance* surfaces as a
+    :class:`CheckerError` from :func:`run_supervised`.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    fork = "fork" if "fork" in methods else None
+    method = os.environ.get(START_METHOD_ENV) or fork
+    if method is not None and method not in methods:
+        raise CheckerError(
+            f"start method {method!r} is not available on this "
+            f"platform (have: {', '.join(methods)})"
+        )
+    return multiprocessing.get_context(method)
+
+
 def _drain(running: Dict[Any, Tuple[Any, _Attempt, float]]) -> None:
     """Kill and reap every still-running worker (abort path)."""
     for proc, _, _ in running.values():
@@ -205,30 +227,28 @@ def _drain(running: Dict[Any, Tuple[Any, _Attempt, float]]) -> None:
 def run_supervised(
     tasks: List[ShardTask],
     jobs: int,
-    context,
-    policy: Optional[WorkerPolicy] = None,
-    on_event: Optional[Callable[[str, int, str], None]] = None,
-    on_outcome: Optional[Callable[[ShardOutcome], None]] = None,
+    policy: WorkerPolicy,
+    recorder,
+    on_outcome: Callable[[ShardOutcome], None],
 ) -> List[ShardOutcome]:
     """Run *tasks* in supervised worker processes; return their outcomes.
 
-    At most *jobs* workers run concurrently.  Each attempt gets its own
-    process and result pipe, so a worker dying from any signal is
-    detected (EOF) rather than hanging the driver.  *policy* governs
-    retry/degrade/abort behavior; *on_event* (when given) receives
-    ``("failure" | "retry" | "inline", shard_id, detail)``
-    notifications as they happen -- the driver uses it for metrics.
-    *on_outcome* fires with each :class:`ShardOutcome` the moment its
-    shard completes -- crucially *before* any later shard can abort the
-    run, so cache entries stored from it survive a failed run.
+    At most *jobs* workers run concurrently, started from
+    :func:`worker_context`.  Each attempt gets its own process and result
+    pipe, so a worker dying from any signal is detected (EOF) rather
+    than hanging the driver.  *policy* governs retry/degrade/abort
+    behavior; each failure, retry and inline fallback is counted into
+    *recorder* (``sharded.shard_failures``, ``sharded.retries``,
+    ``sharded.inline_fallbacks``).  *on_outcome* fires with each
+    :class:`ShardOutcome` the moment its shard completes -- crucially
+    *before* any later shard can abort the run, so cache entries stored
+    from it survive a failed run.
 
-    Raises :class:`CheckerError` when a shard is abandoned (policy
-    ``"raise"``, or retries exhausted under ``"retry"``), with every
-    other worker terminated first.
+    Raises :class:`CheckerError` when a shard is abandoned (retries
+    exhausted under ``"retry"``), with every other worker terminated
+    first.
     """
-    policy = policy or WorkerPolicy()
-    notify = on_event or (lambda kind, shard, detail: None)
-    deliver = on_outcome or (lambda outcome: None)
+    context = worker_context()
     outcomes: Dict[int, ShardOutcome] = {}
     pending: List[_Attempt] = [_Attempt(task) for task in tasks]
     #: recv-connection -> (process, attempt state, start time)
@@ -263,19 +283,17 @@ def run_supervised(
             shard_id=state.task.shard_id, report=report, snapshot=snapshot
         )
         outcomes[state.task.shard_id] = outcome
-        deliver(outcome)
+        on_outcome(outcome)
 
     def fail(state: _Attempt, reason: str) -> None:
         shard_id = state.task.shard_id
-        notify("failure", shard_id, reason)
-        if policy.on_failure == "raise":
-            raise CheckerError(f"shard {shard_id} failed: {reason}")
+        recorder.count("sharded.shard_failures")
         if state.attempt < policy.max_retries:
             state.attempt += 1
             state.eligible_at = time.monotonic() + (
-                policy.retry_backoff * (2 ** (state.attempt - 1))
+                RETRY_BACKOFF_S * (2 ** (state.attempt - 1))
             )
-            notify("retry", shard_id, reason)
+            recorder.count("sharded.retries")
             pending.append(state)
             return
         if policy.on_failure == "inline":
@@ -283,7 +301,7 @@ def run_supervised(
             # run still completes.  The fault hooks are suspended for
             # the call -- it runs in the *driver* process, and a kill
             # hook matching this attempt would take down the whole run.
-            notify("inline", shard_id, reason)
+            recorder.count("sharded.inline_fallbacks")
             suspended = {
                 name: os.environ.pop(name)
                 for name in (FAULT_KILL_ENV, FAULT_SLEEP_ENV)

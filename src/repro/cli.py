@@ -54,6 +54,7 @@ import inspect
 from typing import List, Optional, Sequence
 
 from repro.checker import CHECKER_FACTORIES, make_checker
+from repro.checker.supervisor import FAILURE_POLICIES, WorkerPolicy
 from repro.runtime import (
     RandomOrderExecutor,
     SerialExecutor,
@@ -332,43 +333,28 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_check_trace(args: argparse.Namespace) -> int:
-    from repro.checker.supervisor import WorkerPolicy
     from repro.session import CheckSession
 
     jobs = None if args.jobs == 0 else args.jobs
     recorder = _metrics_recorder(args)
-    if recorder is None and args.lenient:
-        # A private recorder so skip counts can be reported even without
-        # --metrics (skipping is never silent).
-        from repro.obs import MetricsRecorder
-
-        recorder = MetricsRecorder()
-    session = CheckSession(
-        args.trace, checker=args.checker, jobs=jobs, engine=args.engine,
-        recorder=recorder, strict=not args.lenient,
-    )
     policy = WorkerPolicy(
         on_failure=args.on_shard_failure,
         max_retries=args.retries,
         timeout_s=args.shard_timeout,
-        start_method=args.start_method,
     )
-    report = session.check(policy=policy, cache_dir=args.cache_dir)
+    session = CheckSession(
+        args.trace, checker=args.checker, jobs=jobs, policy=policy,
+        engine=args.engine, recorder=recorder, strict=not args.lenient,
+    )
+    report = session.check(cache_dir=args.cache_dir)
     print(report.describe())
-    skipped = session.lines_skipped
-    if not skipped and recorder is not None and recorder.enabled:
-        # jobs>1: workers scan the file themselves; the count comes back
-        # through the merged metrics rather than the parent's reader.
-        skipped = int(
-            recorder.snapshot().counters.get("trace.lines_skipped", 0)
-        )
-    if skipped:
+    if session.lines_skipped:
         print(
-            f"lenient mode: skipped {skipped} undecodable trace line(s); "
-            "the verdict covers the decodable events only"
+            f"lenient mode: skipped {session.lines_skipped} undecodable "
+            "trace line(s); the verdict covers the decodable events only"
         )
     _print_cache(session)
-    _dump_metrics(recorder if args.metrics else None, args)
+    _dump_metrics(recorder, args)
     return 1 if report else 0
 
 
@@ -730,10 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metrics_option(check_trace)
     check_trace.add_argument(
-        "--on-shard-failure", choices=("retry", "inline", "raise"),
-        default="retry",
-        help="crashed/hung worker handling: bounded retry (default), "
-        "degrade to in-process checking, or abort",
+        "--on-shard-failure", choices=FAILURE_POLICIES, default="retry",
+        help="crashed/hung worker handling once the retries are spent: "
+        "abort (retry, the default) or degrade to in-process checking",
     )
     check_trace.add_argument(
         "--retries", type=int, default=2, metavar="N",
@@ -748,12 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lenient", action="store_true",
         help="skip (and count) undecodable trace lines instead of "
         "aborting; the skip count is always printed",
-    )
-    check_trace.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method for workers (default: fork "
-        "where available)",
     )
     check_trace.add_argument(
         "--cache-dir", metavar="DIR", default=None,

@@ -134,21 +134,12 @@ def register_engine(name: str, factory: EngineFactory) -> None:
     """Register *factory* under *name* (replacing any previous binding).
 
     The factory is called as ``factory(tree, cache=...)`` and must
-    return a :class:`ParallelismEngine`.  Registration also reserves the
-    engine's per-engine metric names (``engine.<name>.queries`` etc.) in
-    the :data:`repro.obs.METRIC_NAMES` registry so its counters render
-    in ``repro stats`` output like the built-ins'.
+    return a :class:`ParallelismEngine`.  Its counters are recorded
+    under the engine-neutral ``engine.*`` names, like the built-ins'.
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"engine name must be a non-empty string, got {name!r}")
     _ENGINE_FACTORIES[name] = factory
-    # Lazy import: repro.obs is optional at registration time and must
-    # not become an import cycle (it never imports this module's users).
-    try:
-        from repro.obs import register_engine_metric_names
-    except ImportError:  # pragma: no cover - partial-install safety only
-        return
-    register_engine_metric_names(name)
 
 
 def available_engines() -> Tuple[str, ...]:

@@ -10,7 +10,7 @@ keeps all the surfaces field-for-field identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass
@@ -46,20 +46,10 @@ class EngineStats:
         self.unique += other.unique
         self.hops += other.hops
 
-    def as_metrics(self, engine_name: Optional[str] = None) -> Dict[str, int]:
-        """The canonical ``engine.*`` metric mapping (see repro.obs).
-
-        With *engine_name* the aggregate counters are accompanied by
-        per-engine ``engine.<name>.*`` entries, so snapshots mixing
-        engines stay distinguishable (``repro stats`` renders both).
-        """
-        out = {
+    def as_metrics(self) -> Dict[str, int]:
+        """The canonical ``engine.*`` metric mapping (see repro.obs)."""
+        return {
             "engine.queries": self.queries,
             "engine.unique": self.unique,
             "engine.hops": self.hops,
         }
-        if engine_name:
-            out[f"engine.{engine_name}.queries"] = self.queries
-            out[f"engine.{engine_name}.unique"] = self.unique
-            out[f"engine.{engine_name}.hops"] = self.hops
-        return out

@@ -77,7 +77,6 @@ __all__ = [
     "flush_engine_stats",
     "flush_observer_metrics",
     "is_metrics_dict",
-    "register_engine_metric_names",
 ]
 
 # -- canonical span names ----------------------------------------------------
@@ -174,49 +173,17 @@ METRIC_NAMES: Dict[str, str] = {
 SHARD_SENSITIVE_METRICS = frozenset({"engine.unique", "engine.hops"})
 
 
-def register_engine_metric_names(engine_name: str) -> None:
-    """Reserve the per-engine ``engine.<name>.*`` metric names.
-
-    Called by :func:`repro.dpst.engines.register_engine` for every
-    registered engine (built-in or third-party), so per-engine counters
-    are always legal :data:`METRIC_NAMES` members and render in
-    ``repro stats`` output.
-    """
-    METRIC_NAMES.setdefault(
-        f"engine.{engine_name}.queries",
-        f"parallelism queries answered by the {engine_name!r} engine",
-    )
-    METRIC_NAMES.setdefault(
-        f"engine.{engine_name}.unique",
-        f"distinct node pairs queried on the {engine_name!r} engine",
-    )
-    METRIC_NAMES.setdefault(
-        f"engine.{engine_name}.hops",
-        f"traversal/maintenance work units spent by the {engine_name!r} engine",
-    )
-
-
-def _shard_sensitive(name: str) -> bool:
-    """Uniqueness/hop counts are per-process; aggregate and per-engine
-    variants (``engine.unique``, ``engine.depa.hops``, ...) all qualify."""
-    return name.startswith("engine.") and (
-        name.endswith(".unique") or name.endswith(".hops")
-    )
-
-
 def comparable_counters(counters: Dict[str, float]) -> Dict[str, float]:
     """The shard-stable slice of *counters*.
 
-    Drops :data:`SHARD_SENSITIVE_METRICS` (including their per-engine
-    ``engine.<name>.unique`` / ``engine.<name>.hops`` variants) and the
-    sharded driver's own bookkeeping (``sharded.*``), leaving exactly the
+    Drops :data:`SHARD_SENSITIVE_METRICS` and the sharded driver's own
+    bookkeeping (``sharded.*``, ``worker.*``), leaving exactly the
     counters whose ``jobs=1`` and ``jobs=N`` totals must agree.
     """
     return {
         name: value
         for name, value in counters.items()
         if name not in SHARD_SENSITIVE_METRICS
-        and not _shard_sensitive(name)
         and not name.startswith("sharded.")
         and not name.startswith("worker.")
     }
@@ -242,27 +209,10 @@ def flush_observer_metrics(recorder: Recorder, observer: Any) -> None:
 
 
 def flush_engine_stats(recorder: Recorder, engine: Optional[Any]) -> None:
-    """Flush a parallelism engine's :class:`~repro.dpst.stats.EngineStats`.
-
-    Emits the aggregate ``engine.*`` counters plus, when the engine
-    carries its registry name (``engine_name``), the per-engine
-    ``engine.<name>.*`` variants so mixed-engine snapshots stay
-    distinguishable.
-    """
+    """Flush a parallelism engine's :class:`~repro.dpst.stats.EngineStats`
+    as the ``engine.*`` counters (a run has one engine)."""
     if not recorder.enabled or engine is None:
         return
-    stats = engine.stats
-    name = getattr(engine, "engine_name", None)
-    for metric, value in stats.as_metrics(name).items():
+    for metric, value in engine.stats.as_metrics().items():
         recorder.count(metric, value)
 
-
-# Importing the engine registry ensures the built-in engines' per-engine
-# metric names are reserved the moment repro.obs is usable.  Guarded so a
-# partially initialized interpreter (circular-import edge) degrades to
-# aggregate-only names instead of failing; the dpst chain never imports
-# repro.obs at module level, so in practice this always succeeds.
-try:  # pragma: no branch
-    from repro.dpst import engines as _engines  # noqa: F401  (side effect)
-except ImportError:  # pragma: no cover - defensive only
-    pass

@@ -164,6 +164,10 @@ class ViolationReport:
         #: Total number of ``add`` calls, including duplicates.  Useful for
         #: tests asserting how chatty a checker is.
         self.raw_count = 0
+        #: Undecodable trace lines a lenient reader skipped while the
+        #: events behind this report were read (see
+        #: :attr:`repro.session.CheckSession.lines_skipped`).
+        self.lines_skipped = 0
 
     # -- population ------------------------------------------------------
 
@@ -195,6 +199,7 @@ class ViolationReport:
         number of distinct records copied over.  Chattiness statistics
         therefore survive any chain of ``extend``/``merge`` calls
         unchanged, even when shards report duplicate violations.
+        ``lines_skipped`` sums the same way.
         """
         raw_before = self.raw_count
         for violation in other._violations:
@@ -205,6 +210,7 @@ class ViolationReport:
         # restore the true total so duplicates are neither dropped nor
         # double-counted.
         self.raw_count = raw_before + other.raw_count
+        self.lines_skipped += other.lines_skipped
 
     @classmethod
     def merge(cls, reports: Iterable["ViolationReport"]) -> "ViolationReport":
@@ -213,7 +219,8 @@ class ViolationReport:
         The workhorse of the sharded pipeline: per-shard reports are
         disjoint by location, so merging is pure concatenation, but the
         deduplication keys still guard against overlapping inputs.
-        ``raw_count`` sums the inputs' raw counts (see :meth:`extend`).
+        ``raw_count`` and ``lines_skipped`` sum the inputs' (see
+        :meth:`extend`).
         """
         merged = cls()
         for report in reports:
@@ -390,7 +397,8 @@ def _access_from_dict(data: Dict[str, Any]) -> AccessInfo:
 def report_to_dict(report: ViolationReport) -> Dict[str, Any]:
     """Encode *report* as one JSON-safe dict (schema ``repro-report/1``).
 
-    First-seen order, ``raw_count`` and both violation kinds survive, so
+    First-seen order, ``raw_count``, ``lines_skipped`` and both
+    violation kinds survive, so
     ``report_from_dict(report_to_dict(r))`` renders and merges exactly
     like ``r`` -- the property the result cache's shard entries rely on.
     """
@@ -399,6 +407,7 @@ def report_to_dict(report: ViolationReport) -> Dict[str, Any]:
     return {
         "schema": REPORT_SCHEMA,
         "raw_count": report.raw_count,
+        "lines_skipped": report.lines_skipped,
         "violations": [
             {
                 "location": encode_location(v.location),
@@ -457,4 +466,5 @@ def report_from_dict(data: Dict[str, Any]) -> ViolationReport:
     # The add() calls counted each distinct record once; restore the
     # recorded chattiness.
     report.raw_count = int(data.get("raw_count", report.raw_count))
+    report.lines_skipped = int(data.get("lines_skipped", 0))
     return report

@@ -160,10 +160,7 @@ class RunResult:
                 merged[name] = merged.get(name, 0) + value
         engine = self.context.engine
         if engine is not None:
-            from repro.dpst.engines import engine_name_of
-
-            folded = engine.stats.as_metrics(engine_name_of(engine))
-            for name, value in folded.items():
+            for name, value in engine.stats.as_metrics().items():
                 merged[name] = merged.get(name, 0) + value
         merged["runtime.lock_version_bumps"] = sum(
             task.lock_state.versions_minted

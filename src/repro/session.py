@@ -5,16 +5,16 @@ One entry point for every way of checking something:
 * a live :class:`~repro.runtime.program.TaskProgram` (or a bare body
   function) -- executed once with trace recording, then checked;
 * an in-memory recorded :class:`~repro.trace.trace.Trace`;
-* a trace *file path* or an open
-  :class:`~repro.trace.serialize.TraceReader` (either serialization
-  format; a file is checked without ever materializing its events).
+* a trace *file path* (either serialization format; a file is checked
+  without ever materializing its events).
 
 and every way of running a checker over it: any :func:`make_checker`
 spec (name, class, or instance), in-process (``jobs=1``) or across
-worker processes (``jobs>1``).  Each setting has one owner: ``jobs``, the
-engine and the trace mode are the session's, and each
-:meth:`CheckSession.check` call checks its own options once, then hands
-the check to the driver in :mod:`repro.checker.sharded`.
+worker processes (``jobs>1``).  Each setting has one owner: ``jobs``,
+the worker fault policy, the engine and the trace mode are the
+session's, and each :meth:`CheckSession.check` call checks its own
+options once, then hands the check to the driver in
+:mod:`repro.checker.sharded`.
 
 ::
 
@@ -46,7 +46,7 @@ from repro.runtime.program import TaskProgram, run_program
 from repro.trace.serialize import TraceReader, open_trace
 from repro.trace.trace import Trace
 
-Source = Union[TaskProgram, Trace, TraceReader, str, "os.PathLike[str]"]
+Source = Union[TaskProgram, Trace, str, "os.PathLike[str]"]
 
 
 class CheckSession:
@@ -57,8 +57,8 @@ class CheckSession:
     source:
         What to check.  A :class:`TaskProgram` (or bare callable body) is
         executed once -- lazily, on first use -- with trace recording
-        under *executor*; a :class:`Trace` / :class:`TraceReader` / path
-        is checked offline as-is.  A path that is not a file raises
+        under *executor*; a :class:`Trace` or a trace file path is
+        checked offline as-is.  A path that is not a file raises
         :class:`~repro.errors.TraceError` here.  A file is opened (header,
         DPST rebuild, v3 footer) on first need only: a check that replays
         its events, or a read of :attr:`trace` or :attr:`dpst`.  So a
@@ -74,6 +74,11 @@ class CheckSession:
         ``location_sharded`` checker only: Velodrome is refused);
         ``None`` uses one worker per usable CPU; below ``1``,
         :meth:`check` raises :class:`~repro.errors.TraceError`.
+    policy:
+        The :class:`~repro.checker.supervisor.WorkerPolicy` supervising
+        the ``jobs > 1`` workers: retry or inline fallback on a failed
+        worker, and the per-attempt timeout.  Defaults to
+        ``WorkerPolicy()``.
     engine:
         Parallelism-query engine of every check: any registered name in
         :func:`repro.dpst.engines.available_engines` (built-ins:
@@ -99,9 +104,8 @@ class CheckSession:
         ``False`` opens a path source in lenient mode: undecodable
         events are counted (:attr:`lines_skipped`, and the
         ``trace.lines_skipped`` metric when observed) and skipped
-        instead of aborting the check mid-stream.  A
-        :class:`TraceReader` source keeps its own mode, which becomes
-        the session's :attr:`strict`.  Ignored for in-memory sources.
+        instead of aborting the check mid-stream.  Ignored for
+        in-memory sources.
     """
 
     def __init__(
@@ -109,6 +113,7 @@ class CheckSession:
         source: Source,
         checker: CheckerSpec = "optimized",
         jobs: Optional[int] = 1,
+        policy: Optional[WorkerPolicy] = None,
         engine: str = "lca",
         executor: Any = None,
         annotations: Optional[AtomicAnnotations] = None,
@@ -122,10 +127,10 @@ class CheckSession:
             recorder = NULL_RECORDER
         self.checker = checker
         self.jobs = jobs
+        self.policy = WorkerPolicy() if policy is None else policy
         self.engine = engine
         self.executor = executor
         self.lca_cache = lca_cache
-        #: The trace mode; a :class:`TraceReader` source's own.
         self.strict = strict
         #: The session's observability sink (a :class:`repro.obs.Recorder`).
         self.recorder = recorder
@@ -135,6 +140,11 @@ class CheckSession:
         #: ``{"requested", "applied", "hit", "key", "reason"}`` -- the CLI
         #: renders this so a bypassed cache is never silent.
         self.cache_info: Optional[Dict[str, Any]] = None
+        #: Undecodable lines a lenient file reader skipped for the last
+        #: :meth:`check`, fresh or served from the cache (its report's
+        #: ``lines_skipped``); ``0`` before any check.  The CLI prints a
+        #: non-zero count after every lenient check.
+        self.lines_skipped = 0
         self._source_digest_memo: Optional[str] = None
 
         self._program: Optional[TaskProgram] = None
@@ -151,10 +161,6 @@ class CheckSession:
             self._program = TaskProgram(source)
         elif isinstance(source, Trace):
             self._trace = source
-        elif isinstance(source, TraceReader):
-            self._reader = source
-            self._path = source.path
-            self.strict = source.strict
         elif isinstance(source, (str, os.PathLike)):
             self._path = os.fspath(source)
             if not os.path.isfile(self._path):
@@ -162,8 +168,8 @@ class CheckSession:
         else:
             raise TraceError(
                 f"cannot check {type(source).__name__}: expected a "
-                "TaskProgram, a body callable, a Trace, a TraceReader, "
-                "or a trace file path"
+                "TaskProgram, a body callable, a Trace, or a trace file "
+                "path"
             )
         if annotations is not None:
             self.annotations = annotations
@@ -232,7 +238,6 @@ class CheckSession:
     def check(
         self,
         checker: Optional[CheckerSpec] = None,
-        policy: Optional[WorkerPolicy] = None,
         cache_dir: Optional[str] = None,
         streaming: bool = False,
         **checker_kwargs: Any,
@@ -242,10 +247,7 @@ class CheckSession:
         *checker* defaults to the session's; ``checker_kwargs`` go to
         checker construction (names and classes only).  A program source
         executes once per session.  The options are checked here, once,
-        before any cache lookup.  *policy* (a
-        :class:`~repro.checker.supervisor.WorkerPolicy`) supervises the
-        ``jobs > 1`` workers: retry, inline fallback or abort on a failed
-        worker, the per-attempt timeout and the start method.
+        before any cache lookup.
 
         ``cache_dir`` enables the content-addressed result cache
         (:mod:`repro.cache`), keyed on the trace, the checker, the engine
@@ -254,9 +256,10 @@ class CheckSession:
         its bytes' digest, so a hit never opens the file.  A ``jobs > 1``
         miss also files each shard's report under the key plus the
         layout as the shard completes, so re-running an interrupted check
-        redoes only the missing shards.  Class/instance checker specs and
-        non-trivial annotations bypass the cache, with the reason
-        recorded in :attr:`cache_info`, never silently.
+        redoes only the missing shards; once the whole report is stored,
+        the shard entries of its key are deleted.  Class/instance checker
+        specs and non-trivial annotations bypass the cache, with the
+        reason recorded in :attr:`cache_info`, never silently.
 
         ``streaming=True`` checks through
         :class:`~repro.checker.streaming.StreamingChecker`, a pass-through
@@ -284,6 +287,7 @@ class CheckSession:
                     self.recorder.count("cache.hit")
                     self.recorder.count("cache.bytes", entry.nbytes)
                 self.reports[name] = entry.report
+                self.lines_skipped = entry.report.lines_skipped
                 return entry.report
 
         if self.recorder.enabled:
@@ -291,9 +295,9 @@ class CheckSession:
 
             self._span_dpst_build()
             with self.recorder.span(SPAN_CHECK):
-                report = self._run(spec, jobs, policy, cache_state)
+                report = self._run(spec, jobs, cache_state)
         else:
-            report = self._run(spec, jobs, policy, cache_state)
+            report = self._run(spec, jobs, cache_state)
         if cache_state is not None:
             from repro.cache import normalized_report_copy
 
@@ -301,10 +305,12 @@ class CheckSession:
             nbytes = cache_state["cache"].store(
                 cache_state["key"], report, meta=cache_state["meta"]
             )
+            cache_state["cache"].discard_shards(cache_state["key"])
             if self.recorder.enabled:
                 self.recorder.count("cache.miss")
                 self.recorder.count("cache.bytes", nbytes)
         self.reports[name] = report
+        self.lines_skipped = report.lines_skipped
         return report
 
     def _source_digest(self) -> str:
@@ -389,7 +395,6 @@ class CheckSession:
         self,
         spec: CheckerSpec,
         jobs: int,
-        policy: Optional[WorkerPolicy],
         cache_state: Optional[Dict[str, Any]],
     ) -> ViolationReport:
         """Hand the check to the driver, :func:`run_check`.
@@ -409,7 +414,7 @@ class CheckSession:
             lca_cache=self.lca_cache,
             parallel_engine=self.engine,
             recorder=self.recorder,
-            policy=WorkerPolicy() if policy is None else policy,
+            policy=self.policy,
             cache=None if cache_state is None else (
                 cache_state["cache"], cache_state["key"]
             ),
@@ -453,16 +458,6 @@ class CheckSession:
         for found in self.report():
             return found
         return None
-
-    @property
-    def lines_skipped(self) -> int:
-        """Undecodable lines skipped so far by a lenient file reader.
-
-        Always ``0`` for strict or non-file sources and for a file not
-        opened yet (a cache hit opens none); never silent -- the CLI
-        surfaces a non-zero count after every lenient check.
-        """
-        return self._reader.lines_skipped if self._reader is not None else 0
 
     @property
     def metrics(self):

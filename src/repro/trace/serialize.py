@@ -853,7 +853,8 @@ class JsonlTraceReader(TraceReader):
         At ``jobs > 1`` foreign-shard lines are dropped by their ``"sk"``
         stamp *without* JSON decoding, so N streaming workers split the
         parse cost of one file.  Unstamped lines (externally produced
-        files) are decoded, then routed by location.  A kept access whose
+        files) are decoded, then routed by location, and so is a line with
+        a byte that is not UTF-8 in lenient mode.  A kept access whose
         stamp is not its location's key is refused (strict) or counted in
         :attr:`stamped_lines_skipped` (lenient).
         """
@@ -872,6 +873,14 @@ class JsonlTraceReader(TraceReader):
             for line in lines:
                 # The stamp sits in the last ~20 bytes; bound the scan.
                 match = _SK_TAIL.search(line, max(0, len(line) - 32))
+                if match is not None and not self.strict:
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        # A lenient read replaces the bad byte, which can
+                        # move the access off the location its stamp was
+                        # keyed on: route it by location, as at jobs=1.
+                        match = None
                 if match is None:
                     # Unstamped: every shard decodes it, then routes an
                     # access by its location.

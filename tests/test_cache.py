@@ -295,10 +295,12 @@ class TestSessionIntegration:
         assert not session.cache_info["hit"]
 
     def test_lenient_reader_result_is_keyed_lenient(self, tmp_path):
-        """A session over a lenient :class:`TraceReader` takes the reader's
-        mode.  It used to key its result with its own default
-        ``strict=True``, so a later strict check of the damaged file was a
-        hit that returned no violations instead of raising."""
+        """A session over a lenient :class:`TraceReader` used to key its
+        result with its own default ``strict=True``, so a later strict
+        check of the damaged file was a hit that returned no violations
+        instead of raising.  A reader is no source now: ``strict=`` is the
+        one owner of the trace mode, and a lenient result is keyed
+        lenient."""
         from repro.errors import TraceError
         from repro.suite import all_cases
         from repro.trace.serialize import open_trace
@@ -315,17 +317,19 @@ class TestSessionIntegration:
         with pytest.raises(TraceError):
             CheckSession(str(path)).check(cache_dir=cache_dir)
         with open_trace(str(path), strict=False) as reader:
-            session = CheckSession(reader)
-            session.check(cache_dir=cache_dir)
-            assert session.lines_skipped == 1
-            assert not session.cache_info["hit"]
+            with pytest.raises(TraceError, match="cannot check"):
+                CheckSession(reader)
+        session = CheckSession(str(path), strict=False)
+        session.check(cache_dir=cache_dir)
+        assert session.lines_skipped == 1
+        assert not session.cache_info["hit"]
         # The strict check still refuses the file; a lenient one is a hit.
         with pytest.raises(TraceError):
             CheckSession(str(path)).check(cache_dir=cache_dir)
         lenient = CheckSession(str(path), strict=False)
         lenient.check(cache_dir=cache_dir)
         assert lenient.cache_info["hit"]
-        assert session.strict is False
+        assert lenient.lines_skipped == 1
 
     @pytest.mark.parametrize("suffix", ["jsonl", "trc"])
     def test_hit_opens_no_trace(self, trace, tmp_path, monkeypatch, suffix):
@@ -512,9 +516,9 @@ class TestConcurrentWriters:
     """
 
     def _start(self, target, args):
-        from repro.checker.sharded import _mp_context
+        from repro.checker.supervisor import worker_context
 
-        process = _mp_context().Process(target=target, args=args)
+        process = worker_context().Process(target=target, args=args)
         process.start()
         return process
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import TraceError
+from tests.interrupt import interrupted
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -324,17 +325,15 @@ class TestCheckTraceFaultTolerance:
         assert main(argv) == 1
         fresh = capsys.readouterr().out
         first = str(tmp_path / "first.json")
-        assert main([*argv, "--cache-dir", rc, "--metrics", first]) == 1
+        with interrupted():  # both shards stored, the whole entry not
+            main([*argv, "--cache-dir", rc, "--metrics", first])
         capsys.readouterr()
-        for path in glob.glob(os.path.join(rc, "*", "*.json")):
-            if path.endswith(".2-1.json"):
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                entry["meta"]["metrics"] = {"counters": "garbage"}
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle)
-            elif not path.endswith(".2-0.json"):
-                os.unlink(path)  # the whole entry an interrupt never stored
+        (path,) = glob.glob(os.path.join(rc, "*", "*.2-1.json"))
+        with open(path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["meta"]["metrics"] = {"counters": "garbage"}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle)
         metrics = str(tmp_path / "m.json")
         assert main([*argv, "--cache-dir", rc, "--metrics", metrics]) == 1
         resumed = capsys.readouterr().out
@@ -354,7 +353,6 @@ class TestCheckTraceFaultTolerance:
         ``--metrics`` resume recomputes those shards, so its file counts
         what a fresh run counts (it used to count half the violations and
         accesses), and the next resume serves them with their metrics."""
-        import glob
         import json
 
         trace = str(tmp_path / "t.trc")
@@ -385,18 +383,37 @@ class TestCheckTraceFaultTolerance:
         expected, _ = counters(str(tmp_path / "f.json"))
         assert expected["report.violations"] == 4
         assert expected["sharded.shards_nonempty"] == 2
-        rc = str(tmp_path / "rc")
-        assert main([*argv, "--cache-dir", rc]) == 1
-        capsys.readouterr()
         for resumed_shards in (0, 1):
-            for path in glob.glob(os.path.join(rc, "*", "*.json")):
-                if not path.endswith(".2-0.json"):
-                    os.unlink(path)  # the whole entry and shard 1's
+            # Interrupted runs store shard 0 alone: unobserved, then (for
+            # the served case) observed, which stores it with metrics.
+            rc = str(tmp_path / f"rc{resumed_shards}")
+            seeds = [[], ["--metrics", str(tmp_path / "seed.json")]]
+            for extra in seeds[:resumed_shards + 1]:
+                with interrupted(stalled=1):
+                    main([*argv, "--cache-dir", rc, *extra])
+                capsys.readouterr()
             metrics = str(tmp_path / "m.json")
             assert main([*argv, "--cache-dir", rc, "--metrics", metrics]) == 1
             resumed = capsys.readouterr().out
             assert report_lines(resumed) == report_lines(fresh)
             assert counters(metrics) == (expected, resumed_shards)
+
+    def test_one_entry_left_after_a_finished_check(self, trace_file, tmp_path, capsys):
+        """A finished ``--jobs 2`` check deletes its shard entries."""
+        import glob
+
+        rc = str(tmp_path / "rc")
+        assert main(["check-trace", trace_file, "--jobs", "2", "--cache-dir", rc]) == 1
+        (entry,) = glob.glob(os.path.join(rc, "*", "*.json"))
+        assert os.path.basename(entry).count(".") == 1
+
+    def test_start_method_and_raise_policy_are_refused(self, trace_file, capsys):
+        """``REPRO_START_METHOD`` is the one start-method setting, and
+        ``--retries 0`` the one way to abort on the first failure."""
+        for flags in (["--start-method", "spawn"], ["--on-shard-failure", "raise"]):
+            with pytest.raises(SystemExit) as refused:
+                main(["check-trace", trace_file, "--jobs", "2", *flags])
+            assert refused.value.code == 2
 
     def test_checkpoint_flags_are_refused(self, trace_file, capsys):
         for flags in (["--checkpoint", "ck"], ["--resume"]):
@@ -752,6 +769,18 @@ class TestExitStatus:
         second = self.run("check-trace", "clean.jsonl", *argv, cwd=tmp_path)
         assert second.returncode == 0, second.stdout
         assert second.stdout.startswith("no violations\n")
+
+    def test_persistent_crash_without_retries_exits_2(self, tmp_path, monkeypatch):
+        """``--retries 0`` aborts on the first failed worker: one error
+        line, exit 2."""
+        (tmp_path / "cli_targets.py").write_text(PROGRAMS_SOURCE)
+        self.run("record", "cli_targets:buggy", "-o", "t.jsonl", cwd=tmp_path)
+        monkeypatch.setenv("REPRO_FAULT_KILL", "0@0")
+        completed = self.run(
+            "check-trace", "t.jsonl", "--jobs", "2", "--retries", "0",
+            cwd=tmp_path,
+        )
+        self.assert_error_names(completed, "shard 0 failed after 1 attempt")
 
     def test_strict_after_lenient_in_the_same_cache_dir_exits_2(
         self, tmp_path

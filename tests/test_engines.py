@@ -254,30 +254,3 @@ class TestDerivedSurfaces:
                 assert f"{name}-engine" in legs
         assert "vc-engine" not in exact_legs(reference="vc")
         assert "lca-engine" in exact_legs(reference="vc")
-
-    def test_per_engine_metric_names_registered(self):
-        from repro.obs import METRIC_NAMES
-
-        for name in available_engines():
-            for suffix in ("queries", "unique", "hops"):
-                assert f"engine.{name}.{suffix}" in METRIC_NAMES
-
-    def test_stats_labelled_by_engine_name(self):
-        stats = EngineStats()
-        stats.queries = 5
-        metrics = stats.as_metrics("depa")
-        assert metrics["engine.depa.queries"] == 5
-        assert metrics["engine.queries"] == 5
-        assert "engine.depa.queries" not in stats.as_metrics()
-
-    def test_flush_engine_stats_emits_per_engine_counters(self):
-        from repro.obs import MetricsRecorder, flush_engine_stats
-
-        tree, (s0, s1, s2, s3) = diamond_tree()
-        engine = make_engine("vc", tree)
-        engine.parallel(s1, s2)
-        recorder = MetricsRecorder()
-        flush_engine_stats(recorder, engine)
-        counters = recorder.snapshot().counters
-        assert counters["engine.vc.queries"] == 1
-        assert counters["engine.queries"] == 1

@@ -9,30 +9,38 @@ reader cleanup, picklable payloads).
 
 Faults are injected through the ``REPRO_FAULT_KILL`` /
 ``REPRO_FAULT_SLEEP`` environment hooks so they reach worker processes
-under every start method.
+under every start method.  A finished check leaves only its whole-result
+entry, so a resume test interrupts a run for real
+(:func:`interrupted_check`).
 """
 
+import contextlib
+import dataclasses
 import glob
 import json
 import os
+from unittest import mock
 
 import pytest
 
+from repro.cache import ResultCache
 from repro.checker import OptAtomicityChecker
 from repro.checker.sharded import default_jobs
 from repro.checker.supervisor import (
     FAULT_KILL_ENV,
     FAULT_SLEEP_ENV,
+    START_METHOD_ENV,
     WorkerPolicy,
     maybe_inject_fault,
 )
-from repro.errors import CheckerError
+from repro.errors import CheckerError, TraceError
 from repro.obs import MetricsRecorder, comparable_counters
 from repro.report import ViolationReport
 from repro.runtime import TaskProgram, run_program
 from repro.session import CheckSession
 from repro.suite import all_cases
 from repro.trace.serialize import dump_trace_jsonl
+from tests.interrupt import interrupted
 
 
 def recorded_trace():
@@ -86,6 +94,10 @@ def resume_counters(recorder):
 #: JSON nested past any recursion limit the interpreter allows.
 DEEP = "[" * 100_000 + "]" * 100_000
 
+#: A shard timeout that a worker of the tiny fixture trace meets under
+#: every start method, while a stalled one misses it.
+INTERRUPT_S = 3.0
+
 
 def cache_entries(cache_dir):
     """The file names of every entry under *cache_dir*, sorted."""
@@ -101,14 +113,27 @@ def shard_entry(cache_dir, jobs, shard):
     return path
 
 
-def drop_whole_entry(cache_dir):
-    """Delete the whole-result ``<key>.json`` entry, as an interrupted
-    run never stores it, so a re-run consults the shard entries."""
-    (path,) = [
-        path for path in glob.glob(os.path.join(cache_dir, "*", "*.json"))
-        if os.path.basename(path).count(".") == 1
-    ]
-    os.unlink(path)
+@contextlib.contextmanager
+def watched_stores():
+    """The ``(key suffix, meta)`` of every result-cache store in the
+    block, in order: ``"2-1"`` for shard 1 of 2, ``""`` for the whole
+    entry."""
+    stored = []
+    store = ResultCache.store
+
+    def watched(cache, key, report, meta=None):
+        stored.append((key.partition(".")[2], meta))
+        return store(cache, key, report, meta)
+
+    with mock.patch.object(ResultCache, "store", watched):
+        yield stored
+
+
+def interrupted_check(source, cache_dir, jobs=2, stalled=None, **session):
+    """A ``jobs``-way check of *source* into *cache_dir*, stopped for
+    real before its whole-result entry lands (see :func:`interrupted`)."""
+    with interrupted(jobs, stalled):
+        CheckSession(source, jobs=jobs, **session).check(cache_dir=cache_dir)
 
 
 class TestFaultHooks:
@@ -132,6 +157,20 @@ class TestWorkerPolicy:
         with pytest.raises(CheckerError):
             WorkerPolicy(on_failure="panic")
 
+    def test_raise_policy_is_refused(self):
+        """``max_retries=0`` aborts on the first failure; there is no
+        second way to ask for it."""
+        with pytest.raises(CheckerError, match="retry, inline"):
+            WorkerPolicy(on_failure="raise")
+
+    def test_three_settings(self):
+        assert [f.name for f in dataclasses.fields(WorkerPolicy)] == [
+            "on_failure", "max_retries", "timeout_s",
+        ]
+        for removed in ("retry_backoff", "start_method"):
+            with pytest.raises(TypeError):
+                WorkerPolicy(**{removed: None})
+
     def test_rejects_negative_retries(self):
         with pytest.raises(CheckerError):
             WorkerPolicy(max_retries=-1)
@@ -145,21 +184,28 @@ class TestWorkerPolicy:
 
         from repro.checker.sharded import run_check
 
+        session = inspect.signature(CheckSession).parameters
         check = inspect.signature(CheckSession.check).parameters
         driver = inspect.signature(run_check).parameters
         named = [
             name for name, param in check.items()
             if name != "self" and param.kind is not param.VAR_KEYWORD
         ]
-        # checker, policy, cache_dir, streaming: jobs and the engine
-        # belong to the session.
-        assert len(named) == 4
+        # checker, cache_dir, streaming: jobs, the fault policy and the
+        # engine belong to the session.
+        assert named == ["checker", "cache_dir", "streaming"]
         for name in (
             "on_shard_failure", "max_retries", "retry_backoff",
             "shard_timeout", "start_method",
         ):
-            assert name not in check and name not in driver
-        assert "policy" in check and "policy" in driver
+            assert name not in session and name not in driver
+        assert "policy" in session and "policy" in driver
+
+    def test_check_takes_no_policy(self, trace_file):
+        session = CheckSession(trace_file, jobs=2)
+        with pytest.raises(TypeError):
+            session.check(policy=WorkerPolicy())
+        assert session.reports == {}
 
 
 class TestFailureMatrix:
@@ -169,9 +215,9 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        report = CheckSession(trace_file, jobs=2).check(
-            policy=WorkerPolicy(on_failure="retry")
-        )
+        report = CheckSession(
+            trace_file, jobs=2, policy=WorkerPolicy(on_failure="retry")
+        ).check()
         assert keys(report) == keys(baseline)
         assert report.raw_count == baseline.raw_count
 
@@ -179,24 +225,19 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "1@0")
-        report = CheckSession(trace_file, jobs=2).check(
-            policy=WorkerPolicy(on_failure="inline", max_retries=0)
-        )
+        report = CheckSession(
+            trace_file, jobs=2,
+            policy=WorkerPolicy(on_failure="inline", max_retries=0),
+        ).check()
         assert keys(report) == keys(baseline)
-
-    def test_kill_with_raise_policy_aborts(self, trace_file, monkeypatch):
-        monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        with pytest.raises(CheckerError, match="shard 0 failed"):
-            CheckSession(trace_file, jobs=2).check(
-                policy=WorkerPolicy(on_failure="raise")
-            )
 
     def test_persistent_crash_exhausts_retries(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError, match="failed after 1 attempt"):
-            CheckSession(trace_file, jobs=2).check(
-                policy=WorkerPolicy(on_failure="retry", max_retries=0)
-            )
+            CheckSession(
+                trace_file, jobs=2,
+                policy=WorkerPolicy(on_failure="retry", max_retries=0),
+            ).check()
 
     def test_crash_on_every_attempt_exhausts_retries(
         self, trace_file, monkeypatch
@@ -204,11 +245,10 @@ class TestFailureMatrix:
         # "0@*" kills every attempt of shard 0, so all retries fail too.
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
         with pytest.raises(CheckerError, match="failed after 3 attempt"):
-            CheckSession(trace_file, jobs=2).check(
-                policy=WorkerPolicy(
-                    on_failure="retry", max_retries=2, retry_backoff=0.01
-                ),
-            )
+            CheckSession(
+                trace_file, jobs=2,
+                policy=WorkerPolicy(on_failure="retry", max_retries=2),
+            ).check()
 
     def test_inline_fallback_survives_persistent_crash(
         self, trace_file, baseline, monkeypatch
@@ -216,11 +256,10 @@ class TestFailureMatrix:
         # Even a shard whose worker *always* dies completes inline (the
         # hooks are suspended for the in-driver call).
         monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
-        report = CheckSession(trace_file, jobs=2).check(
-            policy=WorkerPolicy(
-                on_failure="inline", max_retries=1, retry_backoff=0.01
-            ),
-        )
+        report = CheckSession(
+            trace_file, jobs=2,
+            policy=WorkerPolicy(on_failure="inline", max_retries=1),
+        ).check()
         assert keys(report) == keys(baseline)
         assert os.environ[FAULT_KILL_ENV] == "0@*"  # restored after inline
 
@@ -228,20 +267,19 @@ class TestFailureMatrix:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_SLEEP_ENV, "0@0:30")
-        report = CheckSession(trace_file, jobs=2).check(
-            policy=WorkerPolicy(
-                on_failure="retry", timeout_s=0.5, retry_backoff=0.01
-            ),
-        )
+        report = CheckSession(
+            trace_file, jobs=2,
+            policy=WorkerPolicy(on_failure="retry", timeout_s=0.5),
+        ).check()
         assert keys(report) == keys(baseline)
 
     def test_in_memory_source_retries_too(self, baseline, monkeypatch):
         trace = recorded_trace()
         fresh = CheckSession(trace, jobs=2).check()
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        report = CheckSession(trace, jobs=2).check(
-            policy=WorkerPolicy(on_failure="retry")
-        )
+        report = CheckSession(
+            trace, jobs=2, policy=WorkerPolicy(on_failure="retry")
+        ).check()
         assert keys(report) == keys(fresh) == keys(baseline)
 
     def test_failure_metrics_are_counted(
@@ -249,9 +287,10 @@ class TestFailureMatrix:
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         recorder = MetricsRecorder()
-        report = CheckSession(trace_file, jobs=2, recorder=recorder).check(
-            policy=WorkerPolicy(on_failure="retry")
-        )
+        report = CheckSession(
+            trace_file, jobs=2, recorder=recorder,
+            policy=WorkerPolicy(on_failure="retry"),
+        ).check()
         counters = recorder.snapshot().counters
         assert keys(report) == keys(baseline)
         assert counters["sharded.shard_failures"] == 1
@@ -261,9 +300,10 @@ class TestFailureMatrix:
     def test_inline_fallback_metric(self, trace_file, monkeypatch):
         monkeypatch.setenv(FAULT_KILL_ENV, "1@0")
         recorder = MetricsRecorder()
-        CheckSession(trace_file, jobs=2, recorder=recorder).check(
-            policy=WorkerPolicy(on_failure="inline", max_retries=0)
-        )
+        CheckSession(
+            trace_file, jobs=2, recorder=recorder,
+            policy=WorkerPolicy(on_failure="inline", max_retries=0),
+        ).check()
         assert recorder.snapshot().counters["sharded.inline_fallbacks"] == 1
 
 
@@ -271,30 +311,32 @@ class TestCheckpointResume:
     """Resuming through the result cache: a ``jobs > 1`` miss stores each
     shard's report under the check's key plus the layout
     (``<key>.2-0.json``) as the shard completes, so a re-run of an
-    interrupted check redoes only the shards with no entry.  A run that
-    seeds an observed resume stores its entries observed: an entry
-    stored without metrics is a miss for a check with a recorder."""
+    interrupted check redoes only the shards with no entry; a finished
+    check deletes them.  A run that seeds an observed resume stores its
+    entries observed: an entry stored without metrics is a miss for a
+    check with a recorder."""
 
-    def test_fresh_run_writes_whole_and_shard_entries(
-        self, trace_file, tmp_path
-    ):
+    def test_finished_run_leaves_one_entry(self, trace_file, tmp_path):
+        """The shard entries only serve an interrupted run: once the whole
+        report is stored they are deleted, of every layout."""
         rc = str(tmp_path / "rc")
+        interrupted_check(trace_file, rc, jobs=4)
+        assert len(cache_entries(rc)) == 4
         CheckSession(trace_file, jobs=2).check(cache_dir=rc)
         names = cache_entries(rc)
-        key = names[0].split(".")[0]
-        assert names == [f"{key}.2-0.json", f"{key}.2-1.json", f"{key}.json"]
+        assert len(names) == 1 and names[0].count(".") == 1
+        session = CheckSession(trace_file, jobs=2)
+        session.check(cache_dir=rc)
+        assert session.cache_info["hit"]
 
     def test_resume_after_partial_run_matches_fresh(
         self, trace_file, baseline, tmp_path
     ):
         rc = str(tmp_path / "rc")
-        fresh = CheckSession(
-            trace_file, jobs=2, recorder=MetricsRecorder()
-        ).check(cache_dir=rc)
-        # Simulate an interrupt: neither the whole result nor shard 1's
-        # entry landed.
-        drop_whole_entry(rc)
-        os.unlink(shard_entry(rc, 2, 1))
+        fresh = CheckSession(trace_file, jobs=2).check()
+        # Neither the whole result nor shard 1's entry lands.
+        interrupted_check(trace_file, rc, stalled=1, recorder=MetricsRecorder())
+        assert cache_entries(rc) == [os.path.basename(shard_entry(rc, 2, 0))]
         recorder = MetricsRecorder()
         resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
             cache_dir=rc
@@ -310,10 +352,7 @@ class TestCheckpointResume:
         self, trace_file, baseline, tmp_path
     ):
         rc = str(tmp_path / "rc")
-        CheckSession(trace_file, jobs=2, recorder=MetricsRecorder()).check(
-            cache_dir=rc
-        )
-        drop_whole_entry(rc)
+        interrupted_check(trace_file, rc, recorder=MetricsRecorder())
         recorder = MetricsRecorder()
         resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
             cache_dir=rc
@@ -328,10 +367,10 @@ class TestCheckpointResume:
     ):
         """A shard entry names its layout, so a ``jobs=4`` check refuses
         to resume from an interrupted ``jobs=2`` run: it merges none of
-        its shards, recomputes every shard and equals a fresh run."""
+        its shards, recomputes every shard and equals a fresh run.  Then
+        it deletes the ``jobs=2`` entries with its own."""
         rc = str(tmp_path / "rc")
-        CheckSession(trace_file, jobs=2).check(cache_dir=rc)
-        drop_whole_entry(rc)
+        interrupted_check(trace_file, rc)
         recorder = MetricsRecorder()
         resumed = CheckSession(trace_file, jobs=4, recorder=recorder).check(
             cache_dir=rc
@@ -342,15 +381,15 @@ class TestCheckpointResume:
         counters = recorder.snapshot().counters
         assert counters.get("sharded.resumed_shards", 0) == 0
         assert counters["sharded.workers"] == 4
-        assert len(cache_entries(rc)) == 2 + 4 + 1
+        assert len(cache_entries(rc)) == 1
 
     def test_fresh_run_clears_stale_shards(self, trace_file, tmp_path):
         """Same directory, new configuration: the stale shard entries of
-        a ``jobs=4`` run stay on disk but must not leak into a ``jobs=2``
-        merge, which computes both of its shards afresh."""
+        an interrupted ``jobs=4`` run must not leak into a ``jobs=2``
+        merge, which computes both of its shards afresh, and are gone
+        once it finishes."""
         rc = str(tmp_path / "rc")
-        CheckSession(trace_file, jobs=4).check(cache_dir=rc)
-        drop_whole_entry(rc)
+        interrupted_check(trace_file, rc, jobs=4)
         recorder = MetricsRecorder()
         report = CheckSession(trace_file, jobs=2, recorder=recorder).check(
             cache_dir=rc
@@ -362,21 +401,15 @@ class TestCheckpointResume:
         assert counters.get("sharded.resumed_shards", 0) == 0
         assert counters["sharded.workers"] == 2
         key = cache_entries(rc)[0].split(".")[0]
-        assert cache_entries(rc) == sorted(
-            [f"{key}.4-{shard}.json" for shard in range(4)]
-            + [f"{key}.2-0.json", f"{key}.2-1.json", f"{key}.json"]
-        )
+        assert cache_entries(rc) == [f"{key}.json"]
 
     def test_damaged_checkpoint_is_recomputed(
         self, trace_file, baseline, tmp_path
     ):
         rc = str(tmp_path / "rc")
-        CheckSession(trace_file, jobs=2, recorder=MetricsRecorder()).check(
-            cache_dir=rc
-        )
-        drop_whole_entry(rc)
+        interrupted_check(trace_file, rc, recorder=MetricsRecorder())
         with open(shard_entry(rc, 2, 0), "w", encoding="utf-8") as handle:
-            handle.write('{"schema": "repro-result-cache/2", "key"')
+            handle.write('{"schema": "repro-result-cache/3", "key"')
         recorder = MetricsRecorder()
         resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
             cache_dir=rc
@@ -388,10 +421,8 @@ class TestCheckpointResume:
         """A shard entry nested past the recursion limit is a miss: that
         shard is recomputed, not a ``RecursionError`` traceback."""
         rc = str(tmp_path / "rc")
-        fresh = CheckSession(
-            trace_file, jobs=2, recorder=MetricsRecorder()
-        ).check(cache_dir=rc)
-        drop_whole_entry(rc)
+        fresh = CheckSession(trace_file, jobs=2).check()
+        interrupted_check(trace_file, rc, recorder=MetricsRecorder())
         with open(shard_entry(rc, 2, 0), "w", encoding="utf-8") as handle:
             handle.write(DEEP)
         recorder = MetricsRecorder()
@@ -417,10 +448,8 @@ class TestCheckpointResume:
         that shard is recomputed and stored again, with or without a
         recorder, not a ``ValueError`` from the merge."""
         rc = str(tmp_path / "rc")
-        fresh = CheckSession(
-            trace_file, jobs=2, recorder=MetricsRecorder()
-        ).check(cache_dir=rc)
-        drop_whole_entry(rc)
+        fresh = CheckSession(trace_file, jobs=2).check()
+        interrupted_check(trace_file, rc, recorder=MetricsRecorder())
         path = shard_entry(rc, 2, 1)
         with open(path, "r", encoding="utf-8") as handle:
             entry = json.load(handle)
@@ -428,12 +457,14 @@ class TestCheckpointResume:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(entry, handle)
         recorder = MetricsRecorder() if observed else None
-        resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
-            cache_dir=rc
-        )
+        with watched_stores() as stored:
+            resumed = CheckSession(
+                trace_file, jobs=2, recorder=recorder
+            ).check(cache_dir=rc)
         assert resumed.describe() == fresh.describe()
-        with open(path, "r", encoding="utf-8") as handle:
-            assert json.load(handle)["meta"]["metrics"] != metrics
+        # The finished resume deletes the file, so read what it stored.
+        restored = [meta["metrics"] for shard, meta in stored if shard == "2-1"]
+        assert len(restored) == 1 and restored[0] != metrics
         if observed:
             counters = recorder.snapshot().counters
             assert counters["sharded.resumed_shards"] == 1
@@ -447,15 +478,21 @@ class TestCheckpointResume:
         again with its metrics, so its counters equal a fresh run's; it
         used to merge no counters for the shard.  The next resume then
         serves the entry."""
-        rc = str(tmp_path / "rc")
-        CheckSession(trace_file, jobs=2).check(cache_dir=rc)
         recorder = MetricsRecorder()
         fresh = CheckSession(trace_file, jobs=2, recorder=recorder).check()
         expected = resume_counters(recorder)
         assert expected["sharded.shards_nonempty"] == 2
         for resumed_shards in (0, 1):
-            drop_whole_entry(rc)
-            os.unlink(shard_entry(rc, 2, 1))
+            rc = str(tmp_path / f"rc{resumed_shards}")
+            interrupted_check(trace_file, rc, stalled=1)
+            if resumed_shards:
+                # An observed run re-stores shard 0 with its metrics
+                # before it, too, is interrupted.
+                interrupted_check(
+                    trace_file, rc, stalled=1, recorder=MetricsRecorder()
+                )
+                with open(shard_entry(rc, 2, 0), encoding="utf-8") as handle:
+                    assert json.load(handle)["meta"]["metrics"] is not None
             recorder = MetricsRecorder()
             resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
                 cache_dir=rc
@@ -472,17 +509,13 @@ class TestCheckpointResume:
         """Without a recorder a shard entry's metrics are not needed: an
         entry stored unobserved is served, not recomputed."""
         rc = str(tmp_path / "rc")
-        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
-        drop_whole_entry(rc)
-        path = shard_entry(rc, 2, 0)
-        stored = os.stat(path)
-        os.unlink(shard_entry(rc, 2, 1))
-        resumed = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
+        fresh = CheckSession(trace_file, jobs=2).check()
+        interrupted_check(trace_file, rc, stalled=1)
+        with watched_stores() as stored:
+            resumed = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
         assert resumed.describe() == fresh.describe()
-        served = os.stat(path)  # a store renames a new file into place
-        assert (served.st_ino, served.st_mtime_ns) == (
-            stored.st_ino, stored.st_mtime_ns
-        )
+        # Shard 0 served, not stored again.
+        assert [shard for shard, _ in stored] == ["2-1", ""]
 
     def test_jobs1_checkpoints_as_single_shard(
         self, trace_file, baseline, tmp_path
@@ -501,19 +534,19 @@ class TestCheckpointResume:
     def test_kill_plus_checkpoint_then_resume(
         self, trace_file, baseline, tmp_path, monkeypatch
     ):
-        # Interrupted run: shard 0's worker dies on *every* attempt,
-        # aborting the run -- but shard 1 finishes during the retries
-        # and its entry survives.
+        # Interrupted run: shard 0's worker stalls on every attempt and is
+        # killed at its timeout, aborting the run -- but shard 1 finishes
+        # first and its entry survives.
         rc = str(tmp_path / "rc")
-        monkeypatch.setenv(FAULT_KILL_ENV, "0@*")
-        with pytest.raises(CheckerError):
-            CheckSession(trace_file, jobs=2, recorder=MetricsRecorder()).check(
-                cache_dir=rc,
-                policy=WorkerPolicy(max_retries=2, retry_backoff=0.2),
-            )
+        monkeypatch.setenv(FAULT_SLEEP_ENV, "0@*:30")
+        with pytest.raises(CheckerError, match="timed out"):
+            CheckSession(
+                trace_file, jobs=2, recorder=MetricsRecorder(),
+                policy=WorkerPolicy(max_retries=0, timeout_s=INTERRUPT_S),
+            ).check(cache_dir=rc)
         assert len(cache_entries(rc)) == 1
         assert os.path.exists(shard_entry(rc, 2, 1))
-        monkeypatch.delenv(FAULT_KILL_ENV)
+        monkeypatch.delenv(FAULT_SLEEP_ENV)
         recorder = MetricsRecorder()
         resumed = CheckSession(trace_file, jobs=2, recorder=recorder).check(
             cache_dir=rc
@@ -528,10 +561,8 @@ class TestCheckpointResume:
     def test_store_validates_schema(self, trace_file, tmp_path):
         """A shard entry of another schema is recomputed, not merged."""
         rc = str(tmp_path / "rc")
-        fresh = CheckSession(
-            trace_file, jobs=2, recorder=MetricsRecorder()
-        ).check(cache_dir=rc)
-        drop_whole_entry(rc)
+        fresh = CheckSession(trace_file, jobs=2).check()
+        interrupted_check(trace_file, rc, recorder=MetricsRecorder())
         path = shard_entry(rc, 2, 0)
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -582,9 +613,7 @@ class TestCheckpointResume:
             cache_dir=rc
         )
         with pytest.raises(CheckerError, match="TraceError"):
-            CheckSession(trace_file, jobs=2).check(
-                cache_dir=rc, policy=WorkerPolicy(retry_backoff=0.01)
-            )
+            CheckSession(trace_file, jobs=2).check(cache_dir=rc)
 
 
 class TestSuiteEquivalence:
@@ -599,18 +628,17 @@ class TestSuiteEquivalence:
 
             os.environ[FAULT_KILL_ENV] = f"{index % 2}@0"
             try:
-                faulted = CheckSession(path, jobs=2).check(
-                    policy=WorkerPolicy(on_failure="retry", retry_backoff=0.01)
-                )
+                faulted = CheckSession(
+                    path, jobs=2, policy=WorkerPolicy(on_failure="retry")
+                ).check()
             finally:
                 del os.environ[FAULT_KILL_ENV]
             assert keys(faulted) == keys(base), case.name
             assert faulted.raw_count == base.raw_count, case.name
 
             rc = str(tmp_path / f"rc-{case.name}")
-            fresh = CheckSession(path, jobs=2).check(cache_dir=rc)
-            drop_whole_entry(rc)
-            os.unlink(shard_entry(rc, 2, index % 2))
+            fresh = CheckSession(path, jobs=2).check()
+            interrupted_check(path, rc, stalled=index % 2)
             resumed = CheckSession(path, jobs=2).check(cache_dir=rc)
             assert resumed.describe() == fresh.describe(), case.name
             assert keys(resumed) == keys(base), case.name
@@ -651,6 +679,18 @@ class TestLenientChecking:
         assert totals[1]["trace.lines_skipped"] == 2
         assert totals[1] == totals[4]
 
+    def test_skip_count_survives_a_resume(self, trace_file, tmp_path):
+        """A shard entry carries its shard's skips (shard 0 counts the
+        unstamped garbage lines), so a resume counts what a fresh run
+        counts, whichever shard it recomputes."""
+        self.corrupt(trace_file)
+        for stalled in (0, 1):
+            rc = str(tmp_path / f"rc{stalled}")
+            interrupted_check(trace_file, rc, stalled=stalled, strict=False)
+            session = CheckSession(trace_file, jobs=2, strict=False)
+            session.check(cache_dir=rc)
+            assert session.lines_skipped == 2
+
     def test_metric_totals_agree_even_with_faults(
         self, trace_file, baseline, monkeypatch
     ):
@@ -661,9 +701,7 @@ class TestLenientChecking:
         sharded = MetricsRecorder()
         report = CheckSession(
             trace_file, jobs=4, strict=False, recorder=sharded
-        ).check(
-            policy=WorkerPolicy(retry_backoff=0.01)
-        )
+        ).check()
         assert keys(report) == keys(baseline)
         assert comparable_counters(
             solo.snapshot().counters
@@ -671,32 +709,30 @@ class TestLenientChecking:
 
 
 class TestStartMethods:
-    def test_spawn_produces_identical_report(self, trace_file, baseline):
+    """``REPRO_START_METHOD`` is the one start-method setting."""
+
+    def test_spawn_produces_identical_report(
+        self, trace_file, baseline, monkeypatch
+    ):
         forked = CheckSession(trace_file, jobs=2).check()
-        spawned = CheckSession(trace_file, jobs=2).check(
-            policy=WorkerPolicy(start_method="spawn")
-        )
+        monkeypatch.setenv(START_METHOD_ENV, "spawn")
+        spawned = CheckSession(trace_file, jobs=2).check()
         assert spawned.describe() == forked.describe()  # byte-identical
         assert keys(spawned) == keys(baseline)
 
-    def test_unknown_start_method_rejected(self, trace_file):
-        with pytest.raises(CheckerError, match="not available"):
-            CheckSession(trace_file, jobs=2).check(
-                policy=WorkerPolicy(start_method="teleport")
-            )
-
     def test_env_override_is_honored(self, trace_file, monkeypatch):
-        monkeypatch.setenv("REPRO_START_METHOD", "teleport")
+        monkeypatch.setenv(START_METHOD_ENV, "teleport")
         with pytest.raises(CheckerError, match="not available"):
             CheckSession(trace_file, jobs=2).check()
 
-    def test_unpicklable_payload_is_a_clear_error(self, trace_file):
+    def test_unpicklable_payload_is_a_clear_error(
+        self, trace_file, monkeypatch
+    ):
+        monkeypatch.setenv(START_METHOD_ENV, "spawn")
         checker = OptAtomicityChecker()
         checker.unpicklable = lambda: None  # closures cannot be pickled
         with pytest.raises(CheckerError, match="picklable"):
-            CheckSession(trace_file, jobs=2, checker=checker).check(
-                policy=WorkerPolicy(start_method="spawn")
-            )
+            CheckSession(trace_file, jobs=2, checker=checker).check()
 
 
 class TestDriverBugfixes:
@@ -725,18 +761,22 @@ class TestDriverBugfixes:
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
         with pytest.raises(CheckerError):
-            CheckSession(trace_file, jobs=2).check(
-                policy=WorkerPolicy(on_failure="raise")
-            )
+            CheckSession(
+                trace_file, jobs=2, policy=WorkerPolicy(max_retries=0)
+            ).check()
         # The path is still checkable: no leaked handle, no stale state.
         monkeypatch.delenv(FAULT_KILL_ENV)
         assert CheckSession(trace_file, jobs=2).check()
 
     def test_caller_reader_left_open(self, trace_file):
+        """A reader is no source: a file is checked by its path, and
+        ``strict=`` alone sets the trace mode.  The session refuses the
+        caller's reader and leaves it open."""
         from repro.trace.serialize import open_trace
 
         reader = open_trace(trace_file)
-        CheckSession(reader, jobs=2).check()
+        with pytest.raises(TraceError, match="cannot check"):
+            CheckSession(reader, jobs=2)
         assert not reader.closed  # caller-owned: caller closes
         reader.close()
 
@@ -744,9 +784,8 @@ class TestDriverBugfixes:
 class TestSessionWiring:
     def test_session_checkpoint_resume(self, trace_file, baseline, tmp_path):
         rc = str(tmp_path / "rc")
-        fresh = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
-        drop_whole_entry(rc)
-        os.unlink(shard_entry(rc, 2, 0))
+        fresh = CheckSession(trace_file, jobs=2).check()
+        interrupted_check(trace_file, rc, stalled=0)
         resumed = CheckSession(trace_file, jobs=2).check(cache_dir=rc)
         assert fresh.describe() == resumed.describe()  # byte-identical
         assert keys(resumed) == keys(baseline)
@@ -784,7 +823,7 @@ class TestSessionWiring:
         self, trace_file, baseline, monkeypatch
     ):
         monkeypatch.setenv(FAULT_KILL_ENV, "0@0")
-        report = CheckSession(trace_file, jobs=2).check(
-            policy=WorkerPolicy(on_failure="retry")
-        )
+        report = CheckSession(
+            trace_file, jobs=2, policy=WorkerPolicy(on_failure="retry")
+        ).check()
         assert keys(report) == keys(baseline)

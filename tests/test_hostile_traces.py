@@ -225,7 +225,9 @@ class TestMisstampedLine:
         assert "t.jsonl" in str(err.value)
         # A check's worker fails on it like on any other bad line.
         with pytest.raises(CheckerError, match="TraceError: .*shard stamp") as err:
-            CheckSession(path, jobs=jobs).check(policy=WorkerPolicy(max_retries=0))
+            CheckSession(
+                path, jobs=jobs, policy=WorkerPolicy(max_retries=0)
+            ).check()
         assert "t.jsonl" in str(err.value)
 
     @pytest.mark.parametrize("jobs", [2, 4])
@@ -454,6 +456,35 @@ class TestUnplaceableAccess:
             kept = [e for e in getattr(reader, view)() if isinstance(e, MemoryEvent)]
             assert len(kept) == 3
             assert reader.lines_skipped == 1
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lenient_count_travels_with_the_report(self, tmp_path, fmt, jobs):
+        """The skip count is the report's, so a ``jobs=2`` check and a
+        cache hit count it too (both used to read 0)."""
+        path = self.dump(tmp_path, fmt, 999)
+        rc = str(tmp_path / "rc")
+        for hit in (False, True):
+            session = CheckSession(path, jobs=jobs, strict=False)
+            report = session.check(cache_dir=rc)
+            assert session.cache_info["hit"] is hit
+            assert report.lines_skipped == session.lines_skipped == 1
+            assert report.patterns() == ["RWW"]
+        assert CheckSession(path, jobs=jobs, strict=False).check().lines_skipped == 1
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cli_prints_the_count_on_a_hit(self, tmp_path, fmt, jobs, capsys):
+        from repro.cli import main
+
+        path = self.dump(tmp_path, fmt, 999)
+        argv = ["check-trace", path, "--lenient", "--jobs", jobs,
+                "--cache-dir", str(tmp_path / "rc")]
+        for status in ("miss", "hit"):
+            assert main(argv) == 1
+            out = capsys.readouterr().out
+            assert f"\nresult cache: {status}" in out
+            assert "\nlenient mode: skipped 1 undecodable trace line(s)" in out
 
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
     def test_cli_exits_2_strict_and_skips_lenient(self, tmp_path, fmt):
